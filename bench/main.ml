@@ -258,6 +258,96 @@ let smp_tests () =
     (fun n -> [ smp_bench_dispatch ~sharded:false n; smp_bench_dispatch ~sharded:true n ])
     [ 64; 256 ]
 
+(* {1 Part 1b'': per-connection container churn}
+
+   The §5.4 server gives every connection its own container: per request
+   one container is created, queued on, drained and destroyed, and the
+   server thread rebinds to it and back, so its scheduler-binding set holds
+   every container served within the prune age (~1000 of them).  Both
+   costs must track live state, not history:
+
+   - churn: one create-leaf, enqueue, dequeue, destroy cycle on a
+     multilevel run queue that also holds a standing task, timed by hand
+     after 10^3 and after 10^5 prior cycles (Bechamel's own iterations
+     would grow the history under the measurement).  Their ratio is the
+     gate-able churn flatness; 1.0 is perfectly flat.
+   - rebind+touch: rebind to a member, touch, rebind to the default
+     container, touch — against a standing 1000-entry set whose default
+     container is its oldest member. *)
+
+let churn_cycle () =
+  let root = Container.create_root () in
+  let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
+  let policy = Sched.Multilevel.make ~root () in
+  let home = Container.create ~parent () in
+  policy.Sched.Policy.enqueue
+    (Sched.Task.create ~name:"server" (Binding.create ~now:Simtime.zero home));
+  fun () ->
+    let leaf = Container.create ~parent () in
+    let task = Sched.Task.create ~name:"conn" (Binding.create ~now:Simtime.zero leaf) in
+    policy.Sched.Policy.enqueue task;
+    policy.Sched.Policy.dequeue task;
+    Binding.drop task.Sched.Task.binding;
+    Container.release leaf
+
+(* Median ns per cycle over five batches of 200 consecutive cycles. *)
+let time_cycles cycle =
+  let samples =
+    Array.init 5 (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to 200 do
+          cycle ()
+        done;
+        (Unix.gettimeofday () -. t0) *. 1e9 /. 200.)
+  in
+  Array.sort Float.compare samples;
+  samples.(2)
+
+(* ns per churn cycle after 10^3 and after 10^5 prior cycles. *)
+let churn_costs () =
+  let cycle = churn_cycle () in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let early = time_cycles cycle in
+  for _ = 1 to 100_000 - 2_000 do
+    cycle ()
+  done;
+  (early, time_cycles cycle)
+
+let bench_rebind_touch () =
+  let root = Container.create_root () in
+  let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
+  let home = Container.create ~parent () in
+  let members = Array.init 999 (fun _ -> Container.create ~parent ()) in
+  let binding = Binding.create ~now:Simtime.zero home in
+  Array.iter (fun c -> Binding.set_resource_binding binding ~now:Simtime.zero c) members;
+  Binding.set_resource_binding binding ~now:Simtime.zero home;
+  let k = ref 0 in
+  Test.make ~name:"rebind+touch cycle, 1000-entry scheduler set"
+    (Staged.stage (fun () ->
+         k := (!k + 1) mod Array.length members;
+         Binding.set_resource_binding binding ~now:Simtime.zero members.(!k);
+         Binding.touch binding ~now:Simtime.zero;
+         Binding.set_resource_binding binding ~now:Simtime.zero home;
+         Binding.touch binding ~now:Simtime.zero))
+
+let run_churn_microbench () =
+  let early, late = churn_costs () in
+  let binding = ols_estimates ~group:"binding" ~cfg:(sched_cfg ()) [ bench_rebind_touch () ] in
+  let table =
+    Engine.Series.table ~title:"Per-connection container churn: cost against history"
+      ~columns:[ "workload"; "ns per op" ]
+  in
+  Engine.Series.add_row table [ "churn cycle after 1e3 prior cycles"; Printf.sprintf "%.0f" early ];
+  Engine.Series.add_row table [ "churn cycle after 1e5 prior cycles"; Printf.sprintf "%.0f" late ];
+  List.iter
+    (fun (name, ns) ->
+      Engine.Series.add_row table
+        [ name; (match ns with Some v -> Printf.sprintf "%.0f" v | None -> "-") ])
+    binding;
+  Format.printf "%a@." Engine.Series.pp_table table
+
 let run_smp_microbench () =
   let estimates = ols_estimates ~group:"smp" ~cfg:(sched_cfg ()) (smp_tests ()) in
   let table =
@@ -635,6 +725,13 @@ let run_json ~fast ~smoke ~mega ~label =
       (sched_tests ())
   in
   renew ();
+  let churn_early, churn_late = churn_costs () in
+  let binding =
+    ols_estimates2 ~group:"binding"
+      ~cfg:(Benchmark.cfg ~limit:1000 ~quota:(Time.second (scale 0.25)) ())
+      [ bench_rebind_touch () ]
+  in
+  renew ();
   let smp =
     ols_estimates ~group:"smp"
       ~cfg:(Benchmark.cfg ~limit:1000 ~quota:(Time.second (scale 0.25)) ())
@@ -844,13 +941,33 @@ let run_json ~fast ~smoke ~mega ~label =
     @ List.filter_map
         (fun (name, ns, _) ->
           Option.map (fun v -> { m_name = name; m_unit = "ns/op"; m_value = v }) ns)
-        (sim @ netsim @ cache @ dist)
+        (binding @ sim @ netsim @ cache @ dist)
     @ List.filter_map
         (fun (name, _, mw) ->
           Option.map
             (fun v -> { m_name = "gc.minor_words_per_op/" ^ name; m_unit = "mw/op"; m_value = v })
             mw)
-        (sim @ netsim @ cache @ dist)
+        (binding @ sim @ netsim @ cache @ dist)
+    @ [
+        {
+          m_name = "sched/container churn cycle after 1e3 prior cycles";
+          m_unit = "ns/op";
+          m_value = churn_early;
+        };
+        {
+          m_name = "sched/container churn cycle after 1e5 prior cycles";
+          m_unit = "ns/op";
+          m_value = churn_late;
+        };
+        {
+          (* The per-connection-container claim as one gate-able number:
+             1.0 = flat in history.  A run queue that re-walks every
+             container ever queued reads ~13 already at 1e4 prior cycles. *)
+          m_name = "sched.churn-flatness/container churn ns after 1e5 prior cycles over 1e3";
+          m_unit = "x";
+          m_value = churn_late /. churn_early;
+        };
+      ]
     @ cache_flatness
     @ [
         {
@@ -1034,6 +1151,8 @@ let () =
      run_table1_microbench ();
      Rescont.Usage.renew_domain_arena ();
      run_sched_microbench ();
+     Rescont.Usage.renew_domain_arena ();
+     run_churn_microbench ();
      Rescont.Usage.renew_domain_arena ();
      run_smp_microbench ();
      Rescont.Usage.renew_domain_arena ();

@@ -1,16 +1,45 @@
 module Simtime = Engine.Simtime
 
 type entry = { container : Container.t; mutable last_used : Simtime.t }
-type t = { mutable resource : Container.t; mutable sched_set : entry list; mutable live : bool }
+
+(* Container ids are distinct positive ints, so they hash to themselves:
+   a lookup costs no call into the polymorphic hash.  Nothing iterates the
+   index, so its bucket order is never observed. *)
+module Index = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)
+
+(* The scheduler-binding set is the list [sched_set], newest entry first.
+   Its order is observable — the timeshare policy sums floats over the set
+   in this order — so the list stays the representation.  [index] maps
+   each member's container id to its entry, and [current] is the resource
+   binding's own entry, which a live binding's set always holds: rebinding
+   and [touch] never scan the list. *)
+type t = {
+  mutable resource : Container.t;
+  mutable current : entry;
+  mutable sched_set : entry list;
+  index : entry Index.t;
+  mutable live : bool;
+}
+
+let add_entry t ~now container =
+  let e = { container; last_used = now } in
+  Index.replace t.index (Container.id container) e;
+  t.sched_set <- e :: t.sched_set;
+  t.current <- e
 
 let create ~now container =
   Container.incr_bindings container;
-  { resource = container; sched_set = [ { container; last_used = now } ]; live = true }
+  let e = { container; last_used = now } in
+  let index = Index.create 8 in
+  Index.replace index (Container.id container) e;
+  { resource = container; current = e; sched_set = [ e ]; index; live = true }
 
 let resource_binding t = t.resource
-
-let find_entry t container =
-  List.find_opt (fun e -> Container.id e.container = Container.id container) t.sched_set
 
 let set_resource_binding t ~now container =
   if not t.live then invalid_arg "Binding: used after drop";
@@ -19,9 +48,11 @@ let set_resource_binding t ~now container =
     Container.decr_bindings t.resource;
     t.resource <- container
   end;
-  (match find_entry t container with
-  | Some e -> e.last_used <- now
-  | None -> t.sched_set <- { container; last_used = now } :: t.sched_set)
+  match Index.find t.index (Container.id container) with
+  | e ->
+      e.last_used <- now;
+      t.current <- e
+  | exception Not_found -> add_entry t ~now container
 
 let scheduler_binding t =
   let sorted =
@@ -29,8 +60,8 @@ let scheduler_binding t =
   in
   List.map (fun e -> e.container) sorted
 
-(* Recency-unordered view of the same set, for order-independent consumers
-   (a sum or max over the set): no sort, no list, no allocation. *)
+(* The set in its own order (no sort, no list, no allocation), for
+   aggregations over the set on the per-dispatch path. *)
 let iter_scheduler_containers t f =
   let rec go = function
     | [] -> ()
@@ -40,28 +71,37 @@ let iter_scheduler_containers t f =
   in
   go t.sched_set
 
-let touch t ~now =
-  match find_entry t t.resource with
-  | Some e -> e.last_used <- now
-  | None -> t.sched_set <- { container = t.resource; last_used = now } :: t.sched_set
+(* A thread killed mid-slice still reaches here from the slice-end charge;
+   its dropped binding must stay empty. *)
+let touch t ~now = if t.live then t.current.last_used <- now
 
 let prune t ~now ~max_age =
   let keep e =
     Container.id e.container = Container.id t.resource
     || Simtime.span_compare (Simtime.diff now e.last_used) max_age <= 0
   in
-  let before = List.length t.sched_set in
-  t.sched_set <- List.filter keep t.sched_set;
-  before - List.length t.sched_set
+  let before = Index.length t.index in
+  t.sched_set <-
+    List.filter
+      (fun e ->
+        keep e
+        ||
+        (Index.remove t.index (Container.id e.container);
+         false))
+      t.sched_set;
+  before - Index.length t.index
 
 let reset_scheduler_binding t ~now =
-  t.sched_set <- [ { container = t.resource; last_used = now } ]
+  Index.reset t.index;
+  t.sched_set <- [];
+  add_entry t ~now t.resource
 
 let drop t =
   if t.live then begin
     t.live <- false;
     Container.decr_bindings t.resource;
-    t.sched_set <- []
+    t.sched_set <- [];
+    Index.reset t.index
   end
 
-let size t = List.length t.sched_set
+let size t = Index.length t.index

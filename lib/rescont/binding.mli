@@ -29,14 +29,18 @@ val scheduler_binding : t -> Container.t list
     first.  Always contains the resource binding. *)
 
 val iter_scheduler_containers : t -> (Container.t -> unit) -> unit
-(** Apply a function to every container in the scheduler binding, in
-    unspecified order and without allocating.  For order-independent
-    aggregations (the timeshare scheduler's usage sum / priority max over
-    a combined binding) on the per-dispatch path. *)
+(** Apply a function to every container in the scheduler binding without
+    allocating.  The order is deterministic but is not recency: containers
+    are visited newest member first, by when each joined the set (since
+    creation or the last reset), and [touch] does not reorder them.  The
+    timeshare scheduler sums floating-point usage over the set in this
+    order on the per-dispatch path, so the order is part of the simulated
+    result. *)
 
 val touch : t -> now:Engine.Simtime.t -> unit
 (** Record use of the current resource binding (called when the thread is
-    charged), refreshing its recency in the scheduler-binding set. *)
+    charged), refreshing its recency in the scheduler-binding set.  O(1).
+    A no-op on a dropped binding. *)
 
 val prune : t -> now:Engine.Simtime.t -> max_age:Engine.Simtime.span -> int
 (** Drop set entries whose last use is older than [max_age]; the resource
@@ -47,7 +51,8 @@ val reset_scheduler_binding : t -> now:Engine.Simtime.t -> unit
 (** Explicit reset to exactly the current resource binding (§4.3, §4.6). *)
 
 val drop : t -> unit
-(** Release the thread's bindings entirely (thread exit). *)
+(** Release the thread's bindings entirely (thread exit), leaving the
+    scheduler-binding set empty. *)
 
 val size : t -> int
-(** Number of containers in the scheduler-binding set. *)
+(** Number of containers in the scheduler-binding set.  O(1). *)

@@ -20,9 +20,16 @@ module Container = Rescont.Container
    a recursive walk.  Each ring caches its container's chain of count
    refs, keyed on the physical identity of [Container.ancestry] (which is
    rebuilt exactly when the topology above the container changes), so the
-   common bump is a straight array walk with no table lookups.  The counts
-   are keyed on the container topology generation and rebuilt from the
-   queues when the tree is re-shaped. *)
+   common bump is a straight array walk with no table lookups.
+
+   Invariant: a ring with [live > 0] has its whole [live] added along its
+   cached [chain], and such rings are exactly the members of the dense
+   [busy] set.  When the container topology generation moves, [sync]
+   visits only the busy rings and moves each one's [live] from its old
+   chain to its new ancestry, skipping any whose ancestry array is
+   physically unchanged, so a re-shape costs O(busy queues x depth) rather
+   than O(every container ever queued).  An idle ring's chain may be
+   stale; it is refreshed when the ring next turns busy. *)
 
 type cq = {
   mutable tasks : Task.t array; (* ring buffer, capacity always a power of two *)
@@ -31,6 +38,7 @@ type cq = {
   mutable len : int; (* ring entries, live or stale *)
   container : Container.t;
   mutable live : int;
+  mutable busy_ix : int; (* slot in [busy] while [live > 0], else -1 *)
   mutable chain : int ref array; (* cached subtree count refs along the ancestry *)
   mutable chain_key : Container.t array; (* the ancestry array [chain] was built from *)
 }
@@ -40,6 +48,8 @@ type t = {
   queues : (int, cq) Hashtbl.t; (* container id -> queue *)
   overflow : (int, int * int) Hashtbl.t; (* task id -> (container id, stamp) *)
   counts : (int, int ref) Hashtbl.t; (* container id -> live tasks in subtree *)
+  mutable busy : cq array; (* the rings with live tasks, in slots [0, nbusy) *)
+  mutable nbusy : int;
   mutable total : int; (* live tasks across all queues *)
   mutable next_stamp : int;
   mutable topo_gen : int;
@@ -57,6 +67,8 @@ let create () =
     queues = Hashtbl.create 64;
     overflow = Hashtbl.create 8;
     counts = Hashtbl.create 64;
+    busy = [||];
+    nbusy = 0;
     total = 0;
     next_stamp = 0;
     topo_gen = Container.topology_generation ();
@@ -71,7 +83,7 @@ let subtree_count_ref t container =
       Hashtbl.replace t.counts cid r;
       r
 
-(* The count refs keep their identity across topology rebuilds, so the
+(* The count refs keep their identity across topology changes, so the
    cached chains here and the multilevel scheduler's child index stay
    valid; only the ancestry ARRAY changes identity, which is exactly the
    event that invalidates a ring's cached chain. *)
@@ -82,30 +94,43 @@ let refresh_chain t cq =
     cq.chain_key <- ancestry
   end
 
-let bump_cq t cq delta =
-  refresh_chain t cq;
-  let chain = cq.chain in
+let add_chain chain delta =
   for i = 0 to Array.length chain - 1 do
     let r = Array.unsafe_get chain i in
     r := !r + delta
   done
 
-let bump_chain t container delta =
-  let chain = Container.ancestry container in
-  for i = 0 to Array.length chain - 1 do
-    let r = subtree_count_ref t (Array.unsafe_get chain i) in
-    r := !r + delta
-  done
+let busy_add t cq =
+  if t.nbusy = Array.length t.busy then begin
+    let grown = Array.make (max 16 (2 * t.nbusy)) cq in
+    Array.blit t.busy 0 grown 0 t.nbusy;
+    t.busy <- grown
+  end;
+  cq.busy_ix <- t.nbusy;
+  t.busy.(t.nbusy) <- cq;
+  t.nbusy <- t.nbusy + 1
 
-let rebuild_counts t =
-  Hashtbl.iter (fun _ r -> r := 0) t.counts;
-  Hashtbl.iter (fun _ cq -> if cq.live > 0 then bump_chain t cq.container cq.live) t.queues
+(* Swap-remove: only the set's membership matters, never its order. *)
+let busy_remove t cq =
+  let last = t.nbusy - 1 in
+  let moved = t.busy.(last) in
+  t.busy.(cq.busy_ix) <- moved;
+  moved.busy_ix <- cq.busy_ix;
+  cq.busy_ix <- -1;
+  t.nbusy <- last
 
 let sync t =
   let g = Container.topology_generation () in
   if g <> t.topo_gen then begin
     t.topo_gen <- g;
-    rebuild_counts t
+    for i = 0 to t.nbusy - 1 do
+      let cq = Array.unsafe_get t.busy i in
+      if not (cq.chain_key == Container.ancestry cq.container) then begin
+        add_chain cq.chain (-cq.live);
+        refresh_chain t cq;
+        add_chain cq.chain cq.live
+      end
+    done
   end
 
 let queue_for t container =
@@ -121,6 +146,7 @@ let queue_for t container =
           len = 0;
           container;
           live = 0;
+          busy_ix = -1;
           chain = [||];
           chain_key = [||];
         }
@@ -214,9 +240,13 @@ let enqueue t (task : Task.t) =
       task.Task.rq_stamp <- stamp
     end
     else Hashtbl.replace t.overflow task.Task.id (cid, stamp);
+    if cq.live = 0 then begin
+      refresh_chain t cq;
+      busy_add t cq
+    end;
     cq.live <- cq.live + 1;
     t.total <- t.total + 1;
-    bump_cq t cq 1;
+    add_chain cq.chain 1;
     if cq.len > 8 + (2 * cq.live) then compact_cq t cid cq
   end
 
@@ -241,7 +271,8 @@ let dequeue t (task : Task.t) =
     | cq ->
         cq.live <- cq.live - 1;
         t.total <- t.total - 1;
-        bump_cq t cq (-1)
+        add_chain cq.chain (-1);
+        if cq.live = 0 then busy_remove t cq
     | exception Not_found -> ()
   end
 
@@ -293,17 +324,20 @@ let containers_with_work t =
   Hashtbl.fold (fun _ cq acc -> if cq.live > 0 then cq.container :: acc else acc) t.queues []
 
 (* Visit every container with live queued work, in the same traversal
-   order [containers_with_work] uses, without building the list. *)
+   order [containers_with_work] uses, without building the list.  This is
+   the [queues] table's order, not the [busy] set's: policies break ties
+   on it. *)
 let iter_busy t f = Hashtbl.iter (fun _ cq -> if cq.live > 0 then f cq.container) t.queues
 
 (* Re-derive every maintained count from the ring contents and compare:
-   the incremental bookkeeping ([live], [total], [counts] and the
-   task-resident membership fields) must agree with a from-scratch
+   the incremental bookkeeping ([live], [total], [counts], the [busy] set
+   and the task-resident membership fields) must agree with a from-scratch
    recomputation at any event boundary. *)
 let validate t =
   sync t;
   let mismatch = ref None in
   let total = ref 0 in
+  let busy = ref 0 in
   Hashtbl.iter
     (fun cid cq ->
       let live = ref 0 in
@@ -313,14 +347,25 @@ let validate t =
         if entry_live t cid cq.tasks.(j) cq.stamps.(j) then incr live
       done;
       total := !total + !live;
+      if cq.live > 0 then incr busy;
       if !mismatch = None && cq.live <> !live then
         mismatch :=
           Some
             (Printf.sprintf "queue %s: live=%d but %d ring entries are live"
-               (Container.name cq.container) cq.live !live))
+               (Container.name cq.container) cq.live !live);
+      let in_busy = cq.busy_ix >= 0 && cq.busy_ix < t.nbusy && t.busy.(cq.busy_ix) == cq in
+      if !mismatch = None && in_busy <> (cq.live > 0) then
+        mismatch :=
+          Some
+            (Printf.sprintf "queue %s: live=%d but %s the busy set" (Container.name cq.container)
+               cq.live
+               (if in_busy then "in" else "missing from")))
     t.queues;
   if !mismatch = None && t.total <> !total then
     mismatch := Some (Printf.sprintf "total=%d but queues hold %d live entries" t.total !total);
+  if !mismatch = None && t.nbusy <> !busy then
+    mismatch :=
+      Some (Printf.sprintf "busy set holds %d queues but %d have live tasks" t.nbusy !busy);
   Hashtbl.iter
     (fun task_id (cid, _stamp) ->
       if !mismatch = None && not (Hashtbl.mem t.queues cid) then

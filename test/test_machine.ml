@@ -343,6 +343,10 @@ let test_kill () =
   Alcotest.(check bool) "stopped after kill" true (!progressed <= 6);
   Alcotest.(check bool) "done" true (Machine.is_done thread);
   Alcotest.(check int) "binding released" 0 (Container.binding_count c);
+  (* The kill landed mid-slice; the slice-end charge must not put the
+     resource binding back into the released scheduler-binding set. *)
+  Alcotest.(check int) "scheduler set released" 0
+    (Rescont.Binding.size (Machine.binding thread));
   Machine.kill machine thread (* idempotent *)
 
 let test_process_exit_all () =

@@ -128,6 +128,8 @@ let test_binding_drop () =
   let binding = Binding.create ~now:Simtime.zero a in
   Binding.drop binding;
   Alcotest.(check int) "binding count released" 0 (Container.binding_count a);
+  Binding.touch binding ~now:(Simtime.of_ns 5);
+  Alcotest.(check int) "touch after drop adds nothing" 0 (Binding.size binding);
   Binding.drop binding (* idempotent *)
 
 let test_binding_touch_refreshes () =
@@ -140,6 +142,120 @@ let test_binding_touch_refreshes () =
     Binding.prune binding ~now:(Simtime.of_ns 1_100) ~max_age:(Simtime.span_of_ns 500)
   in
   Alcotest.(check int) "b pruned, a touched" 1 removed
+
+(* The list-only scheduler-binding set that the indexed one replaced, kept
+   as its lockstep model: every lookup is a scan, and the list order
+   (newest member first) is the contract the index must preserve.  It
+   differs from the code it was taken from in one place: [touch] on a
+   dropped binding is a no-op. *)
+module Binding_model = struct
+  type entry = { container : Container.t; mutable last_used : Simtime.t }
+  type t = { mutable resource : Container.t; mutable sched_set : entry list; mutable live : bool }
+
+  let create ~now container =
+    { resource = container; sched_set = [ { container; last_used = now } ]; live = true }
+
+  let find_entry t container =
+    List.find_opt (fun e -> Container.id e.container = Container.id container) t.sched_set
+
+  let set_resource_binding t ~now container =
+    if not t.live then invalid_arg "Binding: used after drop";
+    t.resource <- container;
+    match find_entry t container with
+    | Some e -> e.last_used <- now
+    | None -> t.sched_set <- { container; last_used = now } :: t.sched_set
+
+  let scheduler_binding t =
+    List.map
+      (fun e -> e.container)
+      (List.sort (fun a b -> Simtime.compare b.last_used a.last_used) t.sched_set)
+
+  let visit_order t = List.map (fun e -> e.container) t.sched_set
+
+  let touch t ~now =
+    if t.live then
+      match find_entry t t.resource with
+      | Some e -> e.last_used <- now
+      | None -> t.sched_set <- { container = t.resource; last_used = now } :: t.sched_set
+
+  let prune t ~now ~max_age =
+    let keep e =
+      Container.id e.container = Container.id t.resource
+      || Simtime.span_compare (Simtime.diff now e.last_used) max_age <= 0
+    in
+    let before = List.length t.sched_set in
+    t.sched_set <- List.filter keep t.sched_set;
+    before - List.length t.sched_set
+
+  let reset_scheduler_binding t ~now =
+    t.sched_set <- [ { container = t.resource; last_used = now } ]
+
+  let drop t =
+    if t.live then begin
+      t.live <- false;
+      t.sched_set <- []
+    end
+
+  let size t = List.length t.sched_set
+end
+
+(* Drive the indexed binding and the list model through the same random
+   rebinds, touches, prunes, resets and drops over a small container pool
+   with coarse clock steps (so recency ties happen), and demand identical
+   observations after every step: the recency-sorted set, the exact visit
+   order, the size and prune's count. *)
+let prop_binding_matches_list_model =
+  QCheck2.Test.make ~name:"indexed binding matches the list model" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 1 120) (triple (int_range 0 39) (int_range 0 7) (int_range 0 4)))
+    (fun ops ->
+      let root = Container.create_root () in
+      let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
+      let pool =
+        Array.init 8 (fun i -> Container.create ~parent ~name:(Printf.sprintf "c%d" i) ())
+      in
+      let real = Binding.create ~now:Simtime.zero pool.(0) in
+      let model = Binding_model.create ~now:Simtime.zero pool.(0) in
+      let clock = ref Simtime.zero in
+      let ids = List.map Container.id in
+      let visits () =
+        let acc = ref [] in
+        Binding.iter_scheduler_containers real (fun c -> acc := c :: !acc);
+        List.rev !acc
+      in
+      let rejects f = match f () with () -> false | exception Invalid_argument _ -> true in
+      List.for_all
+        (fun (op, k, dt) ->
+          clock := Simtime.add !clock (Simtime.ns (100 * dt));
+          let now = !clock in
+          let step_agrees =
+            if op < 22 then
+              rejects (fun () -> Binding.set_resource_binding real ~now pool.(k))
+              = rejects (fun () -> Binding_model.set_resource_binding model ~now pool.(k))
+            else if op < 32 then begin
+              Binding.touch real ~now;
+              Binding_model.touch model ~now;
+              true
+            end
+            else if op < 37 then
+              let max_age = Simtime.span_of_ns (100 * (dt + k)) in
+              Binding.prune real ~now ~max_age = Binding_model.prune model ~now ~max_age
+            else if op < 39 then begin
+              Binding.reset_scheduler_binding real ~now;
+              Binding_model.reset_scheduler_binding model ~now;
+              true
+            end
+            else begin
+              Binding.drop real;
+              Binding_model.drop model;
+              true
+            end
+          in
+          step_agrees
+          && ids (Binding.scheduler_binding real) = ids (Binding_model.scheduler_binding model)
+          && ids (visits ()) = ids (Binding_model.visit_order model)
+          && Binding.size real = Binding_model.size model)
+        ops)
 
 (* {1 Desc_table} *)
 
@@ -295,6 +411,7 @@ let suite =
     Alcotest.test_case "binding reset" `Quick test_binding_reset;
     Alcotest.test_case "binding drop" `Quick test_binding_drop;
     Alcotest.test_case "binding touch" `Quick test_binding_touch_refreshes;
+    QCheck_alcotest.to_alcotest prop_binding_matches_list_model;
     Alcotest.test_case "desc table basics" `Quick test_desc_table_basic;
     Alcotest.test_case "desc table refcounts" `Quick test_desc_table_refcounts;
     Alcotest.test_case "desc table transfer/inherit" `Quick test_desc_table_transfer_and_inherit;

@@ -399,8 +399,11 @@ let test_runq_lazy_reenqueue () =
 
    [Sched.Multilevel] is an incremental rewrite of [Sched.Multilevel_ref];
    this property drives both instances over the same randomized workload —
-   enqueues, dequeues, re-parenting, picks and charges — and demands that
-   every pick returns the same task. *)
+   enqueues, dequeues, re-parenting, leaves destroyed (queued tasks and
+   all) and created mid-run, picks and charges — and demands that every
+   pick returns the same task.  After every step the optimised policy's
+   [sched.runq-counts] law must hold: its incrementally re-synced subtree
+   counts equal a from-scratch recount. *)
 let prop_multilevel_matches_reference =
   QCheck2.Test.make ~name:"multilevel matches reference pick-for-pick" ~count:25
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -439,34 +442,46 @@ let prop_multilevel_matches_reference =
                 task_on leaf (Printf.sprintf "%s.t%d" (Container.name leaf) i)))
           leaves
       in
-      let opt = Sched.Multilevel.make ~root () in
+      let invariants = Engine.Invariant.create () in
+      let opt = Sched.Multilevel.make ~invariants ~root () in
       let refp = Sched.Multilevel_ref.make ~root () in
       let leaves_arr = Array.of_list leaves in
       let groups_arr = Array.of_list groups in
-      let tasks_arr = Array.of_list tasks in
-      List.iter
-        (fun t ->
-          opt.Sched.Policy.enqueue t;
-          refp.Sched.Policy.enqueue t)
-        tasks;
+      let tasks_arr = ref (Array.of_list tasks) in
+      let enqueue_both t =
+        opt.Sched.Policy.enqueue t;
+        refp.Sched.Policy.enqueue t
+      in
+      List.iter enqueue_both tasks;
+      let random_task () = !tasks_arr.(Engine.Rng.int rng (Array.length !tasks_arr)) in
       let now = ref Simtime.zero in
       let ok = ref true in
       for step = 1 to 400 do
         now := Simtime.add !now (Simtime.ns (100_000 + Engine.Rng.int rng 2_000_000));
-        (match Engine.Rng.int rng 10 with
+        (match Engine.Rng.int rng 12 with
         | 0 ->
-            let t = tasks_arr.(Engine.Rng.int rng (Array.length tasks_arr)) in
+            let t = random_task () in
             opt.Sched.Policy.dequeue t;
             refp.Sched.Policy.dequeue t
-        | 1 ->
-            let t = tasks_arr.(Engine.Rng.int rng (Array.length tasks_arr)) in
-            opt.Sched.Policy.enqueue t;
-            refp.Sched.Policy.enqueue t
+        | 1 -> enqueue_both (random_task ())
         | 2 -> (
             (* Re-shape the tree under both schedulers' feet. *)
             let leaf = leaves_arr.(Engine.Rng.int rng (Array.length leaves_arr)) in
             let g = groups_arr.(Engine.Rng.int rng (Array.length groups_arr)) in
             try Container.set_parent leaf (Some g) with Container.Error _ -> ())
+        | 3 ->
+            (* Destroy a task's leaf — usually one with queued tasks, which
+               stay queued under a parentless container no pick reaches. *)
+            Container.destroy (Task.container (random_task ()))
+        | 4 ->
+            (* A fresh leaf joins mid-run with a task queued on it. *)
+            let g = groups_arr.(Engine.Rng.int rng (Array.length groups_arr)) in
+            let leaf =
+              Container.create ~parent:g ~name:(Printf.sprintf "n%d" step) ~attrs:(ts (prio ())) ()
+            in
+            let t = task_on leaf (Printf.sprintf "n%d.t" step) in
+            tasks_arr := Array.append !tasks_arr [| t |];
+            enqueue_both t
         | _ ->
             let po = opt.Sched.Policy.pick ~now:!now in
             let pr = refp.Sched.Policy.pick ~now:!now in
@@ -484,7 +499,12 @@ let prop_multilevel_matches_reference =
                 let span = Simtime.ns (10_000 + Engine.Rng.int rng 500_000) in
                 opt.Sched.Policy.charge ~container:c ~now:!now span;
                 refp.Sched.Policy.charge ~container:c ~now:!now span
-            | None -> ()))
+            | None -> ()));
+        match Engine.Invariant.check invariants with
+        | [] -> ()
+        | v :: _ ->
+            ok := false;
+            Alcotest.failf "step %d: %a" step Engine.Invariant.pp_violation v
       done;
       !ok)
 
