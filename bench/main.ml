@@ -629,6 +629,43 @@ let cache_tests () =
     bench_cache_churn_ref 10_000;
   ]
 
+(* [cache.bytes-consistency] sweeps over caches holding 10^4 resident
+   documents out of 10^4 and out of 10^6 registered, hand-timed.  [warm]
+   leaves the registration tail resident, so both walk the same 10^4-node
+   list over the same kind of memory and differ only in what the law must
+   do about the registered-but-uncached slots.  Doc ids need not be
+   interned for [add_doc], so the 10^6 cache adds nothing to the global
+   docset.  Batches of 50 sweeps alternate between the two caches, so
+   both medians (of 9 batches each) see the same host phases. *)
+let law_registry docs =
+  let resident = 10_000 in
+  let cache = Httpsim.File_cache.create ~capacity_bytes:(resident * 1024) () in
+  for doc = 0 to docs - 1 do
+    Httpsim.File_cache.add_doc cache ~doc ~bytes:1024
+  done;
+  Httpsim.File_cache.warm cache;
+  let registry = Engine.Invariant.create () in
+  Httpsim.File_cache.register_invariants cache registry;
+  registry
+
+let law_sweep_costs () =
+  let small = law_registry 10_000 and large = law_registry 1_000_000 in
+  let batch registry =
+    let sweeps = 50 in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to sweeps do
+      if Engine.Invariant.check registry <> [] then failwith "cache law violated in bench"
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int sweeps
+  in
+  let pairs = Array.init 9 (fun _ -> let s = batch small in (s, batch large)) in
+  let median f =
+    let a = Array.map f pairs in
+    Array.sort Float.compare a;
+    a.(4)
+  in
+  (median fst, median snd)
+
 let bench_zipf_sample ~alias =
   let n = 1_000_000 in
   let d = if alias then Engine.Dist.zipf ~n ~s:0.9 else Engine.Dist.zipf_cdf ~n ~s:0.9 in
@@ -933,6 +970,31 @@ let run_json ~fast ~smoke ~mega ~label =
     (Unix.gettimeofday () -. t0)
     /. (Simtime.span_to_sec_f z_warmup +. (2. *. Simtime.span_to_sec_f z_measure))
   in
+  (* The armed law's cost must track the resident set, not the corpus:
+     one sweep at 1e6 registered over one at 1e4, 1e4 resident in both.
+     A law that scans every registered slot reads ~30 here.  Measured
+     after the Zipf rig: its 10^6-slot cache leaves ~50 MB of dead major
+     heap that slowed the rig's run ~1.5x when it ran first. *)
+  let law_small, law_large = law_sweep_costs () in
+  let law_flatness =
+    [
+      {
+        m_name = "cache/law sweep, 1e4 resident of 1e4 registered";
+        m_unit = "ns/op";
+        m_value = law_small;
+      };
+      {
+        m_name = "cache/law sweep, 1e4 resident of 1e6 registered";
+        m_unit = "ns/op";
+        m_value = law_large;
+      };
+      {
+        m_name = "cache.law-flatness/law sweep ns at 1e6 registered over 1e4 (1e4 resident)";
+        m_unit = "x";
+        m_value = law_large /. law_small;
+      };
+    ]
+  in
   let metrics =
     List.filter_map
       (fun (name, estimate) ->
@@ -969,6 +1031,7 @@ let run_json ~fast ~smoke ~mega ~label =
         };
       ]
     @ cache_flatness
+    @ law_flatness
     @ [
         {
           m_name = "fig11/wall-clock per simulated second, event api, 20 low clients";

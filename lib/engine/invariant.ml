@@ -51,16 +51,22 @@ let check_exn t =
   match check t with [] -> () | v :: _ -> raise (Violation v)
 
 (* Law-writing helpers: most conservation laws are equalities or bounds
-   over integer quantities; these produce uniform diagnostics. *)
+   over integer quantities; these produce uniform diagnostics.  A law runs
+   on every sweep and almost always holds, so the message is formatted only
+   on failure: a passing [equal_int], [leq_int] or [non_negative] allocates
+   nothing. *)
 
 let require cond fmt =
-  Format.kasprintf (fun detail -> if cond then Ok () else Error detail) fmt
+  if cond then Format.ikfprintf (fun _ -> Ok ()) Format.str_formatter fmt
+  else Format.kasprintf (fun detail -> Error detail) fmt
 
 let equal_int ~what expected actual =
-  require (expected = actual) "%s: expected %d, got %d (delta %d)" what expected actual
-    (actual - expected)
+  if expected = actual then Ok ()
+  else
+    require false "%s: expected %d, got %d (delta %d)" what expected actual (actual - expected)
 
 let leq_int ~what actual bound =
-  require (actual <= bound) "%s: %d exceeds bound %d" what actual bound
+  if actual <= bound then Ok () else require false "%s: %d exceeds bound %d" what actual bound
 
-let non_negative ~what actual = require (actual >= 0) "%s: %d is negative" what actual
+let non_negative ~what actual =
+  if actual >= 0 then Ok () else require false "%s: %d is negative" what actual

@@ -47,6 +47,13 @@ val violations_seen : t -> int
 (** {1 Law-writing helpers} *)
 
 val require : bool -> ('a, Format.formatter, unit, (unit, string) result) format4 -> 'a
+(** [require cond fmt args...] is [Ok ()] when [cond] holds, else [Error]
+    with the formatted message.  The message is only formatted on failure. *)
+
 val equal_int : what:string -> int -> int -> (unit, string) result
+(** [equal_int ~what expected actual].  Like {!leq_int} and {!non_negative},
+    a passing call allocates nothing, so pass a constant [~what] or build
+    it only after the comparison has failed. *)
+
 val leq_int : what:string -> int -> int -> (unit, string) result
 val non_negative : what:string -> int -> (unit, string) result

@@ -66,7 +66,35 @@ val register_metrics : t -> Engine.Metrics.t -> unit
     counters, so the registry and the accessors always agree. *)
 
 val register_invariants : t -> Engine.Invariant.t -> unit
-(** Register the [cache.bytes-consistency] law: {!cached_bytes} equals the
-    sum of resident entries' sizes, is non-negative, never exceeds the
-    configured capacity, and the intrusive LRU list threads exactly the
-    resident slots. *)
+(** Register the [cache.bytes-consistency] law: the intrusive LRU list
+    threads exactly the resident slots (a bounded head-to-tail walk plus a
+    popcount of the residency bitmap), {!cached_bytes} equals the sum of
+    their sizes, is non-negative, and never exceeds the configured
+    capacity.  One check costs O(resident) list nodes plus
+    O(registered / 63) bitmap words. *)
+
+(** {1 Test-only}
+
+    Fault injection for the law's mutation tests.  The simulator never
+    calls it; nothing outside the test suite may. *)
+
+type fault =
+  | Cached_bytes_off_by of int  (** The byte counter drifts by [d]. *)
+  | Resident_off_by of int  (** The resident counter drifts by [d]. *)
+  | Broken_back_link  (** The second node's back-link is [nil]. *)
+  | Cycle  (** The tail's forward link returns to the head. *)
+  | Head_mismatch  (** The head field names the second node. *)
+  | Tail_mismatch  (** The tail field names the head. *)
+  | Unlisted_resident
+      (** The LRU node leaves the list and the counters follow it, but its
+          residency bit stays set. *)
+  | Listed_nonresident
+      (** The first uncached slot takes the LRU node's place on the list
+          and the byte counter follows; no residency bit changes. *)
+  | Stray_bit of int  (** The bit of slot [registered + k] is set. *)
+
+val plant_fault_for_testing : t -> fault -> unit
+(** TEST-ONLY.  Corrupt the cache's internal state the way a bug would, so
+    a test can check that [cache.bytes-consistency] reports it.  Needs at
+    least two resident documents ([Listed_nonresident] also needs an
+    uncached one). *)

@@ -803,22 +803,23 @@ let create ?(mtu = 1460) ?(latency = Simtime.us 150) ?(costs = default_costs)
         in
         I.equal_int ~what:"queued deferred packets vs stack pending counter" queued t.pending);
     I.register inv ~law:"net.queue-bounds" (fun () ->
+        let bounded l kind length bound =
+          if length <= bound then Ok ()
+          else
+            I.leq_int
+              ~what:(Printf.sprintf "listen #%d %s queue" l.Socket.listen_id kind)
+              length bound
+        in
         let rec scan = function
           | [] -> Ok ()
           | l :: rest -> (
-              let what kind =
-                Printf.sprintf "listen #%d %s queue" l.Socket.listen_id kind
-              in
               match
-                I.leq_int ~what:(what "syn") (Queue.length l.Socket.syn_queue)
-                  l.Socket.syn_backlog
+                bounded l "syn" (Queue.length l.Socket.syn_queue) l.Socket.syn_backlog
               with
               | Error _ as e -> e
               | Ok () -> (
                   match
-                    I.leq_int ~what:(what "accept")
-                      (Queue.length l.Socket.accept_queue)
-                      l.Socket.backlog
+                    bounded l "accept" (Queue.length l.Socket.accept_queue) l.Socket.backlog
                   with
                   | Error _ as e -> e
                   | Ok () -> scan rest))

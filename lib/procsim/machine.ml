@@ -93,7 +93,7 @@ type t = {
 
 (* Wait queues participate in the effect type and in [t], so they live in
    the recursive group. *)
-and waitq = { wq_name : string; wq_machine : t; mutable wq_waiters : thread list }
+and waitq = { wq_name : string; wq_machine : t; wq_waiters : thread Queue.t (* FIFO *) }
 
 type _ Effect.t +=
   | E_cpu : { cost : int; kernel : bool } -> unit Effect.t
@@ -528,7 +528,7 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
             match m.eff_wq with
             | Some wq ->
                 m.eff_wq <- None;
-                wq.wq_waiters <- wq.wq_waiters @ [ thread ]
+                Queue.push thread wq.wq_waiters
             | None -> assert false);
       h_self = Some (fun k -> Effect.Deep.continue k (exec_thread ()));
     };
@@ -794,22 +794,22 @@ let self () = Effect.perform E_self
 module Waitq = struct
   type nonrec t = waitq
 
-  let create ?(name = "waitq") m = { wq_name = name; wq_machine = m; wq_waiters = [] }
+  let create ?(name = "waitq") m =
+    { wq_name = name; wq_machine = m; wq_waiters = Queue.create () }
+
   let wait wq = Effect.perform (E_wait wq)
 
   let signal wq =
-    match wq.wq_waiters with
-    | [] -> ()
-    | thread :: rest ->
-        wq.wq_waiters <- rest;
-        make_runnable wq.wq_machine thread
+    if not (Queue.is_empty wq.wq_waiters) then
+      make_runnable wq.wq_machine (Queue.take wq.wq_waiters)
 
+  (* Wakes exactly the threads waiting at the call, oldest first. *)
   let broadcast wq =
-    let waiters = wq.wq_waiters in
-    wq.wq_waiters <- [];
-    List.iter (make_runnable wq.wq_machine) waiters
+    for _ = 1 to Queue.length wq.wq_waiters do
+      make_runnable wq.wq_machine (Queue.take wq.wq_waiters)
+    done
 
-  let waiters wq = List.length wq.wq_waiters
+  let waiters wq = Queue.length wq.wq_waiters
 end
 
 (* Interrupts are taken on processor 0 by default, as most 1990s kernels

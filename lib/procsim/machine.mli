@@ -137,10 +137,13 @@ module Waitq : sig
   (** Block the calling thread until signalled (effect). *)
 
   val signal : t -> unit
-  (** Wake the longest-waiting thread, if any. *)
+  (** Wake the longest-waiting thread, if any.  O(1). *)
 
   val broadcast : t -> unit
+  (** Wake every waiting thread, longest-waiting first. *)
+
   val waiters : t -> int
+  (** O(1). *)
 end
 
 (** {1 Interrupt-level work} *)

@@ -114,9 +114,12 @@ let law t () =
       List.fold_left (fun acc m -> acc + (f m.m_usage - prev_of m.m_prev)) 0 g.g_members
     in
     let dim what total f prev_of =
-      Engine.Invariant.equal_int
-        ~what:(Printf.sprintf "group %s %s: rollup+pending vs ledger sum" g.g_name what)
-        (total + pending f prev_of) (sum f)
+      let expected = total + pending f prev_of and actual = sum f in
+      if expected = actual then Ok ()
+      else
+        Engine.Invariant.equal_int
+          ~what:(Printf.sprintf "group %s %s: rollup+pending vs ledger sum" g.g_name what)
+          expected actual
     in
     let ( >>= ) r k = match r with Ok () -> k () | Error _ as e -> e in
     dim "cpu_ns" g.g_total.cpu_ns Usage.cpu_ns (fun p -> p.cpu_ns) >>= fun () ->

@@ -18,7 +18,8 @@
    The child index is keyed on the physical identity of the container's
    memoized children list, so it rebuilds itself exactly when the child
    set changes; the run-queue counter refs survive topology rebuilds, so
-   cached pointers stay valid. *)
+   cached pointers stay valid.  Each child's index entry is built once and
+   kept on its own state, so a rebuild only refills the array. *)
 
 module Simtime = Engine.Simtime
 module Container = Rescont.Container
@@ -47,6 +48,7 @@ type cstate = {
   mutable node_vnow : float; (* as a parent: virtual clock (max served vt) *)
   mutable kids_key : Container.t list; (* children list the index was built from *)
   mutable kids : kid array; (* as a parent: index over children *)
+  mutable as_kid : kid option; (* as a child: its entry in the parent's index *)
   mutable cchain : cstate array; (* charge path: states of self..top, cached *)
   mutable cchain_key : Container.t array; (* ancestry array the chain was built from *)
   mutable scratch : kid array; (* eligible children of the current round *)
@@ -87,7 +89,7 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
         let s =
           { vt = 0.; last_weight = 1.; win_id = -1; win_used = 0; last_round = 0;
             tried_round = -1; node_round = 0; node_vnow = 0.; kids_key = []; kids = [||];
-            cchain = [||]; cchain_key = [||];
+            as_kid = None; cchain = [||]; cchain_key = [||];
             scratch = [||]; s_elig = 0; s_any = false;
             fs = { a_fixed = 0.; a_ts = 0.; a_residual = 0.; a_tssum = 0. } }
         in
@@ -114,6 +116,18 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
     | Attrs.Timeshare -> Attrs.is_idle_class attrs
     | Attrs.Fixed_share _ -> false
   in
+  (* A child's index entry: its container, its state and its run-queue
+     counter ref are all fixed for the container's lifetime, so the entry
+     is built the first time any parent indexes it and kept on its state. *)
+  let kid_of c =
+    let s = state_of c in
+    match s.as_kid with
+    | Some k -> k
+    | None ->
+        let k = { kc = c; ks = s; kcount = Runq.subtree_count_ref runq c } in
+        s.as_kid <- Some k;
+        k
+  in
   (* Rebuild a node's child index iff its children list changed identity.
      Retry markers are cleared on rebuild: a re-parented child must not
      carry a marker stamped by another parent's round counter. *)
@@ -121,14 +135,14 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
     let cs = Container.children node in
     if not (nstate.kids_key == cs) then begin
       let arr =
-        Array.of_list
-          (List.map
-             (fun c ->
-               let s = state_of c in
-               s.tried_round <- -1;
-               { kc = c; ks = s; kcount = Runq.subtree_count_ref runq c })
-             cs)
+        match cs with [] -> [||] | c :: _ -> Array.make (List.length cs) (kid_of c)
       in
+      List.iteri
+        (fun i c ->
+          let k = kid_of c in
+          k.ks.tried_round <- -1;
+          Array.unsafe_set arr i k)
+        cs;
       nstate.kids <- arr;
       nstate.kids_key <- cs;
       let n = Array.length arr in

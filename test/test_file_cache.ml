@@ -1,7 +1,9 @@
 (* The arena file cache (DESIGN.md §15) against its executable spec:
-   QCheck lockstep over random register/lookup/warm sequences, the pinned
-   eviction order (LRU with warm-stamping in registration order), and the
-   registration-time bound that the old O(n^2) order-list append broke. *)
+   QCheck lockstep over random register/lookup/warm sequences (with the
+   [cache.bytes-consistency] law holding after every step), the law's
+   mutation tests, the pinned eviction order (LRU with warm-stamping in
+   registration order), and the registration-time bound that the old
+   O(n^2) order-list append broke. *)
 
 module File_cache = Httpsim.File_cache
 module File_cache_ref = Httpsim.File_cache_ref
@@ -16,6 +18,11 @@ let outcome_str = function
    residency is per-cache, so reusing paths across iterations is safe —
    and exactly what the production sweep does. *)
 let pool = Array.init 16 (fun i -> Printf.sprintf "/lockstep/%d" i)
+
+let law_violations cache =
+  let registry = Engine.Invariant.create () in
+  File_cache.register_invariants cache registry;
+  Engine.Invariant.check registry
 
 let prop_lockstep =
   QCheck2.Test.make ~name:"arena cache lockstep with File_cache_ref" ~count:400
@@ -55,6 +62,9 @@ let prop_lockstep =
           agree "hits" (File_cache.hits arena) (File_cache_ref.hits spec);
           agree "misses" (File_cache.misses arena) (File_cache_ref.misses spec);
           agree "cached_bytes" (File_cache.cached_bytes arena) (File_cache_ref.cached_bytes spec);
+          (match law_violations arena with
+          | [] -> ()
+          | v :: _ -> QCheck2.Test.fail_reportf "%s: %s" v.Engine.Invariant.law v.detail);
           Array.iter
             (fun path ->
               let a = File_cache.is_cached arena ~path
@@ -63,6 +73,65 @@ let prop_lockstep =
             pool)
         ops;
       true)
+
+(* {1 Mutation tests: every planted fault must trip the law}
+
+   Eight documents of 1000-1007 bytes under a 5 KB budget: warm leaves
+   the last five resident, then a miss on /law/1 evicts /law/3, so the
+   list is 1, 7, 6, 5, 4 (MRU first) and 0, 2, 3 are registered but
+   uncached.  Each fault names the check expected to report it: the walk
+   ("LRU list corrupt"), the popcount ("residency bits") or the byte
+   total ("cached_bytes"). *)
+
+let law_cache () =
+  let cache = File_cache.create ~capacity_bytes:(5 * 1024) () in
+  for i = 0 to 7 do
+    File_cache.add_document cache ~path:(Printf.sprintf "/law/%d" i) ~bytes:(1000 + i)
+  done;
+  File_cache.warm cache;
+  ignore (File_cache.lookup cache ~path:"/law/1");
+  cache
+
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
+  at 0
+
+let test_law_holds_on_healthy_cache () =
+  let cache = law_cache () in
+  Alcotest.(check (list bool)) "residency" [ false; true; false; false; true; true; true; true ]
+    (List.init 8 (fun i -> File_cache.is_cached cache ~path:(Printf.sprintf "/law/%d" i)));
+  Alcotest.(check int) "no violation" 0 (List.length (law_violations cache))
+
+let mutation_test name fault ~caught_by =
+  Alcotest.test_case ("law catches " ^ name) `Quick (fun () ->
+      let cache = law_cache () in
+      File_cache.plant_fault_for_testing cache fault;
+      match law_violations cache with
+      | [ v ] ->
+          Alcotest.(check string) "law" "cache.bytes-consistency" v.Engine.Invariant.law;
+          if not (contains v.detail caught_by) then
+            Alcotest.failf "expected a %S report, got %S" caught_by v.detail
+      | [] -> Alcotest.failf "planted fault (%s) went undetected" name
+      | _ -> Alcotest.fail "expected exactly one violation")
+
+let mutation_tests =
+  let walk = "LRU list corrupt" and popcount = "residency bits" in
+  File_cache.
+    [
+      mutation_test "a wrong cached_bytes" (Cached_bytes_off_by 1) ~caught_by:"cached_bytes";
+      mutation_test "a resident count too high" (Resident_off_by 1) ~caught_by:walk;
+      mutation_test "a resident count too low" (Resident_off_by (-1)) ~caught_by:walk;
+      mutation_test "a broken back-link" Broken_back_link ~caught_by:walk;
+      mutation_test "a cycle" Cycle ~caught_by:walk;
+      mutation_test "a head mismatch" Head_mismatch ~caught_by:walk;
+      mutation_test "a tail mismatch" Tail_mismatch ~caught_by:walk;
+      mutation_test "a resident slot missing from the list" Unlisted_resident
+        ~caught_by:popcount;
+      mutation_test "a non-resident slot on the list" Listed_nonresident ~caught_by:walk;
+      mutation_test "a stray bit at used" (Stray_bit 0) ~caught_by:popcount;
+      mutation_test "a stray bit past the bitmap" (Stray_bit 1000) ~caught_by:popcount;
+    ]
 
 (* Warm stamps loads in registration order, so after a warm the LRU order
    IS the registration order — eviction victims are pinned, identically
@@ -138,7 +207,9 @@ let test_registration_bounded () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_lockstep;
+    Alcotest.test_case "law holds on a healthy cache" `Quick test_law_holds_on_healthy_cache;
     Alcotest.test_case "eviction order pinned (warm = registration order)" `Quick
       test_eviction_order_pinned;
     Alcotest.test_case "1e5-doc registration bounded" `Quick test_registration_bounded;
   ]
+  @ mutation_tests

@@ -59,16 +59,51 @@ let test_raising_law_is_violation () =
         (String.length v.Invariant.detail > 0)
   | _ -> Alcotest.fail "a raising law must report as a violation"
 
+(* A failing helper must say what it said when every call, passing or
+   not, formatted its message. *)
 let test_helpers () =
+  let error = function Error msg -> msg | Ok () -> Alcotest.fail "expected a violation" in
   Alcotest.(check bool) "equal_int ok" true (Invariant.equal_int ~what:"x" 3 3 = Ok ());
-  (match Invariant.equal_int ~what:"x" 3 5 with
-  | Error msg -> Alcotest.(check bool) "delta in message" true
-      (String.length msg > 0 && String.contains msg '2')
-  | Ok () -> Alcotest.fail "expected mismatch");
+  Alcotest.(check string) "equal_int bad" "x: expected 3, got 5 (delta 2)"
+    (error (Invariant.equal_int ~what:"x" 3 5));
+  Alcotest.(check string) "equal_int bad, as Format printed it"
+    (Format.asprintf "%s: expected %d, got %d (delta %d)" "cache cached_bytes" 7 4 (-3))
+    (error (Invariant.equal_int ~what:"cache cached_bytes" 7 4));
   Alcotest.(check bool) "leq ok" true (Invariant.leq_int ~what:"q" 4 4 = Ok ());
-  Alcotest.(check bool) "leq bad" true (Invariant.leq_int ~what:"q" 5 4 <> Ok ());
+  Alcotest.(check string) "leq bad" "q: 5 exceeds bound 4"
+    (error (Invariant.leq_int ~what:"q" 5 4));
   Alcotest.(check bool) "non_negative ok" true (Invariant.non_negative ~what:"m" 0 = Ok ());
-  Alcotest.(check bool) "non_negative bad" true (Invariant.non_negative ~what:"m" (-1) <> Ok ())
+  Alcotest.(check string) "non_negative bad" "m: -1 is negative"
+    (error (Invariant.non_negative ~what:"m" (-1)));
+  Alcotest.(check bool) "require ok" true (Invariant.require true "law %d" 1 = Ok ());
+  Alcotest.(check string) "require bad" "law 1 broke"
+    (error (Invariant.require false "law %d %s" 1 "broke"))
+
+(* A law runs on every sweep and almost always holds, so a passing helper
+   must not allocate. *)
+let test_passing_helpers_allocate_nothing () =
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let calls = 1_000 in
+  let eq () =
+    for i = 1 to calls do
+      ignore (Sys.opaque_identity (Invariant.equal_int ~what:"cache cached_bytes" i i))
+    done
+  and leq () =
+    for i = 1 to calls do
+      ignore (Sys.opaque_identity (Invariant.leq_int ~what:"queue" i (i + 1)))
+    done
+  and nonneg () =
+    for i = 1 to calls do
+      ignore (Sys.opaque_identity (Invariant.non_negative ~what:"memory_bytes" i))
+    done
+  in
+  Alcotest.(check (float 0.)) "passing equal_int" 0. (words eq);
+  Alcotest.(check (float 0.)) "passing leq_int" 0. (words leq);
+  Alcotest.(check (float 0.)) "passing non_negative" 0. (words nonneg)
 
 (* {1 Machine laws} *)
 
@@ -202,6 +237,8 @@ let suite =
     Alcotest.test_case "registry arming" `Quick test_registry_arming;
     Alcotest.test_case "raising law is a violation" `Quick test_raising_law_is_violation;
     Alcotest.test_case "law-writing helpers" `Quick test_helpers;
+    Alcotest.test_case "passing helpers allocate nothing" `Quick
+      test_passing_helpers_allocate_nothing;
     Alcotest.test_case "cpu conservation holds" `Quick test_cpu_conservation_holds;
     Alcotest.test_case "mis-charge caught" `Quick test_mischarge_caught;
     Alcotest.test_case "armed machine raises at quiesce" `Quick test_armed_machine_raises_at_quiesce;

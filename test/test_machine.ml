@@ -423,6 +423,36 @@ let test_waitq_fifo_order () =
   Machine.run_until machine (Simtime.of_ns 100_000_000);
   Alcotest.(check (list int)) "longest waiter first" [ 1; 2; 3 ] (List.rev !order)
 
+(* The wake order is the queue order, for [signal] and [broadcast] alike:
+   one signal wakes the oldest waiter, then a broadcast wakes the other
+   three oldest first (they share one container, whose run queue is FIFO,
+   so the run order is the wake order). *)
+let test_waitq_signal_then_broadcast_order () =
+  let _, root, machine = make_machine () in
+  let c = leaf root "c" in
+  let wq = Machine.Waitq.create machine in
+  let order = ref [] and seen = ref [] in
+  for i = 1 to 4 do
+    ignore
+      (Machine.spawn machine ~name:(Printf.sprintf "w%d" i) ~container:c (fun () ->
+           Machine.sleep (Simtime.us (i * 10));
+           Machine.Waitq.wait wq;
+           order := i :: !order))
+  done;
+  ignore
+    (Machine.spawn machine ~name:"waker" ~container:c (fun () ->
+         Machine.sleep (Simtime.ms 1);
+         seen := Machine.Waitq.waiters wq :: !seen;
+         Machine.Waitq.signal wq;
+         seen := Machine.Waitq.waiters wq :: !seen;
+         Machine.sleep (Simtime.ms 1);
+         Machine.Waitq.broadcast wq;
+         seen := Machine.Waitq.waiters wq :: !seen));
+  Machine.run_until machine (Simtime.of_ns 100_000_000);
+  Alcotest.(check (list int)) "signal, then broadcast, oldest first" [ 1; 2; 3; 4 ]
+    (List.rev !order);
+  Alcotest.(check (list int)) "waiter counts" [ 4; 3; 0 ] (List.rev !seen)
+
 let test_kill_blocked_thread () =
   let _, root, machine = make_machine () in
   let c = leaf root "c" in
@@ -610,6 +640,8 @@ let suite =
     Alcotest.test_case "sleep" `Quick test_sleep;
     Alcotest.test_case "waitq signal" `Quick test_waitq_signal;
     Alcotest.test_case "waitq broadcast" `Quick test_waitq_broadcast;
+    Alcotest.test_case "waitq signal then broadcast order" `Quick
+      test_waitq_signal_then_broadcast_order;
     Alcotest.test_case "rebind changes charging" `Quick test_rebind_changes_charging;
     Alcotest.test_case "steal_time extends slice" `Quick test_steal_time_extends_slice;
     Alcotest.test_case "steal_time while idle" `Quick test_steal_time_while_idle;
