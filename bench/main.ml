@@ -315,6 +315,54 @@ let churn_costs () =
   done;
   (early, time_cycles cycle)
 
+(* The same server seen from the scheduler: one connection has queued
+   work, every other connection's container is an idle sibling.  Pick and
+   charge with one busy leaf among N idle siblings, hand-timed like the
+   churn cycle: batches of 2000 alternate between the 10- and 1000-sibling
+   rigs, so both medians (of 9 batches each) see the same host phases.
+   The ratio is the gate-able sibling flatness; a pick that scans every
+   child reads 7-27 here, depending on the host. *)
+let sibling_rig idle =
+  let root = Container.create_root () in
+  let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
+  let policy = Sched.Multilevel.make ~root () in
+  for i = 1 to idle do
+    ignore (Container.create ~parent ~name:(Printf.sprintf "idle%d" i) ())
+  done;
+  let busy = Container.create ~parent ~name:"busy" () in
+  policy.Sched.Policy.enqueue
+    (Sched.Task.create ~name:"conn" (Binding.create ~now:Simtime.zero busy));
+  let now = ref 0 in
+  fun () ->
+    incr now;
+    match policy.Sched.Policy.pick ~now:(Simtime.of_ns !now) with
+    | Some task ->
+        policy.Sched.Policy.charge ~container:(Sched.Task.container task)
+          ~now:(Simtime.of_ns !now) (Simtime.us 10)
+    | None -> ()
+
+(* Median ns per call of [a] and of [b], over 9 batches of [calls] each;
+   the batches alternate, so both medians see the same host phases. *)
+let alternating_medians ~calls a b =
+  let batch f =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int calls
+  in
+  let pairs = Array.init 9 (fun _ -> let x = batch a in (x, batch b)) in
+  let median f =
+    let v = Array.map f pairs in
+    Array.sort Float.compare v;
+    v.(4)
+  in
+  (median fst, median snd)
+
+let sibling_costs () =
+  let few = sibling_rig 10 and many = sibling_rig 1000 in
+  alternating_medians ~calls:2000 few many
+
 let bench_rebind_touch () =
   let root = Container.create_root () in
   let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
@@ -334,6 +382,7 @@ let bench_rebind_touch () =
 
 let run_churn_microbench () =
   let early, late = churn_costs () in
+  let few, many = sibling_costs () in
   let binding = ols_estimates ~group:"binding" ~cfg:(sched_cfg ()) [ bench_rebind_touch () ] in
   let table =
     Engine.Series.table ~title:"Per-connection container churn: cost against history"
@@ -341,6 +390,10 @@ let run_churn_microbench () =
   in
   Engine.Series.add_row table [ "churn cycle after 1e3 prior cycles"; Printf.sprintf "%.0f" early ];
   Engine.Series.add_row table [ "churn cycle after 1e5 prior cycles"; Printf.sprintf "%.0f" late ];
+  Engine.Series.add_row table
+    [ "pick+charge, 1 busy leaf among 10 idle siblings"; Printf.sprintf "%.0f" few ];
+  Engine.Series.add_row table
+    [ "pick+charge, 1 busy leaf among 1000 idle siblings"; Printf.sprintf "%.0f" many ];
   List.iter
     (fun (name, ns) ->
       Engine.Series.add_row table
@@ -649,22 +702,11 @@ let law_registry docs =
   registry
 
 let law_sweep_costs () =
+  let sweep registry () =
+    if Engine.Invariant.check registry <> [] then failwith "cache law violated in bench"
+  in
   let small = law_registry 10_000 and large = law_registry 1_000_000 in
-  let batch registry =
-    let sweeps = 50 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to sweeps do
-      if Engine.Invariant.check registry <> [] then failwith "cache law violated in bench"
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int sweeps
-  in
-  let pairs = Array.init 9 (fun _ -> let s = batch small in (s, batch large)) in
-  let median f =
-    let a = Array.map f pairs in
-    Array.sort Float.compare a;
-    a.(4)
-  in
-  (median fst, median snd)
+  alternating_medians ~calls:50 (sweep small) (sweep large)
 
 let bench_zipf_sample ~alias =
   let n = 1_000_000 in
@@ -763,6 +805,7 @@ let run_json ~fast ~smoke ~mega ~label =
   in
   renew ();
   let churn_early, churn_late = churn_costs () in
+  let siblings_few, siblings_many = sibling_costs () in
   let binding =
     ols_estimates2 ~group:"binding"
       ~cfg:(Benchmark.cfg ~limit:1000 ~quota:(Time.second (scale 0.25)) ())
@@ -1028,6 +1071,23 @@ let run_json ~fast ~smoke ~mega ~label =
           m_name = "sched.churn-flatness/container churn ns after 1e5 prior cycles over 1e3";
           m_unit = "x";
           m_value = churn_late /. churn_early;
+        };
+        {
+          m_name = "sched/multilevel pick+charge, 1 busy leaf among 10 idle siblings";
+          m_unit = "ns/op";
+          m_value = siblings_few;
+        };
+        {
+          m_name = "sched/multilevel pick+charge, 1 busy leaf among 1000 idle siblings";
+          m_unit = "ns/op";
+          m_value = siblings_many;
+        };
+        {
+          (* The per-connection-container pick claim as one gate-able
+             number: 1.0 = flat in idle siblings. *)
+          m_name = "sched.sibling-flatness/pick+charge ns among 1000 idle siblings over 10";
+          m_unit = "x";
+          m_value = siblings_many /. siblings_few;
         };
       ]
     @ cache_flatness

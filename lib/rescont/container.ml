@@ -11,6 +11,8 @@ type t = {
   mutable children_rev : t list; (* newest child first; O(1) insertion *)
   mutable children_fwd : t list; (* memoized [List.rev children_rev] *)
   mutable children_dirty : bool;
+  mutable adopt_seq : int; (* position among its current siblings; see [add_child] *)
+  mutable adopt_next : int; (* [adopt_seq] the next child adopted here takes *)
   mutable ancestry : t array; (* [| self; parent; ...; top |]; [||] = stale *)
   mutable attrs : Attrs.t;
   usage : Usage.t;
@@ -51,6 +53,7 @@ let children t =
   end;
   t.children_fwd
 
+let adoption_seq t = t.adopt_seq
 let is_leaf t = t.children_rev = []
 let is_root t = t.root
 let is_destroyed t = t.destroyed
@@ -113,7 +116,14 @@ let check_can_adopt parent extra_share =
     error "fixed shares under %s would exceed 1.0 (%.3f committed + %.3f new)" parent.name
       committed extra_share
 
+(* [children] lists siblings in adoption order: [add_child] appends (the
+   reversed list is prepended), [detach] filters, and a re-parent adopts
+   afresh at the end.  The per-parent sequence number records that order
+   on the child, so a scheduler can keep a subset of the children sorted
+   the same way without walking the list. *)
 let add_child p c =
+  c.adopt_seq <- p.adopt_next;
+  p.adopt_next <- p.adopt_next + 1;
   p.children_rev <- c :: p.children_rev;
   p.children_dirty <- true
 
@@ -129,6 +139,8 @@ let make ?name ?(attrs = Attrs.default) ~parent ~root () =
       children_rev = [];
       children_fwd = [];
       children_dirty = false;
+      adopt_seq = 0;
+      adopt_next = 0;
       ancestry = [||];
       attrs;
       usage = Usage.create ();

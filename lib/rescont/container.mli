@@ -44,6 +44,16 @@ val slot : t -> int
 val name : t -> string
 val parent : t -> t option
 val children : t -> t list
+(** In adoption order: oldest first, and a re-parented container joins its
+    new parent's list at the end. *)
+
+val adoption_seq : t -> int
+(** The container's place in its parent's {!children}: siblings are listed
+    in ascending [adoption_seq].  Drawn from a per-parent counter when the
+    container is adopted (at creation or re-parent), so a re-parented
+    container sorts after every sibling it joins.  Only comparisons among
+    current siblings mean anything. *)
+
 val is_leaf : t -> bool
 val is_root : t -> bool
 val is_destroyed : t -> bool

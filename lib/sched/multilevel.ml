@@ -4,22 +4,19 @@
    are specified by [Multilevel_ref], and the equivalence property test
    holds this module to the exact pick sequence of that reference.
 
-   What changed is purely mechanical cost.  The original re-derived every
-   decision from scratch: per pick and per node it allocated filtered
-   lists, partitioned, folded weights, and ran an O(k log k) sort whose
-   comparator did two hash-table lookups per comparison.  Here each
-   interior node keeps an index of its children — container, scheduler
-   state and the run-queue's live-subtree counter, cached as a flat
-   array — so a pick is one allocation-free O(k) scan per node on the
-   path down the tree: eligibility, weight sums and the arrival rule in
-   one pass, then a min-scan instead of a sort (re-scanned only in the
-   rare case that a chosen subtree turns out to be fully throttled).
-
-   The child index is keyed on the physical identity of the container's
-   memoized children list, so it rebuilds itself exactly when the child
-   set changes; the run-queue counter refs survive topology rebuilds, so
-   cached pointers stay valid.  Each child's index entry is built once and
-   kept on its own state, so a rebuild only refills the array. *)
+   Only the mechanical cost differs.  The reference re-derives every
+   decision from scratch: per pick and per node it allocates filtered
+   lists, partitions, folds weights, and sorts by virtual time.  Here a
+   pick visits, at each node on its path down the tree, only the children
+   whose subtree holds queued tasks: the run queue keeps that set per
+   node, updated when a subtree count moves between 0 and 1, and in
+   [Container.children] order, so the eligibility pass sums fixed shares
+   in the reference's float order.  One allocation-free pass does
+   eligibility, weight sums and the arrival rule, then a min-scan
+   replaces the sort (re-scanned only in the rare case that a chosen
+   subtree turns out to be fully throttled).  A pick costs O(busy
+   children x depth), however many idle containers share a parent, as
+   the §5.4 server's per-connection containers do. *)
 
 module Simtime = Engine.Simtime
 module Container = Rescont.Container
@@ -38,26 +35,22 @@ type fscratch = {
 }
 
 type cstate = {
+  c : Container.t;
+  rn : Runq.node; (* the container's node in the policy's run queue *)
   mutable vt : float; (* weight-normalised service received *)
   mutable last_weight : float; (* weight in effect when last picked *)
   mutable win_id : int;
   mutable win_used : int; (* ns consumed by the subtree in current window *)
   mutable last_round : int; (* as a child: last pick round it was eligible *)
-  mutable tried_round : int; (* as a child: round in which retry already tried it *)
+  mutable tried : int; (* as a child: the retry serial that last tried it *)
   mutable node_round : int; (* as a parent: pick round counter *)
   mutable node_vnow : float; (* as a parent: virtual clock (max served vt) *)
-  mutable kids_key : Container.t list; (* children list the index was built from *)
-  mutable kids : kid array; (* as a parent: index over children *)
-  mutable as_kid : kid option; (* as a child: its entry in the parent's index *)
   mutable cchain : cstate array; (* charge path: states of self..top, cached *)
   mutable cchain_key : Container.t array; (* ancestry array the chain was built from *)
-  mutable scratch : kid array; (* eligible children of the current round *)
+  mutable scratch : cstate array; (* eligible children of the current round *)
   mutable s_elig : int; (* as a parent: eligible-child count, this round *)
-  mutable s_any : bool; (* as a parent: any child subtree has queued work *)
   fs : fscratch; (* as a parent: float accumulators, this round *)
 }
-
-and kid = { kc : Container.t; ks : cstate; kcount : int ref }
 
 let make ?(window = Simtime.ms 100) ?invariants ~root () =
   let window_ns = Simtime.span_to_ns window in
@@ -87,10 +80,9 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
     | Some s -> s
     | None ->
         let s =
-          { vt = 0.; last_weight = 1.; win_id = -1; win_used = 0; last_round = 0;
-            tried_round = -1; node_round = 0; node_vnow = 0.; kids_key = []; kids = [||];
-            as_kid = None; cchain = [||]; cchain_key = [||];
-            scratch = [||]; s_elig = 0; s_any = false;
+          { c = container; rn = Runq.node runq container; vt = 0.; last_weight = 1.;
+            win_id = -1; win_used = 0; last_round = 0; tried = -1; node_round = 0;
+            node_vnow = 0.; cchain = [||]; cchain_key = [||]; scratch = [||]; s_elig = 0;
             fs = { a_fixed = 0.; a_ts = 0.; a_residual = 0.; a_tssum = 0. } }
         in
         Array.unsafe_set arr slot (Some s);
@@ -116,78 +108,46 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
     | Attrs.Timeshare -> Attrs.is_idle_class attrs
     | Attrs.Fixed_share _ -> false
   in
-  (* A child's index entry: its container, its state and its run-queue
-     counter ref are all fixed for the container's lifetime, so the entry
-     is built the first time any parent indexes it and kept on its state. *)
-  let kid_of c =
-    let s = state_of c in
-    match s.as_kid with
-    | Some k -> k
-    | None ->
-        let k = { kc = c; ks = s; kcount = Runq.subtree_count_ref runq c } in
-        s.as_kid <- Some k;
-        k
-  in
-  (* Rebuild a node's child index iff its children list changed identity.
-     Retry markers are cleared on rebuild: a re-parented child must not
-     carry a marker stamped by another parent's round counter. *)
-  let refresh_kids nstate node =
-    let cs = Container.children node in
-    if not (nstate.kids_key == cs) then begin
-      let arr =
-        match cs with [] -> [||] | c :: _ -> Array.make (List.length cs) (kid_of c)
-      in
-      List.iteri
-        (fun i c ->
-          let k = kid_of c in
-          k.ks.tried_round <- -1;
-          Array.unsafe_set arr i k)
-        cs;
-      nstate.kids <- arr;
-      nstate.kids_key <- cs;
-      let n = Array.length arr in
-      if n > 0 && Array.length nstate.scratch < n then nstate.scratch <- Array.make n arr.(0)
-    end
-  in
+  (* Retry markers are stamped with a policy-wide serial, one per round at
+     any node, so a child re-parented mid-run can never carry a marker
+     that matches its new parent's round. *)
+  let serial = ref 0 in
   (* The pick path is written allocation-free: the per-round counters and
      weight sums live in the node's own scratch fields (never clobbered —
      a pick descends a tree, so no node is re-entered), and the retry
      scan is the mutually recursive [select_round] rather than a local
      closure, which would be allocated on every call. *)
-  let rec pick_node ~now ~include_idle node nstate =
+  let rec pick_node ~now ~include_idle nstate =
+    let node = nstate.c in
     if throttled_s ~now node nstate then None
     else begin
-      refresh_kids nstate node;
-      let kids = nstate.kids in
-      let nkids = Array.length kids in
-      let scratch = nstate.scratch in
-      let fs = nstate.fs in
-      nstate.s_any <- false;
-      nstate.s_elig <- 0;
-      fs.a_fixed <- 0.;
-      fs.a_ts <- 0.;
-      (* One pass: children with queued subtree work, their eligibility
-         (idle demotion, window throttle) and the weight sums of the
-         eligible set — all in child order, as the reference does it. *)
-      for i = 0 to nkids - 1 do
-        let k = Array.unsafe_get kids i in
-        if !(k.kcount) > 0 then begin
-          nstate.s_any <- true;
-          if
-            (include_idle || not (is_idle_ts k.kc)) && not (throttled_s ~now k.kc k.ks)
-          then begin
-            (match (Container.attrs k.kc).Attrs.sched_class with
+      let nkids = Runq.busy_child_count nstate.rn in
+      if nkids = 0 then Runq.front runq node
+      else begin
+        let kids = Runq.busy_children nstate.rn in
+        if Array.length nstate.scratch < nkids then
+          nstate.scratch <- Array.make (Array.length kids) nstate;
+        let scratch = nstate.scratch in
+        let fs = nstate.fs in
+        nstate.s_elig <- 0;
+        fs.a_fixed <- 0.;
+        fs.a_ts <- 0.;
+        (* One pass over the children with queued subtree work: their
+           eligibility (idle demotion, window throttle) and the weight
+           sums of the eligible set — in child order, as the reference
+           does it. *)
+        for i = 0 to nkids - 1 do
+          let kc = Runq.node_container (Array.unsafe_get kids i) in
+          let ks = state_of kc in
+          if (include_idle || not (is_idle_ts kc)) && not (throttled_s ~now kc ks) then begin
+            (match (Container.attrs kc).Attrs.sched_class with
             | Attrs.Fixed_share s -> fs.a_fixed <- fs.a_fixed +. s
             | Attrs.Timeshare ->
-                fs.a_ts <-
-                  fs.a_ts +. float_of_int (max 1 (Container.attrs k.kc).Attrs.priority));
-            Array.unsafe_set scratch nstate.s_elig k;
+                fs.a_ts <- fs.a_ts +. float_of_int (max 1 (Container.attrs kc).Attrs.priority));
+            Array.unsafe_set scratch nstate.s_elig ks;
             nstate.s_elig <- nstate.s_elig + 1
           end
-        end
-      done;
-      if not nstate.s_any then Runq.front runq node
-      else begin
+        done;
         let round = nstate.node_round + 1 in
         nstate.node_round <- round;
         (* Start-time fair queueing arrival rule: a child that was not
@@ -195,57 +155,55 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
            after idleness) starts at the node's virtual clock — it is
            neither penalised for history nor allowed to replay it. *)
         for i = 0 to nstate.s_elig - 1 do
-          let s = (Array.unsafe_get scratch i).ks in
+          let s = Array.unsafe_get scratch i in
           if s.last_round < round - 1 && s.vt < nstate.node_vnow then s.vt <- nstate.node_vnow;
           s.last_round <- round
         done;
         fs.a_residual <- Float.max 0.02 (1. -. fs.a_fixed);
         fs.a_tssum <- Float.max 1e-9 fs.a_ts;
-        select_round ~now ~include_idle nstate round
+        incr serial;
+        select_round ~now ~include_idle nstate !serial
       end
     end
   (* Min-scan over (vt, id) replaces the sort: descend into the lowest-vt
      eligible child; if its whole subtree yields nothing (deep
      throttling), mark it tried and rescan. *)
-  and select_round ~now ~include_idle nstate round =
+  and select_round ~now ~include_idle nstate mark =
     let scratch = nstate.scratch in
     let best = ref (-1) in
     for i = 0 to nstate.s_elig - 1 do
       let k = Array.unsafe_get scratch i in
-      if k.ks.tried_round <> round then
+      if k.tried <> mark then
         if !best < 0 then best := i
         else
           let b = Array.unsafe_get scratch !best in
-          if
-            k.ks.vt < b.ks.vt
-            || (k.ks.vt = b.ks.vt && Container.id k.kc < Container.id b.kc)
-          then best := i
+          if k.vt < b.vt || (k.vt = b.vt && Container.id k.c < Container.id b.c) then best := i
     done;
     if !best < 0 then None
     else begin
       let k = Array.unsafe_get scratch !best in
-      k.ks.tried_round <- round;
-      match pick_node ~now ~include_idle k.kc k.ks with
+      k.tried <- mark;
+      match pick_node ~now ~include_idle k with
       | Some task ->
           (let fs = nstate.fs in
-           k.ks.last_weight <-
-             (match (Container.attrs k.kc).Attrs.sched_class with
+           k.last_weight <-
+             (match (Container.attrs k.c).Attrs.sched_class with
              | Attrs.Fixed_share s -> Float.max 1e-3 s
              | Attrs.Timeshare ->
                  fs.a_residual
-                 *. float_of_int (max 1 (Container.attrs k.kc).Attrs.priority)
+                 *. float_of_int (max 1 (Container.attrs k.c).Attrs.priority)
                  /. fs.a_tssum));
-          nstate.node_vnow <- Float.max nstate.node_vnow k.ks.vt;
+          nstate.node_vnow <- Float.max nstate.node_vnow k.vt;
           Some task
-      | None -> select_round ~now ~include_idle nstate round
+      | None -> select_round ~now ~include_idle nstate mark
     end
   in
   let root_state = state_of root in
   let pick ~now =
     Runq.sync runq;
-    match pick_node ~now ~include_idle:false root root_state with
+    match pick_node ~now ~include_idle:false root_state with
     | Some task -> Some task
-    | None -> pick_node ~now ~include_idle:true root root_state
+    | None -> pick_node ~now ~include_idle:true root_state
   in
   (* The charge path runs once per slice for the dispatched container, so
      the ancestor state chain is cached flat on that container's own

@@ -3,7 +3,7 @@ module Container = Rescont.Container
 (* Queues use lazy deletion over flat ring buffers: each per-container
    queue is a pair of parallel arrays (tasks and enqueue stamps), and an
    entry is live only while the task's own intrusive membership fields
-   ([rq_owner]/[rq_cid]/[rq_stamp] on {!Task.t}) still match it.  Dequeue
+   ([rq_owner]/[rq_slot]/[rq_stamp] on {!Task.t}) still match it.  Dequeue
    is therefore O(1) field stores; stale entries are skipped when they
    reach the front and bulk-compacted if they ever dominate a ring.
 
@@ -12,15 +12,20 @@ module Container = Rescont.Container
    A task can only carry one queue's fields; the rare second queue (the
    scheduler equivalence tests enqueue one task into an optimised and a
    reference policy at once) falls back to a per-queue [overflow] table
-   with the exact same semantics.
+   with the exact same semantics, which is never probed while empty.
 
-   [counts] holds, per container, the number of live tasks queued anywhere
-   in its subtree, maintained incrementally along the cached ancestor chain
-   on enqueue/dequeue — so [subtree_has_work] is an O(1) lookup instead of
-   a recursive walk.  Each ring caches its container's chain of count
-   refs, keyed on the physical identity of [Container.ancestry] (which is
-   rebuilt exactly when the topology above the container changes), so the
-   common bump is a straight array walk with no table lookups.
+   Every container the queue has met owns one [node], found through a
+   flat array indexed by [Container.slot]: its ring (allocated when a task
+   first queues there), the number of live tasks queued anywhere in its
+   subtree, and the set of its children whose subtree count is positive.
+   The counts are maintained along each ring's cached ancestor chain of
+   nodes, keyed on the physical identity of [Container.ancestry] (rebuilt
+   exactly when the topology above the container changes), so the common
+   bump is a straight array walk.  A count's 0 <-> 1 transitions are the
+   only moments a child joins or leaves its parent's busy set, which is
+   kept in [Container.children] order (ascending [Container.adoption_seq])
+   so a multilevel pick visits exactly the children with queued work, in
+   the order the reference scheduler does.
 
    Invariant: a ring with [live > 0] has its whole [live] added along its
    cached [chain], and such rings are exactly the members of the dense
@@ -31,24 +36,30 @@ module Container = Rescont.Container
    than O(every container ever queued).  An idle ring's chain may be
    stale; it is refreshed when the ring next turns busy. *)
 
-type cq = {
-  mutable tasks : Task.t array; (* ring buffer, capacity always a power of two *)
+type node = {
+  container : Container.t;
+  slot : int; (* [Container.slot container] *)
+  mutable tasks : Task.t array; (* ring: [||] until a task queues here, then a power of two *)
   mutable stamps : int array; (* enqueue stamp of the parallel [tasks] entry *)
   mutable head : int;
   mutable len : int; (* ring entries, live or stale *)
-  container : Container.t;
   mutable live : int;
   mutable busy_ix : int; (* slot in [busy] while [live > 0], else -1 *)
-  mutable chain : int ref array; (* cached subtree count refs along the ancestry *)
+  mutable chain : node array; (* cached nodes along the ancestry, self first *)
   mutable chain_key : Container.t array; (* the ancestry array [chain] was built from *)
+  mutable count : int; (* live tasks queued anywhere in the subtree *)
+  mutable kids : node array; (* children with [count > 0], adoption order, in [0, nkids) *)
+  mutable nkids : int;
 }
 
 type t = {
   id : int; (* matches Task.rq_owner for tasks this queue tracks intrusively *)
-  queues : (int, cq) Hashtbl.t; (* container id -> queue *)
-  overflow : (int, int * int) Hashtbl.t; (* task id -> (container id, stamp) *)
-  counts : (int, int ref) Hashtbl.t; (* container id -> live tasks in subtree *)
-  mutable busy : cq array; (* the rings with live tasks, in slots [0, nbusy) *)
+  queues : (int, node) Hashtbl.t; (* container id -> node, for containers ever queued on *)
+  mutable nodes : node option array; (* Container.slot -> node *)
+  mutable all : node array; (* every node, in creation order, in [0, nall) *)
+  mutable nall : int;
+  overflow : (int, int * int) Hashtbl.t; (* task id -> (container slot, stamp) *)
+  mutable busy : node array; (* the rings with live tasks, in slots [0, nbusy) *)
   mutable nbusy : int;
   mutable total : int; (* live tasks across all queues *)
   mutable next_stamp : int;
@@ -65,8 +76,10 @@ let create () =
   {
     id = Atomic.fetch_and_add next_rqid 1;
     queues = Hashtbl.create 64;
+    nodes = Array.make 64 None;
+    all = [||];
+    nall = 0;
     overflow = Hashtbl.create 8;
-    counts = Hashtbl.create 64;
     busy = [||];
     nbusy = 0;
     total = 0;
@@ -74,206 +87,294 @@ let create () =
     topo_gen = Container.topology_generation ();
   }
 
-let subtree_count_ref t container =
-  let cid = Container.id container in
-  match Hashtbl.find t.counts cid with
-  | r -> r
-  | exception Not_found ->
-      let r = ref 0 in
-      Hashtbl.replace t.counts cid r;
-      r
+(* The node a slot names, if it belongs to [container].  Slots are dense
+   per ledger arena, and one container tree lives in one arena, so two
+   containers of one run queue never share a slot; [node] refuses the
+   case rather than alias their state. *)
+let find t container =
+  let slot = Container.slot container in
+  let nodes = t.nodes in
+  if slot < Array.length nodes then
+    match Array.unsafe_get nodes slot with
+    | Some n as found when n.container == container -> found
+    | Some _ | None -> None
+  else None
 
-(* The count refs keep their identity across topology changes, so the
-   cached chains here and the multilevel scheduler's child index stay
-   valid; only the ancestry ARRAY changes identity, which is exactly the
-   event that invalidates a ring's cached chain. *)
-let refresh_chain t cq =
-  let ancestry = Container.ancestry cq.container in
-  if not (cq.chain_key == ancestry) then begin
-    cq.chain <- Array.map (fun c -> subtree_count_ref t c) ancestry;
-    cq.chain_key <- ancestry
+let node t container =
+  let slot = Container.slot container in
+  if slot >= Array.length t.nodes then begin
+    let grown = Array.make (max (slot + 1) (2 * Array.length t.nodes)) None in
+    Array.blit t.nodes 0 grown 0 (Array.length t.nodes);
+    t.nodes <- grown
+  end;
+  match Array.unsafe_get t.nodes slot with
+  | Some n when n.container == container -> n
+  | Some n ->
+      invalid_arg
+        (Printf.sprintf "Runq.node: %s and %s share ledger slot %d (different arenas)"
+           (Container.name n.container) (Container.name container) slot)
+  | None ->
+      let n =
+        {
+          container;
+          slot;
+          tasks = [||];
+          stamps = [||];
+          head = 0;
+          len = 0;
+          live = 0;
+          busy_ix = -1;
+          chain = [||];
+          chain_key = [||];
+          count = 0;
+          kids = [||];
+          nkids = 0;
+        }
+      in
+      Array.unsafe_set t.nodes slot (Some n);
+      if t.nall = Array.length t.all then begin
+        let grown = Array.make (max 16 (2 * t.nall)) n in
+        Array.blit t.all 0 grown 0 t.nall;
+        t.all <- grown
+      end;
+      t.all.(t.nall) <- n;
+      t.nall <- t.nall + 1;
+      n
+
+let node_container n = n.container
+let busy_children n = n.kids
+let busy_child_count n = n.nkids
+
+(* The nodes keep their identity across topology changes; only the
+   ancestry ARRAY changes identity, which is exactly the event that
+   invalidates a ring's cached chain. *)
+let refresh_chain t n =
+  let ancestry = Container.ancestry n.container in
+  if not (n.chain_key == ancestry) then begin
+    n.chain <- Array.map (fun c -> node t c) ancestry;
+    n.chain_key <- ancestry
   end
 
+(* Insert in adoption order.  Per-connection children are adopted last,
+   so the scan from the back usually stops at once.  Every listed child
+   still has the adoption seq it was listed with: re-adoption moves the
+   topology generation, and [sync] unlists the child before anything is
+   inserted again. *)
+let kid_insert p n =
+  if p.nkids = Array.length p.kids then begin
+    let grown = Array.make (max 4 (2 * p.nkids)) n in
+    Array.blit p.kids 0 grown 0 p.nkids;
+    p.kids <- grown
+  end;
+  let seq = Container.adoption_seq n.container in
+  let j = ref p.nkids in
+  while !j > 0 && Container.adoption_seq (Array.unsafe_get p.kids (!j - 1)).container > seq do
+    Array.unsafe_set p.kids !j (Array.unsafe_get p.kids (!j - 1));
+    decr j
+  done;
+  Array.unsafe_set p.kids !j n;
+  p.nkids <- p.nkids + 1
+
+(* By identity, not by sequence number: a child leaves the set of the
+   parent it was listed under after a re-parent has given it a new one. *)
+let kid_remove p n =
+  let j = ref (p.nkids - 1) in
+  while !j >= 0 && not (Array.unsafe_get p.kids !j == n) do
+    decr j
+  done;
+  if !j >= 0 then begin
+    for k = !j to p.nkids - 2 do
+      Array.unsafe_set p.kids k (Array.unsafe_get p.kids (k + 1))
+    done;
+    p.nkids <- p.nkids - 1
+  end
+
+(* Add [delta] to every count along a chain; a node whose count leaves or
+   reaches zero joins or leaves the busy set of the next node up. *)
 let add_chain chain delta =
-  for i = 0 to Array.length chain - 1 do
-    let r = Array.unsafe_get chain i in
-    r := !r + delta
+  let last = Array.length chain - 1 in
+  for i = 0 to last do
+    let n = Array.unsafe_get chain i in
+    let before = n.count in
+    n.count <- before + delta;
+    if i < last then
+      if before = 0 then kid_insert (Array.unsafe_get chain (i + 1)) n
+      else if n.count = 0 then kid_remove (Array.unsafe_get chain (i + 1)) n
   done
 
-let busy_add t cq =
+let busy_add t n =
   if t.nbusy = Array.length t.busy then begin
-    let grown = Array.make (max 16 (2 * t.nbusy)) cq in
+    let grown = Array.make (max 16 (2 * t.nbusy)) n in
     Array.blit t.busy 0 grown 0 t.nbusy;
     t.busy <- grown
   end;
-  cq.busy_ix <- t.nbusy;
-  t.busy.(t.nbusy) <- cq;
+  n.busy_ix <- t.nbusy;
+  t.busy.(t.nbusy) <- n;
   t.nbusy <- t.nbusy + 1
 
 (* Swap-remove: only the set's membership matters, never its order. *)
-let busy_remove t cq =
+let busy_remove t n =
   let last = t.nbusy - 1 in
   let moved = t.busy.(last) in
-  t.busy.(cq.busy_ix) <- moved;
-  moved.busy_ix <- cq.busy_ix;
-  cq.busy_ix <- -1;
+  t.busy.(n.busy_ix) <- moved;
+  moved.busy_ix <- n.busy_ix;
+  n.busy_ix <- -1;
   t.nbusy <- last
 
+let stale n = not (n.chain_key == Container.ancestry n.container)
+
+(* Two passes: every stale chain gives its count back before any new
+   chain takes one.  A node whose parent changed is listed under the old
+   parent until the last of its busy rings lets go, so it must leave that
+   set before it can join the new parent's, whichever ring comes first. *)
 let sync t =
   let g = Container.topology_generation () in
   if g <> t.topo_gen then begin
     t.topo_gen <- g;
     for i = 0 to t.nbusy - 1 do
-      let cq = Array.unsafe_get t.busy i in
-      if not (cq.chain_key == Container.ancestry cq.container) then begin
-        add_chain cq.chain (-cq.live);
-        refresh_chain t cq;
-        add_chain cq.chain cq.live
+      let n = Array.unsafe_get t.busy i in
+      if stale n then add_chain n.chain (-n.live)
+    done;
+    for i = 0 to t.nbusy - 1 do
+      let n = Array.unsafe_get t.busy i in
+      if stale n then begin
+        refresh_chain t n;
+        add_chain n.chain n.live
       end
     done
   end
 
 let queue_for t container =
-  let cid = Container.id container in
-  match Hashtbl.find t.queues cid with
-  | cq -> cq
-  | exception Not_found ->
-      let cq =
-        {
-          tasks = Array.make 8 dummy_task;
-          stamps = Array.make 8 0;
-          head = 0;
-          len = 0;
-          container;
-          live = 0;
-          busy_ix = -1;
-          chain = [||];
-          chain_key = [||];
-        }
-      in
-      Hashtbl.replace t.queues cid cq;
-      cq
+  let n = node t container in
+  if Array.length n.tasks = 0 then begin
+    n.tasks <- Array.make 8 dummy_task;
+    n.stamps <- Array.make 8 0;
+    Hashtbl.replace t.queues (Container.id container) n
+  end;
+  n
 
 let owns t (task : Task.t) = task.Task.rq_owner = t.id
 
-let mem t (task : Task.t) = owns t task || Hashtbl.mem t.overflow task.Task.id
+let mem t (task : Task.t) =
+  owns t task || (Hashtbl.length t.overflow > 0 && Hashtbl.mem t.overflow task.Task.id)
 
 (* Liveness of a ring entry: the fast path is three field compares on the
    task itself; overflow membership is consulted only for tasks owned by
    another queue. *)
-let entry_live t cid (task : Task.t) stamp =
-  if task.Task.rq_owner = t.id then task.Task.rq_cid = cid && task.Task.rq_stamp = stamp
+let entry_live t slot (task : Task.t) stamp =
+  if task.Task.rq_owner = t.id then task.Task.rq_slot = slot && task.Task.rq_stamp = stamp
   else
+    Hashtbl.length t.overflow > 0
+    &&
     match Hashtbl.find t.overflow task.Task.id with
-    | c, s -> c = cid && s = stamp
+    | s, st -> s = slot && st = stamp
     | exception Not_found -> false
 
-let ring_push cq task stamp =
-  let cap = Array.length cq.tasks in
-  if cq.len = cap then begin
+let ring_push n task stamp =
+  let cap = Array.length n.tasks in
+  if n.len = cap then begin
     let ncap = cap * 2 in
     let nt = Array.make ncap dummy_task in
     let ns = Array.make ncap 0 in
-    for i = 0 to cq.len - 1 do
-      let j = (cq.head + i) land (cap - 1) in
-      nt.(i) <- cq.tasks.(j);
-      ns.(i) <- cq.stamps.(j)
+    for i = 0 to n.len - 1 do
+      let j = (n.head + i) land (cap - 1) in
+      nt.(i) <- n.tasks.(j);
+      ns.(i) <- n.stamps.(j)
     done;
-    cq.tasks <- nt;
-    cq.stamps <- ns;
-    cq.head <- 0
+    n.tasks <- nt;
+    n.stamps <- ns;
+    n.head <- 0
   end;
-  let i = (cq.head + cq.len) land (Array.length cq.tasks - 1) in
-  cq.tasks.(i) <- task;
-  cq.stamps.(i) <- stamp;
-  cq.len <- cq.len + 1
+  let i = (n.head + n.len) land (Array.length n.tasks - 1) in
+  n.tasks.(i) <- task;
+  n.stamps.(i) <- stamp;
+  n.len <- n.len + 1
 
 (* Drop stale entries sitting at the front, releasing their task pointers
    so the ring never pins a dequeued task. *)
-let skim t cid cq =
+let skim t n =
   let continue = ref true in
-  while !continue && cq.len > 0 do
-    let i = cq.head land (Array.length cq.tasks - 1) in
-    let task = cq.tasks.(i) in
-    if entry_live t cid task cq.stamps.(i) then continue := false
+  while !continue && n.len > 0 do
+    let i = n.head land (Array.length n.tasks - 1) in
+    let task = n.tasks.(i) in
+    if entry_live t n.slot task n.stamps.(i) then continue := false
     else begin
-      cq.tasks.(i) <- dummy_task;
-      cq.head <- cq.head + 1;
-      cq.len <- cq.len - 1
+      n.tasks.(i) <- dummy_task;
+      n.head <- n.head + 1;
+      n.len <- n.len - 1
     end
   done
 
 (* Fresh arrays rather than in-place: compaction runs only when stale
    entries outnumber live ones, and copying sidesteps the read-after-
    overwrite hazard of sliding a wrapped ring over itself. *)
-let compact_cq t cid cq =
-  let cap = Array.length cq.tasks in
+let compact t n =
+  let cap = Array.length n.tasks in
   let nt = Array.make cap dummy_task in
   let ns = Array.make cap 0 in
   let j = ref 0 in
-  for i = 0 to cq.len - 1 do
-    let src = (cq.head + i) land (cap - 1) in
-    let task = cq.tasks.(src) in
-    if entry_live t cid task cq.stamps.(src) then begin
+  for i = 0 to n.len - 1 do
+    let src = (n.head + i) land (cap - 1) in
+    let task = n.tasks.(src) in
+    if entry_live t n.slot task n.stamps.(src) then begin
       nt.(!j) <- task;
-      ns.(!j) <- cq.stamps.(src);
+      ns.(!j) <- n.stamps.(src);
       incr j
     end
   done;
-  cq.tasks <- nt;
-  cq.stamps <- ns;
-  cq.head <- 0;
-  cq.len <- !j
+  n.tasks <- nt;
+  n.stamps <- ns;
+  n.head <- 0;
+  n.len <- !j
 
 let enqueue t (task : Task.t) =
   if not (mem t task) then begin
     sync t;
-    let container = Task.container task in
-    let cid = Container.id container in
-    let cq = queue_for t container in
+    let n = queue_for t (Task.container task) in
     let stamp = t.next_stamp in
     t.next_stamp <- stamp + 1;
-    ring_push cq task stamp;
+    ring_push n task stamp;
     if task.Task.rq_owner < 0 then begin
       task.Task.rq_owner <- t.id;
-      task.Task.rq_cid <- cid;
+      task.Task.rq_slot <- n.slot;
       task.Task.rq_stamp <- stamp
     end
-    else Hashtbl.replace t.overflow task.Task.id (cid, stamp);
-    if cq.live = 0 then begin
-      refresh_chain t cq;
-      busy_add t cq
+    else Hashtbl.replace t.overflow task.Task.id (n.slot, stamp);
+    if n.live = 0 then begin
+      refresh_chain t n;
+      busy_add t n
     end;
-    cq.live <- cq.live + 1;
+    n.live <- n.live + 1;
     t.total <- t.total + 1;
-    add_chain cq.chain 1;
-    if cq.len > 8 + (2 * cq.live) then compact_cq t cid cq
+    add_chain n.chain 1;
+    if n.len > 8 + (2 * n.live) then compact t n
   end
 
 let dequeue t (task : Task.t) =
-  let cid =
+  let slot =
     if owns t task then begin
-      let cid = task.Task.rq_cid in
+      let slot = task.Task.rq_slot in
       task.Task.rq_owner <- -1;
-      task.Task.rq_cid <- -1;
-      cid
+      task.Task.rq_slot <- -1;
+      slot
     end
+    else if Hashtbl.length t.overflow = 0 then -1
     else
       match Hashtbl.find t.overflow task.Task.id with
-      | cid, _stamp ->
+      | slot, _stamp ->
           Hashtbl.remove t.overflow task.Task.id;
-          cid
+          slot
       | exception Not_found -> -1
   in
-  if cid >= 0 then begin
+  if slot >= 0 then begin
     sync t;
-    match Hashtbl.find t.queues cid with
-    | cq ->
-        cq.live <- cq.live - 1;
+    match t.nodes.(slot) with
+    | Some n ->
+        n.live <- n.live - 1;
         t.total <- t.total - 1;
-        add_chain cq.chain (-1);
-        if cq.live = 0 then busy_remove t cq
-    | exception Not_found -> ()
+        add_chain n.chain (-1);
+        if n.live = 0 then busy_remove t n
+    | None -> ()
   end
 
 let requeue t task =
@@ -283,82 +384,81 @@ let requeue t task =
 let count t = t.total
 
 let front t container =
-  let cid = Container.id container in
-  match Hashtbl.find t.queues cid with
-  | exception Not_found -> None
-  | cq when cq.live > 0 ->
-      skim t cid cq;
-      if cq.len > 0 then Some cq.tasks.(cq.head land (Array.length cq.tasks - 1)) else None
-  | _ -> None
+  match find t container with
+  | Some n when n.live > 0 ->
+      skim t n;
+      if n.len > 0 then Some n.tasks.(n.head land (Array.length n.tasks - 1)) else None
+  | Some _ | None -> None
 
 let rotate t container =
-  let cid = Container.id container in
-  match Hashtbl.find t.queues cid with
-  | exception Not_found -> ()
-  | cq when cq.live > 1 ->
-      skim t cid cq;
-      if cq.len > 0 then begin
-        let cap = Array.length cq.tasks in
-        let i = cq.head land (cap - 1) in
-        let task = cq.tasks.(i) in
-        let stamp = cq.stamps.(i) in
-        cq.tasks.(i) <- dummy_task;
-        cq.head <- cq.head + 1;
-        cq.len <- cq.len - 1;
-        ring_push cq task stamp
+  match find t container with
+  | Some n when n.live > 1 ->
+      skim t n;
+      if n.len > 0 then begin
+        let cap = Array.length n.tasks in
+        let i = n.head land (cap - 1) in
+        let task = n.tasks.(i) in
+        let stamp = n.stamps.(i) in
+        n.tasks.(i) <- dummy_task;
+        n.head <- n.head + 1;
+        n.len <- n.len - 1;
+        ring_push n task stamp
       end
-  | _ -> ()
+  | Some _ | None -> ()
 
 let container_has_work t container =
-  match Hashtbl.find t.queues (Container.id container) with
-  | cq -> cq.live > 0
-  | exception Not_found -> false
+  match find t container with Some n -> n.live > 0 | None -> false
 
 let subtree_has_work t container =
   sync t;
-  match Hashtbl.find t.counts (Container.id container) with
-  | r -> !r > 0
-  | exception Not_found -> false
+  match find t container with Some n -> n.count > 0 | None -> false
 
 let containers_with_work t =
-  Hashtbl.fold (fun _ cq acc -> if cq.live > 0 then cq.container :: acc else acc) t.queues []
+  Hashtbl.fold (fun _ n acc -> if n.live > 0 then n.container :: acc else acc) t.queues []
 
 (* Visit every container with live queued work, in the same traversal
    order [containers_with_work] uses, without building the list.  This is
    the [queues] table's order, not the [busy] set's: policies break ties
    on it. *)
-let iter_busy t f = Hashtbl.iter (fun _ cq -> if cq.live > 0 then f cq.container) t.queues
+let iter_busy t f = Hashtbl.iter (fun _ n -> if n.live > 0 then f n.container) t.queues
+
+(* Slots are per arena, not per run queue, so the slot array can be
+   mostly empty: the law walks the dense creation-order list instead. *)
+let iter_nodes t f =
+  for i = 0 to t.nall - 1 do
+    f t.all.(i)
+  done
 
 (* Re-derive every maintained count from the ring contents and compare:
-   the incremental bookkeeping ([live], [total], [counts], the [busy] set
-   and the task-resident membership fields) must agree with a from-scratch
-   recomputation at any event boundary. *)
+   the incremental bookkeeping ([live], [total], the subtree counts, the
+   busy sets and the task-resident membership fields) must agree with a
+   from-scratch recomputation at any event boundary. *)
 let validate t =
   sync t;
   let mismatch = ref None in
   let total = ref 0 in
   let busy = ref 0 in
   Hashtbl.iter
-    (fun cid cq ->
+    (fun _ n ->
       let live = ref 0 in
-      let cap = Array.length cq.tasks in
-      for i = 0 to cq.len - 1 do
-        let j = (cq.head + i) land (cap - 1) in
-        if entry_live t cid cq.tasks.(j) cq.stamps.(j) then incr live
+      let cap = Array.length n.tasks in
+      for i = 0 to n.len - 1 do
+        let j = (n.head + i) land (cap - 1) in
+        if entry_live t n.slot n.tasks.(j) n.stamps.(j) then incr live
       done;
       total := !total + !live;
-      if cq.live > 0 then incr busy;
-      if !mismatch = None && cq.live <> !live then
+      if n.live > 0 then incr busy;
+      if !mismatch = None && n.live <> !live then
         mismatch :=
           Some
             (Printf.sprintf "queue %s: live=%d but %d ring entries are live"
-               (Container.name cq.container) cq.live !live);
-      let in_busy = cq.busy_ix >= 0 && cq.busy_ix < t.nbusy && t.busy.(cq.busy_ix) == cq in
-      if !mismatch = None && in_busy <> (cq.live > 0) then
+               (Container.name n.container) n.live !live);
+      let in_busy = n.busy_ix >= 0 && n.busy_ix < t.nbusy && t.busy.(n.busy_ix) == n in
+      if !mismatch = None && in_busy <> (n.live > 0) then
         mismatch :=
           Some
-            (Printf.sprintf "queue %s: live=%d but %s the busy set" (Container.name cq.container)
-               cq.live
+            (Printf.sprintf "queue %s: live=%d but %s the busy set" (Container.name n.container)
+               n.live
                (if in_busy then "in" else "missing from")))
     t.queues;
   if !mismatch = None && t.total <> !total then
@@ -367,10 +467,14 @@ let validate t =
     mismatch :=
       Some (Printf.sprintf "busy set holds %d queues but %d have live tasks" t.nbusy !busy);
   Hashtbl.iter
-    (fun task_id (cid, _stamp) ->
-      if !mismatch = None && not (Hashtbl.mem t.queues cid) then
+    (fun task_id (slot, _stamp) ->
+      let queued =
+        slot < Array.length t.nodes
+        && match t.nodes.(slot) with Some n -> Array.length n.tasks > 0 | None -> false
+      in
+      if !mismatch = None && not queued then
         mismatch :=
-          Some (Printf.sprintf "overflow task#%d mapped to container #%d with no queue" task_id cid))
+          Some (Printf.sprintf "overflow task#%d mapped to slot %d with no queue" task_id slot))
     t.overflow;
   (match !mismatch with
   | Some _ -> ()
@@ -379,29 +483,73 @@ let validate t =
          with the incrementally maintained counters. *)
       let fresh = Hashtbl.create 16 in
       Hashtbl.iter
-        (fun _ cq ->
-          if cq.live > 0 then begin
-            let chain = Container.ancestry cq.container in
+        (fun _ n ->
+          if n.live > 0 then begin
+            let chain = Container.ancestry n.container in
             for i = 0 to Array.length chain - 1 do
-              let cid = Container.id (Array.unsafe_get chain i) in
-              let n = match Hashtbl.find_opt fresh cid with Some n -> n | None -> 0 in
-              Hashtbl.replace fresh cid (n + cq.live)
+              let c = Array.unsafe_get chain i in
+              let k =
+                match Hashtbl.find_opt fresh (Container.id c) with Some (_, k) -> k | None -> 0
+              in
+              Hashtbl.replace fresh (Container.id c) (c, k + n.live)
             done
           end)
         t.queues;
-      Hashtbl.iter
-        (fun cid r ->
-          let expected = match Hashtbl.find_opt fresh cid with Some n -> n | None -> 0 in
-          if !mismatch = None && !r <> expected then
+      let fresh_count c =
+        match Hashtbl.find_opt fresh (Container.id c) with Some (_, k) -> k | None -> 0
+      in
+      iter_nodes t (fun n ->
+          let expected = fresh_count n.container in
+          if !mismatch = None && n.count <> expected then
             mismatch :=
               Some
-                (Printf.sprintf "subtree count for container #%d: cached %d, recomputed %d" cid
-                   !r expected))
-        t.counts;
+                (Printf.sprintf "subtree count for container #%d: cached %d, recomputed %d"
+                   (Container.id n.container) n.count expected));
       Hashtbl.iter
-        (fun cid n ->
-          if !mismatch = None && not (Hashtbl.mem t.counts cid) then
+        (fun cid (c, k) ->
+          if !mismatch = None && find t c = None then
             mismatch :=
-              Some (Printf.sprintf "container #%d has %d queued in subtree but no counter" cid n))
-        fresh);
+              Some (Printf.sprintf "container #%d has %d queued in subtree but no counter" cid k))
+        fresh;
+      (* Busy sets: each node's must be exactly its children with queued
+         subtree work, in [Container.children] order. *)
+      let names l = String.concat "; " (List.map Container.name l) in
+      iter_nodes t (fun n ->
+          if !mismatch = None then begin
+            let expected =
+              List.filter (fun c -> fresh_count c > 0) (Container.children n.container)
+            in
+            let cached = List.init n.nkids (fun i -> n.kids.(i).container) in
+            if not (List.equal ( == ) cached expected) then
+              mismatch :=
+                Some
+                  (Printf.sprintf "busy children of %s: cached [%s], recomputed [%s]"
+                     (Container.name n.container) (names cached) (names expected))
+          end));
   match !mismatch with None -> Ok () | Some msg -> Error msg
+
+(* {2 Test-only fault injection} *)
+
+type fault = Drop_busy_child | Swap_busy_children | Stray_idle_child
+
+let plant_fault_for_testing t container fault =
+  match find t container with
+  | None -> invalid_arg "Runq.plant_fault_for_testing: container has no node"
+  | Some p -> (
+      match fault with
+      | Drop_busy_child ->
+          if p.nkids < 1 then invalid_arg "Runq.plant_fault_for_testing: no busy child to drop";
+          p.nkids <- p.nkids - 1
+      | Swap_busy_children ->
+          if p.nkids < 2 then invalid_arg "Runq.plant_fault_for_testing: needs two busy children";
+          let a = p.kids.(0) in
+          p.kids.(0) <- p.kids.(1);
+          p.kids.(1) <- a
+      | Stray_idle_child -> (
+          match
+            List.find_opt
+              (fun c -> match find t c with Some n -> n.count = 0 | None -> true)
+              (Container.children container)
+          with
+          | None -> invalid_arg "Runq.plant_fault_for_testing: needs an idle child"
+          | Some c -> kid_insert p (node t c)))

@@ -35,11 +35,32 @@ val subtree_has_work : t -> Rescont.Container.t -> bool
     incrementally on enqueue/dequeue and re-synced only when the container
     tree is re-shaped. *)
 
-val subtree_count_ref : t -> Rescont.Container.t -> int ref
-(** The live-task counter backing {!subtree_has_work} for one container.
-    The ref's identity is stable across topology rebuilds, so policies may
-    cache it in per-node indexes and read it on the pick fast path.
-    Callers must never write through it. *)
+(** {1 Busy children}
+
+    Each container the queue has met owns a node that lists its children
+    whose subtree holds queued tasks.  The lists change only when a
+    subtree count moves between 0 and 1 (including the moves {!sync}
+    makes after a re-parent), so reading one costs nothing per idle
+    child. *)
+
+type node
+
+val node : t -> Rescont.Container.t -> node
+(** The container's node, created empty on first use.  O(1): nodes are
+    found through an array indexed by {!Rescont.Container.slot}.
+    @raise Invalid_argument if another container already holds that slot
+    here (containers from two ledger arenas in one run queue). *)
+
+val node_container : node -> Rescont.Container.t
+
+val busy_children : node -> node array
+(** The children of the node's container with a queued task anywhere in
+    their subtree, in {!Rescont.Container.children} order (ascending
+    {!Rescont.Container.adoption_seq}), in the first {!busy_child_count}
+    entries.  Valid after {!sync}, until the next enqueue or dequeue.
+    The array is the set itself: callers must not write it. *)
+
+val busy_child_count : node -> int
 
 val sync : t -> unit
 (** Revalidate the subtree counters against the current container
@@ -47,8 +68,8 @@ val sync : t -> unit
     re-parent or destroy, O(busy queues × depth): each queue holding live
     tasks whose ancestry changed moves its count to its new ancestor
     chain, and empty queues cost nothing, however many containers were
-    ever queued.  Policies call this once per pick before trusting cached
-    {!subtree_count_ref} values. *)
+    ever queued.  Policies call this once per pick before reading
+    {!busy_children}. *)
 
 val containers_with_work : t -> Rescont.Container.t list
 (** Distinct containers with non-empty queues.  The order is deterministic
@@ -67,6 +88,19 @@ val iter_busy : t -> (Rescont.Container.t -> unit) -> unit
 
 val validate : t -> (unit, string) result
 (** Conservation check: re-derives per-container live counts, the set of
-    busy queues and subtree occupancy from the ring contents and compares
-    them with the incrementally maintained state.  [Ok ()] iff they all
-    agree.  Used as the [sched.runq-counts] invariant law. *)
+    busy queues, subtree occupancy and every node's busy children
+    (membership and order) from the ring contents and the container tree,
+    and compares them with the incrementally maintained state.  [Ok ()]
+    iff they all agree.  Used as the [sched.runq-counts] invariant law. *)
+
+(** {1 Test-only fault injection} *)
+
+type fault =
+  | Drop_busy_child  (** The last busy child leaves the set; its count stays. *)
+  | Swap_busy_children  (** The first two busy children trade places. *)
+  | Stray_idle_child  (** The first child with no queued work joins the set. *)
+
+val plant_fault_for_testing : t -> Rescont.Container.t -> fault -> unit
+(** TEST-ONLY.  Corrupt the container's busy-children set the way a bug
+    would, so a test can check that {!validate} reports it.  Needs the
+    container's node, and the busy or idle children the fault names. *)

@@ -4,7 +4,7 @@ type t = {
   binding : Rescont.Binding.t;
   kernel : bool;
   mutable rq_owner : int;
-  mutable rq_cid : int;
+  mutable rq_slot : int;
   mutable rq_stamp : int;
   mutable mslot : int;
   mutable home_cpu : int;
@@ -21,7 +21,7 @@ let create ?(kernel = false) ~name binding =
     binding;
     kernel;
     rq_owner = -1;
-    rq_cid = -1;
+    rq_slot = -1;
     rq_stamp = 0;
     mslot = -1;
     home_cpu = 0;

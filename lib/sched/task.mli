@@ -16,7 +16,9 @@ type t = {
           a task queued in {e two} run queues at once (the scheduler
           equivalence tests do this) overflows into the second queue's
           side table. *)
-  mutable rq_cid : int;  (** Container id the task is queued under; owned by {!Runq}. *)
+  mutable rq_slot : int;
+      (** {!Rescont.Container.slot} of the container the task is queued
+          under; owned by {!Runq}. *)
   mutable rq_stamp : int;  (** Enqueue stamp for lazy deletion; owned by {!Runq}. *)
   mutable mslot : int;
       (** Thread-table slot on the machine running this task, [-1] when

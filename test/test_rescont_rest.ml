@@ -398,6 +398,82 @@ let prop_desc_table_model =
       && List.sort compare (Hashtbl.fold (fun d _ acc -> d :: acc) model [])
          = Desc_table.descriptors table)
 
+(* The allocator [Desc_table] used before it kept its closed descriptors
+   in a heap: a hash table probed from 0 upward for the lowest free one.
+   Kept as the lockstep oracle, without reference counting, which the
+   property checks by counting descriptors itself. *)
+module Scan_table = struct
+  type t = (int, Container.t) Hashtbl.t
+
+  let create () : t = Hashtbl.create 16
+
+  let install t c =
+    let rec scan d = if Hashtbl.mem t d then scan (d + 1) else d in
+    let d = scan 0 in
+    Hashtbl.replace t d c;
+    d
+
+  let close t d = if Hashtbl.mem t d then Hashtbl.remove t d else raise Not_found
+  let transfer ~src ~dst d = install dst (Hashtbl.find src d)
+  let descriptors t = Hashtbl.fold (fun d _ acc -> d :: acc) t [] |> List.sort compare
+end
+
+let prop_desc_table_matches_scan =
+  QCheck2.Test.make ~name:"desc table matches the scanning allocator" ~count:200
+    QCheck2.Gen.(list_size (int_range 1 120) (triple (int_range 0 9) nat nat))
+    (fun ops ->
+      let root = Container.create_root () in
+      let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
+      let pool = Array.init 4 (fun _ -> Container.create ~parent ()) in
+      let tables = ref [| (Desc_table.create (), Scan_table.create ()) |] in
+      let outcome f = match f () with d -> Some d | exception Not_found -> None in
+      (* A descriptor that is open about half the time. *)
+      let some_desc scan k = k mod (2 * (Hashtbl.length scan + 1)) in
+      let agree (real, scan) =
+        let ds = Scan_table.descriptors scan in
+        Desc_table.descriptors real = ds
+        && Desc_table.count real = Hashtbl.length scan
+        && List.for_all (fun d -> Desc_table.lookup real d == Hashtbl.find scan d) ds
+      in
+      let refs_agree () =
+        Array.for_all
+          (fun c ->
+            let held =
+              Array.fold_left
+                (fun acc (_, scan) ->
+                  Hashtbl.fold (fun _ c' n -> if c' == c then n + 1 else n) scan acc)
+                0 !tables
+            in
+            Container.ref_count c = 1 + held)
+          pool
+      in
+      List.for_all
+        (fun (op, a, b) ->
+          let ntables = Array.length !tables in
+          let real, scan = !tables.(a mod ntables) in
+          let same =
+            match op with
+            | 0 | 1 | 2 | 3 ->
+                let c = pool.(b mod Array.length pool) in
+                Desc_table.install real c = Scan_table.install scan c
+            | 4 | 5 | 6 ->
+                let d = some_desc scan b in
+                outcome (fun () -> Desc_table.close real d)
+                = outcome (fun () -> Scan_table.close scan d)
+            | 7 | 8 ->
+                let real', scan' = !tables.(b mod ntables) in
+                let d = some_desc scan (b / 7) in
+                outcome (fun () -> Desc_table.transfer ~src:real ~dst:real' d)
+                = outcome (fun () -> Scan_table.transfer ~src:scan ~dst:scan' d)
+            | _ ->
+                if ntables < 4 then
+                  tables :=
+                    Array.append !tables [| (Desc_table.inherit_all real, Hashtbl.copy scan) |];
+                true
+          in
+          same && Array.for_all agree !tables && refs_agree ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "attrs constructors" `Quick test_attrs_constructors;
@@ -421,4 +497,5 @@ let suite =
     Alcotest.test_case "ops set parent" `Quick test_ops_set_parent;
     Alcotest.test_case "ops cost table" `Quick test_ops_costs_table;
     QCheck_alcotest.to_alcotest prop_desc_table_model;
+    QCheck_alcotest.to_alcotest prop_desc_table_matches_scan;
   ]

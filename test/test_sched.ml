@@ -82,6 +82,28 @@ let test_runq_subtree () =
   Alcotest.(check bool) "leaf work visible at root" true (Runq.subtree_has_work q root);
   Alcotest.(check bool) "and at parent" true (Runq.subtree_has_work q parent)
 
+(* The [sched.runq-counts] law rebuilds every busy-children set from the
+   container tree and the recounted subtrees, and reports each corruption
+   a bug could leave: a busy child missing, two in the wrong order, an
+   idle child listed. *)
+let test_runq_busy_set_law () =
+  let check fault expected =
+    let root = Container.create_root () in
+    let parent = Container.create ~parent:root ~name:"p" ~attrs:(fixed 1.0) () in
+    let a = Container.create ~parent ~name:"a" () in
+    let _b = Container.create ~parent ~name:"b" () in
+    let c = Container.create ~parent ~name:"c" () in
+    let q = Runq.create () in
+    Runq.enqueue q (task_on a "ta");
+    Runq.enqueue q (task_on c "tc");
+    Alcotest.(check (result unit string)) "healthy" (Ok ()) (Runq.validate q);
+    Runq.plant_fault_for_testing q parent fault;
+    Alcotest.(check (result unit string)) "reported" (Error expected) (Runq.validate q)
+  in
+  check Runq.Drop_busy_child "busy children of p: cached [a], recomputed [a; c]";
+  check Runq.Swap_busy_children "busy children of p: cached [c; a], recomputed [a; c]";
+  check Runq.Stray_idle_child "busy children of p: cached [a; b; c], recomputed [a; c]"
+
 (* {1 Policy harness}
 
    Run a policy directly (no machine): repeatedly pick, charge a fixed
@@ -395,15 +417,56 @@ let test_runq_lazy_reenqueue () =
   Alcotest.(check string) "t1 survived churn in front" "t1" (front ());
   Alcotest.(check int) "count stable" 2 (Runq.count q)
 
+(* The eligibility pass sums fixed shares as floats in child order, and
+   0.3 +. 0.2 +. 0.1 = 0.6 while 0.1 +. 0.2 +. 0.3 = 0.6000000000000001.
+   Here the children order is [0.3; 0.2; 0.1] (adopted so), unlike both
+   their creation order and the order their tasks arrive in, and the
+   residual 0.4 gives each of two equal timeshare siblings a weight of
+   exactly 0.2, tying with the 0.2 share; the off-by-an-ulp residual of
+   any other order breaks those ties differently from the reference. *)
+let test_multilevel_share_sum_order () =
+  let root = Container.create_root () in
+  let p = Container.create ~parent:root ~name:"p" ~attrs:(fixed 0.5) () in
+  let q = Container.create ~parent:root ~name:"q" ~attrs:(fixed 0.5) () in
+  let shares =
+    List.map (fun s -> Container.create ~parent:q ~attrs:(fixed s) ()) [ 0.1; 0.2; 0.3 ]
+  in
+  List.iter (fun c -> Container.set_parent c (Some p)) (List.rev shares);
+  let timeshare = List.init 2 (fun _ -> Container.create ~parent:p ~attrs:(ts 10) ()) in
+  let opt = Sched.Multilevel.make ~root () and refp = Sched.Multilevel_ref.make ~root () in
+  List.iteri
+    (fun i c ->
+      let t = task_on c (Printf.sprintf "t%d" i) in
+      opt.Sched.Policy.enqueue t;
+      refp.Sched.Policy.enqueue t)
+    (shares @ timeshare);
+  for i = 1 to 300 do
+    let now = Simtime.of_ns (i * 1_000_000) in
+    let name = function Some t -> t.Task.name | None -> "<none>" in
+    let po = opt.Sched.Policy.pick ~now and pr = refp.Sched.Policy.pick ~now in
+    Alcotest.(check string) (Printf.sprintf "pick %d" i) (name pr) (name po);
+    match po with
+    | Some t ->
+        let c = Task.container t in
+        opt.Sched.Policy.charge ~container:c ~now (Simtime.us 100);
+        refp.Sched.Policy.charge ~container:c ~now (Simtime.us 100)
+    | None -> ()
+  done
+
 (* {1 Multilevel vs. its executable specification}
 
    [Sched.Multilevel] is an incremental rewrite of [Sched.Multilevel_ref];
    this property drives both instances over the same randomized workload —
    enqueues, dequeues, re-parenting, leaves destroyed (queued tasks and
    all) and created mid-run, picks and charges — and demands that every
-   pick returns the same task.  After every step the optimised policy's
-   [sched.runq-counts] law must hold: its incrementally re-synced subtree
-   counts equal a from-scratch recount. *)
+   pick returns the same task.  The steps that stress the run queue's
+   busy-children sets: idle siblings created and destroyed beside queued
+   ones; a container the last pick just marked as tried (the picked leaf
+   or one of its groups) re-parented at once; and fixed-share leaves of
+   0.1, 0.2 and 0.3, adopted in random order, whose float sum depends on
+   the order the eligibility pass adds them.  After every step the
+   optimised policy's [sched.runq-counts] law must hold: its incrementally
+   re-synced subtree counts and busy sets equal a from-scratch rebuild. *)
 let prop_multilevel_matches_reference =
   QCheck2.Test.make ~name:"multilevel matches reference pick-for-pick" ~count:25
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -435,6 +498,25 @@ let prop_multilevel_matches_reference =
               Container.create ~parent:root ~name:(Printf.sprintf "r%d" i)
                 ~attrs:(ts (prio ())) ())
       in
+      (* Fixed shares whose float sum depends on the order of addition
+         (0.1 +. 0.2 +. 0.3 <> 0.3 +. 0.2 +. 0.1), adopted in random order
+         under the first group. *)
+      let shares = [| 0.1; 0.2; 0.3 |] in
+      for i = 2 downto 1 do
+        let j = Engine.Rng.int rng (i + 1) in
+        let x = shares.(i) in
+        shares.(i) <- shares.(j);
+        shares.(j) <- x
+      done;
+      let fixed_leaves =
+        Array.to_list
+          (Array.mapi
+             (fun i share ->
+               Container.create ~parent:(List.hd groups) ~name:(Printf.sprintf "f%d" i)
+                 ~attrs:(fixed share) ())
+             shares)
+      in
+      let leaves = leaves @ fixed_leaves in
       let tasks =
         List.concat_map
           (fun leaf ->
@@ -448,17 +530,23 @@ let prop_multilevel_matches_reference =
       let leaves_arr = Array.of_list leaves in
       let groups_arr = Array.of_list groups in
       let tasks_arr = ref (Array.of_list tasks) in
+      let idle = ref [||] in
+      let marked = ref [||] in
       let enqueue_both t =
         opt.Sched.Policy.enqueue t;
         refp.Sched.Policy.enqueue t
       in
       List.iter enqueue_both tasks;
       let random_task () = !tasks_arr.(Engine.Rng.int rng (Array.length !tasks_arr)) in
+      let random_parent () =
+        let k = Engine.Rng.int rng (Array.length groups_arr + 1) in
+        if k = 0 then root else groups_arr.(k - 1)
+      in
       let now = ref Simtime.zero in
       let ok = ref true in
       for step = 1 to 400 do
         now := Simtime.add !now (Simtime.ns (100_000 + Engine.Rng.int rng 2_000_000));
-        (match Engine.Rng.int rng 12 with
+        (match Engine.Rng.int rng 16 with
         | 0 ->
             let t = random_task () in
             opt.Sched.Policy.dequeue t;
@@ -482,6 +570,23 @@ let prop_multilevel_matches_reference =
             let t = task_on leaf (Printf.sprintf "n%d.t" step) in
             tasks_arr := Array.append !tasks_arr [| t |];
             enqueue_both t
+        | 5 | 6 ->
+            (* An idle sibling joins beside queued ones. *)
+            let c =
+              Container.create ~parent:(random_parent ()) ~name:(Printf.sprintf "i%d" step)
+                ~attrs:(ts (prio ())) ()
+            in
+            idle := Array.append !idle [| c |]
+        | 7 ->
+            (* An idle sibling goes away. *)
+            if Array.length !idle > 0 then
+              Container.destroy !idle.(Engine.Rng.int rng (Array.length !idle))
+        | 8 | 9 -> (
+            (* Re-parent a container the last pick marked as tried: the
+               picked leaf or a group on its path. *)
+            if Array.length !marked > 0 then
+              let c = !marked.(Engine.Rng.int rng (Array.length !marked)) in
+              try Container.set_parent c (Some (random_parent ())) with Container.Error _ -> ())
         | _ ->
             let po = opt.Sched.Policy.pick ~now:!now in
             let pr = refp.Sched.Policy.pick ~now:!now in
@@ -493,13 +598,15 @@ let prop_multilevel_matches_reference =
                 ok := false;
                 Alcotest.failf "step %d: optimized picked %s, reference picked %s" step
                   (name po) (name pr));
-            (match po with
+            match po with
             | Some task ->
                 let c = Task.container task in
                 let span = Simtime.ns (10_000 + Engine.Rng.int rng 500_000) in
                 opt.Sched.Policy.charge ~container:c ~now:!now span;
-                refp.Sched.Policy.charge ~container:c ~now:!now span
-            | None -> ()));
+                refp.Sched.Policy.charge ~container:c ~now:!now span;
+                let path = Container.ancestry c in
+                marked := Array.sub path 0 (Array.length path - 1)
+            | None -> marked := [||]);
         match Engine.Invariant.check invariants with
         | [] -> ()
         | v :: _ ->
@@ -517,6 +624,7 @@ let suite =
     Alcotest.test_case "runq requeue" `Quick test_runq_requeue_moves;
     Alcotest.test_case "runq subtree" `Quick test_runq_subtree;
     Alcotest.test_case "runq lazy re-enqueue" `Quick test_runq_lazy_reenqueue;
+    Alcotest.test_case "runq busy-set law" `Quick test_runq_busy_set_law;
     Alcotest.test_case "timeshare equal sharing" `Quick test_timeshare_equal_sharing;
     Alcotest.test_case "timeshare priority weights" `Quick test_timeshare_priority_weighting;
     Alcotest.test_case "timeshare idle class" `Quick test_timeshare_idle_class;
@@ -536,5 +644,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_multilevel_proportional;
     QCheck_alcotest.to_alcotest prop_multilevel_hierarchy_product;
     QCheck_alcotest.to_alcotest prop_stride_accuracy;
+    Alcotest.test_case "multilevel share sum order" `Quick test_multilevel_share_sum_order;
     QCheck_alcotest.to_alcotest prop_multilevel_matches_reference;
   ]
