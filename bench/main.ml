@@ -363,6 +363,24 @@ let sibling_costs () =
   let few = sibling_rig 10 and many = sibling_rig 1000 in
   alternating_medians ~calls:2000 few many
 
+(* The same server seen from the container tree: every open connection's
+   container is an idle sibling of the one being created or destroyed.
+   Create and release one leaf beside N idle siblings, hand-timed and
+   alternated like the pick above.  The ratio is the gate-able flatness;
+   a parent whose child list is copied on every adoption and detach reads
+   ~70 here. *)
+let leaf_rig idle =
+  let root = Container.create_root () in
+  let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
+  for i = 1 to idle do
+    ignore (Container.create ~parent ~name:(Printf.sprintf "idle%d" i) ())
+  done;
+  fun () -> Container.release (Container.create ~parent ~name:"leaf" ())
+
+let leaf_costs () =
+  let few = leaf_rig 10 and many = leaf_rig 1000 in
+  alternating_medians ~calls:2000 few many
+
 let bench_rebind_touch () =
   let root = Container.create_root () in
   let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
@@ -383,6 +401,7 @@ let bench_rebind_touch () =
 let run_churn_microbench () =
   let early, late = churn_costs () in
   let few, many = sibling_costs () in
+  let leaf_few, leaf_many = leaf_costs () in
   let binding = ols_estimates ~group:"binding" ~cfg:(sched_cfg ()) [ bench_rebind_touch () ] in
   let table =
     Engine.Series.table ~title:"Per-connection container churn: cost against history"
@@ -394,6 +413,10 @@ let run_churn_microbench () =
     [ "pick+charge, 1 busy leaf among 10 idle siblings"; Printf.sprintf "%.0f" few ];
   Engine.Series.add_row table
     [ "pick+charge, 1 busy leaf among 1000 idle siblings"; Printf.sprintf "%.0f" many ];
+  Engine.Series.add_row table
+    [ "create+destroy leaf beside 10 idle siblings"; Printf.sprintf "%.0f" leaf_few ];
+  Engine.Series.add_row table
+    [ "create+destroy leaf beside 1000 idle siblings"; Printf.sprintf "%.0f" leaf_many ];
   List.iter
     (fun (name, ns) ->
       Engine.Series.add_row table
@@ -806,6 +829,7 @@ let run_json ~fast ~smoke ~mega ~label =
   renew ();
   let churn_early, churn_late = churn_costs () in
   let siblings_few, siblings_many = sibling_costs () in
+  let leaf_few, leaf_many = leaf_costs () in
   let binding =
     ols_estimates2 ~group:"binding"
       ~cfg:(Benchmark.cfg ~limit:1000 ~quota:(Time.second (scale 0.25)) ())
@@ -1088,6 +1112,23 @@ let run_json ~fast ~smoke ~mega ~label =
           m_name = "sched.sibling-flatness/pick+charge ns among 1000 idle siblings over 10";
           m_unit = "x";
           m_value = siblings_many /. siblings_few;
+        };
+        {
+          m_name = "rescont/create+destroy leaf beside 10 idle siblings";
+          m_unit = "ns/op";
+          m_value = leaf_few;
+        };
+        {
+          m_name = "rescont/create+destroy leaf beside 1000 idle siblings";
+          m_unit = "ns/op";
+          m_value = leaf_many;
+        };
+        {
+          (* The per-connection-container lifetime claim as one gate-able
+             number: 1.0 = flat in idle siblings. *)
+          m_name = "rescont.sibling-flatness/create+destroy ns beside 1000 idle siblings over 10";
+          m_unit = "x";
+          m_value = leaf_many /. leaf_few;
         };
       ]
     @ cache_flatness

@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI gate: build everything, run the test suites, check the fast-path
-# benchmarks against the committed baseline (BENCH_PR14.json), and verify
+# benchmarks against the committed baseline (BENCH_PR15.json), and verify
 # the sharded-execution determinism contract (shards=N byte-identical to
 # shards=1).  Referenced from README.md "Install and build".
 set -eu
@@ -19,7 +19,7 @@ echo "== dune build @bench-check"
 dune build @bench-check
 
 echo "== event-core A/B + PR1-to-now trend (informational, never fails)"
-dune exec bench/compare.exe -- BENCH_PR1.json BENCH_PR14.json --threshold 1000 || true
+dune exec bench/compare.exe -- BENCH_PR1.json BENCH_PR15.json --threshold 1000 || true
 
 echo "== sweep smoke (2 jobs must match the serial report byte-for-byte)"
 dune exec bin/rc_sim.exe -- sweep --fast --jobs 1 --json-out "${TMPDIR:-/tmp}/rc-sweep-j1.json"

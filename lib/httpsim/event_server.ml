@@ -26,13 +26,16 @@ type tracked = {
    two lists, append them and [stable_sort] the result — a pile of cons
    cells and closures per round, i.e. per request.  The slots below are
    allocated once and refilled; [ev_listen]/[ev_tracked] hold server-owned
-   dummies while a slot is parked so it pins nothing. *)
+   dummies while a slot is parked so it pins nothing.  The event API fills
+   exactly one: the head of the ready set (see [scan]). *)
 type ev = {
   mutable ev_prio : int;
   mutable ev_kind : int; (* 0 = accept (listen ready), 1 = conn ready *)
   mutable ev_listen : Socket.listen;
   mutable ev_tracked : tracked;
 }
+
+let parked listen tracked = { ev_prio = 0; ev_kind = 0; ev_listen = listen; ev_tracked = tracked }
 
 type t = {
   stack : Stack.t;
@@ -49,8 +52,10 @@ type t = {
   mutable nconns : int;
   dummy_tracked : tracked;
   dummy_listen : Socket.listen;
-  mutable events : ev array; (* first [nevents] filled, priority order *)
+  mutable events : ev array; (* select(): first [nevents] filled, priority order *)
   mutable nevents : int;
+  pick : ev; (* event API: the one event the next round serves *)
+  probe : ev; (* the test hooks' scratch pick; never the server's *)
   wq : Machine.Waitq.t;
   static_served : Engine.Metrics.counter;
   accepts : Engine.Metrics.counter;
@@ -91,6 +96,8 @@ let create ~stack ~process ~cache ?disk ?(api = Select) ?(policy = No_containers
       dummy_listen;
       events = [||];
       nevents = 0;
+      pick = parked dummy_listen dummy_tracked;
+      probe = parked dummy_listen dummy_tracked;
       wq = Machine.Waitq.create ~name:"http-server" machine;
       static_served = Engine.Metrics.counter registry ~labels "http.static_served";
       accepts = Engine.Metrics.counter registry ~labels "http.accepts";
@@ -113,14 +120,11 @@ let process t = t.process
 let uses_containers t =
   match t.policy with No_containers -> false | Inherit_listen | Per_connection _ -> true
 
-let conn_container tracked =
-  match tracked.conn.Socket.container with Some c -> Some c | None -> None
-
 let conn_priority t tracked =
   match t.policy with
   | No_containers -> t.user_preference tracked.conn
   | Inherit_listen | Per_connection _ -> (
-      match conn_container tracked with
+      match tracked.conn.Socket.container with
       | Some c -> (Container.attrs c).Attrs.priority
       | None -> 0)
 
@@ -223,7 +227,7 @@ let handle_request t tracked payload =
   | (true | false), _ -> respond t tracked meta
 
 let handle_conn t tracked =
-  (match conn_container tracked with
+  (match tracked.conn.Socket.container with
   | Some c when uses_containers t -> rebind_to t c
   | Some _ | None -> ());
   match Stack.recv t.stack tracked.conn with
@@ -233,13 +237,13 @@ let handle_conn t tracked =
       | Socket.Close_wait | Socket.Closed -> close_conn t tracked
       | Socket.Established | Socket.Syn_rcvd -> ())
 
+let is_ready tracked =
+  Socket.readable tracked.conn || tracked.conn.Socket.state = Socket.Closed
+
 let ensure_events t n =
   if Array.length t.events < n then begin
     let cap = max n (2 * max 4 (Array.length t.events)) in
-    let fresh =
-      Array.init cap (fun _ ->
-          { ev_prio = 0; ev_kind = 0; ev_listen = t.dummy_listen; ev_tracked = t.dummy_tracked })
-    in
+    let fresh = Array.init cap (fun _ -> parked t.dummy_listen t.dummy_tracked) in
     Array.blit t.events 0 fresh 0 (Array.length t.events);
     t.events <- fresh
   end
@@ -267,7 +271,7 @@ let sort_events t =
     a.(!j + 1) <- key
   done
 
-let collect_ready t =
+let fill_and_sort t =
   let n = ref 0 in
   let fill prio kind listen tracked =
     ensure_events t (!n + 1);
@@ -284,11 +288,56 @@ let collect_ready t =
     t.listens;
   for i = 0 to t.nconns - 1 do
     let tracked = t.conns.(i) in
-    if Socket.readable tracked.conn || tracked.conn.Socket.state = Socket.Closed then
-      fill (conn_priority t tracked) 1 t.dummy_listen tracked
+    if is_ready tracked then fill (conn_priority t tracked) 1 t.dummy_listen tracked
   done;
   t.nevents <- !n;
   sort_events t
+
+(* The event API's poll: one read-only pass over the listens and the
+   connections that counts the ready set and keeps the event
+   [fill_and_sort] would put first.  The pass visits events in the order
+   the stable sort breaks ties by (listens in [listens] order, then
+   connections in fd order), and every accept before any data, so the
+   sort's head is the first event of the highest priority: a later event
+   replaces the kept one only when its priority is strictly higher.
+   Allocates nothing (no closure, no boxed ref), so a poll's host cost is
+   a read per open connection.  Returns the ready count. *)
+let keep p ~first prio kind listen tracked =
+  if first || prio > p.ev_prio then begin
+    p.ev_prio <- prio;
+    p.ev_kind <- kind;
+    p.ev_listen <- listen;
+    p.ev_tracked <- tracked
+  end
+
+let rec scan_listens t p ready = function
+  | [] -> ready
+  | l :: rest ->
+      if Socket.accept_ready l then begin
+        keep p ~first:(ready = 0) (listen_priority t l) 0 l t.dummy_tracked;
+        scan_listens t p (ready + 1) rest
+      end
+      else scan_listens t p ready rest
+
+let scan t p =
+  let ready = ref (scan_listens t p 0 t.listens) in
+  for i = 0 to t.nconns - 1 do
+    let tracked = t.conns.(i) in
+    if is_ready tracked then begin
+      keep p ~first:(!ready = 0) (conn_priority t tracked) 1 t.dummy_listen tracked;
+      incr ready
+    end
+  done;
+  !ready
+
+(* The ready count; the events to serve are in [pick] (event API) or the
+   first [nevents] slots of [events] (select()). *)
+let collect_ready t =
+  match t.api with
+  | Event_api -> scan t t.pick
+  | Select ->
+      fill_and_sort t;
+      t.nevents
 
 (* How much of the ready set one poll round works through.
 
@@ -299,41 +348,47 @@ let collect_ready t =
    - The scalable event API dequeues one (priority-ordered) event at a
      time, so freshly arrived high-priority work overtakes everything that
      arrived before it. *)
+let serve_event t ev =
+  if ev.ev_kind = 0 then begin
+    (* One accept per listen socket per round (thttpd behaviour). *)
+    match Stack.accept t.stack ev.ev_listen with
+    | Some conn -> accept_one t ev.ev_listen conn
+    | None -> ()
+  end
+  else begin
+    let tracked = ev.ev_tracked in
+    if tracked.conn.Socket.state = Socket.Closed then drop_tracking t tracked
+    else handle_conn t tracked
+  end
+
+(* Park a served slot with dummies so it retains nothing. *)
+let park t ev =
+  ev.ev_listen <- t.dummy_listen;
+  ev.ev_tracked <- t.dummy_tracked
+
 let serve_round t =
-  let n = match t.api with Event_api -> min 1 t.nevents | Select -> t.nevents in
-  for i = 0 to n - 1 do
-    let ev = t.events.(i) in
-    if ev.ev_kind = 0 then begin
-      (* One accept per listen socket per round (thttpd behaviour). *)
-      match Stack.accept t.stack ev.ev_listen with
-      | Some conn -> accept_one t ev.ev_listen conn
-      | None -> ()
-    end
-    else begin
-      let tracked = ev.ev_tracked in
-      if tracked.conn.Socket.state = Socket.Closed then drop_tracking t tracked
-      else handle_conn t tracked
-    end
-  done;
-  (* Park every filled slot with dummies so the buffer retains nothing. *)
-  for i = 0 to t.nevents - 1 do
-    let ev = t.events.(i) in
-    ev.ev_listen <- t.dummy_listen;
-    ev.ev_tracked <- t.dummy_tracked
-  done;
-  t.nevents <- 0
+  match t.api with
+  | Event_api ->
+      serve_event t t.pick;
+      park t t.pick
+  | Select ->
+      for i = 0 to t.nevents - 1 do
+        serve_event t t.events.(i);
+        park t t.events.(i)
+      done;
+      t.nevents <- 0
 
 let body t () =
   let rec loop () =
-    collect_ready t;
-    if t.nevents = 0 then begin
+    let ready = collect_ready t in
+    if ready = 0 then begin
       Machine.Waitq.wait t.wq;
       loop ()
     end
     else begin
       rebind_default t;
       Engine.Metrics.incr t.poll_rounds;
-      charge_poll t ~ready_count:t.nevents;
+      charge_poll t ~ready_count:ready;
       serve_round t;
       loop ()
     end
@@ -344,3 +399,35 @@ let start t =
   if t.started then invalid_arg "Event_server.start: already started";
   t.started <- true;
   Process.spawn_thread t.process ~name:(Process.name t.process ^ "-loop") (body t)
+
+type ready_event = Accept of Socket.listen | Data of Socket.conn
+
+(* The hooks work on [probe] and on the select() buffer, which an event-API
+   server never uses, so calling them mid-round disturbs nothing. *)
+let check_event_api t what =
+  if t.api <> Event_api then invalid_arg ("Event_server." ^ what ^ ": event-API servers only")
+
+let event_of ev = if ev.ev_kind = 0 then Accept ev.ev_listen else Data ev.ev_tracked.conn
+
+let scan_for_testing t =
+  check_event_api t "scan_for_testing";
+  let ready = scan t t.probe in
+  park t t.probe;
+  ready
+
+let pick_for_testing t =
+  check_event_api t "pick_for_testing";
+  let ready = scan t t.probe in
+  let head = if ready = 0 then None else Some (t.probe.ev_prio, event_of t.probe) in
+  park t t.probe;
+  (ready, head)
+
+let sorted_for_testing t =
+  check_event_api t "sorted_for_testing";
+  fill_and_sort t;
+  let evs = List.init t.nevents (fun i -> (t.events.(i).ev_prio, event_of t.events.(i))) in
+  for i = 0 to t.nevents - 1 do
+    park t t.events.(i)
+  done;
+  t.nevents <- 0;
+  evs

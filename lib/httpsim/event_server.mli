@@ -58,3 +58,24 @@ val open_conns : t -> int
 val accepts : t -> int
 val poll_rounds : t -> int
 val process : t -> Procsim.Process.t
+
+(** {1 Test hooks}
+
+    For event-API servers only.  Each reads the server's state at the
+    current instant and serves and charges nothing.  The server's own pick
+    is left alone, so a test may call them between any two simulation
+    events. *)
+
+type ready_event = Accept of Netsim.Socket.listen | Data of Netsim.Socket.conn
+
+val pick_for_testing : t -> int * (int * ready_event) option
+(** What the event API's single pass finds: the ready count, and the one
+    event a round would serve with its priority. *)
+
+val sorted_for_testing : t -> (int * ready_event) list
+(** The select() path's fill-and-sort over the same state: every ready
+    event, in serving order.  The single pass must pick its head. *)
+
+val scan_for_testing : t -> int
+(** The single pass alone, returning the ready count.  It allocates
+    nothing, so a test can measure a poll's allocation. *)

@@ -4,13 +4,20 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+(* Children form an intrusive doubly-linked list in adoption order, so
+   adopting and detaching one are O(1) however many siblings it has.  A
+   link that points at its own holder means "none": [first_child == self]
+   is a leaf, [next_sib == self] the youngest sibling. *)
 type t = {
   id : int;
   name : string;
   mutable parent : t option;
-  mutable children_rev : t list; (* newest child first; O(1) insertion *)
-  mutable children_fwd : t list; (* memoized [List.rev children_rev] *)
-  mutable children_dirty : bool;
+  mutable first_child : t; (* oldest child; [self] when a leaf *)
+  mutable last_child : t; (* youngest child; [self] when a leaf *)
+  mutable prev_sib : t; (* next older sibling; [self] when oldest *)
+  mutable next_sib : t; (* next younger sibling; [self] when youngest *)
+  mutable committed : float; (* the children's fixed shares folded in adoption order *)
+  mutable committed_ok : bool; (* [committed] is current; else re-walk the children *)
   mutable adopt_seq : int; (* position among its current siblings; see [add_child] *)
   mutable adopt_next : int; (* [adopt_seq] the next child adopted here takes *)
   mutable ancestry : t array; (* [| self; parent; ...; top |]; [||] = stale *)
@@ -47,14 +54,11 @@ let parent t = t.parent
 let slot t = Usage.slot t.usage
 
 let children t =
-  if t.children_dirty then begin
-    t.children_fwd <- List.rev t.children_rev;
-    t.children_dirty <- false
-  end;
-  t.children_fwd
+  let rec collect acc c = if c.prev_sib == c then c :: acc else collect (c :: acc) c.prev_sib in
+  if t.last_child == t then [] else collect [] t.last_child
 
 let adoption_seq t = t.adopt_seq
-let is_leaf t = t.children_rev = []
+let is_leaf t = t.first_child == t
 let is_root t = t.root
 let is_destroyed t = t.destroyed
 let attrs t = t.attrs
@@ -79,9 +83,19 @@ let ancestry t =
   end;
   t.ancestry
 
+(* [f] on each child in adoption order; [f] must not unlink the child. *)
+let iter_children f t =
+  if t.first_child != t then begin
+    let rec from c =
+      f c;
+      if c.next_sib != c then from c.next_sib
+    in
+    from t.first_child
+  end
+
 let rec invalidate_subtree t =
   t.ancestry <- [||];
-  List.iter invalidate_subtree t.children_rev
+  iter_children invalidate_subtree t
 
 let depth t = Array.length (ancestry t) - 1
 
@@ -92,7 +106,10 @@ let root_of t =
 let iter_subtree f t =
   let rec walk node =
     f node;
-    List.iter walk (children node)
+    if node.first_child != node then from node.first_child
+  and from c =
+    walk c;
+    if c.next_sib != c then from c.next_sib
   in
   walk t
 
@@ -100,9 +117,33 @@ let check_alive t = if t.destroyed then error "container %s (#%d) is destroyed" 
 
 let share_of c = match c.attrs.Attrs.sched_class with Attrs.Fixed_share s -> s | Attrs.Timeshare -> 0.
 
+(* The fixed shares of [p]'s children other than [except], folded in
+   adoption order: the reference the [committed] cache must equal bit for
+   bit (0.1 +. 0.2 +. 0.3 is not 0.3 +. 0.2 +. 0.1). *)
+let sum_shares p ~except =
+  let rec from acc c =
+    let acc = if c == except then acc else acc +. share_of c in
+    if c.next_sib == c then acc else from acc c.next_sib
+  in
+  if p.first_child == p then 0. else from 0. p.first_child
+
+(* The cache stays exact without a walk on the per-connection path:
+   appending a child extends the fold by one step, and a zero share
+   leaves every partial sum unchanged (they start at [+0.], never [-0.]),
+   so adopting or detaching a timeshare child costs nothing.  Detaching a
+   fixed-share child or changing a child's attributes forces a re-walk. *)
+let committed_share p =
+  if not p.committed_ok then begin
+    p.committed <- sum_shares p ~except:p;
+    p.committed_ok <- true
+  end;
+  p.committed
+
 (* Children may only hang off fixed-share containers, and the fixed shares
-   of the children of one parent must not over-subscribe it. *)
-let check_can_adopt parent extra_share =
+   of the children of one parent must not over-subscribe it.  [moving], a
+   current child of [parent] about to be re-adopted, does not count
+   against the budget. *)
+let check_can_adopt ?moving parent extra_share =
   check_alive parent;
   (match parent.attrs.Attrs.sched_class with
   | Attrs.Fixed_share _ -> ()
@@ -111,34 +152,60 @@ let check_can_adopt parent extra_share =
         parent.name);
   if parent.bindings > 0 then
     error "container %s has thread bindings; threads bind only to leaves" parent.name;
-  let committed = List.fold_left (fun acc c -> acc +. share_of c) 0. (children parent) in
+  let committed =
+    match moving with Some c -> sum_shares parent ~except:c | None -> committed_share parent
+  in
   if committed +. extra_share > 1. +. 1e-9 then
     error "fixed shares under %s would exceed 1.0 (%.3f committed + %.3f new)" parent.name
       committed extra_share
 
-(* [children] lists siblings in adoption order: [add_child] appends (the
-   reversed list is prepended), [detach] filters, and a re-parent adopts
-   afresh at the end.  The per-parent sequence number records that order
-   on the child, so a scheduler can keep a subset of the children sorted
-   the same way without walking the list. *)
+(* [children] lists siblings in adoption order: [add_child] appends,
+   [unlink_child] splices out, and a re-parent adopts afresh at the end.
+   The per-parent sequence number records that order on the child, so a
+   scheduler can keep a subset of the children sorted the same way
+   without walking the list. *)
 let add_child p c =
   c.adopt_seq <- p.adopt_next;
   p.adopt_next <- p.adopt_next + 1;
-  p.children_rev <- c :: p.children_rev;
-  p.children_dirty <- true
+  (if p.last_child == p then p.first_child <- c
+   else begin
+     p.last_child.next_sib <- c;
+     c.prev_sib <- p.last_child
+   end);
+  p.last_child <- c;
+  let s = share_of c in
+  if p.committed_ok && s <> 0. then p.committed <- p.committed +. s
+
+let unlink_child p c =
+  let prev = c.prev_sib and next = c.next_sib in
+  if prev == c then p.first_child <- (if next == c then p else next)
+  else prev.next_sib <- (if next == c then prev else next);
+  if next == c then p.last_child <- (if prev == c then p else prev)
+  else next.prev_sib <- (if prev == c then next else prev);
+  c.prev_sib <- c;
+  c.next_sib <- c;
+  if share_of c <> 0. then p.committed_ok <- false
 
 let make ?name ?(attrs = Attrs.default) ~parent ~root () =
   (match Attrs.validate attrs with Ok () -> () | Error msg -> error "invalid attributes: %s" msg);
   let id = fresh_id () in
   let name = match name with Some n -> n | None -> Printf.sprintf "container-%d" id in
+  (* The links start as "none", i.e. [t] itself.  [let rec] would build
+   the record twice (a dummy, then a field-by-field copy: ~30 ns per
+   create), so they start as an immediate placeholder, overwritten before
+   [t] is seen anywhere (the pattern of [Runq.dummy_task]). *)
+  let unset : t = Obj.magic 0 in
   let t =
     {
       id;
       name;
       parent;
-      children_rev = [];
-      children_fwd = [];
-      children_dirty = false;
+      first_child = unset;
+      last_child = unset;
+      prev_sib = unset;
+      next_sib = unset;
+      committed = 0.;
+      committed_ok = true;
       adopt_seq = 0;
       adopt_next = 0;
       ancestry = [||];
@@ -152,6 +219,10 @@ let make ?name ?(attrs = Attrs.default) ~parent ~root () =
       root;
     }
   in
+  t.first_child <- t;
+  t.last_child <- t;
+  t.prev_sib <- t;
+  t.next_sib <- t;
   (match parent with
   | Some p ->
       check_can_adopt p (share_of t);
@@ -170,8 +241,7 @@ let detach t =
   match t.parent with
   | None -> ()
   | Some p ->
-      p.children_rev <- List.filter (fun c -> c.id <> t.id) p.children_rev;
-      p.children_dirty <- true;
+      unlink_child p t;
       t.parent <- None;
       Usage.set_chain_parent t.subtree_usage None;
       Atomic.incr topology_gen;
@@ -186,18 +256,22 @@ let is_ancestor ~candidate t =
 
 let has_ancestor t ~ancestor = is_ancestor ~candidate:ancestor t
 
+(* Validate before moving anything: a refused re-parent leaves the tree,
+   the usage chain and the topology generation as they were. *)
 let set_parent t new_parent =
   check_alive t;
   (match new_parent with
   | Some p ->
       check_alive p;
-      if is_ancestor ~candidate:t p then error "re-parenting %s under %s creates a cycle" t.name p.name
+      if is_ancestor ~candidate:t p then
+        error "re-parenting %s under %s creates a cycle" t.name p.name;
+      let moving = match t.parent with Some q when q == p -> Some t | Some _ | None -> None in
+      check_can_adopt ?moving p (share_of t)
   | None -> ());
   detach t;
   match new_parent with
   | None -> ()
   | Some p ->
-      check_can_adopt p (share_of t);
       add_child p t;
       t.parent <- Some p;
       Usage.set_chain_parent t.subtree_usage (Some p.subtree_usage);
@@ -207,20 +281,18 @@ let set_parent t new_parent =
 let set_attrs t attrs =
   check_alive t;
   (match Attrs.validate attrs with Ok () -> () | Error msg -> error "invalid attributes: %s" msg);
-  (match (attrs.Attrs.sched_class, t.children_rev) with
-  | Attrs.Timeshare, _ :: _ ->
+  (match attrs.Attrs.sched_class with
+  | Attrs.Timeshare when not (is_leaf t) ->
       error "container %s has children and must stay fixed-share" t.name
-  | (Attrs.Fixed_share _ | Attrs.Timeshare), _ -> ());
+  | Attrs.Fixed_share _ | Attrs.Timeshare -> ());
   (* Re-check sibling share budget with the new share value. *)
   (match (t.parent, attrs.Attrs.sched_class) with
   | Some p, Attrs.Fixed_share s ->
-      let committed =
-        List.fold_left (fun acc c -> if c.id = t.id then acc else acc +. share_of c) 0. (children p)
-      in
-      if committed +. s > 1. +. 1e-9 then
+      if sum_shares p ~except:t +. s > 1. +. 1e-9 then
         error "fixed shares under %s would exceed 1.0" p.name
   | (Some _ | None), (Attrs.Fixed_share _ | Attrs.Timeshare) -> ());
-  t.attrs <- attrs
+  t.attrs <- attrs;
+  match t.parent with Some p -> p.committed_ok <- false | None -> ()
 
 (* Charges land on the container's own usage and roll up into the subtree
    usage of the container and every ancestor, so hierarchical accounting
@@ -275,15 +347,21 @@ let effective_cpu_limit t =
 let destroy t =
   if not t.destroyed then begin
     (* §4.6: when a parent is destroyed, its children get "no parent". *)
-    List.iter
-      (fun c ->
-        c.parent <- None;
-        Usage.set_chain_parent c.subtree_usage None;
-        invalidate_subtree c)
-      t.children_rev;
-    t.children_rev <- [];
-    t.children_fwd <- [];
-    t.children_dirty <- false;
+    let rec orphan c =
+      let next = c.next_sib in
+      c.parent <- None;
+      c.prev_sib <- c;
+      c.next_sib <- c;
+      Usage.set_chain_parent c.subtree_usage None;
+      invalidate_subtree c;
+      if next != c then orphan next
+    in
+    if t.first_child != t then begin
+      orphan t.first_child;
+      t.first_child <- t;
+      t.last_child <- t;
+      t.committed_ok <- false
+    end;
     Atomic.incr topology_gen;
     detach t;
     t.destroyed <- true;

@@ -45,7 +45,18 @@ val name : t -> string
 val parent : t -> t option
 val children : t -> t list
 (** In adoption order: oldest first, and a re-parented container joins its
-    new parent's list at the end. *)
+    new parent's list at the end.  The children are kept as an intrusive
+    doubly-linked sibling list, so adopting and detaching a child are O(1);
+    this function builds a fresh list, O(children) per call, for cold
+    callers (invariant laws, reference schedulers, printers).  The order is
+    part of simulated results: schedulers sum fixed shares as floats in it. *)
+
+val committed_share : t -> float
+(** The fixed shares of the container's children, summed in adoption order
+    (timeshare children count 0): what a new fixed-share child is checked
+    against.  Cached per parent and exact to the bit: the sum is extended
+    as children are adopted, and re-walked only after a fixed-share child
+    leaves or a child's attributes change. *)
 
 val adoption_seq : t -> int
 (** The container's place in its parent's {!children}: siblings are listed
@@ -60,11 +71,16 @@ val is_destroyed : t -> bool
 val depth : t -> int
 
 val set_parent : t -> t option -> unit
-(** Re-parent (§4.6 "set a container's parent").  @raise Error on cycles,
+(** Re-parent (§4.6 "set a container's parent").  Every check runs before
+    anything moves, so a refused re-parent leaves the tree, the usage
+    roll-up chain and {!topology_generation} unchanged.  A container moved
+    under its current parent does not count against that parent's share
+    budget, and joins the end of its children.  @raise Error on cycles,
     destroyed endpoints, non-fixed-share parents, or over-subscription. *)
 
 val iter_subtree : (t -> unit) -> t -> unit
-(** Pre-order traversal of the container and its descendants. *)
+(** Pre-order traversal of the container and its descendants, children in
+    adoption order.  [f] must not change the tree. *)
 
 val root_of : t -> t
 

@@ -294,6 +294,256 @@ let test_topology_generation () =
   Container.destroy a;
   Alcotest.(check bool) "destroy bumps topology" true (Container.topology_generation () > g1)
 
+(* A refused re-parent moves nothing.  [set_parent] once detached first
+   and validated after, so a refusal left the container under no parent
+   with its charges no longer rolling up. *)
+let test_refused_reparent_moves_nothing () =
+  let root = Container.create_root () in
+  let home = Container.create ~parent:root ~name:"home" ~attrs:(fixed 0.1) () in
+  let c = Container.create ~parent:home ~name:"c" ~attrs:(fixed 0.3) () in
+  ignore (Container.create ~parent:home ~name:"sib" ~attrs:(ts 10) ());
+  let full = Container.create ~parent:root ~name:"full" ~attrs:(fixed 0.5) () in
+  ignore (Container.create ~parent:full ~name:"big" ~attrs:(fixed 0.8) ());
+  let timeshare = Container.create ~parent:root ~name:"timeshare" ~attrs:(ts 10) () in
+  let bound = Container.create ~parent:root ~name:"bound" ~attrs:(fixed 0.1) () in
+  Container.incr_bindings bound;
+  let names p = List.map Container.name (Container.children p) in
+  let seq = Container.adoption_seq c and chain = Container.ancestry c in
+  List.iter
+    (fun target ->
+      let what = Container.name target in
+      let gen = Container.topology_generation () and kids = names target in
+      let home_cpu = cpu home and root_cpu = cpu root and target_cpu = cpu target in
+      (match Container.set_parent c (Some target) with
+      | () -> Alcotest.failf "re-parent under %s accepted" what
+      | exception Container.Error _ -> ());
+      Alcotest.(check bool) (what ^ ": parent kept") true
+        (match Container.parent c with Some p -> p == home | None -> false);
+      Alcotest.(check (list string)) (what ^ ": old parent's children") [ "c"; "sib" ] (names home);
+      Alcotest.(check (list string)) (what ^ ": target's children") kids (names target);
+      Alcotest.(check int) (what ^ ": adoption_seq") seq (Container.adoption_seq c);
+      Alcotest.(check int) (what ^ ": topology generation") gen (Container.topology_generation ());
+      Alcotest.(check bool) (what ^ ": ancestry cache kept") true (Container.ancestry c == chain);
+      Container.charge_cpu c ~kernel:false (Simtime.us 1);
+      Alcotest.(check int) (what ^ ": rolls up to home") (home_cpu + 1_000) (cpu home);
+      Alcotest.(check int) (what ^ ": rolls up to root") (root_cpu + 1_000) (cpu root);
+      Alcotest.(check int) (what ^ ": target uncharged") target_cpu (cpu target))
+    [ full; timeshare; bound ];
+  (* Moving under the current parent does not count the container's own
+     share against it: 0.7 + 0.3 fits, and [c] rejoins at the end. *)
+  ignore (Container.create ~parent:home ~name:"d" ~attrs:(fixed 0.7) ());
+  Container.set_parent c (Some home);
+  Alcotest.(check (list string)) "same-parent move goes last" [ "sib"; "d"; "c" ] (names home);
+  Alcotest.(check bool) "committed share refolded in the new order" true
+    (Container.committed_share home = 0. +. 0. +. 0.7 +. 0.3)
+
+(* {1 Child bookkeeping against a list model}
+
+   The sibling list and the committed-share cache against the plain
+   list bookkeeping they replaced: children in adoption order by append
+   and filter, shares folded over that list on every check.  The shares
+   are ones whose float sum depends on order (0.1 +. 0.2 +. 0.3 is not
+   0.3 +. 0.2 +. 0.1), and the cache must match the fold to the bit. *)
+
+type op =
+  | Create of int * int (* parent, attrs *)
+  | Release of int
+  | Destroy of int
+  | Set_parent of int * int option
+  | Set_attrs of int * int
+
+let op_attrs = [| fixed 0.1; fixed 0.2; fixed 0.3; fixed 0.7; ts 10 |]
+
+let print_op = function
+  | Create (p, a) -> Printf.sprintf "create under %d attrs %d" p a
+  | Release i -> Printf.sprintf "release %d" i
+  | Destroy i -> Printf.sprintf "destroy %d" i
+  | Set_parent (i, Some p) -> Printf.sprintf "set_parent %d %d" i p
+  | Set_parent (i, None) -> Printf.sprintf "set_parent %d none" i
+  | Set_attrs (i, a) -> Printf.sprintf "set_attrs %d attrs %d" i a
+
+let gen_op =
+  let open QCheck2.Gen in
+  let node = int_range 0 11 and attrs = int_range 0 (Array.length op_attrs - 1) in
+  frequency
+    [
+      (4, map2 (fun p a -> Create (p, a)) node attrs);
+      (1, map (fun i -> Release i) node);
+      (1, map (fun i -> Destroy i) node);
+      (3, map2 (fun i p -> Set_parent (i, p)) node (option ~ratio:0.8 node));
+      (2, map2 (fun i a -> Set_attrs (i, a)) node attrs);
+    ]
+
+type mnode = {
+  ix : int;
+  real : Container.t;
+  mutable mparent : int option;
+  mutable kids : int list; (* adoption order *)
+  mutable seq : int;
+  mutable next_seq : int;
+  mutable mattrs : Attrs.t;
+  mutable refs : int;
+  mutable dead : bool;
+}
+
+let share_of attrs =
+  match attrs.Attrs.sched_class with Attrs.Fixed_share s -> s | Attrs.Timeshare -> 0.
+
+let prop_children_lockstep =
+  QCheck2.Test.make ~name:"sibling list and share cache match a list model" ~count:300
+    ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 1 60) gen_op)
+    (fun ops ->
+      let fresh ix real attrs =
+        { ix; real; mparent = None; kids = []; seq = 0; next_seq = 0; mattrs = attrs; refs = 1;
+          dead = false }
+      in
+      let nodes = ref [| fresh 0 (Container.create_root ()) (fixed 1.0) |] in
+      let m i = !nodes.(i mod Array.length !nodes) in
+      let name n = Container.name n.real in
+      let alive n =
+        if n.dead then
+          Error (Printf.sprintf "container %s (#%d) is destroyed" (name n) (Container.id n.real))
+        else Ok ()
+      in
+      let committed p ~except =
+        List.fold_left
+          (fun acc k -> if k = except then acc else acc +. share_of !nodes.(k).mattrs)
+          0. p.kids
+      in
+      let can_adopt p ~except extra =
+        match (alive p, p.mattrs.Attrs.sched_class) with
+        | (Error _ as e), _ -> e
+        | Ok (), Attrs.Timeshare ->
+            Error
+              (Printf.sprintf
+                 "container %s is timeshare-class and cannot have children (prototype restriction)"
+                 (name p))
+        | Ok (), Attrs.Fixed_share _ ->
+            let c = committed p ~except in
+            if c +. extra > 1. +. 1e-9 then
+              Error
+                (Printf.sprintf "fixed shares under %s would exceed 1.0 (%.3f committed + %.3f new)"
+                   (name p) c extra)
+            else Ok ()
+      in
+      let detach n =
+        Option.iter
+          (fun pi ->
+            let p = !nodes.(pi) in
+            p.kids <- List.filter (fun k -> k <> n.ix) p.kids;
+            n.mparent <- None)
+          n.mparent
+      in
+      let adopt p n =
+        n.seq <- p.next_seq;
+        p.next_seq <- p.next_seq + 1;
+        p.kids <- p.kids @ [ n.ix ];
+        n.mparent <- Some p.ix
+      in
+      let destroy n =
+        if not n.dead then begin
+          List.iter (fun k -> !nodes.(k).mparent <- None) n.kids;
+          n.kids <- [];
+          detach n;
+          n.dead <- true
+        end
+      in
+      let rec on_chain ~candidate i =
+        i = candidate
+        || match !nodes.(i).mparent with Some p -> on_chain ~candidate p | None -> false
+      in
+      (* The model's verdict; it applies every accepted step except a
+         create's new node, which needs the real container. *)
+      let model = function
+        | Create (pi, a) -> can_adopt (m pi) ~except:(-1) (share_of op_attrs.(a))
+        | Release i ->
+            let n = m i in
+            if not n.dead then begin
+              n.refs <- n.refs - 1;
+              if n.refs <= 0 && n.ix <> 0 then destroy n
+            end;
+            Ok ()
+        | Destroy i ->
+            destroy (m i);
+            Ok ()
+        | Set_parent (i, None) -> Result.map (fun () -> detach (m i)) (alive (m i))
+        | Set_parent (i, Some j) -> (
+            let n = m i and p = m j in
+            match (alive n, alive p) with
+            | (Error _ as e), _ | Ok (), (Error _ as e) -> e
+            | Ok (), Ok () when on_chain ~candidate:n.ix p.ix ->
+                Error (Printf.sprintf "re-parenting %s under %s creates a cycle" (name n) (name p))
+            | Ok (), Ok () ->
+                let except = if n.mparent = Some p.ix then n.ix else -1 in
+                Result.map
+                  (fun () ->
+                    detach n;
+                    adopt p n)
+                  (can_adopt p ~except (share_of n.mattrs)))
+        | Set_attrs (i, a) -> (
+            let n = m i and attrs = op_attrs.(a) in
+            match (alive n, attrs.Attrs.sched_class, n.mparent) with
+            | (Error _ as e), _, _ -> e
+            | Ok (), Attrs.Timeshare, _ when n.kids <> [] ->
+                Error
+                  (Printf.sprintf "container %s has children and must stay fixed-share" (name n))
+            | Ok (), Attrs.Fixed_share s, Some pi
+              when committed !nodes.(pi) ~except:n.ix +. s > 1. +. 1e-9 ->
+                Error (Printf.sprintf "fixed shares under %s would exceed 1.0" (name !nodes.(pi)))
+            | Ok (), (Attrs.Fixed_share _ | Attrs.Timeshare), _ ->
+                n.mattrs <- attrs;
+                Ok ())
+      in
+      (* The container's result: the new container of a create. *)
+      let real op =
+        match op with
+        | Create (pi, a) ->
+            let name = Printf.sprintf "n%d" (Array.length !nodes) in
+            Some (Container.create ~parent:(m pi).real ~name ~attrs:op_attrs.(a) ())
+        | Release i -> Container.release (m i).real; None
+        | Destroy i -> Container.destroy (m i).real; None
+        | Set_parent (i, target) ->
+            Container.set_parent (m i).real (Option.map (fun j -> (m j).real) target);
+            None
+        | Set_attrs (i, a) ->
+            Container.set_attrs (m i).real op_attrs.(a);
+            None
+      in
+      let bits = Int64.bits_of_float in
+      let agree n =
+        let kids = List.map (fun k -> !nodes.(k)) n.kids in
+        List.map Container.name (Container.children n.real) = List.map name kids
+        && Container.is_leaf n.real = (kids = [])
+        && Container.adoption_seq n.real = n.seq
+        && Container.is_destroyed n.real = n.dead
+        && (match (Container.parent n.real, n.mparent) with
+           | Some p, Some pi -> p == !nodes.(pi).real
+           | None, None -> true
+           | Some _, None | None, Some _ -> false)
+        && bits (Container.committed_share n.real) = bits (committed n ~except:(-1))
+      in
+      List.for_all
+        (fun op ->
+          let expected = model op in
+          let got = match real op with c -> Ok c | exception Container.Error msg -> Error msg in
+          (match (got, op) with
+          | Ok (Some c), Create (pi, a) ->
+              let p = m pi and n = fresh (Array.length !nodes) c op_attrs.(a) in
+              nodes := Array.append !nodes [| n |];
+              adopt p n
+          | Ok (Some _), _ | Ok None, _ | Error _, _ -> ());
+          let same = Result.map ignore got = expected in
+          if not same then
+            QCheck2.Test.fail_reportf "%s: container %s, model %s" (print_op op)
+              (match got with Ok _ -> "ok" | Error e -> e)
+              (match expected with Ok () -> "ok" | Error e -> e);
+          Array.for_all
+            (fun n ->
+              agree n || QCheck2.Test.fail_reportf "after %s: node %d disagrees" (print_op op) n.ix)
+            !nodes)
+        ops)
+
 (* Property: after an arbitrary sequence of re-parents across a small
    forest, depth/guarantee/ancestry agree with a fresh recursive walk. *)
 let prop_chain_matches_recursion =
@@ -371,4 +621,7 @@ let suite =
     Alcotest.test_case "topology generation" `Quick test_topology_generation;
     QCheck_alcotest.to_alcotest prop_chain_matches_recursion;
     QCheck_alcotest.to_alcotest prop_no_oversubscription;
+    Alcotest.test_case "refused re-parent moves nothing" `Quick
+      test_refused_reparent_moves_nothing;
+    QCheck_alcotest.to_alcotest prop_children_lockstep;
   ]

@@ -498,6 +498,191 @@ let test_threaded_server_serves () =
   Alcotest.(check bool) "served" true (Httpsim.Threaded_server.served server > 50);
   Alcotest.(check bool) "accepts tracked" true (Httpsim.Threaded_server.accepts server > 50)
 
+(* {1 The event API's single-pass pick}
+
+   The event API serves one event per poll: the head of the ready set
+   sorted by priority, accepts before data at equal priority, then
+   listens in order and connections in fd order.  The server finds it in
+   one read-only pass; the select() path's fill-and-sort stays the
+   oracle.  The rig mixes everything the pass must order: connection
+   priorities from the source prefix (15, 10, 5), listens at 12, 10 and
+   10 (the last two tie with each other and with data), CGI requests
+   whose connections the CGI closes behind the server's back ([Closed]
+   while still tracked), and clients that hang up before being served
+   ([Close_wait], some with a request still queued). *)
+
+module Es = Httpsim.Event_server
+
+let prefix_priority conn =
+  let src = conn.Socket.src in
+  let within third =
+    Netsim.Ipaddr.in_prefix src ~template:(Netsim.Ipaddr.v 10 0 third 0) ~bits:24
+  in
+  if within 1 then 15 else if within 2 then 5 else 10
+
+let pick_rig () =
+  let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
+  let listen_container priority =
+    Container.create ~parent:root ~attrs:(Attrs.timeshare ~priority ()) ()
+  in
+  let l80 = Socket.make_listen ~port:80 ~container:(listen_container 12) () in
+  let l81 = Socket.make_listen ~port:81 ~container:(listen_container 10) () in
+  let l82 = Socket.make_listen ~port:82 ~container:(listen_container 10) () in
+  let cgi_parent =
+    Container.create ~parent:root ~name:"cgi" ~attrs:(Attrs.fixed_share ~share:0.3 ()) ()
+  in
+  let cgi =
+    Httpsim.Cgi.create ~stack ~server_process:proc ~cgi_parent ~compute:(Simtime.us 700) ()
+  in
+  let server =
+    Es.create ~stack ~process:proc ~cache ~api:Es.Event_api
+      ~policy:(Es.Per_connection { parent = root; priority_of = prefix_priority })
+      ~dynamic_handler:(Httpsim.Cgi.handler cgi) ~listens:[ l80; l81; l82 ] ()
+  in
+  ignore (Es.start server);
+  let clients ~third ~port ?path_mix count =
+    Workload.Sclient.start
+      (Workload.Sclient.create ~stack ~src_base:(Netsim.Ipaddr.v 10 0 third 1) ~port ?path_mix
+         ~jitter:(Simtime.us 300) ~seed:third ~count ())
+  in
+  clients ~third:1 ~port:80 ~path_mix:[ (0.7, "/doc/1k"); (0.3, "/cgi/run") ] 6;
+  clients ~third:2 ~port:80 6;
+  clients ~third:3 ~port:81 ~path_mix:[ (0.8, "/doc/1k"); (0.2, "/cgi/run") ] 6;
+  clients ~third:5 ~port:82 4;
+  (* Hang-ups: every 2 ms a client connects to alternating ports and
+     closes at once, every other one after sending a request. *)
+  let k = ref 0 in
+  ignore
+    (Sim.every sim (Simtime.ms 2) (fun () ->
+         incr k;
+         let send = !k land 1 = 0 in
+         Stack.connect stack
+           ~src:(Netsim.Ipaddr.v 10 0 4 (!k mod 250))
+           ~port:(if !k land 2 = 0 then 80 else 81)
+           ~handlers:
+             {
+               Socket.null_handlers with
+               Socket.on_established =
+                 (fun conn ->
+                   if send then
+                     Stack.client_send stack conn
+                       (Http.request ~now:(Sim.now sim) ~path:"/doc/1k" ());
+                   Stack.client_close stack conn);
+             }
+           ()));
+  (sim, machine, server, l80, l81, l82)
+
+let test_event_api_pick_is_sorted_head () =
+  let sim, machine, server, l80, l81, l82 = pick_rig () in
+  let multi = ref 0 and accept_heads = ref 0 and data_heads = ref 0 in
+  let closed = ref 0 and close_wait = ref 0 and unequal_listens = ref 0 in
+  let accept_ties = ref 0 and listen_ties = ref 0 and data_ties = ref 0 in
+  let mixed_prios = ref 0 in
+  let describe = function
+    | None -> "none"
+    | Some (prio, Es.Accept l) -> Printf.sprintf "accept port %d prio %d" l.Socket.port prio
+    | Some (prio, Es.Data c) -> Printf.sprintf "data conn %d prio %d" c.Socket.conn_id prio
+  in
+  let same a b =
+    match (a, b) with
+    | None, None -> true
+    | Some (p, Es.Accept l), Some (q, Es.Accept m) -> p = q && l == m
+    | Some (p, Es.Data c), Some (q, Es.Data d) -> p = q && c == d
+    | (None | Some _), _ -> false
+  in
+  let probe () =
+    let ready, pick = Es.pick_for_testing server in
+    let sorted = Es.sorted_for_testing server in
+    let head = match sorted with [] -> None | e :: _ -> Some e in
+    if ready <> List.length sorted || not (same pick head) then
+      Alcotest.failf "at %a: single pass found %d ready, %s; fill-and-sort %d ready, %s"
+        Simtime.pp (Sim.now sim) ready (describe pick) (List.length sorted) (describe head);
+    if ready > 1 then incr multi;
+    (match head with
+    | Some (_, Es.Accept _) -> incr accept_heads
+    | Some (_, Es.Data _) -> incr data_heads
+    | None -> ());
+    let accepting l =
+      List.exists (function _, Es.Accept m -> m == l | _, Es.Data _ -> false) sorted
+    in
+    if accepting l80 && (accepting l81 || accepting l82) then incr unequal_listens;
+    List.iter
+      (function
+        | _, Es.Data c -> (
+            match c.Socket.state with
+            | Socket.Closed -> incr closed
+            | Socket.Close_wait -> incr close_wait
+            | Socket.Established | Socket.Syn_rcvd -> ())
+        | _, Es.Accept _ -> ())
+      sorted;
+    match sorted with
+    | (p, Es.Accept _) :: (q, Es.Accept _) :: _ when p = q ->
+        incr listen_ties
+    | (p, Es.Accept _) :: (q, _) :: _ when p = q -> incr accept_ties
+    | (p, Es.Data _) :: (q, _) :: _ when p = q -> incr data_ties
+    | (p, _) :: rest when List.exists (fun (q, _) -> q <> p) rest -> incr mixed_prios
+    | _ -> ()
+  in
+  ignore (Sim.every sim (Simtime.us 13) probe);
+  run machine sim (Simtime.ms 400);
+  let seen what n = Alcotest.(check bool) (Printf.sprintf "%s (%d)" what n) true (n > 0) in
+  Alcotest.(check bool) "served" true (Es.static_served server > 100);
+  seen "probes with several ready" !multi;
+  seen "accept heads" !accept_heads;
+  seen "data heads" !data_heads;
+  seen "listens of different priorities ready" !unequal_listens;
+  seen "Closed conns ready" !closed;
+  seen "Close_wait conns ready" !close_wait;
+  seen "accept tied with data" !accept_ties;
+  seen "accept tied with accept" !listen_ties;
+  seen "data tied with the runner-up" !data_ties;
+  seen "mixed priorities" !mixed_prios
+
+(* A poll reads every open connection but allocates nothing. *)
+let test_event_api_poll_allocates_nothing () =
+  let sim, root, _, proc, stack, cache = make_rig Stack.Rc in
+  (* Accepts outrank data, so the server accepts all 64 before serving
+     any, and at that instant every connection has a request waiting. *)
+  let listen =
+    Socket.make_listen ~port:80
+      ~container:(Container.create ~parent:root ~attrs:(Attrs.timeshare ~priority:20 ()) ())
+      ()
+  in
+  let server =
+    Es.create ~stack ~process:proc ~cache ~api:Es.Event_api
+      ~policy:(Es.Per_connection { parent = root; priority_of = (fun _ -> 10) })
+      ~listens:[ listen ] ()
+  in
+  ignore (Es.start server);
+  for i = 0 to 63 do
+    Stack.connect stack ~src:(Netsim.Ipaddr.v 10 3 0 i) ~port:80
+      ~handlers:
+        {
+          Socket.null_handlers with
+          Socket.on_established =
+            (fun conn ->
+              Stack.client_send stack conn (Http.request ~now:(Sim.now sim) ~path:"/doc/1k" ()));
+        }
+      ()
+  done;
+  (* Event by event: the instant lasts only until the server's next
+     recv. *)
+  let rec settle steps =
+    if Es.open_conns server < 64
+       || Es.scan_for_testing server < 64
+    then
+      if steps = 0 || not (Sim.step sim) then
+        Alcotest.fail "64 connections never became ready together"
+      else settle (steps - 1)
+  in
+  settle 1_000_000;
+  ignore (Gc.minor_words ());
+  let w0 = Gc.minor_words () in
+  let ready = Es.scan_for_testing server in
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "ready" 64 ready;
+  Alcotest.(check (float 0.)) "minor words per poll" 0. (w1 -. w0)
+
 let suite =
   [
     Alcotest.test_case "cost budgets (§5.3)" `Quick test_cost_budgets;
@@ -527,4 +712,8 @@ let suite =
     Alcotest.test_case "accept vs existing priority (§4.8)" `Quick
       test_accept_vs_existing_priority;
     Alcotest.test_case "unknown document 404" `Quick test_unknown_document_404;
+    Alcotest.test_case "event API pick is the sorted head" `Quick
+      test_event_api_pick_is_sorted_head;
+    Alcotest.test_case "event API poll allocates nothing" `Quick
+      test_event_api_poll_allocates_nothing;
   ]
