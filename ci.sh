@@ -40,8 +40,16 @@ echo "== fuzz smoke at 2 and 4 processors (same seeds, per-CPU laws armed)"
 dune exec bin/rc_sim.exe -- fuzz --seeds 3 --cpus 2 --jobs 2
 dune exec bin/rc_sim.exe -- fuzz --seeds 3 --cpus 4 --jobs 2
 
-echo "== zipf fuzz smoke (large-Zipf corpora, arena cache laws armed)"
-dune exec bin/rc_sim.exe -- fuzz --seeds 4 --zipf --jobs 2
+echo "== zipf fuzz determinism (large-Zipf corpora, arena cache laws armed; 2 jobs must print the serial lines)"
+# Two domains race to intern the same /zipf/%d paths, so doc ids differ
+# from run to run; the results must not.  The sort is needed because the
+# two print in different fixed orders: seed-major at --jobs 1, mode-major
+# batches at --jobs 2.
+dune exec bin/rc_sim.exe -- fuzz --seeds 8 --zipf --jobs 1 > "${TMPDIR:-/tmp}/rc-fuzz-zipf-j1.txt"
+dune exec bin/rc_sim.exe -- fuzz --seeds 8 --zipf --jobs 2 > "${TMPDIR:-/tmp}/rc-fuzz-zipf-j2.txt"
+sort "${TMPDIR:-/tmp}/rc-fuzz-zipf-j1.txt" > "${TMPDIR:-/tmp}/rc-fuzz-zipf-j1.sorted"
+sort "${TMPDIR:-/tmp}/rc-fuzz-zipf-j2.txt" > "${TMPDIR:-/tmp}/rc-fuzz-zipf-j2.sorted"
+cmp "${TMPDIR:-/tmp}/rc-fuzz-zipf-j1.sorted" "${TMPDIR:-/tmp}/rc-fuzz-zipf-j2.sorted"
 
 echo "== zipf experiment smoke (2e4-doc corpus, flash crowd, invariants armed)"
 dune exec bin/rc_sim.exe -- zipf --fast > /dev/null

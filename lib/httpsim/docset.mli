@@ -7,11 +7,18 @@
     lookups, the S-client popularity mixes) carries the int.  Paths remain
     available as a compat view for traces and existing string call sites.
 
+    Storage is flat: an open-addressing table of ids, each slot holding
+    the path's [Hashtbl.hash] beside its id, and every path's bytes packed
+    into one growable buffer indexed by an offsets array.  Interned paths
+    therefore cost a few heap blocks in all, not two per path, so every
+    later major collection has a few blocks to mark instead of millions.
+
     The table is process-global and safe to use from any domain: interning
     is mutex-serialized (cold path), [path_of] is lock-free.  Ids are
-    assigned in interning order, which may vary between runs that intern
-    from parallel domains — callers must never let id {e order} affect
-    simulation outcomes (per-cache state uses its own dense slots). *)
+    dense from 0 and assigned in interning order, which may vary between
+    runs that intern from parallel domains — callers must never let id
+    {e order} affect simulation outcomes (per-cache state uses its own
+    dense slots). *)
 
 val intern : string -> int
 (** The id for [path], allocating one on first sight. *)
@@ -21,7 +28,9 @@ val find_id : string -> int
     been interned (and so cannot name a registered document). *)
 
 val path_of : int -> string
-(** @raise Invalid_argument on an id {!intern} never returned. *)
+(** The path interned as [id], copied out of the byte buffer into a fresh
+    string on every call: keep it off hot paths.
+    @raise Invalid_argument on an id {!intern} never returned. *)
 
 val size : unit -> int
 (** Number of distinct interned paths. *)

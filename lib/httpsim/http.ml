@@ -59,11 +59,15 @@ let request ~now ?keep_alive ~path () = request_doc ~now ?keep_alive ~doc:(Docse
 
 let meta_of_path ?(keep_alive = false) path = { path; doc = Docset.intern path; keep_alive }
 
+(* [GET <path> <version>]: the path runs from the first space to the last,
+   so it may hold spaces itself. *)
 let parse_tag tag =
-  match String.split_on_char ' ' tag with
-  | [ "GET"; path; version ] ->
-      { path; doc = Docset.intern path; keep_alive = String.equal version "HTTP/1.1" }
-  | _ -> invalid_arg (Printf.sprintf "Http.parse: not a request: %S" tag)
+  let last = match String.rindex_opt tag ' ' with Some i -> i | None -> -1 in
+  if not (String.starts_with ~prefix:"GET " tag && last > 3) then
+    invalid_arg (Printf.sprintf "Http.parse: not a request: %S" tag);
+  let path = String.sub tag 4 (last - 4) in
+  let version = String.sub tag (last + 1) (String.length tag - last - 1) in
+  { path; doc = Docset.intern path; keep_alive = String.equal version "HTTP/1.1" }
 
 let parse payload =
   let tag = payload.Payload.tag in

@@ -22,8 +22,9 @@ val meta_of_path : ?keep_alive:bool -> string -> meta
     responses without going through {!parse}. *)
 
 val parse : Netsim.Payload.t -> meta
-(** Decode a request payload.  @raise Invalid_argument on a payload that
-    was not built by {!request}. *)
+(** Decode a request payload.  Every path {!request} accepts comes back
+    unchanged, spaces included.
+    @raise Invalid_argument on a payload that was not built by {!request}. *)
 
 val response : now:Engine.Simtime.t -> meta -> body_bytes:int -> Netsim.Payload.t
 (** A response message: body plus ~200 bytes of headers; the tag carries

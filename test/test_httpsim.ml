@@ -58,6 +58,22 @@ let test_http_parse_error () =
   Alcotest.(check bool) "garbage rejected" true
     (try ignore (Http.parse bogus); false with Invalid_argument _ -> true)
 
+(* Any byte string survives the request line, including spaces and a
+   path that itself ends in a version. *)
+let prop_http_path_roundtrip =
+  let path =
+    QCheck.Gen.(
+      let body = string_size ~gen:(frequency [ (1, return ' '); (4, char) ]) (0 -- 24) in
+      frequency [ (4, body); (1, map (fun p -> p ^ " HTTP/1.1") body) ])
+  in
+  QCheck.Test.make ~name:"http parse inverts request on any path" ~count:300
+    QCheck.(pair (make ~print:(Printf.sprintf "%S") path) bool)
+    (fun (path, keep_alive) ->
+      let meta = Http.parse (Http.request ~now:Simtime.zero ~keep_alive ~path ()) in
+      String.equal meta.Http.path path
+      && meta.Http.doc = Httpsim.Docset.find_id path
+      && meta.Http.keep_alive = keep_alive)
+
 let test_http_response_size () =
   let meta = Http.meta_of_path "/doc/1k" in
   let resp = Http.response ~now:Simtime.zero meta ~body_bytes:1024 in
@@ -691,6 +707,7 @@ let suite =
     Alcotest.test_case "http roundtrip" `Quick test_http_roundtrip;
     Alcotest.test_case "http dynamic detection" `Quick test_http_dynamic;
     Alcotest.test_case "http parse error" `Quick test_http_parse_error;
+    QCheck_alcotest.to_alcotest prop_http_path_roundtrip;
     Alcotest.test_case "http response size" `Quick test_http_response_size;
     Alcotest.test_case "docset interning" `Quick test_docset_interning;
     Alcotest.test_case "http doc ids" `Quick test_http_doc_ids;
