@@ -31,172 +31,34 @@
    check, so the baseline does not have to be regenerated in lockstep
    with benchmark additions. *)
 
-(* {1 A minimal JSON reader}
-
-   The repo deliberately has no JSON dependency; this parser covers the
-   complete JSON grammar in a few dozen lines, which is all these small
-   benchmark documents need. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance (); loop ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance (); loop ()
-          | Some '/' -> Buffer.add_char b '/'; advance (); loop ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); loop ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); loop ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); loop ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance (); loop ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance (); loop ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* Benchmark names are ASCII; anything else round-trips as '?'. *)
-              Buffer.add_char b (if code < 128 then Char.chr code else '?');
-              loop ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); List [] end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
 (* {1 Benchmark documents} *)
 
 let read_file path =
   if path = "-" then In_channel.input_all In_channel.stdin
   else In_channel.with_open_text path In_channel.input_all
 
-let field name = function
-  | Obj members -> List.assoc_opt name members
-  | _ -> None
-
 let load path =
+  let module J = Engine.Jsonx in
   let doc =
-    try parse_json (read_file path)
-    with Parse_error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+    match J.parse (read_file path) with
+    | Ok doc -> doc
+    | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
   in
-  (match field "schema_version" doc with
-  | Some (Num 1.) -> ()
+  (match Option.bind (J.member "schema_version" doc) J.int_value with
+  | Some 1 -> ()
   | _ -> failwith (path ^ ": unsupported or missing schema_version"));
-  let label =
-    match field "label" doc with Some (Str l) -> l | _ -> "?"
-  in
+  let label = Option.value (Option.bind (J.member "label" doc) J.string_value) ~default:"?" in
   let metrics =
-    match field "metrics" doc with
-    | Some (List ms) ->
+    match J.member "metrics" doc with
+    | Some (J.List ms) ->
         List.filter_map
           (fun m ->
-            match (field "name" m, field "value" m, field "unit" m) with
-            | Some (Str name), Some (Num value), Some (Str unit_) -> Some (name, (value, unit_))
+            match
+              ( Option.bind (J.member "name" m) J.string_value,
+                Option.bind (J.member "value" m) J.float_value,
+                Option.bind (J.member "unit" m) J.string_value )
+            with
+            | Some name, Some value, Some unit_ -> Some (name, (value, unit_))
             | _ -> None)
           ms
     | _ -> failwith (path ^ ": no metrics array")

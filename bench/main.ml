@@ -457,24 +457,22 @@ let run_sched_microbench () =
 
 (* {1 Part 1c: event-queue micro-benchmarks}
 
-   The same workloads against both Sim backends — the binary heap
-   (executable spec) and the hierarchical timer wheel (production) — so
-   the wheel's O(1) schedule/cancel claim stays measured, not asserted.
+   Sim's event core, the hierarchical timer wheel, on the two patterns
+   that bound it, so its O(1) schedule/cancel claim and its
+   allocation-free firing path stay measured, not asserted.  The rows
+   keep their ", wheel backend" names so older baselines still gate them.
 
    - churn: the TCP-timer pattern that motivated Varghese & Lauck — a
      standing population of 1024 pending long timers (retransmit/keepalive
      timers that almost always get cancelled), and per op: schedule 8
      events at pseudo-random near offsets, cancel half, fire the rest.
-     The heap pays O(log 1024) per operation here; the wheel does not.
    - periodic: a long-lived [Sim.every] series (a scheduler quantum) on an
      otherwise empty queue; per op, advance the clock across 10 ticks.
-     This is the wheel's worst case (sparse wheel, every pop re-scans
-     levels) and the heap's best (one-element heap), kept measured so the
-     trade-off stays visible.  After the Sim.every closure reuse, a tick
-     costs one queue insertion and no closure allocation. *)
+     This is the wheel's worst case (sparse wheel, no bucket to share),
+     and each tick re-arms the series' one node. *)
 
-let bench_sim_churn backend =
-  let sim = Engine.Sim.create ~backend () in
+let bench_sim_churn () =
+  let sim = Engine.Sim.create () in
   (* Standing far timers: pending throughout, never fired by the horizon
      below (the bench never simulates anywhere near an hour). *)
   for _ = 1 to 1024 do
@@ -486,8 +484,7 @@ let bench_sim_churn backend =
     !rng
   in
   Test.make
-    ~name:(Printf.sprintf "schedule/cancel churn over 1k pending, %s backend"
-             (Engine.Sim.backend_name backend))
+    ~name:"schedule/cancel churn over 1k pending, wheel backend"
     (Staged.stage (fun () ->
          let handles =
            Array.init 8 (fun _ -> Engine.Sim.after sim (Simtime.ns (1 + (next () land 0xFFFF))) ignore)
@@ -497,22 +494,16 @@ let bench_sim_churn backend =
          done;
          Engine.Sim.run_until sim (Simtime.add (Engine.Sim.now sim) (Simtime.ns 0x10000))))
 
-let bench_sim_periodic backend =
-  let sim = Engine.Sim.create ~backend () in
+let bench_sim_periodic () =
+  let sim = Engine.Sim.create () in
   let ticks = ref 0 in
   ignore (Engine.Sim.every sim (Simtime.us 10) (fun () -> incr ticks));
   Test.make
-    ~name:(Printf.sprintf "periodic timer x10 ticks, %s backend" (Engine.Sim.backend_name backend))
+    ~name:"periodic timer x10 ticks, wheel backend"
     (Staged.stage (fun () ->
          Engine.Sim.run_until sim (Simtime.add (Engine.Sim.now sim) (Simtime.us 100))))
 
-let sim_tests () =
-  [
-    bench_sim_churn Engine.Sim.Heap;
-    bench_sim_churn Engine.Sim.Wheel;
-    bench_sim_periodic Engine.Sim.Heap;
-    bench_sim_periodic Engine.Sim.Wheel;
-  ]
+let sim_tests () = [ bench_sim_churn (); bench_sim_periodic () ]
 
 let sim_cfg () = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ()
 
@@ -620,7 +611,7 @@ let run_netsim_microbench () =
 let run_sim_microbench () =
   let estimates = ols_estimates2 ~group:"sim" ~cfg:(sim_cfg ()) (sim_tests ()) in
   let table =
-    Engine.Series.table ~title:"Event-queue cost: binary heap vs hierarchical timer wheel"
+    Engine.Series.table ~title:"Event-queue cost: the hierarchical timer wheel"
       ~columns:[ "workload"; "ns per op"; "minor words per op" ]
   in
   List.iter
@@ -812,8 +803,8 @@ let emit_json ~label metrics =
 
 (* [--smoke] shrinks every quota and measurement window to the minimum
    that still exercises the code: CI runs it on every push so the bench
-   harness (including both Sim backends) cannot rot between baseline
-   regenerations.  Smoke numbers are far too noisy to gate on. *)
+   harness cannot rot between baseline regenerations.  Smoke numbers are
+   far too noisy to gate on. *)
 let run_json ~fast ~smoke ~mega ~label =
   let scale cfg_quota =
     if smoke then cfg_quota /. 20. else if fast then cfg_quota /. 2. else cfg_quota
@@ -864,22 +855,18 @@ let run_json ~fast ~smoke ~mega ~label =
   in
   (* End-to-end cost: host seconds needed to simulate one second of the
      Figure-11 rig (event API, 1 high + 20 low clients).  Normalising by
-     simulated time keeps fast and full runs comparable.  Measured for
-     both event-queue backends; the unsuffixed metric (the wheel, the
-     production default) is the one compared against older baselines. *)
+     simulated time keeps fast and full runs comparable. *)
   let warmup = if smoke then Simtime.ms 100 else if fast then Simtime.ms 500 else Simtime.sec 1 in
   let measure = if smoke then Simtime.ms 200 else if fast then Simtime.sec 1 else Simtime.sec 2 in
   let sim_seconds = Simtime.span_to_sec_f warmup +. Simtime.span_to_sec_f measure in
-  let fig11_wall backend =
+  let fig11_wall =
     renew ();
     let t0 = Unix.gettimeofday () in
     ignore
-      (Experiments.Exp_fig11.t_high ~backend ~warmup ~measure
-         Experiments.Exp_fig11.Containers_event_api ~low_clients:20);
+      (Experiments.Exp_fig11.t_high ~warmup ~measure Experiments.Exp_fig11.Containers_event_api
+         ~low_clients:20);
     (Unix.gettimeofday () -. t0) /. sim_seconds
   in
-  let fig11_wheel = fig11_wall Engine.Sim.Wheel in
-  let fig11_heap = fig11_wall Engine.Sim.Heap in
   (* End-to-end cost and GC pressure of each stack mode: one 16-client
      closed-loop run per mode; allocation is normalised per completed
      request so fast and full windows stay comparable. *)
@@ -1147,13 +1134,7 @@ let run_json ~fast ~smoke ~mega ~label =
         {
           m_name = "fig11/wall-clock per simulated second, event api, 20 low clients";
           m_unit = "s/simsec";
-          m_value = fig11_wheel;
-        };
-        {
-          m_name =
-            "fig11/wall-clock per simulated second, event api, 20 low clients, heap backend";
-          m_unit = "s/simsec";
-          m_value = fig11_heap;
+          m_value = fig11_wall;
         };
       ]
     @ mode_metrics

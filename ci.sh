@@ -12,13 +12,13 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
-echo "== bench smoke (tiny quotas, both Sim backends; executes the harness, gates nothing)"
+echo "== bench smoke (tiny quotas; executes the harness, gates nothing)"
 dune exec bench/main.exe -- --json --smoke --label ci-smoke > /dev/null
 
 echo "== dune build @bench-check"
 dune build @bench-check
 
-echo "== event-core A/B + PR1-to-now trend (informational, never fails)"
+echo "== first-to-latest baseline trend (informational, never fails)"
 dune exec bench/compare.exe -- BENCH_PR1.json BENCH_PR15.json --threshold 1000 || true
 
 echo "== sweep smoke (2 jobs must match the serial report byte-for-byte)"

@@ -518,7 +518,7 @@ let barrier_exchange t wend_ns =
 
 (* ---------------- construction ---------------- *)
 
-let create ?backend ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
+let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
     ?(policy = Round_robin) ?(profile = Poisson 1000.) ?service ?(request_bytes = 256)
     ?(response_bytes = 4096) ?(hold = Simtime.span_zero) ?(workers = 32)
     ?(quantum = Simtime.us 50) ?(rollup_period = Simtime.ms 10) ?(ring_bits = 20)
@@ -535,7 +535,7 @@ let create ?backend ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = 
   let service =
     match service with Some d -> d | None -> Dist.exponential ~mean:400_000. (* 400 µs *)
   in
-  let shard_sims = Array.init shards (fun _ -> Sim.create ?backend ()) in
+  let shard_sims = Array.init shards (fun _ -> Sim.create ()) in
   let exec = Shard.create ?domains ~shards () in
   let rng = Rng.create ~seed in
   let arrival_rng = Rng.split rng in

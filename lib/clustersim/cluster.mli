@@ -64,7 +64,6 @@ val tenant_spec : ?weight:int -> ?attrs:Rescont.Attrs.t -> string -> tenant_spec
 type t
 
 val create :
-  ?backend:Engine.Sim.backend ->
   ?machines:int ->
   ?shards:int ->
   ?domains:int ->

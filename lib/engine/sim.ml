@@ -1,183 +1,94 @@
-(* The event queue is pluggable: the hierarchical timer wheel is the
-   production backing store (O(1) schedule/cancel for the dominant
-   [after]/[every] pattern), the binary heap is kept as the property-
-   tested executable specification and for A/B benchmarking.  Both
-   extract in (timestamp, insertion-order) order, so a run's event
-   sequence is identical under either backend — test_timer_wheel checks
-   exactly that.
+(* The event core is the hierarchical timer wheel and nothing else: a
+   simulator IS its wheel, and the clock IS the wheel's lower bound.
+   The two coincide at every step.  A firing event's instant is where
+   extraction leaves the bound, and [run_until] commits the bound to its
+   horizon exactly when the clock jumps there.  An event is the wheel's
+   unboxed stamped handle, so neither scheduling nor firing allocates:
+   [Timer_wheel.extract] hands back a node index, not an option.
 
-   An event is represented as thinly as possible: a one-shot event IS its
-   queue handle behind a one-word constructor (both backends tolerate a
-   cancel after extraction and report it as [false]), so [at]/[after] add
-   two words over the queue node itself.  Only [every] — one record per
-   periodic SERIES, not per tick — needs the extra indirection of a
-   mutable cell, because the heap backend re-inserts under a fresh handle
-   each period. *)
+   Zero-delay events — [post]/[post_at], and [at]/[after] at the clock —
+   are ordinary inserts at the lower bound.  They land in the bucket of
+   the events already queued at that instant, behind them, which is
+   exactly (instant, scheduling) order. *)
 
-type backend = Heap | Wheel
+type t = (unit -> unit) Timer_wheel.t
+type event = (unit -> unit) Timer_wheel.handle
 
-let backend_name = function Heap -> "heap" | Wheel -> "wheel"
+let create () = Timer_wheel.create ()
+let now t = Simtime.of_ns (Timer_wheel.lower_bound t)
 
-type queue = Q_heap of (unit -> unit) Heapq.t | Q_wheel of (unit -> unit) Timer_wheel.t
+let[@inline never] in_the_past t time =
+  invalid_arg
+    (Format.asprintf "Sim.at: %a is before current time %a" Simtime.pp time Simtime.pp (now t))
 
-type t = { mutable clock : Simtime.t; queue : queue }
+let check_time t time = if Simtime.(time < now t) then in_the_past t time
 
-type shandle = S_heap of Heapq.handle | S_wheel of (unit -> unit) Timer_wheel.handle
-
-type series = { mutable cancelled : bool; mutable shandle : shandle option }
-
-type event =
-  | Ev_heap of Heapq.handle
-  | Ev_wheel of (unit -> unit) Timer_wheel.handle
-  | Ev_series of series
-
-let default_backend = Wheel
-
-let create ?(backend = default_backend) () =
-  let queue =
-    match backend with Heap -> Q_heap (Heapq.create ()) | Wheel -> Q_wheel (Timer_wheel.create ())
-  in
-  { clock = Simtime.zero; queue }
-
-let backend t = match t.queue with Q_heap _ -> Heap | Q_wheel _ -> Wheel
-let now t = t.clock
-
-let check_time t time =
-  if Simtime.(time < t.clock) then
-    invalid_arg
-      (Format.asprintf "Sim.at: %a is before current time %a" Simtime.pp time Simtime.pp t.clock)
-
-(* One-shot events use the wheel's stamped oneshot lane: the node's
+(* One-shot events use the wheel's stamped oneshot insertion: the node's
    arena slot recycles as soon as it fires or is cancelled, and a cancel
    arriving after the firing is refused by the generation stamp — so the
    cancellable [at]/[after] traffic (scheduler slice-end events, TCP-ish
-   timeouts) is allocation- and leak-free in steady state, not just the
-   fire-and-forget [post] lane. *)
+   timeouts) is allocation- and leak-free in steady state. *)
 let at t time f =
   check_time t time;
-  match t.queue with
-  | Q_heap q -> Ev_heap (Heapq.insert q ~prio:(Simtime.to_ns time) f)
-  | Q_wheel w -> Ev_wheel (Timer_wheel.insert_oneshot w ~prio:(Simtime.to_ns time) f)
+  Timer_wheel.insert_oneshot t ~prio:(Simtime.to_ns time) f
 
-let after t span f =
-  let span = Simtime.span_max span Simtime.span_zero in
-  at t (Simtime.add t.clock span) f
+let after t span f = at t (Simtime.add (now t) (Simtime.span_max span Simtime.span_zero)) f
 
 (* Fire-and-forget scheduling: most events in a run — scheduler kicks,
    packet deliveries, think-time wakeups — are never cancelled, so
-   returning a cancellable handle for them is pure overhead.  [post] lets
-   the wheel backend recycle the queue node through its free list, making
-   these events allocation-free in steady state. *)
+   returning a cancellable handle for them is pure overhead. *)
 let post_at t time f =
   check_time t time;
-  match t.queue with
-  | Q_heap q -> ignore (Heapq.insert q ~prio:(Simtime.to_ns time) f)
-  | Q_wheel w -> Timer_wheel.insert_pooled w ~prio:(Simtime.to_ns time) f
+  Timer_wheel.insert_pooled t ~prio:(Simtime.to_ns time) f
 
-let post t span f =
-  let span = Simtime.span_max span Simtime.span_zero in
-  post_at t (Simtime.add t.clock span) f
+let post t span f = post_at t (Simtime.add (now t) (Simtime.span_max span Simtime.span_zero)) f
 
-let cancel_shandle t h =
-  match (h, t.queue) with
-  | S_heap h, Q_heap q -> Heapq.cancel q h
-  | S_wheel h, Q_wheel w -> Timer_wheel.cancel w h
-  | _, _ -> invalid_arg "Sim.cancel: event belongs to a different backend"
+(* The wheel's cancel recycles even a pinned node, so a series
+   cancelled from its own tick loses the node the tick would re-arm. *)
+let cancel t event = Timer_wheel.cancel t event
+let pending t = Timer_wheel.length t
 
-let cancel t event =
-  match event with
-  | Ev_heap h -> (
-      match t.queue with
-      | Q_heap q -> Heapq.cancel q h
-      | Q_wheel _ -> invalid_arg "Sim.cancel: event belongs to a different backend")
-  | Ev_wheel h -> (
-      match t.queue with
-      | Q_wheel w -> Timer_wheel.cancel w h
-      | Q_heap _ -> invalid_arg "Sim.cancel: event belongs to a different backend")
-  | Ev_series s ->
-      if s.cancelled then false
-      else begin
-        s.cancelled <- true;
-        match s.shandle with None -> false | Some h -> cancel_shandle t h
-      end
-
-let pending t =
-  match t.queue with Q_heap q -> Heapq.length q | Q_wheel w -> Timer_wheel.length w
-
-let fire t prio f =
-  t.clock <- Simtime.of_ns prio;
+(* Fire the node [extract] just unlinked: the lower bound, and so the
+   clock, already stands at its instant.  [take] is applied to exactly its
+   two arguments: over-applying a function the compiler cannot see into
+   (separate compilation) builds a partial application, 5 words a fire. *)
+let fire t i =
+  let f = Timer_wheel.take t i in
   f ()
 
-let pop_min t =
-  match t.queue with Q_heap q -> Heapq.pop_min q | Q_wheel w -> Timer_wheel.pop_min w
-
-(* Next event at or before [horizon] (in ns), or [None].  The wheel
-   commits its lower bound to the horizon on [None]; that is sound
-   because [run_until] then advances the clock to the horizon, and no
-   event is ever scheduled before the clock. *)
-let pop_min_until t ~horizon =
-  match t.queue with
-  | Q_wheel w -> Timer_wheel.pop_min_until w ~horizon
-  | Q_heap q -> (
-      match Heapq.peek_min_prio q with
-      | Some prio when prio <= horizon -> Heapq.pop_min q
-      | Some _ | None -> None)
-
 let step t =
-  match pop_min t with
-  | None -> false
-  | Some (prio, f) ->
-      fire t prio f;
-      true
+  (not (Timer_wheel.is_empty t))
+  && begin
+    fire t (Timer_wheel.extract t ~horizon:max_int);
+    true
+  end
 
-let run_until t horizon =
-  let horizon_ns = Simtime.to_ns horizon in
-  let rec loop () =
-    match pop_min_until t ~horizon:horizon_ns with
-    | Some (prio, f) ->
-        fire t prio f;
-        loop ()
-    | None -> ()
-  in
-  loop ();
-  if Simtime.(horizon > t.clock) then t.clock <- horizon
+(* A failed [extract] commits the lower bound, and so the clock, to the
+   horizon when that is an advance. *)
+let rec run_until_ns t horizon =
+  let i = Timer_wheel.extract t ~horizon in
+  if i >= 0 then begin
+    fire t i;
+    run_until_ns t horizon
+  end
 
+let run_until t horizon = run_until_ns t (Simtime.to_ns horizon)
 let run t = while step t do () done
 
-(* One closure and one series record serve the whole periodic series.  On
-   the wheel backend the series also owns a single queue node: each tick
-   [Timer_wheel.rearm]s the node it just fired from, so steady-state
-   periodic timers (a scheduler quantum, an invariant sweep) allocate
-   nothing at all per period.  The handle never changes across re-arms,
-   so [cancel] keeps working on whichever incarnation is queued.  A
-   re-arm lands at the same bucket position a fresh insert would, so the
-   heap backend (which re-inserts) fires an identical event sequence. *)
+(* A series is one pinned wheel node and one closure: each tick re-arms
+   the node it fired from, so ticks allocate nothing, and the series'
+   handle never changes.  A tick whose [f] cancelled the series finds the
+   handle stale and stops. *)
 let every t period f =
   if not (Simtime.span_is_positive period) then invalid_arg "Sim.every: period must be positive";
-  let body = { cancelled = false; shandle = None } in
-  (match t.queue with
-  | Q_wheel w ->
-      let tick () =
-        if not body.cancelled then begin
-          f ();
-          if not body.cancelled then
-            match body.shandle with
-            | Some (S_wheel h) ->
-                Timer_wheel.rearm w h ~prio:(Simtime.to_ns (Simtime.add t.clock period))
-            | Some (S_heap _) | None -> assert false
-        end
-      in
-      body.shandle <-
-        Some (S_wheel (Timer_wheel.insert w ~prio:(Simtime.to_ns (Simtime.add t.clock period)) tick))
-  | Q_heap q ->
-      let rec tick () =
-        if not body.cancelled then begin
-          f ();
-          if not body.cancelled then arm ()
-        end
-      and arm () =
-        body.shandle <-
-          Some (S_heap (Heapq.insert q ~prio:(Simtime.to_ns (Simtime.add t.clock period)) tick))
-      in
-      arm ());
-  Ev_series body
+  let self = ref None in
+  let tick () =
+    f ();
+    match !self with
+    | Some h when Timer_wheel.valid t h ->
+        Timer_wheel.rearm t h ~prio:(Simtime.to_ns (Simtime.add (now t) period))
+    | Some _ | None -> ()
+  in
+  let h = Timer_wheel.insert t ~prio:(Simtime.to_ns (Simtime.add (now t) period)) tick in
+  self := Some h;
+  h

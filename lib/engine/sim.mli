@@ -3,30 +3,24 @@
     A [Sim.t] owns the simulated clock and a queue of pending events.  An
     event is a closure fired at a scheduled instant; firing an event may
     schedule or cancel further events.  Events at the same instant fire in
-    the order they were scheduled, so runs are fully deterministic. *)
+    the order they were scheduled, so runs are fully deterministic.
+
+    The queue is a hierarchical timer wheel ({!Timer_wheel}) with O(1)
+    schedule and cancel.  Scheduling, cancelling and firing allocate
+    nothing in steady state beyond the caller's closures. *)
 
 type t
 
-type event
-(** A handle on a scheduled event, usable for cancellation. *)
+type event [@@immediate]
+(** A handle on a scheduled event or periodic series, usable for
+    cancellation.  An unboxed int: storing one costs no allocation and
+    no write barrier. *)
 
-type backend = Heap | Wheel
-(** The event-queue backing store.  [Wheel] — a hierarchical timer wheel
-    ({!Timer_wheel}) with O(1) schedule and cancel — is the default.
-    [Heap] keeps the binary heap ({!Heapq}) as the property-tested
-    executable specification; both fire identical event sequences, and
-    [bench] measures them against each other. *)
-
-val backend_name : backend -> string
-val default_backend : backend
-
-val create : ?backend:backend -> unit -> t
-
-val backend : t -> backend
-(** Which backing store this simulator was created with. *)
+val create : unit -> t
 
 val now : t -> Simtime.t
-(** Current simulated time.  Advances only inside [run_until] / [run]. *)
+(** Current simulated time.  Advances only inside [run_until], [run] and
+    [step]. *)
 
 val at : t -> Simtime.t -> (unit -> unit) -> event
 (** [at sim time f] schedules [f] to fire at [time].
@@ -38,11 +32,8 @@ val after : t -> Simtime.span -> (unit -> unit) -> event
     completes). *)
 
 val post_at : t -> Simtime.t -> (unit -> unit) -> unit
-(** [at] without the handle: the event cannot be cancelled, and in
-    exchange the wheel backend recycles its queue node when the event
-    fires, so fire-and-forget scheduling allocates nothing in steady
-    state.  Fires in exactly the position an [at] at the same instant
-    would.
+(** [at] without the handle: the event cannot be cancelled.  Fires in
+    exactly the position an [at] at the same instant would.
     @raise Invalid_argument if [time] is in the past. *)
 
 val post : t -> Simtime.span -> (unit -> unit) -> unit
@@ -50,7 +41,10 @@ val post : t -> Simtime.span -> (unit -> unit) -> unit
     non-positive spans to the current instant like {!after}. *)
 
 val cancel : t -> event -> bool
-(** Cancel a pending event; [false] if it already fired or was cancelled. *)
+(** Cancel a pending event; [false] if it already fired or was cancelled.
+    On a series ({!every}) it stops every later tick and returns whether a
+    tick was pending: [true] between ticks, [false] from inside the
+    series' own tick or once already cancelled. *)
 
 val pending : t -> int
 (** Number of scheduled, uncancelled events. *)
@@ -65,11 +59,12 @@ val run : t -> unit
 (** Fire events until the queue is empty. *)
 
 val step : t -> bool
-(** Fire exactly the next event; [false] when the queue is empty. *)
+(** Fire exactly the next event; [false], with the clock unmoved, when
+    the queue is empty. *)
 
 val every : t -> Simtime.span -> (unit -> unit) -> event
 (** [every sim period f] schedules [f] periodically, starting one period
-    from now.  The returned handle cancels the whole series.  The series
-    reuses a single closure and event body across ticks; each period
-    costs only one queue insertion.
+    from now.  The returned handle cancels the whole series, also from
+    inside [f].  The series keeps one queue node and one closure for its
+    whole life, so a tick allocates nothing.
     @raise Invalid_argument if [period] is not positive. *)

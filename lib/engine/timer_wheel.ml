@@ -32,17 +32,17 @@
 
    A node's bookkeeping is packed into one [meta] word:
 
-     bits 0..7   level + 2         (-2 = solo lane, -1 = free/idle)
+     bits 0..7   level + 2         (-2 = solo)
      bit  8      queued
-     bit  9      pinned            (caller owns the slot; never recycled)
+     bit  9      pinned            (caller owns the slot; recycled only by cancel)
      bits 10..39 generation stamp  (bumped when the slot is recycled)
 
    Handles are ints too: [index | stamp lsl 30].  A handle is valid only
    while its stamp matches the slot's current stamp, so a cancel racing
    a recycled slot is detected and safely refused — slot reuse can never
-   cancel an innocent newer node.  Pinned nodes ({!insert}) keep their
-   stamp for the lifetime of the wheel, which is what lets {!rearm}
-   revive them arbitrarily often under one handle.
+   cancel an innocent newer node.  Pinned nodes ({!insert}) survive
+   their pops and keep their stamp until cancelled, which is what lets
+   {!rearm} revive them arbitrarily often under one handle.
 
    Buckets are circular doubly-linked lists through a per-slot sentinel,
    which makes cancellation a true O(1) unlink — no dead nodes, no
@@ -54,7 +54,11 @@
    bucket.  Extraction finds the next busy slot with a find-first-set
    instead of walking up to 64 empty sentinels — this is what closes the
    wheel-vs-heap gap on sparse periodic workloads, where a lone timer
-   used to pay a full-window scan per tick. *)
+   used to pay a full-window scan per tick.
+
+   Extraction itself ({!extract}) only unlinks: it returns the node's
+   index and leaves the payload in place for {!take}, so the
+   simulator's firing path allocates no option or tuple. *)
 
 let bits = 6
 let slot_count = 64
@@ -170,7 +174,7 @@ let alloc_node t ~prio ~value ~pin =
 (* Recycle a slot: drop the payload, bump the generation stamp (which
    invalidates every outstanding handle onto it) and push it on the free
    list. *)
-let free_node t i =
+let[@inline] free_node t i =
   t.values.(i) <- dummy ();
   t.meta.(i) <- ((stamp_of t.meta.(i) + 1) land 0x3FFFFFFF) lsl 10;
   t.link_next.(i) <- t.free;
@@ -277,10 +281,13 @@ let insert_oneshot t ~prio value =
   enqueue_node t i;
   mk_handle i (stamp_of t.meta.(i))
 
+let[@inline] valid t h =
+  let i = h_idx h in
+  i >= nsent && i < t.used && h_stamp h = stamp_of t.meta.(i)
+
 let rearm t h ~prio =
   let i = h_idx h in
-  if i < nsent || i >= t.used || h_stamp h <> stamp_of t.meta.(i) then
-    invalid_arg "Timer_wheel.rearm: stale handle (node was recycled)";
+  if not (valid t h) then invalid_arg "Timer_wheel.rearm: stale handle (node was recycled)";
   if queued t.meta.(i) then invalid_arg "Timer_wheel.rearm: node is still queued";
   if prio < t.cur then
     invalid_arg
@@ -301,20 +308,21 @@ let insert_pooled t ~prio value =
   let i = alloc_node t ~prio ~value ~pin:false in
   enqueue_node t i
 
+(* Unlink the node if it is queued, and recycle it either way, pinned
+   or not: the handle goes stale for good.  That is what ends a periodic
+   series, also from inside its own firing, where the node has popped
+   and there is nothing to unlink. *)
 let cancel t h =
+  valid t h
+  &&
   let i = h_idx h in
-  if i < nsent || i >= t.used then false
-  else begin
-    let m = t.meta.(i) in
-    if h_stamp h <> stamp_of m || not (queued m) then false
-    else begin
-      t.meta.(i) <- m land lnot m_queued;
-      if i = t.solo then t.solo <- -1 else remove t i;
-      t.live <- t.live - 1;
-      if not (pinned m) then free_node t i;
-      true
-    end
-  end
+  let m = t.meta.(i) in
+  if queued m then begin
+    if i = t.solo then t.solo <- -1 else remove t i;
+    t.live <- t.live - 1
+  end;
+  free_node t i;
+  queued m
 
 (* Move every node of a cascading bucket down; [t.cur] has just advanced
    to the bucket's window start, so [place] lands each node at a strictly
@@ -332,22 +340,21 @@ let cascade t sentinel lvl slot =
   cascade_drain t sentinel lvl;
   occ_clear t lvl slot
 
-(* Pop bookkeeping shared by every extraction path: mark unqueued,
-   capture the payload, recycle the slot unless the caller pinned it. *)
-let take_payload t i =
-  let m = t.meta.(i) in
-  t.meta.(i) <- m land lnot m_queued;
-  let v = t.values.(i) in
-  if not (pinned m) then free_node t i;
-  v
+(* Bookkeeping shared by every extraction path: the lower bound moves to
+   the popped priority and the node is no longer queued. *)
+let[@inline] popped t i prio =
+  t.cur <- prio;
+  t.meta.(i) <- t.meta.(i) land lnot m_queued;
+  i
 
-(* Extract the minimum-priority node with priority <= horizon, advancing
-   [cur] no further than [min next-priority horizon]; [commit] decides
-   whether an empty wheel pins [cur] to the horizon. *)
-let rec extract t ~horizon ~commit =
+(* Unlink the minimum-priority node if its priority is <= horizon and
+   return its index; otherwise return -1 and commit [cur] to the horizon
+   (when that is an advance).  [cur] never passes the minimum, so every
+   bucket placement stays valid. *)
+let rec extract t ~horizon =
   if t.live = 0 then begin
-    if commit && horizon > t.cur then t.cur <- horizon;
-    None
+    if horizon > t.cur then t.cur <- horizon;
+    -1
   end
   else if t.solo >= 0 then begin
     (* The lone queued node lives outside the buckets, so this branch is
@@ -358,13 +365,12 @@ let rec extract t ~horizon ~commit =
     let prio = t.prio.(i) in
     if prio > horizon then begin
       if horizon > t.cur then t.cur <- horizon;
-      None
+      -1
     end
     else begin
       t.live <- 0;
       t.solo <- -1;
-      t.cur <- prio;
-      Some (prio, take_payload t i)
+      popped t i prio
     end
   end
   else if t.counts.(0) > 0 then begin
@@ -377,31 +383,30 @@ let rec extract t ~horizon ~commit =
       let prio = t.prio.(i) in
       if prio > horizon then begin
         if horizon > t.cur then t.cur <- horizon;
-        None
+        -1
       end
       else begin
         remove t i;
         t.live <- t.live - 1;
-        t.cur <- prio;
-        Some (prio, take_payload t i)
+        popped t i prio
       end
     end
   end
-  else scan_levels t ~horizon ~commit 1
+  else scan_levels t ~horizon 1
 
 (* Levels >= 1: find the next busy bucket beyond cur's digit, cascade it,
    and retry from level 0.  [t.live > 0] guarantees some level is busy. *)
-and scan_levels t ~horizon ~commit lvl =
+and scan_levels t ~horizon lvl =
   if lvl >= levels then begin
     (* Unreachable while the level counts agree with [live]; fail loudly
        rather than spin if they ever do not. *)
     invalid_arg "Timer_wheel: inconsistent level counts"
   end
-  else if t.counts.(lvl) = 0 then scan_levels t ~horizon ~commit (lvl + 1)
+  else if t.counts.(lvl) = 0 then scan_levels t ~horizon (lvl + 1)
   else begin
     let shift = bits * lvl in
     let j = first_occupied t lvl ~from:(((t.cur lsr shift) land mask) + 1) in
-    if j = slot_count then scan_levels t ~horizon ~commit (lvl + 1)
+    if j = slot_count then scan_levels t ~horizon (lvl + 1)
     else begin
       (* Window start of the found bucket: cur's digits above [lvl],
          digit [lvl] = j, zeros below.  At the top level there are no
@@ -417,7 +422,7 @@ and scan_levels t ~horizon ~commit lvl =
       let bucket_start = above lor (j lsl shift) in
       if bucket_start > horizon then begin
         if horizon > t.cur then t.cur <- horizon;
-        None
+        -1
       end
       else begin
         let sentinel = (lvl lsl bits) lor j in
@@ -438,20 +443,29 @@ and scan_levels t ~horizon ~commit lvl =
           t.counts.(lvl) <- t.counts.(lvl) - 1;
           occ_clear t lvl j;
           t.live <- t.live - 1;
-          t.cur <- prio;
-          Some (prio, take_payload t i)
+          popped t i prio
         end
         else begin
           t.cur <- bucket_start;
           cascade t sentinel lvl j;
-          extract t ~horizon ~commit
+          extract t ~horizon
         end
       end
     end
   end
 
-let pop_min t = extract t ~horizon:max_int ~commit:false
-let pop_min_until t ~horizon = extract t ~horizon ~commit:true
+(* The payload of a node [extract] returned; a node that is not pinned
+   recycles here. *)
+let[@inline] take t i =
+  let v = t.values.(i) in
+  if not (pinned t.meta.(i)) then free_node t i;
+  v
+
+let pop_min_until t ~horizon =
+  let i = extract t ~horizon in
+  if i < 0 then None else Some (t.cur, take t i)
+
+let pop_min t = if is_empty t then None else pop_min_until t ~horizon:max_int
 
 let clear t =
   (* Unqueue every allocated node; non-pinned slots recycle, pinned ones

@@ -17,13 +17,13 @@ let variant_name = function
 let high_src = Ipaddr.v 10 9 9 9
 let low_base = Ipaddr.v 10 1 0 1
 
-let t_high ?backend ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 4) variant ~low_clients =
+let t_high ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 4) variant ~low_clients =
   let system =
     match variant with
     | Without_containers -> Harness.Unmodified
     | Containers_select | Containers_event_api -> Harness.Rc_sys
   in
-  let rig = Harness.make_rig ?backend system in
+  let rig = Harness.make_rig system in
   let listens, policy, user_preference =
     match variant with
     | Without_containers ->

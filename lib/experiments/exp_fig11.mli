@@ -22,14 +22,12 @@ type variant = Without_containers | Containers_select | Containers_event_api
 val variant_name : variant -> string
 
 val t_high :
-  ?backend:Engine.Sim.backend ->
   ?warmup:Engine.Simtime.span ->
   ?measure:Engine.Simtime.span ->
   variant ->
   low_clients:int ->
   float
-(** Mean high-priority response time in milliseconds.  [backend] selects
-    the event-queue backing store (for A/B benchmarking). *)
+(** Mean high-priority response time in milliseconds. *)
 
 val figure :
   ?low_counts:int list ->

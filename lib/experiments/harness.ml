@@ -37,9 +37,9 @@ let observe ?(capacity = 65536) () = Atomic.set observe_capacity (Some capacity)
 let observing () = Atomic.get observe_capacity <> None
 let last_rig () = Atomic.get last
 
-let make_rig ?backend ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(limit_window = Simtime.ms 100)
+let make_rig ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(limit_window = Simtime.ms 100)
     ?server_attrs system =
-  let sim = Sim.create ?backend () in
+  let sim = Sim.create () in
   let root = Container.create_root () in
   let invariants = Engine.Invariant.create () in
   let make_policy _cpu =

@@ -27,7 +27,6 @@ type rig = {
 }
 
 val make_rig :
-  ?backend:Engine.Sim.backend ->
   ?cpus:int ->
   ?quantum:Engine.Simtime.span ->
   ?limit_window:Engine.Simtime.span ->
@@ -38,8 +37,7 @@ val make_rig :
     warm) and a few other documents.  [server_attrs] sets the server
     process's default container attributes (default: fixed-share class
     with share 0 — i.e. a node that may own child containers but competes
-    via the timeshare residual; see {!Sched.Multilevel}).  [backend]
-    selects the event-queue backing store (default: the timer wheel). *)
+    via the timeshare residual; see {!Sched.Multilevel}). *)
 
 val run_for : rig -> Engine.Simtime.span -> unit
 (** Advance the simulation by a span. *)

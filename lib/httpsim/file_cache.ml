@@ -25,8 +25,9 @@
    {!File_cache_ref} is the executable spec: the historic hashtable
    implementation with clock-stamp LRU, lockstepped in QCheck.  The two
    agree because every stamp the spec writes is unique except for warm
-   loads, which both sides define as stamped lookups in registration
-   order. *)
+   loads, which the spec stamps as lookups in registration order and this
+   cache performs as loads to the list head in that order.  Recency lives
+   only in the list here; nothing is stamped. *)
 
 let nil = -1 (* list end *)
 
@@ -39,7 +40,6 @@ type t = {
   mutable index : int array; (* global doc id -> slot, [nil] if unregistered *)
   mutable doc : int array; (* slot -> global doc id *)
   mutable size : int array; (* slot -> document bytes *)
-  mutable last_used : int array; (* slot -> clock stamp of last lookup *)
   mutable prev : int array; (* resident slot -> more-recent neighbour | nil *)
   mutable next : int array; (* resident slot -> less-recent neighbour | nil *)
   mutable bits : int array; (* residency bitmap: slot s is bit s mod 63 of word s / 63 *)
@@ -48,7 +48,6 @@ type t = {
   mutable used : int; (* registered slots: 0..used-1 are live *)
   mutable resident : int;
   mutable cached_bytes : int;
-  mutable clock : int;
   hits : Engine.Metrics.counter;
   misses : Engine.Metrics.counter;
 }
@@ -60,7 +59,6 @@ let create ?(capacity_bytes = 64 * 1024 * 1024) () =
     index = Array.make 256 nil;
     doc = Array.make 256 nil;
     size = Array.make 256 0;
-    last_used = Array.make 256 0;
     prev = Array.make 256 nil;
     next = Array.make 256 nil;
     bits = Array.make (words 256) 0;
@@ -69,7 +67,6 @@ let create ?(capacity_bytes = 64 * 1024 * 1024) () =
     used = 0;
     resident = 0;
     cached_bytes = 0;
-    clock = 0;
     hits = Engine.Metrics.make_counter "cache.hits";
     misses = Engine.Metrics.make_counter "cache.misses";
   }
@@ -147,7 +144,6 @@ let ensure_slot t =
     let n = 2 * Array.length t.doc in
     t.doc <- grow_to t.doc n nil;
     t.size <- grow_to t.size n 0;
-    t.last_used <- grow_to t.last_used n 0;
     t.prev <- grow_to t.prev n nil;
     t.next <- grow_to t.next n nil;
     t.bits <- grow_to t.bits (words n) 0
@@ -163,8 +159,7 @@ let add_doc t ~doc ~bytes =
     t.used <- s + 1;
     t.index.(doc) <- s;
     t.doc.(s) <- doc;
-    t.size.(s) <- bytes;
-    t.last_used.(s) <- 0
+    t.size.(s) <- bytes
   end
 
 let add_document t ~path ~bytes = add_doc t ~doc:(Docset.intern path) ~bytes
@@ -180,11 +175,9 @@ let document_size t ~path =
 type outcome = Hit of int | Miss of int | Not_found_doc
 
 let lookup_doc t ~doc =
-  t.clock <- t.clock + 1;
   let s = slot_of_doc t doc in
   if s = nil then Not_found_doc
   else begin
-    Array.unsafe_set t.last_used s t.clock;
     if resident t s then begin
       if t.head <> s then begin
         unlink t s;
@@ -206,16 +199,12 @@ let lookup_cost = function
   | Hit _ | Not_found_doc -> Costs.cache_hit
   | Miss _ -> Costs.cache_miss
 
-(* Warm loads are stamped lookups in registration order (minus the
-   hit/miss counters): both this and the spec define them so, keeping
-   structural LRU equal to clock LRU after a warm that follows traffic. *)
+(* Warm loads are lookups in registration order (minus the hit/miss
+   counters): both this and the spec define them so, keeping structural
+   LRU equal to clock LRU after a warm that follows traffic. *)
 let warm t =
   for s = 0 to t.used - 1 do
-    if (not (resident t s)) && t.size.(s) <= t.capacity then begin
-      t.clock <- t.clock + 1;
-      t.last_used.(s) <- t.clock;
-      load t s
-    end
+    if (not (resident t s)) && t.size.(s) <= t.capacity then load t s
   done
 
 let is_cached t ~path =

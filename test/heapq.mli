@@ -1,10 +1,11 @@
 (** A binary min-heap keyed by [(priority, sequence)] with O(log n) insert
     and extract-min, plus O(1) lazy cancellation.
 
-    The heap is the backbone of the event queue: priorities are simulated
-    timestamps and the monotonically increasing sequence number makes
-    extraction stable (events scheduled earlier at the same instant fire
-    first), which keeps every simulation run deterministic. *)
+    The heap is the test suite's reference event queue: priorities are
+    simulated timestamps and the monotonically increasing sequence number
+    makes extraction stable (events scheduled earlier at the same instant
+    fire first).  {!Sim_ref} and the timer-wheel properties use it as the
+    oracle for [Engine.Timer_wheel] and [Engine.Sim]. *)
 
 type 'a t
 

@@ -1,6 +1,5 @@
-(* Unit and property tests for Engine.Heapq. *)
-
-module Heapq = Engine.Heapq
+(* Unit and property tests for Heapq, the binary heap the event-queue
+   oracles are built on. *)
 
 let test_empty () =
   let q = Heapq.create () in

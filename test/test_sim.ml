@@ -116,6 +116,58 @@ let test_step () =
   Alcotest.(check bool) "step 2" true (Sim.step sim);
   Alcotest.(check bool) "step empty" false (Sim.step sim)
 
+(* Scheduling, cancelling and firing allocate nothing once the event
+   queue's arena has grown: each workload runs once to warm up, then
+   again under the counter.  The closure is static, so any word counted
+   is the event core's own. *)
+let noop () = ()
+
+let minor_words_of f =
+  f ();
+  ignore (Gc.minor_words ());
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_event_core_allocates_nothing () =
+  let sim = Sim.create () in
+  let check name f = Alcotest.(check (float 0.)) name 0. (minor_words_of f) in
+  (* Pre-schedule 10^4 events over ~10 ms, ties and far levels included,
+     and count only the firing. *)
+  let firing_words fire =
+    let schedule () =
+      let base = Simtime.to_ns (Sim.now sim) in
+      for i = 1 to 10_000 do
+        Sim.post_at sim (Simtime.of_ns (base + 1 + (i * 7_919 mod 10_000_000))) noop
+      done;
+      Simtime.of_ns (base + 10_000_000)
+    in
+    fire (schedule ());
+    let horizon = schedule () in
+    ignore (Gc.minor_words ());
+    let w0 = Gc.minor_words () in
+    fire horizon;
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.))
+    "10^4 events fired by run_until" 0.
+    (firing_words (fun horizon -> Sim.run_until sim horizon));
+  Alcotest.(check (float 0.))
+    "10^4 events fired by step" 0.
+    (firing_words (fun _ -> while Sim.step sim do () done));
+  check "10^3 at+cancel pairs" (fun () ->
+      for _ = 1 to 1_000 do
+        ignore (Sim.cancel sim (Sim.after sim (Simtime.us 5) noop))
+      done);
+  check "10^3 zero-delay posts, fired" (fun () ->
+      for _ = 1 to 1_000 do
+        Sim.post sim Simtime.span_zero noop
+      done;
+      Sim.run_until sim (Sim.now sim));
+  ignore (Sim.every sim (Simtime.us 10) noop);
+  check "100 ticks of a series" (fun () ->
+      Sim.run_until sim (Simtime.add (Sim.now sim) (Simtime.ms 1)))
+
 let test_tracelog () =
   let module T = Engine.Tracelog in
   let tr = T.create ~enabled:true ~capacity:4 () in
@@ -206,6 +258,7 @@ let suite =
     Alcotest.test_case "periodic timer" `Quick test_every;
     Alcotest.test_case "pending count" `Quick test_pending;
     Alcotest.test_case "single stepping" `Quick test_step;
+    Alcotest.test_case "event core allocates nothing" `Quick test_event_core_allocates_nothing;
     Alcotest.test_case "tracelog ring buffer" `Quick test_tracelog;
     Alcotest.test_case "series and tables" `Quick test_series;
     Alcotest.test_case "figure chart rendering" `Quick test_figure_chart;

@@ -1,10 +1,11 @@
-(* Unit and property tests for Engine.Timer_wheel, centred on its
-   equivalence with Engine.Heapq: under the event-queue discipline
-   (priorities never below the last extraction) both backends must
-   produce identical extraction sequences — same priorities, same
-   insertion-order FIFO among ties, same response to cancellation. *)
+(* Unit and property tests for Engine.Timer_wheel and Engine.Sim, centred
+   on their equivalence with independent oracles built on Heapq (a binary
+   heap keyed by priority and insertion sequence): under the event-queue
+   discipline (priorities never below the last extraction) the wheel must
+   produce the heap's extraction sequence — same priorities, same
+   insertion-order FIFO among ties, same response to cancellation — and
+   Sim must fire what Sim_ref fires. *)
 
-module Heapq = Engine.Heapq
 module Wheel = Engine.Timer_wheel
 module Sim = Engine.Sim
 module Simtime = Engine.Simtime
@@ -68,7 +69,50 @@ let test_insert_at_lower_bound_ok () =
   (* scheduling "now" keeps working, and fires after what was queued *)
   ignore (Wheel.insert w ~prio:50 "c");
   Alcotest.(check bool) "b" true (Wheel.pop_min w = Some (50, "b"));
-  Alcotest.(check bool) "c" true (Wheel.pop_min w = Some (50, "c"))
+  Alcotest.(check bool) "c" true (Wheel.pop_min w = Some (50, "c"));
+  (* Ties that cascaded down from level 2, then inserts of every kind at
+     the bound: those queue behind the ties and cancel like any other. *)
+  ignore (Wheel.insert w ~prio:5_000 "queued-1");
+  ignore (Wheel.insert w ~prio:5_000 "queued-2");
+  ignore (Wheel.insert w ~prio:9_000 "later");
+  Alcotest.(check (option (pair int string)))
+    "queued-1" (Some (5_000, "queued-1")) (Wheel.pop_min w);
+  Wheel.insert_pooled w ~prio:5_000 "now-1";
+  let doomed = Wheel.insert_oneshot w ~prio:5_000 "doomed" in
+  ignore (Wheel.insert w ~prio:5_000 "now-2");
+  Alcotest.(check bool) "cancel at the bound" true (Wheel.cancel w doomed);
+  Alcotest.(check int) "length" 4 (Wheel.length w);
+  Alcotest.(check (list string))
+    "queued ties, then the new ones, then later"
+    [ "queued-2"; "now-1"; "now-2"; "later" ]
+    (drain_wheel w)
+
+(* [extract] hands back the node, [take] its value; [cancel] ends a
+   pinned node for good, also after it popped, when there is nothing
+   to unlink. *)
+let test_extract_take_cancel () =
+  let w = Wheel.create () in
+  let h = Wheel.insert w ~prio:10 "tick" in
+  Alcotest.(check int) "nothing under 5" (-1) (Wheel.extract w ~horizon:5);
+  Alcotest.(check int) "commits the horizon" 5 (Wheel.lower_bound w);
+  let i = Wheel.extract w ~horizon:10 in
+  Alcotest.(check bool) "extracted" true (i >= 0);
+  Alcotest.(check int) "bound at its priority" 10 (Wheel.lower_bound w);
+  Alcotest.(check string) "take" "tick" (Wheel.take w i);
+  Alcotest.(check bool) "pinned handle still valid" true (Wheel.valid w h);
+  Alcotest.(check bool) "cancel a popped node" false (Wheel.cancel w h);
+  Alcotest.(check bool) "handle stale" false (Wheel.valid w h);
+  Alcotest.(check bool) "cancel twice" false (Wheel.cancel w h);
+  (try
+     Wheel.rearm w h ~prio:20;
+     Alcotest.fail "rearm of a cancelled node must raise"
+   with Invalid_argument _ -> ());
+  let q = Wheel.insert w ~prio:30 "queued" in
+  Alcotest.(check bool) "cancel a queued node" true (Wheel.cancel w q);
+  Alcotest.(check bool) "empty" true (Wheel.is_empty w);
+  let o = Wheel.insert_oneshot w ~prio:40 "oneshot" in
+  Alcotest.(check (option (pair int string))) "oneshot pops" (Some (40, "oneshot")) (Wheel.pop_min w);
+  Alcotest.(check bool) "popped oneshot handle stale" false (Wheel.valid w o)
 
 let test_pop_min_until_commits_horizon () =
   let w = Wheel.create () in
@@ -92,15 +136,15 @@ let test_clear () =
 (* {1 The equivalence property}
 
    Random schedules of interleaved inserts, cancellations and pops are
-   applied to both backends; extraction sequences (priority AND identity,
-   so same-priority FIFO ties are compared too) must match exactly.
-   Inserted priorities respect the event-queue discipline: each is the
-   current lower bound plus a random non-negative delta, with deltas
-   drawn across several orders of magnitude to exercise every wheel
-   level. *)
+   applied to the wheel and the heap; extraction sequences (priority AND
+   identity, so same-priority FIFO ties are compared too) must match
+   exactly.  Inserted priorities respect the event-queue discipline: each
+   is the current lower bound plus a random non-negative delta, with
+   deltas drawn across several orders of magnitude to exercise every
+   wheel level, and often zero, inserting at the lower bound itself. *)
 
 type op =
-  | Insert of int (* delta *)
+  | Insert of int (* delta; 0 inserts at the lower bound *)
   | Insert_pooled of int (* delta; wheel-side uses the free-list path *)
   | Cancel of int (* index hint *)
   | Pop
@@ -118,6 +162,8 @@ let gen_ops =
              map
                (fun (mag, d) -> Insert_pooled (d mod (1 lsl mag)))
                (pair (int_range 0 40) (int_range 0 max_int)) );
+           (2, return (Insert 0));
+           (1, return (Insert_pooled 0));
            (2, map (fun i -> Cancel i) (int_range 0 1000));
            (3, return Pop);
          ]))
@@ -202,85 +248,212 @@ let prop_pop_until_equals_peek_and_pop =
           drain_until ())
         steps)
 
-(* {1 Sim-level equivalence}
+(* {1 Sim against the reference simulator}
 
-   The same scenario — a mix of one-shot timers, nested scheduling,
-   cancellations and periodic timers — run on a heap-backed and a
-   wheel-backed simulator must fire events in exactly the same order at
-   exactly the same simulated times. *)
+   Sim_ref states Sim's contract on a binary heap.  The same scenario —
+   one-shot timers, nested scheduling, zero-delay events, cancellations
+   and periodic series — run on both must fire the same events at the
+   same instants, return the same cancel results and leave the same
+   clock. *)
 
-let scripted_run backend =
-  let sim = Sim.create ~backend () in
+module type SIM = sig
+  type t
+  type event
+
+  val create : unit -> t
+  val now : t -> Simtime.t
+  val at : t -> Simtime.t -> (unit -> unit) -> event
+  val after : t -> Simtime.span -> (unit -> unit) -> event
+  val post_at : t -> Simtime.t -> (unit -> unit) -> unit
+  val post : t -> Simtime.span -> (unit -> unit) -> unit
+  val cancel : t -> event -> bool
+  val pending : t -> int
+  val run_until : t -> Simtime.t -> unit
+  val run : t -> unit
+  val step : t -> bool
+  val every : t -> Simtime.span -> (unit -> unit) -> event
+end
+
+let scripted_run (module S : SIM) =
+  let sim = S.create () in
   let log = ref [] in
-  let record tag () = log := (Simtime.to_ns (Sim.now sim), tag) :: !log in
-  ignore (Sim.at sim (Simtime.of_ns 50) (record "a50"));
-  ignore (Sim.at sim (Simtime.of_ns 50) (record "b50"));
-  let cancelled = Sim.at sim (Simtime.of_ns 75) (record "never") in
-  ignore (Sim.cancel sim cancelled);
+  let record tag () = log := (Simtime.to_ns (S.now sim), tag) :: !log in
+  let result tag b = record (tag ^ if b then ":true" else ":false") () in
+  ignore (S.at sim (Simtime.of_ns 50) (record "a50"));
+  ignore (S.at sim (Simtime.of_ns 50) (record "b50"));
+  let cancelled = S.at sim (Simtime.of_ns 75) (record "never") in
+  ignore (S.cancel sim cancelled);
   ignore
-    (Sim.after sim (Simtime.us 1) (fun () ->
+    (S.after sim (Simtime.us 1) (fun () ->
          record "outer" ();
-         ignore (Sim.after sim Simtime.span_zero (record "inner-now"));
-         ignore (Sim.after sim (Simtime.us 3) (record "inner-later"))));
-  let periodic = Sim.every sim (Simtime.us 2) (record "tick") in
-  ignore (Sim.at sim (Simtime.of_ns 9_000) (fun () -> ignore (Sim.cancel sim periodic)));
-  Sim.run_until sim (Simtime.of_ns 20_000);
-  ignore (Sim.after sim (Simtime.us 5) (record "late"));
-  Sim.run sim;
-  (List.rev !log, Simtime.to_ns (Sim.now sim))
+         ignore (S.after sim Simtime.span_zero (record "inner-now"));
+         ignore (S.after sim (Simtime.us 3) (record "inner-later"))));
+  let periodic = S.every sim (Simtime.us 2) (record "tick") in
+  ignore (S.at sim (Simtime.of_ns 9_000) (fun () -> ignore (S.cancel sim periodic)));
+  (* Zero-delay events from inside a firing event: the instant's later
+     events first, then these in scheduling order; one is cancelled while
+     pending, then again, and one after it fired. *)
+  ignore (S.at sim (Simtime.of_ns 12_000) (record "queued-first"));
+  ignore (S.at sim (Simtime.of_ns 11_000) (fun () ->
+       record "spawner" ();
+       ignore (S.at sim (Simtime.of_ns 12_000) (fun () ->
+            S.post sim Simtime.span_zero (record "post-now");
+            let doomed = S.after sim Simtime.span_zero (record "never-now") in
+            let kept = S.at sim (S.now sim) (record "at-now") in
+            result "cancel-pending-now" (S.cancel sim doomed);
+            result "cancel-again" (S.cancel sim doomed);
+            S.post sim Simtime.span_zero (fun () -> result "cancel-fired" (S.cancel sim kept))))));
+  (* A series that cancels itself from its own third tick. *)
+  let ticks = ref 0 in
+  let self = ref None in
+  self :=
+    Some
+      (S.every sim (Simtime.us 3) (fun () ->
+           incr ticks;
+           record "self-tick" ();
+           if !ticks = 3 then Option.iter (fun e -> result "cancel-own-tick" (S.cancel sim e)) !self));
+  S.run_until sim (Simtime.of_ns 20_000);
+  Option.iter (fun e -> result "cancel-ended-series" (S.cancel sim e)) !self;
+  (* A horizon equal to the clock fires what is scheduled at the clock. *)
+  ignore (S.at sim (S.now sim) (record "at-clock"));
+  S.run_until sim (S.now sim);
+  ignore (S.after sim (Simtime.us 5) (record "late"));
+  S.run sim;
+  (* Stepping an empty queue leaves the clock where scheduling at it
+     still works. *)
+  result "step-empty" (S.step sim);
+  ignore (S.at sim (S.now sim) (record "after-empty-step"));
+  result "step" (S.step sim);
+  (List.rev !log, Simtime.to_ns (S.now sim))
 
-let test_sim_backend_equivalence () =
-  let heap_log, heap_clock = scripted_run Sim.Heap in
-  let wheel_log, wheel_clock = scripted_run Sim.Wheel in
-  Alcotest.(check (list (pair int string))) "same firing sequence" heap_log wheel_log;
-  Alcotest.(check int) "same final clock" heap_clock wheel_clock
+let test_sim_matches_reference () =
+  let ref_log, ref_clock = scripted_run (module Sim_ref) in
+  let sim_log, sim_clock = scripted_run (module Sim) in
+  Alcotest.(check (list (pair int string))) "same firing sequence" ref_log sim_log;
+  Alcotest.(check int) "same final clock" ref_clock sim_clock
+
+(* Random schedules.  Every event logs its instant and id when it fires,
+   then runs its actions, which may schedule (often at zero delay, so
+   events join the running instant from inside firing events) or
+   cancel (often the handle just made: a pending zero-delay [at]; or an
+   arbitrary earlier one: fired, cancelled twice, or a series).  Top-level
+   commands add [step] (also on an empty queue, followed by scheduling at
+   the clock), [run_until] to horizons at, before and past the clock, and
+   series that cancel themselves from one of their own ticks. *)
+
+type action =
+  | Spawn_at of int * action list (* delay >= 0 *)
+  | Spawn_post of int * action list
+  | Cancel_nth of int (* the handle made k-th, modulo the count *)
+  | Cancel_last
+
+type cmd =
+  | At of int * action list
+  | Post of int * action list
+  | Every of int * int (* period; the tick that cancels the series *)
+  | Cancel of int
+  | Step
+  | Run_until of int (* horizon relative to the clock *)
+  | Pending
+
+let gen_delay =
+  QCheck2.Gen.(frequency [ (3, return 0); (3, int_range 1 20); (1, int_range 21 5_000) ])
+
+let rec gen_actions depth =
+  let open QCheck2.Gen in
+  let sub = if depth = 0 then return [] else gen_actions (depth - 1) in
+  list_size (int_range 0 3)
+    (frequency
+       [
+         (3, map2 (fun d a -> Spawn_at (d, a)) gen_delay sub);
+         (3, map2 (fun d a -> Spawn_post (d, a)) gen_delay sub);
+         (1, map (fun k -> Cancel_nth k) (int_range 0 1000));
+         (2, return Cancel_last);
+       ])
+
+let gen_cmd =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (4, map2 (fun d a -> At (d, a)) gen_delay (gen_actions 2));
+      (3, map2 (fun d a -> Post (d, a)) gen_delay (gen_actions 2));
+      (1, map2 (fun p n -> Every (p, n)) (int_range 1 50) (int_range 1 6));
+      (2, map (fun k -> Cancel k) (int_range 0 1000));
+      (2, return Step);
+      ( 2,
+        map
+          (fun d -> Run_until d)
+          (frequency [ (2, return 0); (1, int_range (-5) 100); (1, int_range 101 10_000) ]) );
+      (1, return Pending);
+    ]
+
+let random_run (module S : SIM) script =
+  let sim = S.create () in
+  let log = ref [] in
+  let note tag a b = log := (tag, a, b) :: !log in
+  let now () = Simtime.to_ns (S.now sim) in
+  let handles = Hashtbl.create 64 in
+  let keep ev = Hashtbl.replace handles (Hashtbl.length handles) ev in
+  let cancel_nth k =
+    let n = Hashtbl.length handles in
+    if n > 0 then note 3 (k mod n) (Bool.to_int (S.cancel sim (Hashtbl.find handles (k mod n))))
+  in
+  let ids = ref 0 in
+  let rec event acts =
+    let id = !ids in
+    incr ids;
+    fun () ->
+      note 1 (now ()) id;
+      List.iter perform acts
+  and perform = function
+    | Spawn_at (d, acts) -> keep (S.at sim (Simtime.of_ns (now () + d)) (event acts))
+    | Spawn_post (d, acts) -> S.post sim (Simtime.span_of_ns d) (event acts)
+    | Cancel_nth k -> cancel_nth k
+    | Cancel_last -> cancel_nth (Hashtbl.length handles - 1)
+  in
+  List.iter
+    (function
+      | At (d, acts) -> keep (S.at sim (Simtime.of_ns (now () + d)) (event acts))
+      | Post (d, acts) -> S.post_at sim (Simtime.of_ns (now () + d)) (event acts)
+      | Every (period, stop) ->
+          let id = !ids in
+          incr ids;
+          let ticks = ref 0 in
+          let self = ref None in
+          let ev =
+            S.every sim (Simtime.ns period) (fun () ->
+                incr ticks;
+                note 2 (now ()) id;
+                if !ticks = stop then
+                  Option.iter (fun e -> note 4 id (Bool.to_int (S.cancel sim e))) !self)
+          in
+          self := Some ev;
+          keep ev
+      | Cancel k -> cancel_nth k
+      | Step ->
+          let fired = S.step sim in
+          note 5 (Bool.to_int fired) (now ())
+      | Run_until d ->
+          S.run_until sim (Simtime.of_ns (now () + d));
+          note 6 (now ()) (S.pending sim)
+      | Pending -> note 7 (S.pending sim) 0)
+    script;
+  (* A bounded drain: everything a script schedules fires within 20 us
+     of its last command, and a series that fails to stop then shows as
+     a pending event instead of a run that never ends. *)
+  S.run_until sim (Simtime.of_ns (now () + 100_000));
+  note 8 (now ()) (S.pending sim);
+  List.rev !log
 
 let prop_sim_random_schedule_equivalence =
-  QCheck2.Test.make ~name:"random Sim schedules fire identically on both backends" ~count:100
-    QCheck2.Gen.(list_size (int_range 1 120) (pair (int_range 0 50_000) (int_range 0 10)))
-    (fun script ->
-      let run backend =
-        let sim = Sim.create ~backend () in
-        let log = ref [] in
-        List.iteri
-          (fun i (t, kind) ->
-            let t = Simtime.of_ns t in
-            match kind with
-            | 0 | 1 | 2 | 3 ->
-                ignore (Sim.at sim t (fun () -> log := (Simtime.to_ns (Sim.now sim), i) :: !log))
-            | 9 | 10 ->
-                (* fire-and-forget lane; pooled on the wheel backend *)
-                Sim.post_at sim t (fun () -> log := (Simtime.to_ns (Sim.now sim), 3000 + i) :: !log)
-            | 4 | 5 ->
-                (* schedule then immediately cancel: must never fire *)
-                let ev = Sim.at sim t (fun () -> log := (-1, i) :: !log) in
-                ignore (Sim.cancel sim ev)
-            | 6 ->
-                (* nested re-arm at fire time *)
-                ignore
-                  (Sim.at sim t (fun () ->
-                       ignore
-                         (Sim.after sim (Simtime.ns 17) (fun () ->
-                              log := (Simtime.to_ns (Sim.now sim), 1000 + i) :: !log))))
-            | _ ->
-                let count = ref 0 in
-                let ev = ref None in
-                ev :=
-                  Some
-                    (Sim.every sim (Simtime.ns 997) (fun () ->
-                         incr count;
-                         log := (Simtime.to_ns (Sim.now sim), 2000 + i) :: !log;
-                         if !count > 5 then Option.iter (fun e -> ignore (Sim.cancel sim e)) !ev)))
-          script;
-        Sim.run_until sim (Simtime.of_ns 30_000);
-        Sim.run sim;
-        List.rev !log
-      in
-      run Sim.Heap = run Sim.Wheel)
+  QCheck2.Test.make ~name:"random Sim schedules fire identically to the Heapq oracle" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 80) gen_cmd)
+    (fun script -> random_run (module Sim_ref) script = random_run (module Sim) script)
 
 (* The periodic fast lane's primitive: a popped node goes back in at a
    later priority, keeping the same handle (so cancellation still works),
-   and a rearm while the node is queued, or into the past, is refused. *)
+   and a rearm while the node is queued, into the past or after a cancel
+   is refused. *)
 let test_rearm () =
   let w = Wheel.create () in
   let h = Wheel.insert w ~prio:10 "tick" in
@@ -299,9 +472,10 @@ let test_rearm () =
   Wheel.rearm w h ~prio:75;
   Alcotest.(check bool) "handle still cancellable" true (Wheel.cancel w h);
   Alcotest.(check bool) "wheel drained" true (Wheel.is_empty w);
-  Wheel.rearm w h ~prio:200;
-  Alcotest.(check (option (pair int string)))
-    "cancelled node rearms too" (Some (200, "tick")) (Wheel.pop_min w)
+  (try
+     Wheel.rearm w h ~prio:200;
+     Alcotest.fail "rearm of a cancelled node must raise"
+   with Invalid_argument _ -> ())
 
 (* Pooled (fire-and-forget) inserts: recycled nodes must behave exactly
    like fresh ones — same FIFO among ties, clean interaction with the
@@ -338,28 +512,28 @@ let test_insert_pooled () =
   Alcotest.(check (option (pair int int))) "usable after clear" (Some (600, 22)) (Wheel.pop_min w)
 
 (* Sim.post is the fire-and-forget lane end to end: posted events must
-   fire in exactly the position an [at] at the same instant would, on
-   both backends, including nested posts from inside a firing event. *)
+   fire in exactly the position an [at] at the same instant would, as in
+   the reference, including nested posts from inside a firing event. *)
 let test_sim_post_equivalence () =
-  let run backend =
-    let sim = Sim.create ~backend () in
+  let run (module S : SIM) =
+    let sim = S.create () in
     let log = ref [] in
-    let record tag () = log := (Simtime.to_ns (Sim.now sim), tag) :: !log in
-    Sim.post_at sim (Simtime.of_ns 40) (record "p40");
-    ignore (Sim.at sim (Simtime.of_ns 40) (record "a40"));
-    Sim.post_at sim (Simtime.of_ns 40) (record "q40");
-    Sim.post sim (Simtime.us 1) (fun () ->
+    let record tag () = log := (Simtime.to_ns (S.now sim), tag) :: !log in
+    S.post_at sim (Simtime.of_ns 40) (record "p40");
+    ignore (S.at sim (Simtime.of_ns 40) (record "a40"));
+    S.post_at sim (Simtime.of_ns 40) (record "q40");
+    S.post sim (Simtime.us 1) (fun () ->
         record "outer" ();
-        Sim.post sim Simtime.span_zero (record "inner-now");
-        Sim.post sim (Simtime.us 2) (record "inner-later"));
-    ignore (Sim.every sim (Simtime.us 1) (record "tick"));
-    Sim.run_until sim (Simtime.of_ns 4_500);
-    (List.rev !log, Simtime.to_ns (Sim.now sim))
+        S.post sim Simtime.span_zero (record "inner-now");
+        S.post sim (Simtime.us 2) (record "inner-later"));
+    ignore (S.every sim (Simtime.us 1) (record "tick"));
+    S.run_until sim (Simtime.of_ns 4_500);
+    (List.rev !log, Simtime.to_ns (S.now sim))
   in
-  let heap_log, heap_clock = run Sim.Heap in
-  let wheel_log, wheel_clock = run Sim.Wheel in
-  Alcotest.(check (list (pair int string))) "same firing sequence" heap_log wheel_log;
-  Alcotest.(check int) "same final clock" heap_clock wheel_clock
+  let ref_log, ref_clock = run (module Sim_ref) in
+  let sim_log, sim_clock = run (module Sim) in
+  Alcotest.(check (list (pair int string))) "same firing sequence" ref_log sim_log;
+  Alcotest.(check int) "same final clock" ref_clock sim_clock
 
 (* Rearm must interleave correctly with fresh inserts: FIFO among ties
    places the rearmed node behind nodes already at that priority. *)
@@ -383,9 +557,10 @@ let suite =
     Alcotest.test_case "past insert rejected" `Quick test_insert_below_lower_bound_rejected;
     Alcotest.test_case "insert at lower bound" `Quick test_insert_at_lower_bound_ok;
     Alcotest.test_case "pop_min_until commits horizon" `Quick test_pop_min_until_commits_horizon;
+    Alcotest.test_case "extract, take and cancel" `Quick test_extract_take_cancel;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "pooled inserts recycle cleanly" `Quick test_insert_pooled;
-    Alcotest.test_case "scripted Sim equivalence" `Quick test_sim_backend_equivalence;
+    Alcotest.test_case "scripted Sim equivalence" `Quick test_sim_matches_reference;
     Alcotest.test_case "Sim.post fires like Sim.at" `Quick test_sim_post_equivalence;
     QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
     QCheck_alcotest.to_alcotest prop_pop_until_equals_peek_and_pop;
