@@ -203,7 +203,7 @@ let sched_tests () =
     (fun n ->
       [
         sched_bench_policy "multilevel" (fun root -> Sched.Multilevel.make ~root ()) n;
-        sched_bench_policy "multilevel-ref" (fun root -> Sched.Multilevel_ref.make ~root ()) n;
+        sched_bench_policy "multilevel-ref" (fun root -> Spec.Multilevel_ref.make ~root ()) n;
         sched_bench_policy "timeshare" (fun _ -> Sched.Timeshare.make ()) n;
       ])
     [ 10; 100; 1000 ]
@@ -546,7 +546,7 @@ let bench_demux ~listens ~table =
   let stack = make_demux_stack listens in
   let srcs = Array.init 64 (fun i -> Netsim.Ipaddr.v 10 (i mod 8) (i mod 32) 7) in
   let lookup =
-    if table then Netsim.Stack.demux_lookup else Netsim.Stack.demux_reference
+    if table then Netsim.Stack.demux_lookup else Spec.Demux_ref.lookup
   in
   let k = ref 0 in
   Test.make
@@ -673,20 +673,20 @@ let bench_cache_churn_arena docs =
 
 let bench_cache_churn_ref docs =
   let cache =
-    Httpsim.File_cache_ref.create ~capacity_bytes:(max 4096 (cache_corpus_bytes docs / 8)) ()
+    Spec.File_cache_ref.create ~capacity_bytes:(max 4096 (cache_corpus_bytes docs / 8)) ()
   in
   let paths = Array.init docs (fun i -> Printf.sprintf "/bench-ref/%d/%d" docs i) in
   Array.iteri
-    (fun i path -> Httpsim.File_cache_ref.add_document cache ~path ~bytes:(cache_doc_bytes i))
+    (fun i path -> Spec.File_cache_ref.add_document cache ~path ~bytes:(cache_doc_bytes i))
     paths;
-  Httpsim.File_cache_ref.warm cache;
+  Spec.File_cache_ref.warm cache;
   let seq = Array.map (fun i -> paths.(i)) (cache_sequence docs) in
   let k = ref 0 in
   Test.make
     ~name:(Printf.sprintf "lookup churn, reference, %d docs" docs)
     (Staged.stage (fun () ->
          k := (!k + 1) land 4095;
-         ignore (Httpsim.File_cache_ref.lookup cache ~path:(Array.unsafe_get seq !k))))
+         ignore (Spec.File_cache_ref.lookup cache ~path:(Array.unsafe_get seq !k))))
 
 let cache_tests () =
   [
@@ -959,7 +959,10 @@ let run_json ~fast ~smoke ~mega ~label =
   let shard8_wall = shard_wall 8 in
   (* Sweep throughput: the same 9-point grid serially and fanned across 4
      domains.  On a multicore host jobs=4 divides the wall time; on a
-     single core it only adds domain overhead — both are worth knowing. *)
+     single core it only adds domain overhead — both are worth knowing.
+     The jobs=1 row runs after shards=8 has spawned the domain pool's
+     workers, so it also carries whatever parked workers cost a busy
+     domain. *)
   let sweep_metrics =
     let points =
       Experiments.Exp_sweep.grid ~client_counts:[ 4 ] ~seeds:[ 1; 2; 3 ] ()

@@ -281,8 +281,7 @@ let cluster_cmd =
        (parallel across domains when the host has them).  Results are \
        byte-identical for every value — that is the contract CI's determinism \
        stage checks by comparing --json-out files.  This command takes no --jobs: \
-       sharding is the only parallelism here, so the two cannot oversubscribe \
-       each other."
+       sharding is its only parallelism."
     in
     Arg.(value & opt int 1 & info [ "shards" ] ~doc ~docv:"N")
   in
@@ -366,18 +365,6 @@ let run_fuzz jobs seeds seed mode cpus machines shards zipf inject trace_out =
     Format.eprintf "fuzz: --shards must be >= 1@.";
     Stdlib.exit 2
   end;
-  if jobs > 1 && shards > 1 then begin
-    (* Both flags claim the host's domains: --jobs runs whole scenarios on
-       worker domains, --shards splits each scenario across domains.
-       Composing them oversubscribes every core without buying anything
-       (outcomes are identical either way), so refuse rather than
-       silently thrash. *)
-    Format.eprintf
-      "fuzz: --jobs %d and --shards %d both parallelise across domains; use one or \
-       the other (scenario outcomes are identical under both)@."
-      jobs shards;
-    Stdlib.exit 2
-  end;
   let modes =
     if mode = "all" then Fuzz.all_modes
     else
@@ -411,14 +398,16 @@ let run_fuzz jobs seeds seed mode cpus machines shards zipf inject trace_out =
     | _ when jobs > 1 ->
         (* Each (mode, seed) scenario is a pure function of its pair, so
            the batch fans across domains; outcomes print in batch order
-           once all runs finish. *)
+           once all runs finish.  A sharded scenario's windows run on the
+           domain that runs the scenario (a batch inside a batch is
+           serial), so --shards adds no domains here. *)
         let pairs =
           Array.of_list
             (List.concat_map (fun m -> List.map (fun s -> (m, s)) seed_list) modes)
         in
         let outcomes =
           Experiments.Harness.Sweep.map ~jobs
-            (fun (m, s) -> Fuzz.run_seed ~inject ~cpus ~machines ~zipf ~mode:m ~seed:s ())
+            (fun (m, s) -> Fuzz.run_seed ~inject ~cpus ~machines ~shards ~zipf ~mode:m ~seed:s ())
             pairs
         in
         Array.iter (fun o -> Format.printf "%a@." Fuzz.pp_outcome o) outcomes;
@@ -475,10 +464,8 @@ let fuzz_cmd =
     let doc =
       "Execute each cluster scenario across $(docv) event-core shards (requires \
        --machines > 1 to matter).  Outcomes are byte-identical at every shard \
-       count — a differing outcome IS a determinism bug.  Mutually exclusive \
-       with --jobs > 1: both parallelise across the host's domains (--jobs at \
-       the scenario grain, --shards inside one scenario), and composing them \
-       would oversubscribe every core, so the command refuses the combination."
+       count — a differing outcome IS a determinism bug.  With --jobs > 1 the \
+       scenarios run in parallel and each one's shards run on its own domain."
     in
     Arg.(value & opt int 1 & info [ "shards" ] ~doc ~docv:"N")
   in

@@ -55,11 +55,15 @@ echo "== zipf experiment smoke (2e4-doc corpus, flash crowd, invariants armed)"
 dune exec bin/rc_sim.exe -- zipf --fast > /dev/null
 
 echo "== cluster fuzz smoke (2 and 4 machines behind the balancer, rollup law armed)"
+# The 4-machine run also shards each scenario: its window batches are
+# submitted from inside the --jobs batch and run on that scenario's domain.
 dune exec bin/rc_sim.exe -- fuzz --seeds 4 --machines 2 --jobs 2
-dune exec bin/rc_sim.exe -- fuzz --seeds 4 --machines 4 --jobs 2
+dune exec bin/rc_sim.exe -- fuzz --seeds 4 --machines 4 --shards 4 --jobs 2
 
-echo "== sharded cluster fuzz smoke (same scenarios split over 4 event cores)"
-dune exec bin/rc_sim.exe -- fuzz --seeds 3 --machines 4 --shards 4
+echo "== sharded cluster fuzz determinism (same scenarios over 4 event cores must print the unsharded lines)"
+dune exec bin/rc_sim.exe -- fuzz --seeds 3 --machines 4 --shards 1 > "${TMPDIR:-/tmp}/rc-fuzz-cluster-s1.txt"
+dune exec bin/rc_sim.exe -- fuzz --seeds 3 --machines 4 --shards 4 > "${TMPDIR:-/tmp}/rc-fuzz-cluster-s4.txt"
+cmp "${TMPDIR:-/tmp}/rc-fuzz-cluster-s1.txt" "${TMPDIR:-/tmp}/rc-fuzz-cluster-s4.txt"
 
 echo "== cluster oracle gate (M/G/1-PS closed form within 5% at >= 1e5 concurrent conns, sharded)"
 dune exec bin/rc_sim.exe -- cluster --check --shards 8 > /dev/null

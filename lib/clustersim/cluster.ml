@@ -21,14 +21,11 @@
      and applies them to the in-flight rings, counters and sojourn summary
      in that canonical order.
 
-   Because this windowed mailbox protocol is the ONLY execution path (a
+   Because this windowed mailbox protocol is the only execution path (a
    shards=1 run uses the same mailboxes, the same barriers and the same
    drain orders), shards=N is byte-identical to shards=1 by construction:
    nothing observable depends on the shard count, the domain count, the
-   wall clock or domain identity.  [~window:Simtime.span_zero] opts out
-   into the synchronous pre-sharding semantics (direct injection, live
-   least-conns counts) and is only legal at shards=1 — zero lookahead
-   cannot be made conservative.
+   wall clock or domain identity.
 
    Tenants are the paper's resource principals stretched across machines:
    each tenant owns one container per machine (filter-matched listens bind
@@ -111,7 +108,7 @@ type tenant = {
 type t = {
   shard_sims : Sim.t array; (* machine i runs in shard i mod shards *)
   exec : Shard.t;
-  window_ns : int; (* dispatch latency = window length; 0 = synchronous *)
+  window_ns : int; (* dispatch latency = window length, > 0 *)
   policy : policy;
   profile : profile;
   nodes : node array;
@@ -156,11 +153,9 @@ type t = {
   mutable client_sojourn : Stats.Summary.t; (* connect -> response, seconds *)
   mutable started : bool;
   mutable arrivals_on : bool;
-  mutable strict : bool; (* arm_invariants was called: workers need the DLS flag *)
+  mutable strict : bool; (* arm_invariants was called: every shard's domain needs the DLS flag *)
   mutable t0_ns : int; (* profile epoch: simulation time at [start] *)
 }
-
-let sync t = t.window_ns = 0
 
 (* Enough virtual nodes that arc-share imbalance is a few percent: with V
    vnodes per machine the share standard deviation is ~1/sqrt(V). *)
@@ -208,7 +203,6 @@ let ring_lookup t h =
 let machines t = Array.length t.nodes
 let shards t = Shard.shards t.exec
 let domains t = Shard.domains t.exec
-let lookahead t = Simtime.span_of_ns t.window_ns
 let node_machine t i = t.nodes.(i).machine
 let node_stack t i = t.nodes.(i).stack
 let node_served t i = t.nodes.(i).served
@@ -310,9 +304,7 @@ let rec worker_body t node =
 
 (* ---------------- completions (balancer side) ---------------- *)
 
-(* Applied on the balancer's domain only: at the barrier merge (windowed)
-   or directly from the response event (synchronous mode, where there is
-   only one domain and one sim). *)
+(* Applied on the calling domain only, at the barrier merge. *)
 let apply_completion t ~time_ns ~seq =
   let i = seq land t.mask in
   if t.issue_seq.(i) = seq then
@@ -327,8 +319,8 @@ let apply_completion t ~time_ns ~seq =
 (* ---------------- the client population / balancer ---------------- *)
 
 (* The handlers run inside the node's own event core: they read only the
-   node, immutable cluster parameters and [sync]-gated state, and write
-   only the node's counters and mailboxes.  All times are the node
+   node and immutable cluster parameters, and write only the node's
+   counters and mailboxes.  All times are the node
    machine's clock (identical to the balancer clock at shards=1; the only
    clock the node's domain may read at shards>1). *)
 let make_handlers t node =
@@ -343,9 +335,7 @@ let make_handlers t node =
     on_response =
       (fun conn _payload ->
         let seq = conn.Socket.src_port in
-        let time_ns = Simtime.to_ns (Machine.now node.machine) in
-        if sync t then apply_completion t ~time_ns ~seq
-        else Shard.Intbox.push2 node.complete_box time_ns seq;
+        Shard.Intbox.push2 node.complete_box (Simtime.to_ns (Machine.now node.machine)) seq;
         if Simtime.span_to_ns t.hold = 0 then Stack.client_close node.stack conn
         else
           Sim.post msim t.hold (fun () ->
@@ -370,23 +360,13 @@ let pick_node t ~src ~src_port =
       i
   | Least_conns ->
       let best = ref 0 and bestc = ref max_int in
-      if sync t then
-        Array.iter
-          (fun n ->
-            let c = Stack.tracked_conns n.stack in
-            if c < !bestc then begin
-              bestc := c;
-              best := n.index
-            end)
-          t.nodes
-      else
-        Array.iteri
-          (fun i c ->
-            if c < !bestc then begin
-              bestc := c;
-              best := i
-            end)
-          t.conns_snapshot;
+      Array.iteri
+        (fun i c ->
+          if c < !bestc then begin
+            bestc := c;
+            best := i
+          end)
+        t.conns_snapshot;
       !best
   | Flow_hash -> ring_lookup t (Stack.flow_hash src src_port)
   | Replicate _ -> assert false
@@ -412,11 +392,7 @@ let inject_one t =
   t.done_seq.(i) <- min_int;
   t.issued <- t.issued + 1;
   let deliver_ns = Simtime.to_ns (now t) + t.window_ns in
-  let send node =
-    if sync t then
-      Stack.inject_connect node.stack ~src ~src_port ~port:t.port ~handlers:node.handlers
-    else Shard.Intbox.push3 node.dispatch_box deliver_ns seq tenant_ix
-  in
+  let send node = Shard.Intbox.push3 node.dispatch_box deliver_ns seq tenant_ix in
   match t.policy with
   | Replicate d ->
       let d = max 1 (min d (machines t)) in
@@ -497,8 +473,8 @@ let drain_completions t =
 let check_cluster_laws t =
   if Engine.Invariant.armed t.cluster_laws then Engine.Invariant.check_exn t.cluster_laws
 
-(* Runs on the calling domain while every worker is parked at the
-   barrier: safe to read and write any shard's state. *)
+(* Runs on the calling domain after the window's pool batch has
+   returned: safe to read and write any shard's state. *)
 let barrier_exchange t wend_ns =
   drain_completions t;
   drain_dispatch t;
@@ -599,20 +575,15 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
      Default: the SYN's wire time on the access link — the minimum
      balancer->machine delivery delay, i.e. the largest window that is
      still conservative under the default latency.  An explicit [window]
-     trades dispatch latency for barrier amortisation; zero degenerates
-     to the synchronous single-sim semantics and needs shards=1. *)
+     trades dispatch latency for barrier amortisation. *)
   let window_ns =
     match window with
     | Some w ->
         let ns = Simtime.span_to_ns w in
-        if ns < 0 then invalid_arg "Cluster.create: window must be >= 0";
+        if ns <= 0 then invalid_arg "Cluster.create: window must be positive";
         ns
     | None -> Simtime.span_to_ns (Stack.syn_delivery_delay nodes.(0).stack)
   in
-  if window_ns = 0 && shards > 1 then
-    invalid_arg
-      "Cluster.create: a zero window (no lookahead) degenerates to the synchronous \
-       protocol and requires shards = 1";
   let rollup = Rollup.create () in
   let cluster_laws = Engine.Invariant.create () in
   Rollup.register rollup cluster_laws;
@@ -736,15 +707,7 @@ let start t =
     end
   in
   Sim.post t.shard_sims.(0) (Simtime.ns 1) tick;
-  if sync t then
-    let (_ : Sim.event) =
-      Sim.every t.shard_sims.(0) t.rollup_period (fun () ->
-          Rollup.aggregate t.rollup;
-          let c = concurrent t in
-          if c > t.peak_concurrent then t.peak_concurrent <- c)
-    in
-    ()
-  else t.next_rollup_ns <- t.t0_ns + Simtime.span_to_ns t.rollup_period
+  t.next_rollup_ns <- t.t0_ns + Simtime.span_to_ns t.rollup_period
 
 let stop_arrivals t = t.arrivals_on <- false
 
@@ -752,28 +715,29 @@ let run_for t span =
   let start_ns = Simtime.to_ns (now t) in
   let horizon_ns = start_ns + Simtime.span_to_ns span in
   let horizon = Simtime.of_ns horizon_ns in
-  if not (sync t) then begin
-    let cursor = ref start_ns in
-    let next () =
-      if !cursor >= horizon_ns then None
-      else begin
-        let wend = min horizon_ns (!cursor + t.window_ns) in
-        cursor := wend;
-        Some wend
-      end
-    in
-    (* Windows advance each shard's sim directly; the machines' armed
-       quiesce re-checks happen once at the horizon below, not at every
-       window (the periodic [Sim.every] sweeps still run inside windows
-       at their own cadence). *)
-    let work s h = Sim.run_until t.shard_sims.(s) (Simtime.of_ns h) in
-    let prepare () = Rescont.Usage.set_strict_memory t.strict in
-    Shard.run_windows ~prepare t.exec ~next ~work
-      ~exchange:(fun h -> barrier_exchange t h)
-  end;
+  let cursor = ref start_ns in
+  let next () =
+    if !cursor >= horizon_ns then None
+    else begin
+      let wend = min horizon_ns (!cursor + t.window_ns) in
+      cursor := wend;
+      Some wend
+    end
+  in
+  (* Windows advance each shard's sim directly; the machines' armed
+     quiesce re-checks happen once at the horizon below, not at every
+     window (the periodic [Sim.every] sweeps still run inside windows
+     at their own cadence).  The strict-memory flag is domain-local and
+     a shard may run on a different domain in every window, so [work]
+     sets it each time. *)
+  let work s h =
+    Rescont.Usage.set_strict_memory t.strict;
+    Sim.run_until t.shard_sims.(s) (Simtime.of_ns h)
+  in
+  Shard.run_windows t.exec ~next ~work ~exchange:(fun h -> barrier_exchange t h);
   (* Horizon quiesce: every machine's run_until is now a no-op clock
-     advance (synchronous mode: the actual run) plus its registry's
-     quiesce check; then the cluster-level laws get the final word. *)
+     advance plus its registry's quiesce check; then the cluster-level
+     laws get the final word. *)
   Array.iter (fun n -> Machine.run_until n.machine horizon) t.nodes;
   check_cluster_laws t
 

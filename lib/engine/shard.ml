@@ -1,13 +1,8 @@
 (* Conservative time-window barrier executor.  See shard.mli for the
-   protocol and its determinism argument.
-
-   The barrier is a generation-counted mutex/condvar pair, the same shape
-   as Harness.Sweep's pool: the coordinator publishes (generation,
-   horizon) and broadcasts; each worker runs the shards of its lane and
-   decrements [pending]; the coordinator waits for [pending = 0], runs
-   the exchange, and publishes the next window.  Workers are spawned per
-   [run_windows] call and joined on exit (including the exception paths),
-   so the executor owns no long-lived threads. *)
+   protocol and its determinism argument.  Each window is one
+   [Pool.run] batch with one task per lane; the batch's completion is the
+   barrier, and the pool's mutex gives the happens-before edges between
+   a window's tasks and the exchange that follows it. *)
 
 module Intbox = struct
   type t = { mutable buf : int array; mutable len : int }
@@ -64,105 +59,26 @@ let create ?domains ~shards () =
 let shards t = t.shards
 let domains t = t.domains
 
-let run_sequential ~prepare ~shards ~next ~work ~exchange =
-  prepare ();
+let run_windows t ~next ~work ~exchange =
+  let horizon = ref 0 in
+  (* Lane [l] owns shards l, l+domains, l+2*domains, ...: a static
+     assignment, so the shards a task advances never depend on timing.
+     The closure is built once per call, so at one domain a window costs
+     no allocation. *)
+  let lane l =
+    let s = ref l in
+    while !s < t.shards do
+      work !s !horizon;
+      s := !s + t.domains
+    done
+  in
   let rec loop () =
     match next () with
     | None -> ()
     | Some h ->
-        for s = 0 to shards - 1 do
-          work s h
-        done;
+        horizon := h;
+        Pool.run ~domains:t.domains t.domains lane;
         exchange h;
         loop ()
   in
   loop ()
-
-let run_parallel ~prepare t ~next ~work ~exchange =
-  let m = Mutex.create () in
-  let go = Condition.create () in
-  let all_done = Condition.create () in
-  let horizon = ref 0 in
-  let gen = ref 0 in
-  let pending = ref 0 in
-  let stop = ref false in
-  let failure = ref None in
-  let record e bt =
-    Mutex.lock m;
-    (match !failure with None -> failure := Some (e, bt) | Some _ -> ());
-    Mutex.unlock m
-  in
-  (* Lane [l] owns shards l, l+domains, l+2*domains, ... — a static
-     assignment, so which domain runs a shard never depends on timing. *)
-  let lane_work lane h =
-    let s = ref lane in
-    while !s < t.shards do
-      work !s h;
-      s := !s + t.domains
-    done
-  in
-  let worker lane () =
-    (try prepare () with e -> record e (Printexc.get_raw_backtrace ()));
-    let seen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock m;
-      while (not !stop) && !gen = !seen do
-        Condition.wait go m
-      done;
-      if !stop then begin
-        Mutex.unlock m;
-        running := false
-      end
-      else begin
-        let h = !horizon in
-        seen := !gen;
-        Mutex.unlock m;
-        (match !failure with
-        | Some _ -> () (* a window already failed; just drain the barrier *)
-        | None -> (
-            try lane_work lane h with e -> record e (Printexc.get_raw_backtrace ())));
-        Mutex.lock m;
-        decr pending;
-        if !pending = 0 then Condition.signal all_done;
-        Mutex.unlock m
-      end
-    done
-  in
-  let workers = Array.init (t.domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  let shutdown () =
-    Mutex.lock m;
-    stop := true;
-    Condition.broadcast go;
-    Mutex.unlock m;
-    Array.iter Domain.join workers
-  in
-  Fun.protect ~finally:shutdown (fun () ->
-      prepare ();
-      let rec loop () =
-        match next () with
-        | None -> ()
-        | Some h ->
-            Mutex.lock m;
-            horizon := h;
-            incr gen;
-            pending := t.domains - 1;
-            Condition.broadcast go;
-            Mutex.unlock m;
-            (try lane_work 0 h with e -> record e (Printexc.get_raw_backtrace ()));
-            Mutex.lock m;
-            while !pending > 0 do
-              Condition.wait all_done m
-            done;
-            Mutex.unlock m;
-            (match !failure with
-            | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-            | None -> ());
-            exchange h;
-            loop ()
-      in
-      loop ())
-
-let run_windows ?(prepare = fun () -> ()) t ~next ~work ~exchange =
-  if t.domains = 1 then run_sequential ~prepare ~shards:t.shards ~next ~work ~exchange
-  else run_parallel ~prepare t ~next ~work ~exchange

@@ -17,9 +17,10 @@
 
     Memory model: shard state (sims, mailboxes being filled) is written
     only by the domain running that shard during a window; the exchange
-    step reads and writes any shard's state while the workers are parked
-    at the barrier.  The barrier mutex provides the happens-before edges
-    in both directions, so no atomics are needed in the mailboxes. *)
+    step reads and writes any shard's state after the window's
+    {!Pool.run} batch has returned.  The pool's mutex provides the
+    happens-before edges in both directions, so no atomics are needed in
+    the mailboxes. *)
 
 (** Flat integer mailbox: a growable [int array] written by one domain
     during a window and drained by the exchange step at the barrier.
@@ -43,9 +44,9 @@ end
 type t
 
 val create : ?domains:int -> shards:int -> unit -> t
-(** An executor for [shards] event cores.  [domains] is the number of OS
-    domains that run windows, including the calling one; it is clamped to
-    [shards].  By default it is further capped at
+(** An executor for [shards] event cores.  [domains] is the number of
+    {!Pool} domains each window may use, including the calling one; it is
+    clamped to [shards].  By default it is further capped at
     [Domain.recommended_domain_count ()] — oversubscribing domains on a
     small host is strictly slower (every domain shares the stop-the-world
     minor GC), and because the protocol is deterministic the capped
@@ -58,7 +59,6 @@ val shards : t -> int
 val domains : t -> int
 
 val run_windows :
-  ?prepare:(unit -> unit) ->
   t ->
   next:(unit -> int option) ->
   work:(int -> int -> unit) ->
@@ -69,12 +69,13 @@ val run_windows :
     advances one shard to the horizon (called once per shard per window,
     possibly on another domain); [exchange horizon] runs on the calling
     domain after every shard has reached the horizon — including after
-    the final window.  [prepare] runs once on every participating domain
-    (including the caller) before its first window; use it to seed
-    domain-local state such as {!Rescont.Usage.set_strict_memory}.
+    the final window.
 
-    Shards are assigned to domains statically ([shard mod domains]) and
-    the caller's own lane runs shard 0, so with one domain the loop is a
-    plain sequential iteration with no synchronisation.  An exception
-    raised by any [work] (on any domain) or by [exchange] is re-raised on
-    the calling domain after the workers are parked and joined. *)
+    Each window is one {!Pool.run} batch of [domains] tasks, one per
+    lane.  Lane [l] advances shards [l], [l + domains], [l + 2 * domains],
+    ... in that order; which domain runs a lane may change from window
+    to window, so [work] must not rely on domain-local state that it does
+    not set itself.  With one domain the loop is a plain sequential
+    iteration that allocates nothing per window.  An exception raised by
+    any [work] or by [exchange] is re-raised on the calling domain once
+    the window's batch has drained. *)

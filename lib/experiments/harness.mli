@@ -92,19 +92,16 @@ module Sweep : sig
   val recommended_jobs : unit -> int
   (** [Domain.recommended_domain_count ()]. *)
 
-  val map : ?jobs:int -> ?oversubscribe:bool -> ('a -> 'b) -> 'a array -> 'b array
-  (** [map ~jobs f points] applies [f] to every point, running up to
-      [jobs] domains in parallel (default 1 = fully sequential).  The
-      result array is in input order and is a pure function of the input
-      whatever [jobs] is.  If any point raises, the first failure is
-      re-raised after in-flight points finish and the remaining points
-      are abandoned.
+  val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+  (** [map ~jobs f points] applies [f] to every point as one
+      {!Engine.Pool.run} batch on up to [jobs] domains (default 1 = fully
+      sequential).  The result array is in input order and is a pure
+      function of the input whatever [jobs] is.  If any point raises,
+      the first failure is re-raised after in-flight points finish and
+      the remaining points are abandoned.
 
-      Domains come from a persistent pool capped at
-      {!recommended_jobs} — running more busy domains than cores makes
-      every minor GC's stop-the-world rendezvous slower than the
-      parallelism is worth, so extra [jobs] beyond the core count are
-      ignored (on a 1-core host every sweep is serial).
-      [oversubscribe] (default false, for tests of the pool machinery)
-      lifts that cap. *)
+      [jobs] is capped at {!recommended_jobs}: running more busy domains
+      than cores makes every minor GC's stop-the-world rendezvous slower
+      than the parallelism is worth, so on a 1-core host every sweep is
+      serial. *)
 end

@@ -22,7 +22,7 @@
    domains race to intern): warm order and eviction order follow slots,
    which are deterministic per cache.
 
-   {!File_cache_ref} is the executable spec: the historic hashtable
+   [Spec.File_cache_ref] is the executable spec: the historic hashtable
    implementation with clock-stamp LRU, lockstepped in QCheck.  The two
    agree because every stamp the spec writes is unique except for warm
    loads, which the spec stamps as lookups in registration order and this

@@ -10,7 +10,7 @@
     allocation-free, so one machine serves a 10^6-document Zipf working
     set at the same per-request cost as the seed's 4 documents.  Documents
     are identified by {!Docset} ids on the hot path; the [~path] API is
-    the compat view over the same state.  {!File_cache_ref} is the
+    the compat view over the same state.  [Spec.File_cache_ref] is the
     executable spec this implementation is QCheck-lockstepped against. *)
 
 type t

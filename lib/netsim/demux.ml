@@ -1,9 +1,9 @@
 (* Port-indexed early demultiplexer (paper §4.8).
 
-   The reference semantics — [Stack.demux_reference], a fold over every
-   listen socket — picks, among the sockets whose port matches and whose
-   filter matches the source, the most specific filter, breaking ties
-   toward the lowest listen id (earliest bound).  That fold is O(all
+   The reference semantics — the test-only [Spec.Demux_ref.lookup], a
+   fold over every listen socket — picks, among the sockets whose port
+   matches and whose filter matches the source, the most specific
+   filter, breaking ties toward the lowest listen id (earliest bound).  That fold is O(all
    listens) per SYN.
 
    Here each port owns an array of its listen sockets pre-sorted by

@@ -3,10 +3,10 @@
     Maps an incoming SYN's destination port to its listen sockets,
     pre-sorted by (decreasing filter specificity, increasing listen id) so
     a lookup is a first-match scan of one port's bucket instead of a fold
-    over every listen socket on the stack.  Agrees with the reference fold
-    [Stack.demux_reference] on every (port, source) — a QCheck-tested
-    equivalence, including equal-specificity ties and overlapping
-    prefixes. *)
+    over every listen socket on the stack.  Agrees with the test-only
+    reference fold [Spec.Demux_ref.lookup] on every (port, source) — a
+    QCheck-tested equivalence, including equal-specificity ties and
+    overlapping prefixes. *)
 
 type t
 

@@ -145,27 +145,6 @@ let remove_listen t l =
     List.filter (fun l' -> l'.Socket.listen_id <> l.Socket.listen_id) t.listen_sockets;
   Demux.remove t.demux l
 
-(* Most-specific-filter demultiplex (paper §4.8), reference semantics: a
-   single fold over every listen socket.  [compare_specificity] ranks the
-   more specific filter first (negative result), and ties break to the
-   earliest-bound socket (lowest listen id), so overlapping filters of
-   equal specificity demultiplex identically whatever order the listens
-   were added in.  The production path is {!Demux.lookup} over the
-   port-indexed table; this fold is kept as the executable specification
-   the QCheck equivalence property runs against. *)
-let demux_reference t ~port ~src =
-  List.fold_left
-    (fun best l ->
-      if l.Socket.port <> port || not (Filter.matches l.Socket.filter src) then best
-      else
-        match best with
-        | None -> Some l
-        | Some b ->
-            let c = Filter.compare_specificity l.Socket.filter b.Socket.filter in
-            if c < 0 || (c = 0 && l.Socket.listen_id < b.Socket.listen_id) then Some l
-            else best)
-    None t.listen_sockets
-
 let demux_lookup t ~port ~src = Demux.lookup t.demux ~port ~src
 
 let cost_of_work t (w : Workpool.item) =
@@ -942,19 +921,11 @@ let connect t ~src ?(src_port = 0) ~port ~handlers () =
   schedule t t.latency (fun () ->
       syn_arrival t ~src ~src_port ~port ~client:handlers ~completes:true)
 
-(* External arrival injection: the SYN hits the NIC at the instant of the
-   call, with no scheduled closure per arrival.  Open-loop arrival
-   processes (the cluster balancer) model their own wire delay and fire
-   from inside a sim event, so the per-connection [connect] closure and
-   its fixed client-side latency would be pure overhead at 10^5-10^6
-   arrivals. *)
-let inject_connect t ~src ~src_port ~port ~handlers =
-  syn_arrival t ~src ~src_port ~port ~client:handlers ~completes:true
-
-(* Deferred variant for cross-shard dispatch: the balancer runs in another
-   shard's event core and hands the arrival over at a window barrier, so
-   the SYN must hit this NIC at a future instant of this machine's sim
-   rather than "now".  One fire-and-forget event per arrival. *)
+(* External arrival injection for cross-shard dispatch: the balancer
+   runs in another shard's event core, models its own wire delay and
+   hands the arrival over at a window barrier, so the SYN must hit this
+   NIC at a future instant of this machine's sim.  One fire-and-forget
+   event per arrival, and no fixed client-side latency. *)
 let inject_connect_at t ~at ~src ~src_port ~port ~handlers =
   Sim.post_at (Machine.sim t.machine) at (fun () ->
       syn_arrival t ~src ~src_port ~port ~client:handlers ~completes:true)

@@ -15,7 +15,7 @@ let strict_memory_enabled () = Domain.DLS.get strict_memory
 (* A usage is a slot in the domain's struct-of-arrays {!Ledger} arena:
    charges and reads index flat int arrays, and this record is the only
    per-container allocation accounting ever makes.  The record-based
-   implementation these semantics are specified by is {!Usage_ref}. *)
+   implementation these semantics are specified by is [Spec.Usage_ref]. *)
 type t = { arena : Ledger.t; slot : int }
 
 let create () =

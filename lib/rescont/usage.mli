@@ -8,8 +8,9 @@
     A usage is a slot in the calling domain's struct-of-arrays {!Ledger}
     arena — charges are int stores into flat arrays, and hierarchical
     roll-up is an index walk over the arena's parent-slot array.  The
-    record-based reference semantics live in {!Usage_ref}, which a
-    QCheck lockstep property holds this module to. *)
+    record-based reference semantics live in the test-only
+    [Spec.Usage_ref], which a QCheck lockstep property holds this module
+    to. *)
 
 type t
 

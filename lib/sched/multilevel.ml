@@ -1,7 +1,7 @@
 (* Incremental reimplementation of the multilevel scheduler.  The policy's
    semantics — virtual-time weighted fair queueing per node, the
    start-time arrival rule, idle-class demotion and windowed CPU limits —
-   are specified by [Multilevel_ref], and the equivalence property test
+   are specified by [Spec.Multilevel_ref], and the equivalence property test
    holds this module to the exact pick sequence of that reference.
 
    Only the mechanical cost differs.  The reference re-derives every

@@ -16,7 +16,7 @@ let make ?(tau = Simtime.sec 1) () =
   (* Per-container decay state as two flat arrays indexed by
      [Container.slot] (dense per-domain creation order, never reused):
      the decayed usage as settled at [dlast.(slot)] nanoseconds.  Same
-     semantics as the [Decay] record module — which stays as the unit-
+     semantics as the [Spec.Decay] record module — which stays as the unit-
      tested reference — but the badness scan over a binding set becomes
      plain float-array reads instead of a hash probe plus record chase
      per member. *)
@@ -37,8 +37,8 @@ let make ?(tau = Simtime.sec 1) () =
       cap := !n
     end
   in
-  (* Decay.settle over the arrays: exponential decay of the stored value
-     to [now_ns], idempotent within a timestamp. *)
+  (* [Spec.Decay.settle] over the arrays: exponential decay of the stored
+     value to [now_ns], idempotent within a timestamp. *)
   let settle slot now_ns =
     let last = Array.unsafe_get !dlast slot in
     if now_ns > last then begin

@@ -13,6 +13,8 @@
      and equal to the arena's structural LRU order (warmed-but-untouched
      entries die oldest-registered first). *)
 
+module File_cache = Httpsim.File_cache
+
 type entry = {
   bytes : int;
   reg : int; (* registration index: the deterministic tie-break *)

@@ -1,4 +1,4 @@
-(** Executable specification for {!File_cache}.
+(** Executable specification for {!Httpsim.File_cache}.
 
     The pre-arena hashtable implementation, kept as the QCheck-lockstep
     model: random register/lookup/warm sequences must produce identical
@@ -14,8 +14,8 @@ val create : ?capacity_bytes:int -> unit -> t
 val add_document : t -> path:string -> bytes:int -> unit
 val document_size : t -> path:string -> int option
 
-val lookup : t -> path:string -> File_cache.outcome
-(** Same semantics as {!File_cache.lookup}. *)
+val lookup : t -> path:string -> Httpsim.File_cache.outcome
+(** Same semantics as {!Httpsim.File_cache.lookup}. *)
 
 val warm : t -> unit
 

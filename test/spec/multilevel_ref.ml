@@ -18,6 +18,8 @@
 module Simtime = Engine.Simtime
 module Container = Rescont.Container
 module Attrs = Rescont.Attrs
+module Runq = Sched.Runq
+module Policy = Sched.Policy
 
 type cstate = {
   mutable vt : float; (* weight-normalised service received *)

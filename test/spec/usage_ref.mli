@@ -1,9 +1,9 @@
-(** Record-based executable specification of {!Usage}.
+(** Record-based executable specification of {!Rescont.Usage}.
 
     The boxed-record accumulator that predates the struct-of-arrays
-    {!Ledger} arena, kept as the reference semantics (the
-    [Multilevel_ref] pattern): a QCheck lockstep property drives this
-    module and {!Usage} with identical random charge sequences and
+    {!Rescont.Ledger} arena, kept as the reference semantics (the
+    {!Multilevel_ref} pattern): a QCheck lockstep property drives this
+    module and {!Rescont.Usage} with identical random charge sequences and
     requires field-for-field agreement, including the
     saturate-vs-raise negative-memory rule.  Not used on any hot path. *)
 

@@ -235,24 +235,45 @@ let test_shards_identical_tiny_window () =
   let sharded = fingerprint (sharded_run ~window:w ~shards:2 ~domains:2 ()) in
   Alcotest.(check string) "10us windows: shards=2 == shards=1" base sharded
 
-let test_sync_mode_zero_window () =
-  (* window=0 selects the synchronous pre-sharding semantics: still a
-     working cluster... *)
-  let c =
-    Cluster.create ~machines:2 ~window:Simtime.span_zero
-      ~profile:(Cluster.Poisson 2000.) ~seed:7 ()
+let test_zero_window_refused () =
+  (* The window is the protocol's lookahead; a zero window admits no
+     conservative schedule at any shard count. *)
+  List.iter
+    (fun shards ->
+      Alcotest.check_raises
+        (Printf.sprintf "shards=%d" shards)
+        (Invalid_argument "Cluster.create: window must be positive")
+        (fun () ->
+          ignore (Cluster.create ~machines:2 ~shards ~window:Simtime.span_zero ())))
+    [ 1; 2 ]
+
+(* The strict-memory flag is domain-local, and a 4-domain run may hand
+   shard 3 (machine 3) to any of the pool's domains in any window, so
+   [run_for] must set the flag wherever a shard runs: an over-refund
+   raises when the cluster is armed and saturates when it is not, even
+   if the calling domain's flag says otherwise. *)
+let test_strict_flag_reaches_every_shard () =
+  let over_refund_raises ~armed =
+    let c =
+      Cluster.create ~machines:4 ~shards:4 ~domains:4 ~profile:(Cluster.Poisson 500.)
+        ~seed:11 ()
+    in
+    if armed then Cluster.arm_invariants c;
+    Cluster.start c;
+    let victim = Cluster.tenant_container c ~tenant:0 ~node:3 in
+    Engine.Sim.post
+      (Procsim.Machine.sim (Cluster.node_machine c 3))
+      (Simtime.ms 5)
+      (fun () -> Rescont.Container.charge_memory victim (-1 lsl 30));
+    match Cluster.run_for c (Simtime.ms 20) with
+    | () -> false
+    | exception Rescont.Usage.Negative_memory _ -> true
   in
-  Alcotest.(check int) "zero lookahead recorded" 0 (Simtime.span_to_ns (Cluster.lookahead c));
-  Cluster.start c;
-  Cluster.run_for c (Simtime.ms 300);
-  Alcotest.(check bool) "sync mode serves" true (Cluster.completed c > 300);
-  (* ...but cannot be sharded: zero lookahead has no conservative window. *)
-  Alcotest.check_raises "shards>1 with zero window refused"
-    (Invalid_argument
-       "Cluster.create: a zero window (no lookahead) degenerates to the synchronous \
-        protocol and requires shards = 1")
-    (fun () ->
-      ignore (Cluster.create ~machines:2 ~shards:2 ~window:Simtime.span_zero ()))
+  Alcotest.(check bool) "armed: over-refund raises" true (over_refund_raises ~armed:true);
+  Rescont.Usage.set_strict_memory true;
+  Alcotest.(check bool) "unarmed: over-refund saturates" false
+    (over_refund_raises ~armed:false);
+  Rescont.Usage.set_strict_memory false
 
 let test_empty_machine_no_stall () =
   (* At 20 arrivals/s over 200 ms some machines see no traffic at all;
@@ -317,8 +338,10 @@ let suite =
       test_shards_byte_identical;
     Alcotest.test_case "tiny 10us windows stay identical" `Quick
       test_shards_identical_tiny_window;
-    Alcotest.test_case "zero window = sync mode, shards=1 only" `Quick
-      test_sync_mode_zero_window;
+    Alcotest.test_case "zero window refused at every shard count" `Quick
+      test_zero_window_refused;
+    Alcotest.test_case "strict-memory flag reaches every shard" `Quick
+      test_strict_flag_reaches_every_shard;
     Alcotest.test_case "idle machines advance with the windows" `Quick
       test_empty_machine_no_stall;
     QCheck_alcotest.to_alcotest prop_sharded_rollup;

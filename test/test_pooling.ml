@@ -1,7 +1,7 @@
 (* Tests for the PR-5 zero-allocation packet path plumbing:
 
    - the port-indexed demux table against the reference fold
-     [Stack.demux_reference] on random listen/unlisten/SYN sequences,
+     [Spec.Demux_ref.lookup] on random listen/unlisten/SYN sequences,
      including equal-specificity ties and overlapping prefixes;
    - the pooled work-item free list in lockstep with a naive
      [Queue.t]-of-ids reference (no double free, no reuse of in-flight
@@ -78,7 +78,7 @@ let prop_demux_matches_reference =
             List.iter
               (fun port ->
                 let fast = listen_id_opt (Stack.demux_lookup rig.stack ~port ~src) in
-                let slow = listen_id_opt (Stack.demux_reference rig.stack ~port ~src) in
+                let slow = listen_id_opt (Spec.Demux_ref.lookup rig.stack ~port ~src) in
                 if fast <> slow then
                   QCheck2.Test.fail_reportf
                     "port %d src %s: table %s, reference %s" port (Ipaddr.to_string src)

@@ -5,7 +5,7 @@ module Container = Rescont.Container
 module Attrs = Rescont.Attrs
 module Binding = Rescont.Binding
 module Task = Sched.Task
-module Decay = Sched.Decay
+module Decay = Spec.Decay
 module Runq = Sched.Runq
 
 let fixed share = Attrs.fixed_share ~share ()
@@ -433,7 +433,7 @@ let test_multilevel_share_sum_order () =
   in
   List.iter (fun c -> Container.set_parent c (Some p)) (List.rev shares);
   let timeshare = List.init 2 (fun _ -> Container.create ~parent:p ~attrs:(ts 10) ()) in
-  let opt = Sched.Multilevel.make ~root () and refp = Sched.Multilevel_ref.make ~root () in
+  let opt = Sched.Multilevel.make ~root () and refp = Spec.Multilevel_ref.make ~root () in
   List.iteri
     (fun i c ->
       let t = task_on c (Printf.sprintf "t%d" i) in
@@ -455,7 +455,7 @@ let test_multilevel_share_sum_order () =
 
 (* {1 Multilevel vs. its executable specification}
 
-   [Sched.Multilevel] is an incremental rewrite of [Sched.Multilevel_ref];
+   [Sched.Multilevel] is an incremental rewrite of [Spec.Multilevel_ref];
    this property drives both instances over the same randomized workload —
    enqueues, dequeues, re-parenting, leaves destroyed (queued tasks and
    all) and created mid-run, picks and charges — and demands that every
@@ -526,7 +526,7 @@ let prop_multilevel_matches_reference =
       in
       let invariants = Engine.Invariant.create () in
       let opt = Sched.Multilevel.make ~invariants ~root () in
-      let refp = Sched.Multilevel_ref.make ~root () in
+      let refp = Spec.Multilevel_ref.make ~root () in
       let leaves_arr = Array.of_list leaves in
       let groups_arr = Array.of_list groups in
       let tasks_arr = ref (Array.of_list tasks) in

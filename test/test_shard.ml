@@ -170,17 +170,31 @@ let test_worker_exception_propagates () =
   Alcotest.check_raises "worker failure re-raised on caller" (boom 300) run;
   Alcotest.check_raises "executor reusable after failure" (boom 300) run
 
-let test_prepare_runs_everywhere () =
-  let count = Atomic.make 0 in
-  let exec = Shard.create ~shards:4 ~domains:4 () in
-  let cursor = ref 0 in
-  let next () = if !cursor >= 200 then None else (cursor := !cursor + 100; Some !cursor) in
-  Shard.run_windows exec
-    ~prepare:(fun () -> Atomic.incr count)
-    ~next
-    ~work:(fun _ _ -> ())
-    ~exchange:(fun _ -> ());
-  Alcotest.(check int) "prepare ran once per domain" 4 (Atomic.get count)
+(* A pool batch whose tasks each drive a multi-domain sharded run: the
+   inner window batches run serially on the domain that submitted them,
+   so every run matches the serial one and none waits on another. *)
+let test_nested_pool_batches () =
+  let serial = toy_run ~shards:4 ~domains:1 in
+  let nested = Array.make 4 None in
+  Engine.Pool.run ~domains:4 4 (fun i -> nested.(i) <- Some (toy_run ~shards:4 ~domains:4));
+  Array.iteri
+    (fun i r ->
+      let log, clocks = Option.get r in
+      Alcotest.(check string) (Printf.sprintf "task %d log" i) (fst serial) log;
+      Alcotest.(check (array int))
+        (Printf.sprintf "task %d clocks" i)
+        (Array.map Simtime.to_ns (snd serial))
+        (Array.map Simtime.to_ns clocks))
+    nested;
+  (* Two outer tasks leave workers idle; the inner batches still stay on
+     their submitters instead of spreading over the idle domains. *)
+  let strays = Atomic.make 0 in
+  Engine.Pool.run ~domains:4 2 (fun _ ->
+      let me = Domain.self () in
+      Engine.Pool.run ~domains:4 8 (fun _ ->
+          ignore (toy_run ~shards:2 ~domains:1);
+          if Domain.self () <> me then Atomic.incr strays));
+  Alcotest.(check int) "inner tasks ran on their submitter" 0 (Atomic.get strays)
 
 let suite =
   [
@@ -194,5 +208,5 @@ let suite =
       test_boundary_tie_local_first;
     Alcotest.test_case "worker exception propagates to caller" `Quick
       test_worker_exception_propagates;
-    Alcotest.test_case "prepare runs on every domain" `Quick test_prepare_runs_everywhere;
+    Alcotest.test_case "nested pool batches match serial runs" `Quick test_nested_pool_batches;
   ]

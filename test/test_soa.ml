@@ -13,7 +13,7 @@ module Socket = Netsim.Socket
 module Ipaddr = Netsim.Ipaddr
 module Conn_table = Netsim.Conn_table
 module Usage = Rescont.Usage
-module Usage_ref = Rescont.Usage_ref
+module Usage_ref = Spec.Usage_ref
 
 let fresh_conn =
   let n = ref 0 in

@@ -35,15 +35,15 @@ let test_map_exception () =
 let test_recommended_jobs () =
   Alcotest.(check bool) "at least one core" true (Sweep.recommended_jobs () >= 1)
 
-(* Force the persistent worker pool into action even on a 1-core host
-   (where the core-count cap would normally keep every map serial), and
-   run several batches so the generation hand-off between batches is
-   exercised, not just the first spawn. *)
-let test_pool_oversubscribed_batches () =
-  let points = Array.init 60 Fun.id in
-  let expect = Array.map (fun i -> (i * 7) + 1 ) points in
+(* Sweep.map caps [jobs] at the host's core count, so these drive the
+   pool with an explicit domain count to put it into action even on a
+   1-core host, and run several batches so the generation hand-off
+   between batches is exercised, not just the first spawn. *)
+let test_pool_across_batches () =
+  let expect = Array.init 60 (fun i -> (i * 7) + 1) in
   for round = 1 to 3 do
-    let got = Sweep.map ~jobs:4 ~oversubscribe:true (fun i -> (i * 7) + 1) points in
+    let got = Array.make 60 0 in
+    Engine.Pool.run ~domains:4 60 (fun i -> got.(i) <- (i * 7) + 1);
     Alcotest.(check (array int))
       (Printf.sprintf "pooled round %d preserves order" round)
       expect got
@@ -52,10 +52,7 @@ let test_pool_oversubscribed_batches () =
 let test_pool_exception () =
   let raised =
     try
-      ignore
-        (Sweep.map ~jobs:3 ~oversubscribe:true
-           (fun i -> if i = 5 then raise (Boom i) else i)
-           (Array.init 8 Fun.id));
+      Engine.Pool.run ~domains:3 8 (fun i -> if i = 5 then raise (Boom i));
       None
     with Boom i -> Some i
   in
@@ -79,7 +76,7 @@ let suite =
     Alcotest.test_case "map edge cases" `Quick test_map_empty_and_single;
     Alcotest.test_case "map propagates exceptions" `Quick test_map_exception;
     Alcotest.test_case "recommended jobs" `Quick test_recommended_jobs;
-    Alcotest.test_case "worker pool across batches" `Quick test_pool_oversubscribed_batches;
+    Alcotest.test_case "worker pool across batches" `Quick test_pool_across_batches;
     Alcotest.test_case "worker pool propagates exceptions" `Quick test_pool_exception;
     Alcotest.test_case "jobs=4 equals jobs=1 byte-for-byte" `Quick test_jobs_determinism;
   ]
