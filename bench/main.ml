@@ -191,12 +191,11 @@ let sched_bench_policy name make_policy n =
     ~name:(Printf.sprintf "%s pick+charge, %d containers" name n)
     (Staged.stage (fun () ->
          incr now;
-         match policy.Sched.Policy.pick ~now:(Simtime.of_ns !now) with
-         | Some task ->
-             policy.Sched.Policy.charge
-               ~container:(Sched.Task.container task)
-               ~now:(Simtime.of_ns !now) (Simtime.us 10)
-         | None -> ()))
+         let task = policy.Sched.Policy.pick ~now:(Simtime.of_ns !now) in
+         if not (Sched.Task.is_none task) then
+           policy.Sched.Policy.charge
+             ~container:(Sched.Task.container task)
+             ~now:(Simtime.of_ns !now) (Simtime.us 10)))
 
 let sched_tests () =
   List.concat_map
@@ -245,12 +244,11 @@ let smp_bench_dispatch ~sharded n =
          incr now;
          for cpu = 0 to smp_cpus - 1 do
            let pol = pols.(cpu) in
-           match pol.Sched.Policy.pick ~now:(Simtime.of_ns !now) with
-           | Some task ->
-               pol.Sched.Policy.charge
-                 ~container:(Sched.Task.container task)
-                 ~now:(Simtime.of_ns !now) (Simtime.us 10)
-           | None -> ()
+           let task = pol.Sched.Policy.pick ~now:(Simtime.of_ns !now) in
+           if not (Sched.Task.is_none task) then
+             pol.Sched.Policy.charge
+               ~container:(Sched.Task.container task)
+               ~now:(Simtime.of_ns !now) (Simtime.us 10)
          done))
 
 let smp_tests () =
@@ -335,11 +333,10 @@ let sibling_rig idle =
   let now = ref 0 in
   fun () ->
     incr now;
-    match policy.Sched.Policy.pick ~now:(Simtime.of_ns !now) with
-    | Some task ->
-        policy.Sched.Policy.charge ~container:(Sched.Task.container task)
-          ~now:(Simtime.of_ns !now) (Simtime.us 10)
-    | None -> ()
+    let task = policy.Sched.Policy.pick ~now:(Simtime.of_ns !now) in
+    if not (Sched.Task.is_none task) then
+      policy.Sched.Policy.charge ~container:(Sched.Task.container task)
+        ~now:(Simtime.of_ns !now) (Simtime.us 10)
 
 (* Median ns per call of [a] and of [b], over 9 batches of [calls] each;
    the batches alternate, so both medians see the same host phases. *)

@@ -1,8 +1,10 @@
 #!/bin/sh
-# CI gate: build everything, run the test suites, check the fast-path
-# benchmarks against the committed baseline (BENCH_PR15.json), and verify
-# the sharded-execution determinism contract (shards=N byte-identical to
-# shards=1).  Referenced from README.md "Install and build".
+# CI gate: build everything, run the test suites, replay the repository
+# benchmark's full windows against perfbench/golden.json, check the
+# fast-path benchmarks against the committed baseline (BENCH_PR15.json),
+# and verify the sharded-execution determinism contract (shards=N
+# byte-identical to shards=1).  Referenced from README.md "Install and
+# build".
 set -eu
 cd "$(dirname "$0")"
 
@@ -11,6 +13,13 @@ dune build @all
 
 echo "== dune runtest"
 dune runtest
+
+echo "== perfbench output check (full windows at seed 7; every repetition must match golden.json)"
+# dune runtest replays only tiny windows at seed 1.  run.py exits 1 when
+# any repetition's simulated statistics differ from the recorded ones.
+for w in conn-containers zipf-flash cluster-hold; do
+  python3 perfbench/run.py --workload "$w" --seed 7 --seconds 0 > /dev/null
+done
 
 echo "== bench smoke (tiny quotas; executes the harness, gates nothing)"
 dune exec bench/main.exe -- --json --smoke --label ci-smoke > /dev/null

@@ -20,7 +20,17 @@ type t = {
 
 let create () = { laws = []; armed = false; checks_run = 0; violations_seen = 0 }
 
-let register t ~law check = t.laws <- t.laws @ [ { name = law; check } ]
+(* Two subsystems may register the same law over different state (the
+   rig's document cache and a corpus cache share one registry); the
+   suffix makes a violation say which one broke. *)
+let register t ~law check =
+  let taken name = List.exists (fun l -> String.equal l.name name) t.laws in
+  let rec free k =
+    let name = Printf.sprintf "%s#%d" law k in
+    if taken name then free (k + 1) else name
+  in
+  let name = if taken law then free 2 else law in
+  t.laws <- t.laws @ [ { name; check } ]
 
 let names t = List.map (fun l -> l.name) t.laws
 

@@ -22,7 +22,9 @@ val create : unit -> t
 
 val register : t -> law:string -> (unit -> (unit, string) result) -> unit
 (** Add a named law.  Laws run in registration order; a law that raises is
-    reported as a violation of itself (checks must be total). *)
+    reported as a violation of itself (checks must be total).  A name
+    already registered gets the first free suffix [#2], [#3], …, so each
+    law's violations name it alone. *)
 
 val names : t -> string list
 

@@ -12,18 +12,34 @@ type thread = {
   mutable state : state;
   mutable pending : int; (* ns of requested CPU still to consume *)
   mutable kernel_mode : bool; (* mode of the pending request *)
-  mutable cont : (unit, unit) Effect.Deep.continuation option;
+  mutable cont : (unit, unit) Effect.Deep.continuation; (* [no_cont] unless suspended *)
   mutable entry : (unit -> unit) option; (* body not yet started *)
   mutable ready_since : Simtime.t; (* when it last became runnable *)
   pinned : bool; (* spawned with an explicit home CPU: never migrated *)
+  mutable wake : unit -> unit; (* [sleep]'s wake-up event, made on its first sleep *)
+  mutable wq_next : thread; (* the next waiter on the wait queue holding it *)
 }
+
+(* The dispatch cycle runs once per slice, so it stores no option: a
+   fresh [Some] per slice would be a young block written into a
+   long-lived record.  The absent values are sentinels compared with
+   [==].  [no_cont] is never continued; a continuation is a block, so no
+   real one equals it. *)
+let no_cont : (unit, unit) Effect.Deep.continuation = Obj.magic 0
+let no_wake () = ()
+
+let rec no_thread =
+  { task = Task.none; state = Done; pending = 0; kernel_mode = false; cont = no_cont;
+    entry = None; ready_since = Simtime.zero; pinned = true; wake = no_wake;
+    wq_next = no_thread }
 
 (* One dispatch record per processor, allocated at machine creation and
    reused for every slice (a record, a [Some] box and an end-of-slice
    closure per dispatch otherwise add up to the single largest allocation
    stream in a run).  [d_thread] is only meaningful while the slot is
    occupied ([currents.(cpu)] is [Some]); between slices it retains the
-   previous occupant, which pins nothing beyond the thread table. *)
+   previous occupant ([no_thread] before the first), which pins nothing
+   beyond the thread table. *)
 type dispatch = {
   mutable d_thread : thread;
   d_cpu : int; (* which processor the slice runs on *)
@@ -36,9 +52,8 @@ type dispatch = {
 (* The effect handlers, allocated once per machine.  [effc] used to build
    a fresh [Some (fun k -> ...)] closure on every perform — a steady
    per-request allocation stream on the packet path.  Each handler reads
-   the performing thread from [exec] (always set while thread code runs)
-   and any effect payload from scratch cells on [t], which [effc] fills
-   before handing the handler back. *)
+   the performing thread from [exec] (always set while thread code runs);
+   [effc] stores any effect payload before handing the handler back. *)
 type handlers = {
   h_cpu : ((unit, unit) Effect.Deep.continuation -> unit) option;
   h_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
@@ -59,7 +74,7 @@ type t = {
   currents : dispatch option array; (* one slot per processor *)
   mutable dispatch_pool : dispatch array; (* the per-cpu reusable records *)
   mutable dispatch_some : dispatch option array; (* preallocated [Some pool.(cpu)] *)
-  mutable exec : thread option; (* thread whose OCaml code is running *)
+  mutable exec : thread; (* thread whose OCaml code is running, else [no_thread] *)
   mutable kick_pending : bool;
   mutable timed_kick : Simtime.t; (* earliest outstanding timed dispatch wake-up;
                                      in the past = none outstanding *)
@@ -88,12 +103,19 @@ type t = {
   c_migrations : Engine.Metrics.counter;
   mutable handlers : handlers; (* installed by [create], before any thread runs *)
   mutable eff_sleep_ns : int; (* E_sleep payload, valid only inside [effc] *)
-  mutable eff_wq : waitq option; (* E_wait payload, likewise *)
 }
 
 (* Wait queues participate in the effect type and in [t], so they live in
-   the recursive group. *)
-and waitq = { wq_name : string; wq_machine : t; wq_waiters : thread Queue.t (* FIFO *) }
+   the recursive group.  The waiters are a FIFO linked through
+   [wq_next]: a thread waits on one queue at a time, so waiting costs no
+   queue cell. *)
+and waitq = {
+  wq_name : string;
+  wq_machine : t;
+  mutable wq_head : thread; (* oldest waiter, [no_thread] when none *)
+  mutable wq_tail : thread;
+  mutable wq_len : int;
+}
 
 type _ Effect.t +=
   | E_cpu : { cost : int; kernel : bool } -> unit Effect.t
@@ -150,34 +172,46 @@ let charge_to m container ~kernel ~cpu span_ns =
 
 let cpus m = Array.length m.currents
 
-(* The machine is idle only when no processor has a slice in flight AND
-   no processor is held by steered interrupt work: a Ready kthread pinned
-   to an irq-held CPU is committed future work, and signalling the idle
-   hook over its head would re-wake (and re-block) its peers in an
-   infinite same-instant loop. *)
-let all_slots_free m =
-  let n = Array.length m.currents in
-  let t = Sim.now m.sim in
-  let rec go i =
-    i >= n
-    || (match m.currents.(i) with
-       | Some _ -> false
-       | None -> Simtime.(t >= m.irq_busy_until.(i)) && go (i + 1))
-  in
-  go 0
+(* The machine is idle only when no processor from [i] on has a slice in
+   flight AND none is held by steered interrupt work: a Ready kthread
+   pinned to an irq-held CPU is committed future work, and signalling the
+   idle hook over its head would re-wake (and re-block) its peers in an
+   infinite same-instant loop.  This and the dispatch loops below recurse
+   on [m] rather than through local closures, which would be allocated
+   on every call. *)
+let rec slots_free_from m i =
+  i >= cpus m
+  || (match m.currents.(i) with
+     | Some _ -> false
+     | None -> Simtime.(now m >= m.irq_busy_until.(i)) && slots_free_from m (i + 1))
+
+let wq_push wq thread =
+  if wq.wq_len = 0 then wq.wq_head <- thread else wq.wq_tail.wq_next <- thread;
+  wq.wq_tail <- thread;
+  wq.wq_len <- wq.wq_len + 1
+
+let wq_pop wq =
+  let thread = wq.wq_head in
+  wq.wq_head <- thread.wq_next;
+  thread.wq_next <- no_thread;
+  wq.wq_len <- wq.wq_len - 1;
+  if wq.wq_len = 0 then wq.wq_tail <- no_thread;
+  thread
 
 (* Run a suspended or fresh thread's code until its next effect. *)
 let rec resume_thread m thread =
   let previous = m.exec in
-  m.exec <- Some thread;
-  (match (thread.entry, thread.cont) with
-  | Some body, _ ->
+  m.exec <- thread;
+  (match thread.entry with
+  | Some body ->
       thread.entry <- None;
       start_body m thread body
-  | None, Some k ->
-      thread.cont <- None;
-      Effect.Deep.continue k ()
-  | None, None -> ());
+  | None ->
+      let k = thread.cont in
+      if k != no_cont then begin
+        thread.cont <- no_cont;
+        Effect.Deep.continue k ()
+      end);
   m.exec <- previous
 
 and start_body m thread body =
@@ -192,10 +226,11 @@ and start_body m thread body =
       exnc = (fun e -> raise e);
       effc =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
-          (* The payload is stashed on [m] (or directly on the thread)
-             here, and the matching preallocated handler — which runs
-             immediately, before anything else can touch the scratch
-             cells — picks it up.  [m.exec] is the performing thread. *)
+          (* The payload is stashed on [m] or on the thread (the waiter
+             joins its queue) here, and the matching preallocated handler
+             — which runs immediately, before anything else can touch the
+             scratch cells — picks it up.  [m.exec] is the performing
+             thread. *)
           match eff with
           | E_cpu { cost; kernel } ->
               thread.pending <- max 0 cost;
@@ -206,7 +241,7 @@ and start_body m thread body =
               m.handlers.h_sleep
           | E_yield -> m.handlers.h_yield
           | E_wait wq ->
-              m.eff_wq <- Some wq;
+              wq_push wq thread;
               m.handlers.h_wait
           | E_self -> m.handlers.h_self
           | _ -> None);
@@ -245,21 +280,21 @@ and kick_at m time =
     Sim.post_at m.sim time m.dispatch_fn
   end
 
-(* Pick the next runnable thread out of one policy shard.  Thread lookup
-   is an array load off the task's machine slot (stamped at spawn); the
-   identity check rejects a task this machine never spawned, which is then
-   dropped from the queue and the pick retried. *)
+(* Pick the next runnable thread out of one policy shard, [no_thread] if
+   none.  Thread lookup is an array load off the task's machine slot
+   (stamped at spawn); the identity check rejects a task this machine
+   never spawned, which is then dropped from the queue and the pick
+   retried. *)
 and pick_thread m pol =
-  match pol.Sched.Policy.pick ~now:(now m) with
-  | None -> None
-  | Some task ->
-      let s = task.Task.mslot in
-      if s < 0 || s >= m.tslot_used || (Array.unsafe_get m.tslots s).task != task
-      then begin
-        pol.Sched.Policy.dequeue task;
-        pick_thread m pol
-      end
-      else Some (Array.unsafe_get m.tslots s)
+  let task = pol.Sched.Policy.pick ~now:(now m) in
+  if Task.is_none task then no_thread
+  else
+    let s = task.Task.mslot in
+    if s < 0 || s >= m.tslot_used || (Array.unsafe_get m.tslots s).task != task then begin
+      pol.Sched.Policy.dequeue task;
+      pick_thread m pol
+    end
+    else Array.unsafe_get m.tslots s
 
 (* Move a runnable thread between run-queue shards.  The thread can only
    gain service: it leaves a more-loaded queue for a strictly less-loaded
@@ -276,76 +311,69 @@ and migrate m thread ~to_cpu =
     tell m (Engine.Trace_event.Migrate { thread = task.Task.name; from_cpu; to_cpu })
 
 (* Work stealing: an otherwise-idle processor pulls one runnable thread
-   from another shard's queue rather than idling.  Pinned threads (per-CPU
-   kernel threads) are never stolen. *)
-and try_steal m ~cpu =
+   from another shard's queue rather than idling, visiting the shards
+   from [cpu + k] on.  Pinned threads (per-CPU kernel threads) are never
+   stolen. *)
+and steal_from m ~cpu k =
   let n = cpus m in
-  let local = m.shards.(cpu) in
-  let rec go k =
-    if k >= n then None
+  if k >= n then no_thread
+  else
+    let vpol = m.shards.((cpu + k) mod n) in
+    if vpol == m.shards.(cpu) then steal_from m ~cpu (k + 1)
     else
-      let v = (cpu + k) mod n in
-      let vpol = m.shards.(v) in
-      if vpol == local then go (k + 1)
-      else
-        match pick_thread m vpol with
-        | Some thread
-          when (not thread.pinned) && thread.state = Ready
-               && thread.task.Task.home_cpu <> cpu ->
-            migrate m thread ~to_cpu:cpu;
-            Some thread
-        | Some _ | None -> go (k + 1)
-  in
-  go 1
+      let thread = pick_thread m vpol in
+      if thread != no_thread && (not thread.pinned) && thread.state = Ready
+         && thread.task.Task.home_cpu <> cpu
+      then begin
+        migrate m thread ~to_cpu:cpu;
+        thread
+      end
+      else steal_from m ~cpu (k + 1)
 
-and dispatch_next m =
-  let n = cpus m in
-  let rec scan cpu =
-    if cpu >= n then begin
-      (* Idle is a machine-wide condition: signal it only when no
-         processor has a slice in flight, never while another CPU is
-         mid-slice (the hook runs idle-class protocol processing, which
-         must not compete with committed work). *)
-      if all_slots_free m then m.on_idle ()
-    end
-    else
-      match m.currents.(cpu) with
-      | Some _ -> scan (cpu + 1)
-      | None ->
-          if Simtime.(now m < m.irq_busy_until.(cpu)) then begin
-            (* Steered interrupt work holds this processor; try again when
-               it drains.  Other processors may still dispatch. *)
-            kick_at m m.irq_busy_until.(cpu);
-            scan (cpu + 1)
+and dispatch_next m = dispatch_from m 0
+
+and dispatch_from m cpu =
+  if cpu >= cpus m then begin
+    (* Idle is a machine-wide condition: signal it only when no processor
+       has a slice in flight, never while another CPU is mid-slice (the
+       hook runs idle-class protocol processing, which must not compete
+       with committed work). *)
+    if slots_free_from m 0 then m.on_idle ()
+  end
+  else
+    match m.currents.(cpu) with
+    | Some _ -> dispatch_from m (cpu + 1)
+    | None ->
+        if Simtime.(now m < m.irq_busy_until.(cpu)) then begin
+          (* Steered interrupt work holds this processor; try again when
+             it drains.  Other processors may still dispatch. *)
+          kick_at m m.irq_busy_until.(cpu);
+          dispatch_from m (cpu + 1)
+        end
+        else begin
+          let pol = m.shards.(cpu) in
+          let thread =
+            let local = pick_thread m pol in
+            if local == no_thread && m.sharded then steal_from m ~cpu 1 else local
+          in
+          if thread == no_thread then begin
+            (match pol.Sched.Policy.next_release ~now:(now m) with
+            | Some t when Simtime.(t > now m) -> kick_at m t
+            | Some _ | None -> ());
+            dispatch_from m (cpu + 1)
+          end
+          else if thread.pending <= 0 then begin
+            (* Nothing to burn: run the thread's code to its next effect,
+               then look again. *)
+            (home_pol m thread).Sched.Policy.dequeue thread.task;
+            resume_thread m thread;
+            dispatch_from m cpu
           end
           else begin
-            let pol = m.shards.(cpu) in
-            let picked =
-              match pick_thread m pol with
-              | Some _ as r -> r
-              | None -> if m.sharded then try_steal m ~cpu else None
-            in
-            match picked with
-            | None ->
-                (match pol.Sched.Policy.next_release ~now:(now m) with
-                | Some t when Simtime.(t > now m) -> kick_at m t
-                | Some _ | None -> ());
-                scan (cpu + 1)
-            | Some thread ->
-                if thread.pending <= 0 then begin
-                  (* Nothing to burn: run the thread's code to its next
-                     effect, then look again. *)
-                  (home_pol m thread).Sched.Policy.dequeue thread.task;
-                  resume_thread m thread;
-                  scan cpu
-                end
-                else begin
-                  start_slice m thread ~cpu;
-                  scan (cpu + 1)
-                end
+            start_slice m thread ~cpu;
+            dispatch_from m (cpu + 1)
           end
-  in
-  scan 0
+        end
 
 and start_slice m thread ~cpu =
   let work = min m.quantum thread.pending in
@@ -419,11 +447,12 @@ let rebalance m =
     and cmin = m.shards.(!imin).Sched.Policy.runnable_count () in
     if cmax - cmin < 2 then halt := true
     else
-      match pick_thread m m.shards.(!imax) with
-      | Some thread when (not thread.pinned) && thread.state = Ready ->
-          migrate m thread ~to_cpu:!imin;
-          moved := true
-      | Some _ | None -> halt := true
+      let thread = pick_thread m m.shards.(!imax) in
+      if thread != no_thread && (not thread.pinned) && thread.state = Ready then begin
+        migrate m thread ~to_cpu:!imin;
+        moved := true
+      end
+      else halt := true
   done;
   if !moved then kick m
 
@@ -453,7 +482,7 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
       currents = Array.make cpus None;
       dispatch_pool = [||]; (* filled below, once [m] exists *)
       dispatch_some = [||];
-      exec = None;
+      exec = no_thread;
       kick_pending = false;
       timed_kick = Simtime.zero;
       kick_fn = ignore;
@@ -481,13 +510,12 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
       c_migrations = Engine.Metrics.counter metrics "machine.migrations";
       handlers = { h_cpu = None; h_sleep = None; h_yield = None; h_wait = None; h_self = None };
       eff_sleep_ns = 0;
-      eff_wq = None;
     }
   in
   let exec_thread () =
-    match m.exec with
-    | Some thread -> thread
-    | None -> invalid_arg "Machine: effect performed outside a machine thread"
+    let thread = m.exec in
+    if thread == no_thread then invalid_arg "Machine: effect performed outside a machine thread";
+    thread
   in
   m.handlers <-
     {
@@ -495,7 +523,7 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
         Some
           (fun k ->
             let thread = exec_thread () in
-            thread.cont <- Some k;
+            thread.cont <- k;
             thread.state <- Ready;
             thread.ready_since <- now m;
             (home_pol m thread).Sched.Policy.enqueue thread.task;
@@ -504,16 +532,16 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
         Some
           (fun k ->
             let thread = exec_thread () in
-            thread.cont <- Some k;
+            thread.cont <- k;
             thread.state <- Blocked;
             (home_pol m thread).Sched.Policy.dequeue thread.task;
-            Sim.post m.sim (Simtime.span_of_ns m.eff_sleep_ns) (fun () ->
-                make_runnable m thread));
+            if thread.wake == no_wake then thread.wake <- (fun () -> make_runnable m thread);
+            Sim.post m.sim (Simtime.span_of_ns m.eff_sleep_ns) thread.wake);
       h_yield =
         Some
           (fun k ->
             let thread = exec_thread () in
-            thread.cont <- Some k;
+            thread.cont <- k;
             thread.state <- Ready;
             thread.ready_since <- now m;
             (home_pol m thread).Sched.Policy.enqueue thread.task;
@@ -522,14 +550,9 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
         Some
           (fun k ->
             let thread = exec_thread () in
-            thread.cont <- Some k;
+            thread.cont <- k;
             thread.state <- Blocked;
-            (home_pol m thread).Sched.Policy.dequeue thread.task;
-            match m.eff_wq with
-            | Some wq ->
-                m.eff_wq <- None;
-                Queue.push thread wq.wq_waiters
-            | None -> assert false);
+            (home_pol m thread).Sched.Policy.dequeue thread.task);
       h_self = Some (fun k -> Effect.Deep.continue k (exec_thread ()));
     };
   m.kick_fn <-
@@ -539,11 +562,8 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
   m.dispatch_fn <- (fun () -> dispatch_next m);
   m.dispatch_pool <-
     Array.init cpus (fun cpu ->
-        (* [d_thread] is written by [start_slice] before anyone reads it;
-           the [Obj.magic] placeholder is never dereferenced (same pattern
-           as the wheel's sentinel payload). *)
         let d =
-          { d_thread = Obj.magic 0; d_cpu = cpu; d_work = 0; d_end_time = Simtime.zero;
+          { d_thread = no_thread; d_cpu = cpu; d_work = 0; d_end_time = Simtime.zero;
             d_end_event = m.dummy_event; d_fin = ignore }
         in
         d.d_fin <- (fun () -> finish_slice m d);
@@ -724,15 +744,13 @@ let spawn m ?(kernel = false) ?cpu ~name ~container body =
   in
   task.Task.home_cpu <- home;
   let thread =
-    { task; state = Blocked; pending = 0; kernel_mode = kernel; cont = None; entry = Some body;
-      ready_since = now m; pinned }
+    { task; state = Blocked; pending = 0; kernel_mode = kernel; cont = no_cont;
+      entry = Some body; ready_since = now m; pinned; wake = no_wake; wq_next = no_thread }
   in
   let slot = m.tslot_used in
   if slot >= Array.length m.tslots then begin
     let cap = max 64 (2 * Array.length m.tslots) in
-    (* The placeholder is never dereferenced: only slots below
-       [tslot_used] are read (same pattern as the dispatch pool). *)
-    let grown = Array.make cap (Obj.magic 0 : thread) in
+    let grown = Array.make cap no_thread in
     Array.blit m.tslots 0 grown 0 (Array.length m.tslots);
     m.tslots <- grown
   end;
@@ -770,7 +788,7 @@ let kill m thread =
       Engine.Metrics.incr m.c_kills;
       if tracing m then
         tell m (Engine.Trace_event.Kill { thread = thread.task.Task.name });
-      thread.cont <- None;
+      thread.cont <- no_cont;
       thread.entry <- None;
       thread.pending <- 0;
       thread.state <- Done;
@@ -795,21 +813,18 @@ module Waitq = struct
   type nonrec t = waitq
 
   let create ?(name = "waitq") m =
-    { wq_name = name; wq_machine = m; wq_waiters = Queue.create () }
+    { wq_name = name; wq_machine = m; wq_head = no_thread; wq_tail = no_thread; wq_len = 0 }
 
   let wait wq = Effect.perform (E_wait wq)
-
-  let signal wq =
-    if not (Queue.is_empty wq.wq_waiters) then
-      make_runnable wq.wq_machine (Queue.take wq.wq_waiters)
+  let signal wq = if wq.wq_len > 0 then make_runnable wq.wq_machine (wq_pop wq)
 
   (* Wakes exactly the threads waiting at the call, oldest first. *)
   let broadcast wq =
-    for _ = 1 to Queue.length wq.wq_waiters do
-      make_runnable wq.wq_machine (Queue.take wq.wq_waiters)
+    for _ = 1 to wq.wq_len do
+      make_runnable wq.wq_machine (wq_pop wq)
     done
 
-  let waiters wq = Queue.length wq.wq_waiters
+  let waiters wq = wq.wq_len
 end
 
 (* Interrupts are taken on processor 0 by default, as most 1990s kernels

@@ -61,15 +61,16 @@ let scheduler_binding t =
   List.map (fun e -> e.container) sorted
 
 (* The set in its own order (no sort, no list, no allocation), for
-   aggregations over the set on the per-dispatch path. *)
-let iter_scheduler_containers t f =
-  let rec go = function
-    | [] -> ()
-    | e :: rest ->
-        f e.container;
-        go rest
-  in
-  go t.sched_set
+   aggregations over the set on the per-dispatch path: [f] is an argument
+   rather than captured by a local closure, which would be allocated on
+   every call. *)
+let rec iter_containers f = function
+  | [] -> ()
+  | e :: rest ->
+      f e.container;
+      iter_containers f rest
+
+let iter_scheduler_containers t f = iter_containers f t.sched_set
 
 (* A thread killed mid-slice still reaches here from the slice-end charge;
    its dropped binding must stay empty. *)

@@ -11,12 +11,12 @@ let make ~rng () =
     in
     let pool = if regular <> [] then regular else idle in
     match pool with
-    | [] -> None
+    | [] -> Task.none
     | _ :: _ ->
         let total = List.fold_left (fun acc c -> acc + tickets c) 0 pool in
         let winner = Engine.Rng.int rng total in
         let rec find acc = function
-          | [] -> None
+          | [] -> Task.none
           | c :: rest ->
               let acc = acc + tickets c in
               if winner < acc then Runq.front runq c else find acc rest

@@ -22,12 +22,17 @@ module Simtime = Engine.Simtime
 module Container = Rescont.Container
 module Attrs = Rescont.Attrs
 
-(* Per-pick float scratch, one record per node.  All-float records have
-   the flat representation, so accumulating into these fields stores
-   unboxed floats — a [float ref] would box on every [:=].  Safe as
-   per-node (not per-call) state because a pick descends a tree: no node
-   is ever re-entered within one pick. *)
-type fscratch = {
+(* A node's floats.  An all-float record has the flat representation, so
+   a store into it writes an unboxed float; the same field in [cstate],
+   which mixes floats with pointers, would box a fresh float on every
+   store, a young block written into a long-lived record once per level
+   on every pick and every charge.  The [a_] accumulators are per-node
+   rather than per-call state, which is safe because a pick descends a
+   tree: no node is ever re-entered within one pick. *)
+type floats = {
+  mutable vt : float; (* weight-normalised service received *)
+  mutable last_weight : float; (* weight in effect when last picked *)
+  mutable node_vnow : float; (* as a parent: virtual clock (max served vt) *)
   mutable a_fixed : float; (* sum of eligible fixed shares *)
   mutable a_ts : float; (* sum of eligible timeshare priorities *)
   mutable a_residual : float; (* residual weight for timeshare kids, this round *)
@@ -37,19 +42,16 @@ type fscratch = {
 type cstate = {
   c : Container.t;
   rn : Runq.node; (* the container's node in the policy's run queue *)
-  mutable vt : float; (* weight-normalised service received *)
-  mutable last_weight : float; (* weight in effect when last picked *)
   mutable win_id : int;
   mutable win_used : int; (* ns consumed by the subtree in current window *)
   mutable last_round : int; (* as a child: last pick round it was eligible *)
   mutable tried : int; (* as a child: the retry serial that last tried it *)
   mutable node_round : int; (* as a parent: pick round counter *)
-  mutable node_vnow : float; (* as a parent: virtual clock (max served vt) *)
   mutable cchain : cstate array; (* charge path: states of self..top, cached *)
   mutable cchain_key : Container.t array; (* ancestry array the chain was built from *)
   mutable scratch : cstate array; (* eligible children of the current round *)
   mutable s_elig : int; (* as a parent: eligible-child count, this round *)
-  fs : fscratch; (* as a parent: float accumulators, this round *)
+  fs : floats;
 }
 
 let make ?(window = Simtime.ms 100) ?invariants ~root () =
@@ -80,10 +82,11 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
     | Some s -> s
     | None ->
         let s =
-          { c = container; rn = Runq.node runq container; vt = 0.; last_weight = 1.;
-            win_id = -1; win_used = 0; last_round = 0; tried = -1; node_round = 0;
-            node_vnow = 0.; cchain = [||]; cchain_key = [||]; scratch = [||]; s_elig = 0;
-            fs = { a_fixed = 0.; a_ts = 0.; a_residual = 0.; a_tssum = 0. } }
+          { c = container; rn = Runq.node runq container; win_id = -1; win_used = 0;
+            last_round = 0; tried = -1; node_round = 0; cchain = [||]; cchain_key = [||];
+            scratch = [||]; s_elig = 0;
+            fs = { vt = 0.; last_weight = 1.; node_vnow = 0.; a_fixed = 0.; a_ts = 0.;
+                   a_residual = 0.; a_tssum = 0. } }
         in
         Array.unsafe_set arr slot (Some s);
         s
@@ -114,12 +117,13 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
   let serial = ref 0 in
   (* The pick path is written allocation-free: the per-round counters and
      weight sums live in the node's own scratch fields (never clobbered —
-     a pick descends a tree, so no node is re-entered), and the retry
-     scan is the mutually recursive [select_round] rather than a local
-     closure, which would be allocated on every call. *)
+     a pick descends a tree, so no node is re-entered), the retry scan is
+     the mutually recursive [select_round] rather than a local closure,
+     which would be allocated on every call, and "nothing to pick" is
+     [Task.none] rather than an option. *)
   let rec pick_node ~now ~include_idle nstate =
     let node = nstate.c in
-    if throttled_s ~now node nstate then None
+    if throttled_s ~now node nstate then Task.none
     else begin
       let nkids = Runq.busy_child_count nstate.rn in
       if nkids = 0 then Runq.front runq node
@@ -156,7 +160,7 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
            neither penalised for history nor allowed to replay it. *)
         for i = 0 to nstate.s_elig - 1 do
           let s = Array.unsafe_get scratch i in
-          if s.last_round < round - 1 && s.vt < nstate.node_vnow then s.vt <- nstate.node_vnow;
+          if s.last_round < round - 1 && s.fs.vt < fs.node_vnow then s.fs.vt <- fs.node_vnow;
           s.last_round <- round
         done;
         fs.a_residual <- Float.max 0.02 (1. -. fs.a_fixed);
@@ -177,33 +181,33 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
         if !best < 0 then best := i
         else
           let b = Array.unsafe_get scratch !best in
-          if k.vt < b.vt || (k.vt = b.vt && Container.id k.c < Container.id b.c) then best := i
+          if k.fs.vt < b.fs.vt || (k.fs.vt = b.fs.vt && Container.id k.c < Container.id b.c)
+          then best := i
     done;
-    if !best < 0 then None
+    if !best < 0 then Task.none
     else begin
       let k = Array.unsafe_get scratch !best in
       k.tried <- mark;
-      match pick_node ~now ~include_idle k with
-      | Some task ->
-          (let fs = nstate.fs in
-           k.last_weight <-
-             (match (Container.attrs k.c).Attrs.sched_class with
-             | Attrs.Fixed_share s -> Float.max 1e-3 s
-             | Attrs.Timeshare ->
-                 fs.a_residual
-                 *. float_of_int (max 1 (Container.attrs k.c).Attrs.priority)
-                 /. fs.a_tssum));
-          nstate.node_vnow <- Float.max nstate.node_vnow k.vt;
-          Some task
-      | None -> select_round ~now ~include_idle nstate mark
+      let task = pick_node ~now ~include_idle k in
+      if Task.is_none task then select_round ~now ~include_idle nstate mark
+      else begin
+        let fs = nstate.fs in
+        k.fs.last_weight <-
+          (match (Container.attrs k.c).Attrs.sched_class with
+          | Attrs.Fixed_share s -> Float.max 1e-3 s
+          | Attrs.Timeshare ->
+              fs.a_residual *. float_of_int (max 1 (Container.attrs k.c).Attrs.priority)
+              /. fs.a_tssum);
+        fs.node_vnow <- Float.max fs.node_vnow k.fs.vt;
+        task
+      end
     end
   in
   let root_state = state_of root in
   let pick ~now =
     Runq.sync runq;
-    match pick_node ~now ~include_idle:false root_state with
-    | Some task -> Some task
-    | None -> pick_node ~now ~include_idle:true root_state
+    let task = pick_node ~now ~include_idle:false root_state in
+    if Task.is_none task then pick_node ~now ~include_idle:true root_state else task
   in
   (* The charge path runs once per slice for the dispatched container, so
      the ancestor state chain is cached flat on that container's own
@@ -224,20 +228,19 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
       let st = Array.unsafe_get chain i in
       ignore (win_used_s ~now st);
       st.win_used <- st.win_used + span_ns;
-      if i < len - 1 then
-        st.vt <- st.vt +. (float_of_int span_ns /. Float.max 1e-9 st.last_weight)
+      if i < len - 1 then begin
+        let f = st.fs in
+        f.vt <- f.vt +. (float_of_int span_ns /. Float.max 1e-9 f.last_weight)
+      end
     done;
     Runq.rotate runq container
   in
   let next_release ~now =
-    if Runq.count runq = 0 then None
+    if Runq.count runq = 0 || not (Task.is_none (pick ~now)) then None
     else
-      match pick ~now with
-      | Some _ -> None
-      | None ->
-          (* Runnable tasks exist but all are throttled: eligibility can
-             only change at the next window boundary. *)
-          Some (Simtime.of_ns ((win_index now + 1) * window_ns))
+      (* Runnable tasks exist but all are throttled: eligibility can only
+         change at the next window boundary. *)
+      Some (Simtime.of_ns ((win_index now + 1) * window_ns))
   in
   {
     Policy.name = "multilevel";

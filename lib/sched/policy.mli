@@ -16,16 +16,16 @@ type t = {
   requeue : Task.t -> unit;
       (** The task's resource binding changed while runnable; move it to the
           queue of its new container. *)
-  pick : now:Engine.Simtime.t -> Task.t option;
+  pick : now:Engine.Simtime.t -> Task.t;
       (** Choose the task to run next; the task stays queued (it is picked
-          again as long as it remains runnable).  [None] when no runnable
-          task is currently eligible — possibly because every runnable task
-          is throttled by a CPU limit; see [next_release]. *)
+          again as long as it remains runnable).  {!Task.none} when no
+          runnable task is currently eligible — possibly because every
+          runnable task is throttled by a CPU limit; see [next_release]. *)
   charge : container:Rescont.Container.t -> now:Engine.Simtime.t -> Engine.Simtime.span -> unit;
       (** Account consumed CPU against [container]'s scheduling state (the
           dispatcher separately updates {!Rescont.Usage}). *)
   next_release : now:Engine.Simtime.t -> Engine.Simtime.t option;
-      (** When [pick] returned [None] while throttled tasks exist: the
+      (** When [pick] returned {!Task.none} while throttled tasks exist: the
           earliest future instant at which a throttled task may become
           eligible again, so the dispatcher can arm a timer. *)
   runnable_count : unit -> int;

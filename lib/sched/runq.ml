@@ -50,11 +50,14 @@ type node = {
   mutable count : int; (* live tasks queued anywhere in the subtree *)
   mutable kids : node array; (* children with [count > 0], adoption order, in [0, nkids) *)
   mutable nkids : int;
+  ix : int; (* position in [all] *)
+  mutable qnext : int; (* [ix] of the next node in its [queued] bucket; -1 ends it *)
 }
 
 type t = {
   id : int; (* matches Task.rq_owner for tasks this queue tracks intrusively *)
-  queues : (int, node) Hashtbl.t; (* container id -> node, for containers ever queued on *)
+  mutable queued : int array; (* bucket heads ([ix], -1 if empty) of the nodes with a ring *)
+  mutable nqueued : int;
   mutable nodes : node option array; (* Container.slot -> node *)
   mutable all : node array; (* every node, in creation order, in [0, nall) *)
   mutable nall : int;
@@ -70,12 +73,11 @@ type t = {
    [Task.rq_owner]; nothing may depend on their absolute values. *)
 let next_rqid = Atomic.make 0
 
-let dummy_task : Task.t = Obj.magic 0
-
 let create () =
   {
     id = Atomic.fetch_and_add next_rqid 1;
-    queues = Hashtbl.create 64;
+    queued = Array.make 64 (-1);
+    nqueued = 0;
     nodes = Array.make 64 None;
     all = [||];
     nall = 0;
@@ -129,6 +131,8 @@ let node t container =
           count = 0;
           kids = [||];
           nkids = 0;
+          ix = t.nall;
+          qnext = -1;
         }
       in
       Array.unsafe_set t.nodes slot (Some n);
@@ -244,12 +248,50 @@ let sync t =
     done
   end
 
+(* The nodes that ever held a ring, in the order a stdlib [Hashtbl]
+   keyed by container id iterates them: the policies break ties in that
+   order (see [containers_with_work]).  The table only ever gains keys,
+   so the order follows from the insertions alone: ascending bucket
+   [Hashtbl.hash id land (buckets - 1)], newest first within a bucket;
+   64 buckets to start, doubling once the count exceeds twice the
+   bucket count, each bucket splitting in order.  The buckets are chains
+   through [qnext], which a loop walks without the closure
+   [Hashtbl.iter] allocates on every call. *)
+let bucket_of buckets n = Hashtbl.hash (Container.id n.container) land (Array.length buckets - 1)
+
+let queued_add t n =
+  let b = bucket_of t.queued n in
+  n.qnext <- t.queued.(b);
+  t.queued.(b) <- n.ix;
+  t.nqueued <- t.nqueued + 1;
+  let half = Array.length t.queued in
+  if t.nqueued > 2 * half then begin
+    let grown = Array.make (2 * half) (-1) in
+    for b = 0 to half - 1 do
+      let i = ref t.queued.(b) and lo = ref (-1) and hi = ref (-1) in
+      while !i >= 0 do
+        let n = t.all.(!i) in
+        i := n.qnext;
+        n.qnext <- -1;
+        if bucket_of grown n = b then begin
+          if !lo < 0 then grown.(b) <- n.ix else t.all.(!lo).qnext <- n.ix;
+          lo := n.ix
+        end
+        else begin
+          if !hi < 0 then grown.(b + half) <- n.ix else t.all.(!hi).qnext <- n.ix;
+          hi := n.ix
+        end
+      done
+    done;
+    t.queued <- grown
+  end
+
 let queue_for t container =
   let n = node t container in
   if Array.length n.tasks = 0 then begin
-    n.tasks <- Array.make 8 dummy_task;
+    n.tasks <- Array.make 8 Task.none;
     n.stamps <- Array.make 8 0;
-    Hashtbl.replace t.queues (Container.id container) n
+    queued_add t n
   end;
   n
 
@@ -274,7 +316,7 @@ let ring_push n task stamp =
   let cap = Array.length n.tasks in
   if n.len = cap then begin
     let ncap = cap * 2 in
-    let nt = Array.make ncap dummy_task in
+    let nt = Array.make ncap Task.none in
     let ns = Array.make ncap 0 in
     for i = 0 to n.len - 1 do
       let j = (n.head + i) land (cap - 1) in
@@ -299,7 +341,7 @@ let skim t n =
     let task = n.tasks.(i) in
     if entry_live t n.slot task n.stamps.(i) then continue := false
     else begin
-      n.tasks.(i) <- dummy_task;
+      n.tasks.(i) <- Task.none;
       n.head <- n.head + 1;
       n.len <- n.len - 1
     end
@@ -310,7 +352,7 @@ let skim t n =
    overwrite hazard of sliding a wrapped ring over itself. *)
 let compact t n =
   let cap = Array.length n.tasks in
-  let nt = Array.make cap dummy_task in
+  let nt = Array.make cap Task.none in
   let ns = Array.make cap 0 in
   let j = ref 0 in
   for i = 0 to n.len - 1 do
@@ -387,8 +429,8 @@ let front t container =
   match find t container with
   | Some n when n.live > 0 ->
       skim t n;
-      if n.len > 0 then Some n.tasks.(n.head land (Array.length n.tasks - 1)) else None
-  | Some _ | None -> None
+      if n.len > 0 then n.tasks.(n.head land (Array.length n.tasks - 1)) else Task.none
+  | Some _ | None -> Task.none
 
 let rotate t container =
   match find t container with
@@ -399,7 +441,7 @@ let rotate t container =
         let i = n.head land (cap - 1) in
         let task = n.tasks.(i) in
         let stamp = n.stamps.(i) in
-        n.tasks.(i) <- dummy_task;
+        n.tasks.(i) <- Task.none;
         n.head <- n.head + 1;
         n.len <- n.len - 1;
         ring_push n task stamp
@@ -413,14 +455,23 @@ let subtree_has_work t container =
   sync t;
   match find t container with Some n -> n.count > 0 | None -> false
 
-let containers_with_work t =
-  Hashtbl.fold (fun _ n acc -> if n.live > 0 then n.container :: acc else acc) t.queues []
+(* Visit every container with live queued work in [queued] order, not
+   the [busy] set's: policies break ties on it. *)
+let iter_busy t f =
+  let q = t.queued in
+  for b = 0 to Array.length q - 1 do
+    let i = ref (Array.unsafe_get q b) in
+    while !i >= 0 do
+      let n = t.all.(!i) in
+      if n.live > 0 then f n.container;
+      i := n.qnext
+    done
+  done
 
-(* Visit every container with live queued work, in the same traversal
-   order [containers_with_work] uses, without building the list.  This is
-   the [queues] table's order, not the [busy] set's: policies break ties
-   on it. *)
-let iter_busy t f = Hashtbl.iter (fun _ n -> if n.live > 0 then f n.container) t.queues
+let containers_with_work t =
+  let acc = ref [] in
+  iter_busy t (fun c -> acc := c :: !acc);
+  !acc
 
 (* Slots are per arena, not per run queue, so the slot array can be
    mostly empty: the law walks the dense creation-order list instead. *)
@@ -438,8 +489,7 @@ let validate t =
   let mismatch = ref None in
   let total = ref 0 in
   let busy = ref 0 in
-  Hashtbl.iter
-    (fun _ n ->
+  iter_nodes t (fun n ->
       let live = ref 0 in
       let cap = Array.length n.tasks in
       for i = 0 to n.len - 1 do
@@ -459,8 +509,7 @@ let validate t =
           Some
             (Printf.sprintf "queue %s: live=%d but %s the busy set" (Container.name n.container)
                n.live
-               (if in_busy then "in" else "missing from")))
-    t.queues;
+               (if in_busy then "in" else "missing from")));
   if !mismatch = None && t.total <> !total then
     mismatch := Some (Printf.sprintf "total=%d but queues hold %d live entries" t.total !total);
   if !mismatch = None && t.nbusy <> !busy then
@@ -482,8 +531,7 @@ let validate t =
       (* Subtree occupancy: rebuild the ancestor-chain sums and compare
          with the incrementally maintained counters. *)
       let fresh = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun _ n ->
+      iter_nodes t (fun n ->
           if n.live > 0 then begin
             let chain = Container.ancestry n.container in
             for i = 0 to Array.length chain - 1 do
@@ -493,8 +541,7 @@ let validate t =
               in
               Hashtbl.replace fresh (Container.id c) (c, k + n.live)
             done
-          end)
-        t.queues;
+          end);
       let fresh_count c =
         match Hashtbl.find_opt fresh (Container.id c) with Some (_, k) -> k | None -> 0
       in

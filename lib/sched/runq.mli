@@ -21,8 +21,8 @@ val requeue : t -> Task.t -> unit
 val mem : t -> Task.t -> bool
 val count : t -> int
 
-val front : t -> Rescont.Container.t -> Task.t option
-(** Head of the container's queue. *)
+val front : t -> Rescont.Container.t -> Task.t
+(** Head of the container's queue; {!Task.none} when it is empty. *)
 
 val rotate : t -> Rescont.Container.t -> unit
 (** Move the container's head task to the tail (round-robin step). *)
@@ -73,18 +73,19 @@ val sync : t -> unit
 
 val containers_with_work : t -> Rescont.Container.t list
 (** Distinct containers with non-empty queues.  The order is deterministic
-    but unsorted: it is the iteration order of an internal table keyed by
-    container id, so it follows from which containers were ever queued
-    here and in what order.  The lottery policy walks its tickets and the
-    stride policy breaks pass ties in this order, so it is part of the
-    simulated result. *)
+    but unsorted: it is the reverse of the order in which a stdlib
+    [Hashtbl] keyed by container id would iterate the containers ever
+    queued here, so it follows from which containers were queued and in
+    what order.  The lottery policy walks its tickets and the stride
+    policy breaks pass ties in this order, so it is part of the simulated
+    result. *)
 
 val iter_busy : t -> (Rescont.Container.t -> unit) -> unit
 (** [iter_busy t f] applies [f] to every container with live queued work,
-    visiting in the same deterministic order {!containers_with_work}
-    builds its list from — but without allocating it.  The per-dispatch
-    pick path of the timeshare policy runs on this and breaks badness ties
-    on the visit order. *)
+    in that [Hashtbl] iteration order (the reverse of
+    {!containers_with_work}'s list), without allocating.  The
+    per-dispatch pick path of the timeshare policy runs on this and
+    breaks badness ties on the visit order. *)
 
 val validate : t -> (unit, string) result
 (** Conservation check: re-derives per-container live counts, the set of

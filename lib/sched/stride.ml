@@ -23,7 +23,7 @@ let make () =
     in
     let pool = if regular <> [] then regular else idle in
     match pool with
-    | [] -> None
+    | [] -> Task.none
     | _ :: _ ->
         (* Late joiners start at the minimum pass so they cannot monopolise. *)
         let floor_pass =
@@ -42,7 +42,7 @@ let make () =
               | Some b -> if (state_of c).pass < (state_of b).pass then Some c else acc)
             None pool
         in
-        (match best with None -> None | Some c -> Runq.front runq c)
+        (match best with None -> Task.none | Some c -> Runq.front runq c)
   in
   let charge ~container ~now:_ span =
     let s = state_of container in

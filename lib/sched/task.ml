@@ -27,6 +27,23 @@ let create ?(kernel = false) ~name binding =
     home_cpu = 0;
   }
 
+(* Never queued, never run: compared by [==] only, so its binding (which
+   would need a container, and so a fresh container id) is a placeholder
+   that nothing reads. *)
+let none =
+  {
+    id = 0;
+    name = "none";
+    binding = Obj.magic 0;
+    kernel = false;
+    rq_owner = -1;
+    rq_slot = -1;
+    rq_stamp = 0;
+    mslot = -1;
+    home_cpu = 0;
+  }
+
+let is_none t = t == none
 let container t = Rescont.Binding.resource_binding t.binding
 let scheduler_containers t = Rescont.Binding.scheduler_binding t.binding
 let equal a b = a.id = b.id

@@ -30,6 +30,14 @@ type t = {
 }
 
 val create : ?kernel:bool -> name:string -> Rescont.Binding.t -> t
+
+val none : t
+(** The absent task: what {!Policy.t.pick} and {!Runq.front} answer when
+    there is nothing to run, so that a pick, which runs once per slice,
+    boxes no option.  Test it with {!is_none}; its binding must not be
+    read. *)
+
+val is_none : t -> bool
 val container : t -> Rescont.Container.t
 (** The task's current resource binding. *)
 

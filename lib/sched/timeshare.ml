@@ -64,6 +64,7 @@ let make ?(tau = Simtime.sec 1) () =
   let cur_now_ns = ref 0 in
   let usage_sum = { fv = 0. } in
   let prio_max = ref 0 in
+  let badness = { fv = 0. } in
   let add_binding_member c =
     let slot = Container.slot c in
     ensure slot;
@@ -72,38 +73,41 @@ let make ?(tau = Simtime.sec 1) () =
     let p = (Container.attrs c).Attrs.priority in
     if p > !prio_max then prio_max := p
   in
+  (* Leaves its result in [badness]: a float returned from a closure is
+     boxed. *)
   let badness_of_task task =
     usage_sum.fv <- 0.;
     prio_max := 0;
     Binding.iter_scheduler_containers task.Task.binding add_binding_member;
-    usage_sum.fv /. float_of_int (max 1 !prio_max)
+    badness.fv <- usage_sum.fv /. float_of_int (max 1 !prio_max)
   in
-  let best_regular = ref None in
+  let best_regular = ref Task.none in
   let best_regular_bad = { fv = 0. } in
-  let best_idle = ref None in
+  let best_idle = ref Task.none in
   let best_idle_bad = { fv = 0. } in
   let consider container =
-    match Runq.front runq container with
-    | None -> ()
-    | Some task ->
-        let b = badness_of_task task in
-        if Attrs.is_idle_class (Container.attrs container) then begin
-          if !best_idle = None || b <= best_idle_bad.fv then begin
-            best_idle := Some task;
-            best_idle_bad.fv <- b
-          end
+    let task = Runq.front runq container in
+    if not (Task.is_none task) then begin
+      badness_of_task task;
+      let b = badness.fv in
+      if Attrs.is_idle_class (Container.attrs container) then begin
+        if Task.is_none !best_idle || b <= best_idle_bad.fv then begin
+          best_idle := task;
+          best_idle_bad.fv <- b
         end
-        else if !best_regular = None || b <= best_regular_bad.fv then begin
-          best_regular := Some task;
-          best_regular_bad.fv <- b
-        end
+      end
+      else if Task.is_none !best_regular || b <= best_regular_bad.fv then begin
+        best_regular := task;
+        best_regular_bad.fv <- b
+      end
+    end
   in
   let pick ~now =
     cur_now_ns := Simtime.to_ns now;
-    best_regular := None;
-    best_idle := None;
+    best_regular := Task.none;
+    best_idle := Task.none;
     Runq.iter_busy runq consider;
-    match !best_regular with Some _ as r -> r | None -> !best_idle
+    if Task.is_none !best_regular then !best_idle else !best_regular
   in
   let charge ~container ~now span =
     let slot = Container.slot container in

@@ -106,7 +106,9 @@ let make ?(window = Simtime.ms 100) ~root () =
         List.filter (fun c -> subtree_has_work c) (Container.children node)
       in
       match children_with_work with
-      | [] -> Runq.front runq node
+      | [] ->
+          let task = Runq.front runq node in
+          if Sched.Task.is_none task then None else Some task
       | _ :: _ ->
           let eligible =
             List.filter
@@ -183,7 +185,7 @@ let make ?(window = Simtime.ms 100) ~root () =
     enqueue = Runq.enqueue runq;
     dequeue = Runq.dequeue runq;
     requeue = Runq.requeue runq;
-    pick;
+    pick = (fun ~now -> Option.value (pick ~now) ~default:Sched.Task.none);
     charge;
     next_release;
     runnable_count = (fun () -> Runq.count runq);

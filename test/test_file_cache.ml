@@ -115,6 +115,18 @@ let mutation_test name fault ~caught_by =
       | [] -> Alcotest.failf "planted fault (%s) went undetected" name
       | _ -> Alcotest.fail "expected exactly one violation")
 
+(* A rig registers its own small cache and an experiment then registers
+   its corpus cache in the same registry: a fault in the second must be
+   reported under a name of its own. *)
+let test_second_cache_law_named_apart () =
+  let registry = Engine.Invariant.create () in
+  let rig_cache = law_cache () and corpus_cache = law_cache () in
+  File_cache.register_invariants rig_cache registry;
+  File_cache.register_invariants corpus_cache registry;
+  File_cache.plant_fault_for_testing corpus_cache (File_cache.Cached_bytes_off_by 1);
+  Alcotest.(check (list string)) "violated laws" [ "cache.bytes-consistency#2" ]
+    (List.map (fun v -> v.Engine.Invariant.law) (Engine.Invariant.check registry))
+
 let mutation_tests =
   let walk = "LRU list corrupt" and popcount = "residency bits" in
   File_cache.
@@ -211,5 +223,6 @@ let suite =
     Alcotest.test_case "eviction order pinned (warm = registration order)" `Quick
       test_eviction_order_pinned;
     Alcotest.test_case "1e5-doc registration bounded" `Quick test_registration_bounded;
+    Alcotest.test_case "second cache's law named apart" `Quick test_second_cache_law_named_apart;
   ]
   @ mutation_tests

@@ -41,6 +41,14 @@ let test_registry_basics () =
   Alcotest.(check bool) "check_exn raises" true
     (try Invariant.check_exn t; false with Invariant.Violation v -> v.Invariant.law = "always-bad")
 
+let test_repeated_names_get_suffixes () =
+  let t = Invariant.create () in
+  List.iter (fun law -> Invariant.register t ~law (fun () -> Error law)) [ "x"; "y"; "x"; "x" ];
+  Alcotest.(check (list string)) "names" [ "x"; "y"; "x#2"; "x#3" ] (Invariant.names t);
+  Alcotest.(check (list string)) "violations name their law"
+    [ "x"; "y"; "x#2"; "x#3" ]
+    (List.map (fun v -> v.Invariant.law) (Invariant.check t))
+
 let test_registry_arming () =
   let t = Invariant.create () in
   Alcotest.(check bool) "starts disarmed" false (Invariant.armed t);
@@ -235,6 +243,7 @@ let suite =
   [
     Alcotest.test_case "registry basics" `Quick test_registry_basics;
     Alcotest.test_case "registry arming" `Quick test_registry_arming;
+    Alcotest.test_case "repeated law names get suffixes" `Quick test_repeated_names_get_suffixes;
     Alcotest.test_case "raising law is a violation" `Quick test_raising_law_is_violation;
     Alcotest.test_case "law-writing helpers" `Quick test_helpers;
     Alcotest.test_case "passing helpers allocate nothing" `Quick

@@ -631,8 +631,125 @@ let prop_per_cpu_busy_partitions_total =
       done;
       !sum = Simtime.span_to_ns (Machine.busy_time machine))
 
+(* {1 The per-slice allocation budget}
+
+   A dispatch cycle (pick, start the slice, charge it, resume the thread
+   to its next effect) runs for every CPU slice, so the machine and its
+   policy may allocate nothing of their own there: the only words are
+   the effect's own payload and continuation.  The budget is not a
+   constant: the test counts the effects its threads perform in the
+   window and performs as many again under a bare deep handler. *)
+
+let budget_span = Simtime.us 50
+
+(* Every effect the bodies below perform answers unit, so one
+   preallocated handler answers them all. *)
+let answer_unit : ((unit, unit) Effect.Deep.continuation -> unit) option =
+  Some (fun k -> Effect.Deep.continue k ())
+
+let bare_handler : (unit, unit) Effect.Deep.handler =
+  {
+    retc = Fun.id;
+    exnc = raise;
+    effc =
+      (fun (type a) (_ : a Effect.t) ->
+        (Obj.magic answer_unit : ((a, unit) Effect.Deep.continuation -> unit) option));
+  }
+
+(* Minor words of [cpu_n] [Machine.cpu] and [wait_n] [Waitq.wait]
+   performs, each answered at once. *)
+let bare_round_trips wq ~cpu_n ~wait_n =
+  let words = ref 0. in
+  Effect.Deep.match_with
+    (fun () ->
+      ignore (Gc.minor_words ());
+      let w0 = Gc.minor_words () in
+      for _ = 1 to cpu_n do
+        Machine.cpu budget_span
+      done;
+      for _ = 1 to wait_n do
+        Machine.Waitq.wait wq
+      done;
+      words := Gc.minor_words () -. w0)
+    () bare_handler;
+  !words
+
+let test_slice_allocation_budget policy () =
+  let sim = Sim.create () in
+  let root = Container.create_root () in
+  let pol =
+    match policy with
+    | `Multilevel -> Sched.Multilevel.make ~root ()
+    | `Timeshare -> Sched.Timeshare.make ()
+  in
+  (* Binding pruning rebuilds a list every [prune_interval]; keep it out
+     of the window. *)
+  let machine = Machine.create ~prune_interval:(Simtime.sec 100) ~sim ~policy:pol ~root () in
+  let group =
+    Container.create ~parent:root ~name:"group" ~attrs:(Attrs.fixed_share ~share:0.5 ()) ()
+  in
+  let share =
+    Container.create ~parent:root ~name:"share" ~attrs:(Attrs.fixed_share ~share:0.3 ()) ()
+  in
+  let cpu_n = ref 0 and wait_n = ref 0 in
+  let burn () =
+    incr cpu_n;
+    Machine.cpu budget_span
+  in
+  let looper name container =
+    ignore
+      (Machine.spawn machine ~name ~container (fun () ->
+           while true do
+             burn ()
+           done))
+  in
+  looper "a" (leaf group "a");
+  looper "b" (leaf group "b");
+  looper "c" share;
+  let wq = Machine.Waitq.create machine in
+  let pair = leaf root "pair" in
+  ignore
+    (Machine.spawn machine ~name:"signaller" ~container:pair (fun () ->
+         while true do
+           burn ();
+           Machine.Waitq.signal wq
+         done));
+  ignore
+    (Machine.spawn machine ~name:"waiter" ~container:pair (fun () ->
+         while true do
+           incr wait_n;
+           Machine.Waitq.wait wq;
+           burn ()
+         done));
+  (* Warm up: rings, scratch arrays and the wheel's arena reach their
+     steady sizes. *)
+  Machine.run_until machine (Simtime.of_ns 200_000_000);
+  let dispatches () =
+    match Engine.Metrics.value (Machine.metrics machine) "sched.dispatches" with
+    | Some (Engine.Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "no sched.dispatches counter"
+  in
+  let cpu0 = !cpu_n and wait0 = !wait_n and slices0 = dispatches () in
+  ignore (Gc.minor_words ());
+  let w0 = Gc.minor_words () in
+  Machine.run_until machine (Simtime.of_ns 1_200_000_000);
+  let words = Gc.minor_words () -. w0 in
+  let cpu_n = !cpu_n - cpu0 and wait_n = !wait_n - wait0 and slices = dispatches () - slices0 in
+  let bare = bare_round_trips wq ~cpu_n ~wait_n in
+  Alcotest.(check bool) "thousands of slices" true (slices > 10_000);
+  Alcotest.(check bool) "the pair blocked and woke" true (wait_n > 1_000);
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "minor words per slice beyond the effects' own (%d slices, %d cpu, %d wait)"
+       slices cpu_n wait_n)
+    0.
+    ((words -. bare) /. float_of_int slices)
+
 let suite =
   [
+    Alcotest.test_case "slice allocation budget, multilevel" `Quick
+      (test_slice_allocation_budget `Multilevel);
+    Alcotest.test_case "slice allocation budget, timeshare" `Quick
+      (test_slice_allocation_budget `Timeshare);
     Alcotest.test_case "thread runs and charges" `Quick test_thread_runs_and_charges;
     Alcotest.test_case "kernel/user split" `Quick test_kernel_user_split;
     Alcotest.test_case "wall clock advances" `Quick test_wallclock_advances_with_cpu;

@@ -11,6 +11,10 @@ module Runq = Sched.Runq
 let fixed share = Attrs.fixed_share ~share ()
 let ts priority = Attrs.timeshare ~priority ()
 
+(* [Policy.pick] and [Runq.front] answer [Task.none] for "no task"; the
+   tests read them as options. *)
+let some_task t = if Task.is_none t then None else Some t
+
 (* {1 Decay} *)
 
 let test_decay_accumulates () =
@@ -52,7 +56,7 @@ let test_runq_basic () =
   Runq.enqueue q t2;
   Runq.enqueue q t3;
   Runq.enqueue q t1 (* idempotent *);
-  let front_is q c t = match Runq.front q c with Some x -> Task.equal x t | None -> false in
+  let front_is q c t = match some_task (Runq.front q c) with Some x -> Task.equal x t | None -> false in
   Alcotest.(check int) "count" 3 (Runq.count q);
   Alcotest.(check bool) "front a" true (front_is q a t1);
   Runq.rotate q a;
@@ -61,6 +65,44 @@ let test_runq_basic () =
   Alcotest.(check bool) "after dequeue" true (front_is q a t1);
   Runq.dequeue q t2 (* idempotent *);
   Alcotest.(check int) "count after" 2 (Runq.count q)
+
+(* Timeshare, lottery and stride break ties in the order [iter_busy] and
+   [containers_with_work] visit busy containers, so that order is part of
+   the simulated result: a stdlib [Hashtbl] keyed by container id, filled
+   in the order the containers first queue.  1100 containers, enough to
+   double the bucket array three times, queue in shuffled order, and a
+   third drain again. *)
+let test_runq_busy_order_is_hashtbl_order () =
+  let _, _, leaves = setup_leaves 1100 in
+  let cs = Array.of_list leaves in
+  let rng = Engine.Rng.create ~seed:5 in
+  for i = Array.length cs - 1 downto 1 do
+    let j = Engine.Rng.int rng (i + 1) in
+    let c = cs.(i) in
+    cs.(i) <- cs.(j);
+    cs.(j) <- c
+  done;
+  let q = Runq.create () in
+  let oracle = Hashtbl.create 64 in
+  let tasks =
+    Array.map
+      (fun c ->
+        let t = task_on c "t" in
+        Runq.enqueue q t;
+        Hashtbl.replace oracle (Container.id c) c;
+        t)
+      cs
+  in
+  Array.iteri (fun i t -> if i mod 3 = 0 then Runq.dequeue q t) tasks;
+  let expected =
+    Hashtbl.fold (fun _ c acc -> if Runq.container_has_work q c then c :: acc else acc) oracle []
+  in
+  let ids = List.map Container.id in
+  Alcotest.(check (list int)) "containers_with_work" (ids expected)
+    (ids (Runq.containers_with_work q));
+  let visited = ref [] in
+  Runq.iter_busy q (fun c -> visited := c :: !visited);
+  Alcotest.(check (list int)) "iter_busy" (ids expected) (ids !visited)
 
 let test_runq_requeue_moves () =
   let _, _, leaves = setup_leaves 2 in
@@ -72,7 +114,7 @@ let test_runq_requeue_moves () =
   Runq.requeue q t;
   Alcotest.(check bool) "left a" false (Runq.container_has_work q a);
   Alcotest.(check bool) "joined b" true
-    (match Runq.front q b with Some x -> Task.equal x t | None -> false)
+    (match some_task (Runq.front q b) with Some x -> Task.equal x t | None -> false)
 
 let test_runq_subtree () =
   let root, parent, leaves = setup_leaves 1 in
@@ -114,7 +156,7 @@ let run_policy policy tasks ~slices =
   let slice = Simtime.ms 1 in
   for i = 0 to slices - 1 do
     let now = Simtime.of_ns (i * 1_000_000) in
-    match policy.Sched.Policy.pick ~now with
+    match some_task (policy.Sched.Policy.pick ~now) with
     | Some task ->
         let c = Task.container task in
         let cid = Container.id c in
@@ -222,7 +264,7 @@ let test_multilevel_limit_leaves_cpu_idle () =
   let policy3 = Sched.Multilevel.make ~window:(Simtime.ms 100) ~root:root3 () in
   let count3 = run_policy policy3 [ task_on capped3 "c3" ] ~slices:50 in
   Alcotest.(check bool) "20 slices then throttled" true (count3 capped3 <= 22);
-  (match policy3.Sched.Policy.pick ~now:(Simtime.of_ns 50_000_000) with
+  (match some_task (policy3.Sched.Policy.pick ~now:(Simtime.of_ns 50_000_000)) with
   | Some _ -> Alcotest.fail "should be throttled mid-window"
   | None -> ());
   (match policy3.Sched.Policy.next_release ~now:(Simtime.of_ns 50_000_000) with
@@ -283,14 +325,14 @@ let test_timeshare_combined_scheduler_binding () =
   let clean = task_on fresh_b "clean" in
   policy.Sched.Policy.enqueue mux;
   policy.Sched.Policy.enqueue clean;
-  (match policy.Sched.Policy.pick ~now with
+  (match some_task (policy.Sched.Policy.pick ~now) with
   | Some picked ->
       Alcotest.(check string) "clean task wins over multiplexed history" "clean"
         picked.Task.name
   | None -> Alcotest.fail "nothing picked");
   (* After an explicit scheduler-binding reset, history is forgiven. *)
   Rescont.Binding.reset_scheduler_binding mux_binding ~now;
-  (match policy.Sched.Policy.pick ~now with
+  (match some_task (policy.Sched.Policy.pick ~now) with
   | Some picked ->
       (* Both are now clean; the winner is simply deterministic. *)
       Alcotest.(check bool) "pick still works" true
@@ -304,7 +346,7 @@ let test_policies_empty_pick () =
       Alcotest.(check bool)
         (policy.Sched.Policy.name ^ " empty pick")
         true
-        (policy.Sched.Policy.pick ~now:Simtime.zero = None))
+        (Task.is_none (policy.Sched.Policy.pick ~now:Simtime.zero)))
     [
       Sched.Timeshare.make ();
       Sched.Multilevel.make ~root ();
@@ -319,9 +361,9 @@ let test_round_robin_within_container () =
   let policy = Sched.Timeshare.make () in
   policy.Sched.Policy.enqueue t1;
   policy.Sched.Policy.enqueue t2;
-  let first = policy.Sched.Policy.pick ~now:Simtime.zero in
+  let first = some_task (policy.Sched.Policy.pick ~now:Simtime.zero) in
   policy.Sched.Policy.charge ~container:a ~now:Simtime.zero (Simtime.ms 1);
-  let second = policy.Sched.Policy.pick ~now:(Simtime.of_ns 1) in
+  let second = some_task (policy.Sched.Policy.pick ~now:(Simtime.of_ns 1)) in
   Alcotest.(check bool) "alternation" true
     (match (first, second) with
     | Some x, Some y -> not (Task.equal x y)
@@ -402,7 +444,7 @@ let test_runq_lazy_reenqueue () =
   Runq.enqueue q t2;
   Runq.dequeue q t1;
   Runq.enqueue q t1;
-  let front () = match Runq.front q a with Some t -> t.Task.name | None -> "-" in
+  let front () = match some_task (Runq.front q a) with Some t -> t.Task.name | None -> "-" in
   Alcotest.(check string) "t2 now first" "t2" (front ());
   Runq.rotate q a;
   Alcotest.(check string) "t1 behind it" "t1" (front ());
@@ -443,7 +485,7 @@ let test_multilevel_share_sum_order () =
   for i = 1 to 300 do
     let now = Simtime.of_ns (i * 1_000_000) in
     let name = function Some t -> t.Task.name | None -> "<none>" in
-    let po = opt.Sched.Policy.pick ~now and pr = refp.Sched.Policy.pick ~now in
+    let po = some_task (opt.Sched.Policy.pick ~now) and pr = some_task (refp.Sched.Policy.pick ~now) in
     Alcotest.(check string) (Printf.sprintf "pick %d" i) (name pr) (name po);
     match po with
     | Some t ->
@@ -588,8 +630,8 @@ let prop_multilevel_matches_reference =
               let c = !marked.(Engine.Rng.int rng (Array.length !marked)) in
               try Container.set_parent c (Some (random_parent ())) with Container.Error _ -> ())
         | _ ->
-            let po = opt.Sched.Policy.pick ~now:!now in
-            let pr = refp.Sched.Policy.pick ~now:!now in
+            let po = some_task (opt.Sched.Policy.pick ~now:!now) in
+            let pr = some_task (refp.Sched.Policy.pick ~now:!now) in
             (match (po, pr) with
             | None, None -> ()
             | Some a, Some b when Task.equal a b -> ()
@@ -622,6 +664,8 @@ let suite =
     Alcotest.test_case "decay monotone" `Quick test_decay_monotone_without_charges;
     Alcotest.test_case "runq basics" `Quick test_runq_basic;
     Alcotest.test_case "runq requeue" `Quick test_runq_requeue_moves;
+    Alcotest.test_case "runq busy order is Hashtbl order" `Quick
+      test_runq_busy_order_is_hashtbl_order;
     Alcotest.test_case "runq subtree" `Quick test_runq_subtree;
     Alcotest.test_case "runq lazy re-enqueue" `Quick test_runq_lazy_reenqueue;
     Alcotest.test_case "runq busy-set law" `Quick test_runq_busy_set_law;
