@@ -27,13 +27,14 @@ module Ops = Rescont.Ops
 
 (* {1 Part 1: Table 1 micro-benchmarks} *)
 
-let bench_create =
+let bench_create () =
+  let run = Container.run (Container.create_root ()) in
   Test.make ~name:"create+destroy container"
     (Staged.stage (fun () ->
-         let c = Container.create_detached ~name:"bench" () in
+         let c = Container.create_detached ~name:"bench" run in
          Container.destroy c))
 
-let bench_rebind =
+let bench_rebind () =
   let root = Container.create_root () in
   let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
   let a = Container.create ~parent () in
@@ -45,14 +46,14 @@ let bench_rebind =
          flip := not !flip;
          Binding.set_resource_binding binding ~now:Simtime.zero (if !flip then b else a)))
 
-let bench_get_usage =
+let bench_get_usage () =
   let root = Container.create_root () in
   let table = Desc_table.create () in
   let d = Ops.rc_create table ~parent:root () in
   Test.make ~name:"obtain container resource usage"
     (Staged.stage (fun () -> ignore (Ops.rc_get_usage table d)))
 
-let bench_attrs =
+let bench_attrs () =
   let root = Container.create_root () in
   let table = Desc_table.create () in
   let d = Ops.rc_create table ~parent:root () in
@@ -64,7 +65,7 @@ let bench_attrs =
          Ops.rc_set_attrs table d (if !flip then hi else lo);
          ignore (Ops.rc_get_attrs table d)))
 
-let bench_move =
+let bench_move () =
   let root = Container.create_root () in
   let src = Desc_table.create () in
   let dst = Desc_table.create () in
@@ -74,7 +75,7 @@ let bench_move =
          let d' = Ops.rc_transfer ~src ~dst d in
          Desc_table.close dst d'))
 
-let bench_handle =
+let bench_handle () =
   let root = Container.create_root () in
   let table = Desc_table.create () in
   let d = Ops.rc_create table ~parent:root () in
@@ -84,17 +85,21 @@ let bench_handle =
          let d' = Ops.rc_get_handle table c in
          Desc_table.close table d'))
 
-let bench_charge =
+let bench_charge () =
   let root = Container.create_root () in
   let mid = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
   let leaf = Container.create ~parent:mid () in
   Test.make ~name:"charge cpu through 3-level hierarchy"
     (Staged.stage (fun () -> Container.charge_cpu leaf ~kernel:true (Simtime.us 1)))
 
-let table1_tests =
+(* Built afresh for each group that runs them: the create+destroy loop
+   claims two ledger slots per iteration, millions over a quota, and
+   that arena must not stay live (and be marked by every later major
+   collection) once the group is done. *)
+let table1_tests () =
   [
-    bench_create; bench_rebind; bench_get_usage; bench_attrs; bench_move; bench_handle;
-    bench_charge;
+    bench_create (); bench_rebind (); bench_get_usage (); bench_attrs (); bench_move ();
+    bench_handle (); bench_charge ();
   ]
 
 (* Bechamel's stock [Instance.minor_allocated] reads
@@ -143,7 +148,7 @@ let ols_estimates ~group ~cfg tests =
 let table1_cfg () = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ()
 
 let run_table1_microbench () =
-  let estimates = ols_estimates ~group:"table1" ~cfg:(table1_cfg ()) table1_tests in
+  let estimates = ols_estimates ~group:"table1" ~cfg:(table1_cfg ()) (table1_tests ()) in
   let table =
     Engine.Series.table
       ~title:"Table 1: container primitive costs (Bechamel, this library) vs paper"
@@ -372,7 +377,17 @@ let leaf_rig idle =
   for i = 1 to idle do
     ignore (Container.create ~parent ~name:(Printf.sprintf "idle%d" i) ())
   done;
-  fun () -> Container.release (Container.create ~parent ~name:"leaf" ())
+  let leaf () = Container.release (Container.create ~parent ~name:"leaf" ()) in
+  (* The rig is its own run, whose ledger arena starts at 256 slots,
+     doubles when full and never reuses a slot; each leaf takes two.
+     40 000 untimed leaves take the arena past its doubling to 131 072
+     slots, and the 9 x 2 000 timed ones stay below that, so the timed
+     batches see adoption and detach and no arena doubling (the table1
+     create+destroy and churn rows keep measuring growth). *)
+  for _ = 1 to 40_000 do
+    leaf ()
+  done;
+  leaf
 
 let leaf_costs () =
   let few = leaf_rig 10 and many = leaf_rig 1000 in
@@ -535,7 +550,7 @@ let make_demux_stack n =
       | _ -> Netsim.Filter.host (Netsim.Ipaddr.v 10 (i mod 8) (i mod 32) 7)
     in
     Netsim.Stack.add_listen stack
-      (Netsim.Socket.make_listen ~port:(80 + (i mod 2)) ~filter ())
+      (Netsim.Socket.make_unbound_listen ~port:(80 + (i mod 2)) ~filter (Container.run root))
   done;
   stack
 
@@ -555,7 +570,7 @@ let bench_demux ~listens ~table =
 
 let churn_conns () =
   Array.init 128 (fun i ->
-      Netsim.Socket.make_conn
+      Netsim.Socket.make_conn ~id:(i + 1)
         ~src:(Netsim.Ipaddr.v 10 3 (i / 256) (i mod 256))
         ~src_port:0 ~client:Netsim.Socket.null_handlers ~now:Simtime.zero)
 
@@ -806,25 +821,16 @@ let run_json ~fast ~smoke ~mega ~label =
   let scale cfg_quota =
     if smoke then cfg_quota /. 20. else if fast then cfg_quota /. 2. else cfg_quota
   in
-  (* Ledger slots are never reused, so the create+destroy churn loop
-     permanently claims two arena slots per iteration — millions over a
-     Bechamel quota.  Renew the domain arena between groups so one
-     group's slot bloat is not live major heap that every later group's
-     GC has to scan (it inflated the end-to-end and sweep wall-clocks
-     ~4x before this). *)
-  let renew = Rescont.Usage.renew_domain_arena in
   let t1 =
     ols_estimates ~group:"table1"
       ~cfg:(Benchmark.cfg ~limit:2000 ~quota:(Time.second (scale 0.5)) ())
-      table1_tests
+      (table1_tests ())
   in
-  renew ();
   let sched =
     ols_estimates ~group:"sched"
       ~cfg:(Benchmark.cfg ~limit:1000 ~quota:(Time.second (scale 0.25)) ())
       (sched_tests ())
   in
-  renew ();
   let churn_early, churn_late = churn_costs () in
   let siblings_few, siblings_many = sibling_costs () in
   let leaf_few, leaf_many = leaf_costs () in
@@ -833,13 +839,11 @@ let run_json ~fast ~smoke ~mega ~label =
       ~cfg:(Benchmark.cfg ~limit:1000 ~quota:(Time.second (scale 0.25)) ())
       [ bench_rebind_touch () ]
   in
-  renew ();
   let smp =
     ols_estimates ~group:"smp"
       ~cfg:(Benchmark.cfg ~limit:1000 ~quota:(Time.second (scale 0.25)) ())
       (smp_tests ())
   in
-  renew ();
   let sim =
     ols_estimates2 ~group:"sim"
       ~cfg:(Benchmark.cfg ~limit:1000 ~quota:(Time.second (scale 0.25)) ())
@@ -857,7 +861,6 @@ let run_json ~fast ~smoke ~mega ~label =
   let measure = if smoke then Simtime.ms 200 else if fast then Simtime.sec 1 else Simtime.sec 2 in
   let sim_seconds = Simtime.span_to_sec_f warmup +. Simtime.span_to_sec_f measure in
   let fig11_wall =
-    renew ();
     let t0 = Unix.gettimeofday () in
     ignore
       (Experiments.Exp_fig11.t_high ~warmup ~measure Experiments.Exp_fig11.Containers_event_api
@@ -871,7 +874,6 @@ let run_json ~fast ~smoke ~mega ~label =
     List.concat_map
       (fun system ->
         let mode = Experiments.Harness.system_name system in
-        renew ();
         let words0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         let r =
@@ -901,7 +903,6 @@ let run_json ~fast ~smoke ~mega ~label =
   (* The same end-to-end rig on a 4-processor machine with per-CPU
      run-queue shards and RSS interrupt steering. *)
   let smp_endtoend =
-    renew ();
     let t0 = Unix.gettimeofday () in
     ignore
       (Experiments.Exp_sweep.run ~cpus:4 ~warmup ~measure
@@ -917,7 +918,6 @@ let run_json ~fast ~smoke ~mega ~label =
      plus allocation per completed request (the arrival path is meant to
      be allocation-free, so this also watches the injection fast path). *)
   let cluster_wall, cluster_mw =
-    renew ();
     let module Cluster = Clustersim.Cluster in
     let c =
       Cluster.create ~machines:4 ~cpus:4 ~policy:Cluster.Flow_hash
@@ -941,7 +941,6 @@ let run_json ~fast ~smoke ~mega ~label =
      the domain cap makes shards=8 run sequentially and the ratio ~1 —
      the honest number either way. *)
   let shard_wall shards =
-    renew ();
     let module Cluster = Clustersim.Cluster in
     let c =
       Cluster.create ~machines:16 ~shards ~policy:Cluster.Flow_hash
@@ -969,7 +968,6 @@ let run_json ~fast ~smoke ~mega ~label =
       if smoke then Simtime.ms 100 else if fast then Simtime.ms 500 else Simtime.sec 1
     in
     let time_with jobs =
-      renew ();
       let t0 = Unix.gettimeofday () in
       ignore
         (Experiments.Exp_sweep.run_grid ~warmup:s_warmup ~measure:s_measure ~jobs points);
@@ -990,7 +988,6 @@ let run_json ~fast ~smoke ~mega ~label =
      fresh processes each on a 2-vCPU VM).  Ordering them after
      everything gated against older baselines keeps those metrics
      comparable. *)
-  renew ();
   let cache =
     ols_estimates2 ~group:"cache" ~cfg:(big_heap_cfg (scale 0.25)) (cache_tests ())
   in
@@ -1023,7 +1020,6 @@ let run_json ~fast ~smoke ~mega ~label =
      flash-crowd phases, invariants armed — the cache/alias/doc-id path as
      the server actually drives it. *)
   let zipf_endtoend =
-    renew ();
     let z_warmup = if smoke then Simtime.ms 50 else Simtime.ms 250 in
     let z_measure = if smoke then Simtime.ms 100 else Simtime.ms 500 in
     let z_docs = if smoke then 2_000 else 20_000 in
@@ -1304,18 +1300,12 @@ let () =
    else begin
      Format.printf "=== Part 1: primitive costs (real wall clock, Bechamel OLS) ===@.";
      run_table1_microbench ();
-     Rescont.Usage.renew_domain_arena ();
      run_sched_microbench ();
-     Rescont.Usage.renew_domain_arena ();
      run_churn_microbench ();
-     Rescont.Usage.renew_domain_arena ();
      run_smp_microbench ();
-     Rescont.Usage.renew_domain_arena ();
      run_sim_microbench ();
      run_netsim_microbench ();
-     Rescont.Usage.renew_domain_arena ();
      run_cache_microbench ();
-     Rescont.Usage.renew_domain_arena ();
      Format.printf "@.=== Part 2: reproduction of the paper's evaluation (simulated) ===@.";
      run_experiments ~fast
    end);

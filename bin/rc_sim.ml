@@ -129,7 +129,7 @@ let run_trace _jobs _fast _csv =
     [
       Netsim.Socket.make_listen ~port:80 ~filter:(Netsim.Filter.host (Netsim.Ipaddr.v 10 9 9 9))
         ~container:hi ();
-      Netsim.Socket.make_listen ~port:80 ();
+      Netsim.Socket.make_unbound_listen ~port:80 (Rescont.Container.run rig.Harness.root);
     ]
   in
   let server =

@@ -2,9 +2,10 @@
 # CI gate: build everything, run the test suites, replay the repository
 # benchmark's full windows against perfbench/golden.json, check the
 # fast-path benchmarks against the committed baseline (BENCH_PR15.json),
-# and verify the sharded-execution determinism contract (shards=N
-# byte-identical to shards=1).  Referenced from README.md "Install and
-# build".
+# verify the sharded-execution determinism contract (shards=N
+# byte-identical to shards=1), and check that fuzz and ablation output
+# does not depend on what else ran in the process.  Referenced from
+# README.md "Install and build".
 set -eu
 cd "$(dirname "$0")"
 
@@ -83,5 +84,41 @@ dune exec bin/rc_sim.exe -- smp --fast > /dev/null
 echo "== fuzz self-test (planted mis-charge must be caught)"
 dune exec bin/rc_sim.exe -- fuzz --seed 1 --mode rc --inject mischarge \
   --trace-out "${TMPDIR:-/tmp}/rc-fuzz-selftest.trace.jsonl"
+
+echo "== placement gate (the same fuzz lines at --jobs 1, at --jobs 2 and with each seed alone in its own process)"
+# A run is a pure function of its inputs: nothing a scenario prints may
+# depend on what ran before it in the process or on which domain ran it.
+rc_sim=_build/default/bin/rc_sim.exe
+tmp="${TMPDIR:-/tmp}"
+placement () {
+  seeds=$1
+  shift
+  "$rc_sim" fuzz --seeds "$seeds" --jobs 1 "$@" > "$tmp/rc-place-j1.out"
+  "$rc_sim" fuzz --seeds "$seeds" --jobs 2 "$@" > "$tmp/rc-place-j2.out"
+  : > "$tmp/rc-place-alone.out"
+  s=1
+  while [ "$s" -le "$seeds" ]; do
+    "$rc_sim" fuzz --seed "$s" "$@" >> "$tmp/rc-place-alone.out"
+    s=$((s + 1))
+  done
+  for run in j1 j2 alone; do
+    grep '^seed' "$tmp/rc-place-$run.out" | LC_ALL=C sort > "$tmp/rc-place-$run.sorted"
+  done
+  cmp "$tmp/rc-place-j1.sorted" "$tmp/rc-place-j2.sorted"
+  cmp "$tmp/rc-place-j1.sorted" "$tmp/rc-place-alone.sorted"
+}
+placement 30
+placement 30 --cpus 2
+placement 30 --zipf
+placement 5 --machines 4
+
+echo "== ablation placement (rc_sim ablation --fast must print its section of rc_sim all --fast)"
+"$rc_sim" ablation --fast > "$tmp/rc-ablation.txt"
+"$rc_sim" all --fast > "$tmp/rc-all.txt"
+lines=$(wc -l < "$tmp/rc-ablation.txt")
+start=$(grep -n -x -F "$(head -n 1 "$tmp/rc-ablation.txt")" "$tmp/rc-all.txt" | head -n 1 | cut -d: -f1)
+[ -n "$start" ]
+tail -n +"$start" "$tmp/rc-all.txt" | head -n "$lines" > "$tmp/rc-all-ablation.txt"
+cmp "$tmp/rc-ablation.txt" "$tmp/rc-all-ablation.txt"
 
 echo "CI gate passed."

@@ -38,7 +38,7 @@ let run ~sandbox =
     else None
   in
   let cgi = Httpsim.Cgi.create ~stack ~server_process:proc ?cgi_parent () in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache
       ~dynamic_handler:(Httpsim.Cgi.handler cgi) ~listens:[ listen ] ()

@@ -50,7 +50,7 @@ let () =
   let net = Netsim.Net.create ~sim () in
 
   (* Origin machine: a plain RC event-driven server with everything cached. *)
-  let _origin_root, origin_machine, origin_proc, origin_stack = make_machine sim "origin" in
+  let origin_root, origin_machine, origin_proc, origin_stack = make_machine sim "origin" in
   Netsim.Net.attach net ~addr:origin_addr origin_stack;
   let origin_cache = Httpsim.File_cache.create () in
   for i = 1 to doc_count do
@@ -59,7 +59,7 @@ let () =
       ~bytes:doc_bytes
   done;
   Httpsim.File_cache.warm origin_cache;
-  let origin_listen = Socket.make_listen ~port:80 () in
+  let origin_listen = Socket.make_unbound_listen ~port:80 (Container.run origin_root) in
   let origin_server =
     Httpsim.Event_server.create ~stack:origin_stack ~process:origin_proc ~cache:origin_cache
       ~listens:[ origin_listen ] ()

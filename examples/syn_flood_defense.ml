@@ -29,7 +29,7 @@ let () =
   Httpsim.File_cache.add_document cache ~path:"/doc/1k" ~bytes:1024;
   Httpsim.File_cache.warm cache;
 
-  let main_listen = Socket.make_listen ~port:80 ~syn_backlog:256 () in
+  let main_listen = Socket.make_unbound_listen ~port:80 ~syn_backlog:256 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache ~listens:[ main_listen ] ()
   in

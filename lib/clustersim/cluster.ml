@@ -33,9 +33,9 @@
    aggregates the per-machine ledgers into cluster-wide totals, certified
    by the "cluster.usage-rollup" conservation law in the cluster-level
    registry, checked at rollup barriers and at every [run_for] horizon.
-   Each machine's containers live in their own ledger arena
-   ([Usage.renew_domain_arena] per node), so two domains never write the
-   same accounting arrays.
+   Each machine's root starts its own run ([Container.create_root]): its
+   ids, ledger arena and strict-memory flag belong to that machine alone,
+   so two domains never write the same accounting arrays.
 
    The server application on each machine is a worker pool over an
    edge-triggered ready queue ([Stack.set_on_readable]): O(1) per wakeup,
@@ -78,7 +78,6 @@ type node = {
   index : int;
   machine : Machine.t;
   stack : Stack.t;
-  root : Container.t;
   server_container : Container.t;
   node_rng : Rng.t;
   ready : Socket.conn Queue.t;
@@ -153,7 +152,6 @@ type t = {
   mutable client_sojourn : Stats.Summary.t; (* connect -> response, seconds *)
   mutable started : bool;
   mutable arrivals_on : bool;
-  mutable strict : bool; (* arm_invariants was called: every shard's domain needs the DLS flag *)
   mutable t0_ns : int; (* profile epoch: simulation time at [start] *)
 }
 
@@ -206,7 +204,6 @@ let domains t = Shard.domains t.exec
 let node_machine t i = t.nodes.(i).machine
 let node_stack t i = t.nodes.(i).stack
 let node_served t i = t.nodes.(i).served
-let node_root t i = t.nodes.(i).root
 let tenant_count t = Array.length t.tenants
 let tenant_name t k = t.tenants.(k).spec.ts_name
 let tenant_group t k = t.tenants.(k).group
@@ -230,11 +227,6 @@ let server_sojourn t =
 
 let concurrent t =
   Array.fold_left (fun acc n -> acc + Stack.tracked_conns n.stack) 0 t.nodes
-
-let busy_total t =
-  Array.fold_left
-    (fun acc n -> Simtime.span_add acc (Machine.busy_time n.machine))
-    Simtime.span_zero t.nodes
 
 (* ---------------- the server application ---------------- *)
 
@@ -516,19 +508,9 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
   let rng = Rng.create ~seed in
   let arrival_rng = Rng.split rng in
   let specs = Array.of_list tenants in
-  (* Node i's tenant containers, filled inside node i's arena block below
-     (chain-linking a container to its parent requires the same arena, so
-     every container of a machine must be created between that machine's
-     arena renewal and the next). *)
   let per_node_tenant_containers = Array.make machines [||] in
   let nodes =
     Array.init machines (fun i ->
-        (* Each machine's containers live in their own ledger arena: the
-           whole rig (root, system, server, tenant containers — chained
-           within one arena) is built between renewals, and no container
-           is created after [create], so a shard's charging never writes
-           another shard's accounting arrays. *)
-        Rescont.Usage.renew_domain_arena ();
         let sim = shard_sims.(i mod shards) in
         let root = Container.create_root () in
         let invariants = Engine.Invariant.create () in
@@ -557,7 +539,6 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
           index = i;
           machine;
           stack;
-          root;
           server_container;
           node_rng = Rng.split rng;
           ready = Queue.create ();
@@ -648,7 +629,6 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
       client_sojourn = Stats.Summary.create ();
       started = false;
       arrivals_on = true;
-      strict = false;
       t0_ns = 0;
     }
   in
@@ -727,13 +707,8 @@ let run_for t span =
   (* Windows advance each shard's sim directly; the machines' armed
      quiesce re-checks happen once at the horizon below, not at every
      window (the periodic [Sim.every] sweeps still run inside windows
-     at their own cadence).  The strict-memory flag is domain-local and
-     a shard may run on a different domain in every window, so [work]
-     sets it each time. *)
-  let work s h =
-    Rescont.Usage.set_strict_memory t.strict;
-    Sim.run_until t.shard_sims.(s) (Simtime.of_ns h)
-  in
+     at their own cadence). *)
+  let work s h = Sim.run_until t.shard_sims.(s) (Simtime.of_ns h) in
   Shard.run_windows t.exec ~next ~work ~exchange:(fun h -> barrier_exchange t h);
   (* Horizon quiesce: every machine's run_until is now a no-op clock
      advance plus its registry's quiesce check; then the cluster-level
@@ -742,7 +717,6 @@ let run_for t span =
   check_cluster_laws t
 
 let arm_invariants ?interval t =
-  t.strict <- true;
   Engine.Invariant.arm t.cluster_laws;
   Array.iter
     (fun n ->

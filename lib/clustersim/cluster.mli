@@ -27,8 +27,9 @@
     §4.6+§4.8) and a {!Rescont.Rollup} group aggregating the per-machine
     ledgers into cluster totals, certified by the "cluster.usage-rollup"
     law in the cluster-level registry — checked at rollup barriers and at
-    every {!run_for} horizon.  Each machine's containers live in their own
-    ledger arena, so concurrent shards never share accounting arrays. *)
+    every {!run_for} horizon.  Each machine's root starts its own run
+    ({!Rescont.Container.create_root}), so concurrent shards never share
+    ids, accounting arrays or the strict-memory flag. *)
 
 type policy =
   | Round_robin
@@ -118,8 +119,8 @@ val stop_arrivals : t -> unit
 
 val arm_invariants : ?interval:Engine.Simtime.span -> t -> unit
 (** Arm every machine's registry for periodic sweeps and strict memory
-    accounting (whichever domain runs a shard's window sets the strict
-    flag first), plus the cluster-level law checks at rollup barriers. *)
+    accounting (each machine's own run), plus the cluster-level law checks
+    at rollup barriers. *)
 
 val check_invariants : t -> Engine.Invariant.violation list
 (** Run every machine's laws and the cluster-level laws once, collecting
@@ -144,7 +145,6 @@ val domains : t -> int
 
 val node_machine : t -> int -> Procsim.Machine.t
 val node_stack : t -> int -> Netsim.Stack.t
-val node_root : t -> int -> Rescont.Container.t
 val node_served : t -> int -> int
 
 val concurrent : t -> int
@@ -153,9 +153,6 @@ val concurrent : t -> int
 val peak_concurrent : t -> int
 (** Largest {!concurrent} seen at a rollup tick since the last
     {!reset_stats}. *)
-
-val busy_total : t -> Engine.Simtime.span
-(** Sum of every machine's consumed CPU time. *)
 
 val tenant_count : t -> int
 val tenant_name : t -> int -> string
@@ -197,4 +194,4 @@ val server_sojourn : t -> Engine.Stats.Summary.t
 val reset_stats : t -> unit
 (** Zero the request counters and distributions (measurement-window
     bracketing); machine busy-time counters are monotonic — snapshot them
-    with {!busy_total} / {!node_machine} instead. *)
+    through {!node_machine} instead. *)

@@ -14,7 +14,6 @@ type t = {
   queues : (int, request Queue.t * Container.t) Hashtbl.t;
   served_stamp : (int, int) Hashtbl.t;
   mutable tick : int;
-  mutable depth : int;
   mutable in_service : bool;
   mutable busy_ns : int;
   mutable completed : int;
@@ -29,7 +28,6 @@ let create ?(seek_time = Simtime.ms 8) ?(transfer_rate_mb_s = 20.) ~machine () =
     queues = Hashtbl.create 16;
     served_stamp = Hashtbl.create 16;
     tick = 0;
-    depth = 0;
     in_service = false;
     busy_ns = 0;
     completed = 0;
@@ -80,7 +78,6 @@ let rec start_next t =
             let span = service_time t ~bytes:request.bytes in
             Sim.post (Machine.sim t.machine) span (fun () ->
                    t.in_service <- false;
-                   t.depth <- t.depth - 1;
                    t.busy_ns <- t.busy_ns + Simtime.span_to_ns span;
                    t.completed <- t.completed + 1;
                    Container.charge_disk container ~bytes:request.bytes span;
@@ -90,7 +87,6 @@ let rec start_next t =
 let submit t ~container ~bytes completion =
   if bytes < 0 then invalid_arg "Disk.submit: negative size";
   Queue.push { bytes; completion } (queue_for t container);
-  t.depth <- t.depth + 1;
   start_next t
 
 let read t ~container ~bytes =
@@ -98,6 +94,5 @@ let read t ~container ~bytes =
   submit t ~container ~bytes (fun () -> Machine.Waitq.signal wq);
   Machine.Waitq.wait wq
 
-let queue_depth t = t.depth
 let busy_time t = Simtime.span_of_ns t.busy_ns
 let completed t = t.completed

@@ -35,9 +35,6 @@ val read : t -> container:Rescont.Container.t -> bytes:int -> unit
 val service_time : t -> bytes:int -> Engine.Simtime.span
 (** Seek plus transfer time for one request of the given size. *)
 
-val queue_depth : t -> int
-(** Requests queued or in service. *)
-
 val busy_time : t -> Engine.Simtime.span
 (** Total disk-busy time so far. *)
 

@@ -24,8 +24,6 @@ let y_at ?(eps = 1e-9) c x =
 type figure = { title : string; x_label : string; y_label : string; curves : curve list }
 
 let figure ~title ~x_label ~y_label curves = { title; x_label; y_label; curves }
-let figure_curves f = f.curves
-let figure_title f = f.title
 
 let xs_of f =
   let xs =

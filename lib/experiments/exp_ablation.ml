@@ -144,7 +144,9 @@ let quantum_point ~quantum ?(warmup = Simtime.sec 1) ?(measure = Simtime.sec 3) 
            burn ()
          in
          burn ()));
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
+  in
   let server =
     Httpsim.Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
       ~cache:rig.Harness.cache ~listens:[ listen ] ()
@@ -186,7 +188,9 @@ let quantum_table ?warmup ?measure () =
    all uniprocessor, so this is an extension. *)
 let smp_throughput ~cpus ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 4) () =
   let rig = Harness.make_rig ~cpus Harness.Rc_sys in
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
+  in
   let server =
     Httpsim.Threaded_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
       ~cache:rig.Harness.cache ~workers:(8 * cpus) ~listens:[ listen ] ()
@@ -240,7 +244,7 @@ let server_share_with ~softirq_charge ?(warmup = Simtime.sec 5) ?(measure = Simt
   Httpsim.File_cache.add_document cache ~path:Harness.cgi_path ~bytes:0;
   Httpsim.File_cache.warm cache;
   let cgi = Httpsim.Cgi.create ~stack ~server_process:server_proc () in
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen = Socket.make_unbound_listen ~port:Harness.default_port (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:server_proc ~cache
       ~dynamic_handler:(Httpsim.Cgi.handler cgi) ~listens:[ listen ] ()

@@ -13,7 +13,9 @@ type result = {
 
 let run ?(clients = 32) ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 5) ~persistent () =
   let rig = Harness.make_rig Harness.Unmodified in
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Rescont.Container.run rig.Harness.root)
+  in
   let server =
     Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
       ~cache:rig.Harness.cache ~api:Event_server.Select ~listens:[ listen ] ()

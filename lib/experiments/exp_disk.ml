@@ -32,7 +32,9 @@ let architecture_run ?(warmup = Simtime.sec 3) ?(measure = Simtime.sec 10) arch 
   let rig = Harness.make_rig Harness.Rc_sys in
   let cache = make_cache () in
   let disk = Disk.create ~machine:rig.Harness.machine () in
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
+  in
   let architecture =
     match arch with
     | `Event_driven ->
@@ -90,7 +92,9 @@ let pool_sweep ?(workers_list = [ 1; 2; 4; 8; 16; 32 ]) ?(warmup = Simtime.sec 3
     let rig = Harness.make_rig Harness.Rc_sys in
     let cache = make_cache () in
     let disk = Disk.create ~machine:rig.Harness.machine () in
-    let listen = Socket.make_listen ~port:Harness.default_port () in
+    let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
+  in
     let server =
       Httpsim.Threaded_server.create ~stack:rig.Harness.stack
         ~process:rig.Harness.server_proc ~cache ~disk ~workers ~listens:[ listen ] ()

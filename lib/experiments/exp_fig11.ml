@@ -29,7 +29,10 @@ let t_high ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 4) variant ~low_cli
     | Without_containers ->
         (* One listen socket; the app can only prefer the high client in
            user space, by source address. *)
-        let listen = Socket.make_listen ~port:Harness.default_port ~backlog:32 () in
+        let listen =
+          Socket.make_unbound_listen ~port:Harness.default_port ~backlog:32
+            (Container.run rig.Harness.root)
+        in
         ( [ listen ],
           Event_server.No_containers,
           fun conn -> if Ipaddr.equal conn.Socket.src high_src then 1 else 0 )

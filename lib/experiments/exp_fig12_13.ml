@@ -36,7 +36,9 @@ let run ?(static_clients = 24) ?(warmup = Simtime.sec 5) ?(measure = Simtime.sec
   let cgi =
     Cgi.create ~stack:rig.Harness.stack ~server_process:rig.Harness.server_proc ?cgi_parent ()
   in
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
+  in
   let server =
     Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
       ~cache:rig.Harness.cache ~api:Event_server.Select

@@ -31,7 +31,7 @@ let throughput ?(good_clients = 24) ?(warmup = Simtime.sec 2) ?(measure = Simtim
     | Unmod_flood | Lrp_flood ->
         (* LRP has no source-address filtering (§5.7): one shared listen
            socket, flood and legitimate traffic in the same queue. *)
-        [ Socket.make_listen ~port:Harness.default_port () ]
+        [ Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root) ]
     | Rc_filtered ->
         (* The filter mechanism of §4.8: a listen socket covering the
            attacker's prefix, bound to a priority-0 container. *)

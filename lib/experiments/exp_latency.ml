@@ -14,7 +14,9 @@ type point = {
 let run ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 4) ?(persistent = false) system
     ~clients =
   let rig = Harness.make_rig system in
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Rescont.Container.run rig.Harness.root)
+  in
   let server =
     Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
       ~cache:rig.Harness.cache ~listens:[ listen ] ()

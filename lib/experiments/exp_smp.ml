@@ -42,7 +42,9 @@ let livelock_run ?(good_clients = 16) ?(syn_rate = 40_000.) ?(warmup = Simtime.s
     ?(measure = Simtime.sec 4) ~cpus () =
   let rig = Harness.make_rig ~cpus Harness.Unmodified in
   let machine = rig.Harness.machine in
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
+  in
   let server =
     Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
       ~cache:rig.Harness.cache ~api:Event_server.Select ~listens:[ listen ] ()

@@ -31,7 +31,9 @@ let grid ?(systems = [ Harness.Unmodified; Harness.Lrp_sys; Harness.Rc_sys ])
 let run ?(cpus = 1) ?(warmup = Simtime.sec 1) ?(measure = Simtime.sec 2)
     { system; clients; seed } =
   let rig = Harness.make_rig ~cpus system in
-  let listen = Socket.make_listen ~port:Harness.default_port () in
+  let listen =
+    Socket.make_unbound_listen ~port:Harness.default_port (Rescont.Container.run rig.Harness.root)
+  in
   let server =
     Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
       ~cache:rig.Harness.cache ~listens:[ listen ] ()

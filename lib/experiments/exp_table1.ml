@@ -25,8 +25,9 @@ let rows ?(iterations = 10_000) () =
   in
   (* create / destroy: create a batch, then destroy it, timed separately. *)
   let pool = Array.make iterations root in
+  let run = Container.run root in
   let create_ns =
-    time_loop iterations (fun i -> pool.(i) <- Container.create_detached ~name:"c" ())
+    time_loop iterations (fun i -> pool.(i) <- Container.create_detached ~name:"c" run)
   in
   let destroy_ns = time_loop iterations (fun i -> Container.destroy pool.(i)) in
   (* change thread's resource binding: flip a binding between two leaves. *)

@@ -95,25 +95,12 @@ let export ?trace_out ?metrics_out rig =
 
 let run_for rig span = Machine.run_until rig.machine (Simtime.add (Sim.now rig.sim) span)
 
-let measure_window rig ~warmup ~measure counter =
-  run_for rig warmup;
-  let start = counter () in
-  run_for rig measure;
-  let finish = counter () in
-  (finish -. start) /. Simtime.span_to_sec_f measure
-
-let cpu_share_between rig container ~t0 ~busy0 ~subtree0 =
-  ignore busy0;
-  let wall = Simtime.diff (Sim.now rig.sim) t0 in
-  let used = Simtime.span_sub (Container.subtree_cpu container) subtree0 in
-  Simtime.ratio used wall
-
-(* Parallel sweep executor.  Points are independent simulations, so the
-   only sharing between domains is the atomic id counters above; each
-   point must derive all randomness from its own seed, never from domain
-   identity or global order, so that [map ~jobs:n] is a pure function of
-   the input array — the determinism test diffs jobs=1 against jobs=4
-   byte-for-byte. *)
+(* Parallel sweep executor.  Points are independent simulations: each
+   rig is its own run ([Container.create_root]), with its own ids and
+   ledger, so domains share no simulation state.  Each point must derive
+   all randomness from its own seed, never from domain identity or global
+   order, so that [map ~jobs:n] is a pure function of the input array —
+   the determinism test diffs jobs=1 against jobs=4 byte-for-byte. *)
 module Sweep = struct
   let recommended_jobs () = Domain.recommended_domain_count ()
 

@@ -42,22 +42,6 @@ val make_rig :
 val run_for : rig -> Engine.Simtime.span -> unit
 (** Advance the simulation by a span. *)
 
-val measure_window :
-  rig -> warmup:Engine.Simtime.span -> measure:Engine.Simtime.span -> (unit -> float) -> float
-(** [measure_window rig ~warmup ~measure counter] runs the warmup, samples
-    [counter], runs the measurement window, and returns the counter delta
-    divided by the window length in seconds (a rate). *)
-
-val cpu_share_between :
-  rig ->
-  Rescont.Container.t ->
-  t0:Engine.Simtime.t ->
-  busy0:Engine.Simtime.span ->
-  subtree0:Engine.Simtime.span ->
-  float
-(** Fraction of {e wall-clock} time the container's subtree consumed since
-    the recorded starting point. *)
-
 val default_port : int
 val doc_path : string
 val cgi_path : string

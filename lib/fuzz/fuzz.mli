@@ -88,8 +88,9 @@ val run_seed :
     thousands of heterogeneous documents against a cache a fraction of
     the corpus size, clients on a Zipf doc mix, so the arena cache's
     eviction path churns under the armed [cache.bytes-consistency] and
-    LRU-structure laws.  Restores the process-wide strict-memory flag on
-    exit. *)
+    LRU-structure laws.  Every scenario builds its own runs
+    ({!Rescont.Container.create_root}), so its outcome does not depend
+    on what ran before it in the process. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

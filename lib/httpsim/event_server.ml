@@ -68,16 +68,8 @@ let create ~stack ~process ~cache ?disk ?(api = Select) ?(policy = No_containers
   let machine = Stack.machine stack in
   let registry = Machine.metrics machine in
   let labels = [ ("server", Process.name process) ] in
-  let dummy_tracked =
-    {
-      conn =
-        Socket.make_conn
-          ~src:(Netsim.Ipaddr.v 0 0 0 0)
-          ~src_port:0 ~client:Socket.null_handlers ~now:Simtime.zero;
-      desc = None;
-    }
-  in
-  let dummy_listen = Socket.make_listen ~port:0 () in
+  let dummy_tracked = { conn = Socket.placeholder_conn (); desc = None } in
+  let dummy_listen = Socket.make_unbound_listen ~port:0 (Container.run (Machine.root machine)) in
   let t =
     {
       stack;

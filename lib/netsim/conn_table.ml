@@ -39,10 +39,7 @@ let create ?(capacity = 64) () =
   let capacity = max capacity 1 in
   (* The dummy connection is never exposed; it only keeps vacant slots
      from pinning real payloads. *)
-  let dummy =
-    Socket.make_conn ~src:(Ipaddr.v 0 0 0 0) ~src_port:0 ~client:Socket.null_handlers
-      ~now:Engine.Simtime.zero
-  in
+  let dummy = Socket.placeholder_conn () in
   {
     conns = Array.make capacity dummy;
     stamps = Array.make capacity 0;

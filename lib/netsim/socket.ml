@@ -25,6 +25,7 @@ type conn = {
 
 and listen = {
   listen_id : int;
+  listen_run : Rescont.Container.run;
   port : int;
   filter : Filter.t;
   mutable listen_container : Rescont.Container.t option;
@@ -51,16 +52,14 @@ let null_handlers =
     on_closed = (fun _ -> ());
   }
 
-(* Atomic for parallel sweep domains; ids are identity-only, never ordered
-   across rigs. *)
-let next_listen_id = Atomic.make 0
-let next_conn_id = Atomic.make 0
-
-let make_listen ?(filter = Filter.any) ?(backlog = 128) ?(syn_backlog = 1024) ?container ~port
-    () =
+(* Ids are drawn when the socket is made, so among equally specific
+   filters the demux winner is the socket made first, whatever order the
+   sockets are installed in. *)
+let listen ?(filter = Filter.any) ?(backlog = 128) ?(syn_backlog = 1024) ~container ~port run =
   if backlog <= 0 || syn_backlog <= 0 then invalid_arg "Socket.make_listen: empty backlog";
   {
-    listen_id = Atomic.fetch_and_add next_listen_id 1 + 1;
+    listen_id = Rescont.Container.fresh_id run Rescont.Container.Listen_ids;
+    listen_run = run;
     port;
     filter;
     listen_container = container;
@@ -72,9 +71,16 @@ let make_listen ?(filter = Filter.any) ?(backlog = 128) ?(syn_backlog = 1024) ?c
     accept_drops = 0;
   }
 
-let make_conn ~src ~src_port ~client ~now =
+let make_listen ?filter ?backlog ?syn_backlog ~container ~port () =
+  listen ?filter ?backlog ?syn_backlog ~container:(Some container) ~port
+    (Rescont.Container.run container)
+
+let make_unbound_listen ?filter ?backlog ?syn_backlog ~port run =
+  listen ?filter ?backlog ?syn_backlog ~container:None ~port run
+
+let make_conn ~id ~src ~src_port ~client ~now =
   {
-    conn_id = Atomic.fetch_and_add next_conn_id 1 + 1;
+    conn_id = id;
     src;
     src_port;
     state = Syn_rcvd;
@@ -88,6 +94,10 @@ let make_conn ~src ~src_port ~client ~now =
     track_slot = -1;
     steer_cpu = 0;
   }
+
+let placeholder_conn () =
+  make_conn ~id:0 ~src:(Ipaddr.v 0 0 0 0) ~src_port:0 ~client:null_handlers
+    ~now:Engine.Simtime.zero
 
 let conn_container_or conn ~default =
   match conn.container with

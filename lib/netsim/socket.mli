@@ -9,6 +9,8 @@ type conn_state = Syn_rcvd | Established | Close_wait | Closed
 
 type conn = {
   conn_id : int;
+      (** Counts from 1 in creation order within the stack's run; 0 for a
+          {!placeholder_conn}. *)
   src : Ipaddr.t;
   src_port : int;
   mutable state : conn_state;
@@ -38,7 +40,10 @@ type conn = {
 }
 
 and listen = {
-  listen_id : int;
+  listen_id : int;  (** Counts from 1 in creation order within the run. *)
+  listen_run : Rescont.Container.run;
+      (** The run the socket was made in; only a stack of the same run
+          installs it. *)
   port : int;
   filter : Filter.t;
   mutable listen_container : Rescont.Container.t option;
@@ -69,14 +74,38 @@ val make_listen :
   ?filter:Filter.t ->
   ?backlog:int ->
   ?syn_backlog:int ->
-  ?container:Rescont.Container.t ->
+  container:Rescont.Container.t ->
   port:int ->
   unit ->
   listen
-(** Defaults: {!Filter.any}, backlog 128, SYN backlog 1024, no container. *)
+(** A listening socket bound to [container] (§4.6, §4.8): its SYN
+    processing and, under the servers' inheriting policies, its
+    connections are charged there.  It takes the next listen id of the
+    container's run.  Defaults: {!Filter.any}, backlog 128, SYN backlog
+    1024. *)
+
+val make_unbound_listen :
+  ?filter:Filter.t ->
+  ?backlog:int ->
+  ?syn_backlog:int ->
+  port:int ->
+  Rescont.Container.run ->
+  listen
+(** A listening socket bound to no container, with the next listen id of
+    the given run: its work is charged to whoever the stack or server
+    charges by default.  Defaults as for {!make_listen}. *)
 
 val make_conn :
-  src:Ipaddr.t -> src_port:int -> client:client_handlers -> now:Engine.Simtime.t -> conn
+  id:int ->
+  src:Ipaddr.t ->
+  src_port:int ->
+  client:client_handlers ->
+  now:Engine.Simtime.t ->
+  conn
+
+val placeholder_conn : unit -> conn
+(** A connection no stack tracks, with id 0: filler for vacant slots of
+    preallocated tables. *)
 
 val conn_container_or : conn -> default:Rescont.Container.t -> Rescont.Container.t
 (** The container charged for this connection: its own binding, else its

@@ -137,6 +137,8 @@ let tracing t = Engine.Tracelog.enabled (Machine.trace t.machine)
 let tell t ev = Engine.Tracelog.event (Machine.trace t.machine) (now t) ev
 
 let add_listen t l =
+  if not (l.Socket.listen_run == Container.run (Machine.root t.machine)) then
+    invalid_arg "Stack.add_listen: the socket was made in another run";
   t.listen_sockets <- l :: t.listen_sockets;
   Demux.add t.demux l
 
@@ -361,7 +363,11 @@ let rec perform t (w : Workpool.item) =
                  { src = Ipaddr.to_string w.src; listen = l.Socket.listen_id });
           purge_syn_queue t l;
           evict_syn t l;
-          let conn = Socket.make_conn ~src:w.src ~src_port:w.src_port ~client:w.client ~now:(now t) in
+          let conn =
+            Socket.make_conn
+              ~id:(Container.fresh_id (Container.run (Machine.root t.machine)) Conn_ids)
+              ~src:w.src ~src_port:w.src_port ~client:w.client ~now:(now t)
+          in
           conn.Socket.steer_cpu <- rss_steer t w.src w.src_port;
           track_conn t conn;
           conn.Socket.listen <- Some l;

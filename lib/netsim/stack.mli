@@ -117,7 +117,10 @@ val set_on_syn_drop : t -> (Socket.listen -> Ipaddr.t -> unit) -> unit
 
 val add_listen : t -> Socket.listen -> unit
 (** Register a listening socket.  Several sockets may share a port with
-    different filters (§4.8); incoming SYNs go to the most specific match. *)
+    different filters (§4.8); incoming SYNs go to the most specific match,
+    and among equally specific ones to the lowest listen id (the socket
+    made first).  @raise Invalid_argument if the socket was made in a
+    run other than that of the stack's machine. *)
 
 val remove_listen : t -> Socket.listen -> unit
 

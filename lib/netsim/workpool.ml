@@ -60,10 +60,7 @@ let lifecycle_in_service = 1
 let lifecycle_queued = 2
 
 let create () =
-  let dummy_conn =
-    Socket.make_conn ~src:(Ipaddr.v 0 0 0 0) ~src_port:0 ~client:Socket.null_handlers
-      ~now:Engine.Simtime.zero
-  in
+  let dummy_conn = Socket.placeholder_conn () in
   let dummy_payload = Payload.make ~bytes:0 Engine.Simtime.zero in
   let rec nil =
     {

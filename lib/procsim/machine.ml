@@ -142,7 +142,6 @@ let busy_time_on m cpu =
    dequeue against the wrong shard silently does nothing. *)
 let home_pol m (thread : thread) = m.shards.(thread.task.Task.home_cpu)
 let thread_name thread = thread.task.Task.name
-let thread_task thread = thread.task
 let binding thread = thread.task.Task.binding
 let is_done thread = thread.state = Done
 
@@ -867,7 +866,7 @@ let arm_invariants ?(interval = Simtime.ms 10) ?starvation_bound m =
   | Some b -> m.starvation_bound <- Simtime.span_to_ns b
   | None -> ());
   Engine.Invariant.arm m.invariants;
-  Rescont.Usage.set_strict_memory true;
+  Container.arm_strict_memory (Container.run m.root);
   ignore (Sim.every m.sim interval (fun () -> Engine.Invariant.check_exn m.invariants))
 
 let run_until m horizon =

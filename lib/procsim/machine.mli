@@ -93,7 +93,6 @@ val spawn :
     @raise Container.Error if [container] is not a leaf. *)
 
 val thread_name : thread -> string
-val thread_task : thread -> Sched.Task.t
 val binding : thread -> Rescont.Binding.t
 val is_done : thread -> bool
 
@@ -191,10 +190,11 @@ val arm_invariants :
   ?interval:Engine.Simtime.span -> ?starvation_bound:Engine.Simtime.span -> t -> unit
 (** Arm the registry: check every law every [interval] of simulated time
     (default 10 ms) and at every {!run_until} horizon, raising
-    {!Engine.Invariant.Violation} on the first broken law.  Also switches
-    {!Rescont.Usage.set_strict_memory} on process-wide, so double refunds
-    raise at the charge site.  [starvation_bound] (default 100 ms) tunes
-    [sched.no-idle-starvation]. *)
+    {!Engine.Invariant.Violation} on the first broken law.  Also arms
+    strict memory accounting for the machine's run
+    ({!Rescont.Container.arm_strict_memory}), so double refunds raise at
+    the charge site; other runs in the process are unaffected.
+    [starvation_bound] (default 100 ms) tunes [sched.no-idle-starvation]. *)
 
 val set_on_idle : t -> (unit -> unit) -> unit
 (** [on_idle] fires when the dispatcher finds no eligible task {e and}

@@ -11,12 +11,9 @@ type t = {
   container_parent : Container.t;
 }
 
-(* Atomic for parallel sweep domains; behaviour must not depend on the
-   absolute pid, only on per-machine creation order. *)
-let next_pid = Atomic.make 0
-
+(* Pids count per run, from the machine's root. *)
 let make machine ~container_parent ~container_attrs ~descriptors ~name =
-  let pid = Atomic.fetch_and_add next_pid 1 + 1 in
+  let pid = Container.fresh_id (Container.run (Machine.root machine)) Container.Pids in
   let default_container =
     Container.create
       ~name:(Printf.sprintf "proc-%s-%d" name pid)

@@ -4,6 +4,27 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+(* A run: what [create_root] starts and every container of its tree
+   shares.  Ids, ledger slots and the topology generation count from
+   zero in each run, so what one run does cannot depend on what ran
+   before it in the process.  Only the domain running the run touches
+   it, so the counters are plain fields. *)
+type run = {
+  ledger : Ledger.t; (* also holds the run's strict-memory flag *)
+  mutable topology : int; (* bumped when a parent link of an existing container changes *)
+  mutable containers : int; (* last container id drawn *)
+  ids : int array; (* last id drawn in each [id_space], by [space_index] *)
+}
+
+type id_space = Task_ids | Pids | Listen_ids | Conn_ids | Runq_ids
+
+let space_index = function
+  | Task_ids -> 0
+  | Pids -> 1
+  | Listen_ids -> 2
+  | Conn_ids -> 3
+  | Runq_ids -> 4
+
 (* Children form an intrusive doubly-linked list in adoption order, so
    adopting and detaching one are O(1) however many siblings it has.  A
    link that points at its own holder means "none": [first_child == self]
@@ -11,6 +32,7 @@ let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 type t = {
   id : int;
   name : string;
+  run : run;
   mutable parent : t option;
   mutable first_child : t; (* oldest child; [self] when a leaf *)
   mutable last_child : t; (* youngest child; [self] when a leaf *)
@@ -28,29 +50,29 @@ type t = {
   mutable bindings : int;
   mutable destroyed : bool;
   mutable destroy_hooks : (t -> unit) list; (* newest first; run once at destroy *)
-  root : bool;
 }
 
-(* Id allocation is atomic so parallel sweep domains can build rigs
-   concurrently.  No behaviour may depend on absolute id values — only on
-   creation order within one rig — which the determinism tests check. *)
-let next_id = Atomic.make 0
-let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
+let run t = t.run
 
-(* Bumped whenever a parent link of an existing container changes (detach,
-   re-parent, destroy).  Schedulers cache per-subtree aggregates keyed on
-   this counter and rebuild them only when the tree actually moved.  A
-   cross-domain bump only forces a spurious rebuild, never a stale read
-   within the bumping domain. *)
-let topology_gen = Atomic.make 0
-let topology_generation () = Atomic.get topology_gen
+let fresh_id run space =
+  let i = space_index space in
+  let id = run.ids.(i) + 1 in
+  run.ids.(i) <- id;
+  id
+
+let arm_strict_memory run = Ledger.set_strict run.ledger true
+
+(* Schedulers cache per-subtree aggregates keyed on this counter and
+   rebuild them only when the tree actually moved. *)
+let topology_generation t = t.run.topology
+let moved run = run.topology <- run.topology + 1
 
 let id t = t.id
 let name t = t.name
 let parent t = t.parent
 
-(* Dense per-domain creation-order index (the container's own usage
-   slot); schedulers key their flat per-container state arrays on it. *)
+(* Dense per-run creation-order index (the container's own usage slot);
+   schedulers key their flat per-container state arrays on it. *)
 let slot t = Usage.slot t.usage
 
 let children t =
@@ -59,7 +81,8 @@ let children t =
 
 let adoption_seq t = t.adopt_seq
 let is_leaf t = t.first_child == t
-let is_root t = t.root
+(* [create_root] makes its run's first container. *)
+let is_root t = t.id = 1
 let is_destroyed t = t.destroyed
 let attrs t = t.attrs
 let usage t = t.usage
@@ -186,9 +209,10 @@ let unlink_child p c =
   c.next_sib <- c;
   if share_of c <> 0. then p.committed_ok <- false
 
-let make ?name ?(attrs = Attrs.default) ~parent ~root () =
+let make ?name ?(attrs = Attrs.default) ~parent ~run () =
   (match Attrs.validate attrs with Ok () -> () | Error msg -> error "invalid attributes: %s" msg);
-  let id = fresh_id () in
+  run.containers <- run.containers + 1;
+  let id = run.containers in
   let name = match name with Some n -> n | None -> Printf.sprintf "container-%d" id in
   (* The links start as "none", i.e. [t] itself.  [let rec] would build
    the record twice (a dummy, then a field-by-field copy: ~30 ns per
@@ -199,6 +223,7 @@ let make ?name ?(attrs = Attrs.default) ~parent ~root () =
     {
       id;
       name;
+      run;
       parent;
       first_child = unset;
       last_child = unset;
@@ -210,13 +235,12 @@ let make ?name ?(attrs = Attrs.default) ~parent ~root () =
       adopt_next = 0;
       ancestry = [||];
       attrs;
-      usage = Usage.create ();
-      subtree_usage = Usage.create ();
+      usage = Usage.create run.ledger;
+      subtree_usage = Usage.create run.ledger;
       refs = 1;
       bindings = 0;
       destroyed = false;
       destroy_hooks = [];
-      root;
     }
   in
   t.first_child <- t;
@@ -232,10 +256,14 @@ let make ?name ?(attrs = Attrs.default) ~parent ~root () =
   t
 
 let create_root () =
-  make ~name:"root" ~attrs:(Attrs.fixed_share ~share:1.0 ()) ~parent:None ~root:true ()
+  let run =
+    { ledger = Ledger.create (); topology = 0; containers = 0; ids = Array.make 5 0 }
+  in
+  make ~name:"root" ~attrs:(Attrs.fixed_share ~share:1.0 ()) ~parent:None ~run ()
 
-let create ?name ?attrs ~parent () = make ?name ?attrs ~parent:(Some parent) ~root:false ()
-let create_detached ?name ?attrs () = make ?name ?attrs ~parent:None ~root:false ()
+let create ?name ?attrs ~parent () = make ?name ?attrs ~parent:(Some parent) ~run:parent.run ()
+
+let create_detached ?name ?attrs run = make ?name ?attrs ~parent:None ~run ()
 
 let detach t =
   match t.parent with
@@ -244,7 +272,7 @@ let detach t =
       unlink_child p t;
       t.parent <- None;
       Usage.set_chain_parent t.subtree_usage None;
-      Atomic.incr topology_gen;
+      moved t.run;
       invalidate_subtree t
 
 let is_ancestor ~candidate t =
@@ -263,6 +291,8 @@ let set_parent t new_parent =
   (match new_parent with
   | Some p ->
       check_alive p;
+      if not (p.run == t.run) then
+        error "re-parenting %s under %s crosses from one run to another" t.name p.name;
       if is_ancestor ~candidate:t p then
         error "re-parenting %s under %s creates a cycle" t.name p.name;
       let moving = match t.parent with Some q when q == p -> Some t | Some _ | None -> None in
@@ -275,7 +305,7 @@ let set_parent t new_parent =
       add_child p t;
       t.parent <- Some p;
       Usage.set_chain_parent t.subtree_usage (Some p.subtree_usage);
-      Atomic.incr topology_gen;
+      moved t.run;
       invalidate_subtree t
 
 let set_attrs t attrs =
@@ -362,7 +392,7 @@ let destroy t =
       t.last_child <- t;
       t.committed_ok <- false
     end;
-    Atomic.incr topology_gen;
+    moved t.run;
     detach t;
     t.destroyed <- true;
     (* Teardown notifications (kernel modules drop per-container state —
@@ -381,7 +411,7 @@ let retain t =
   check_alive t;
   t.refs <- t.refs + 1
 
-let maybe_collect t = if t.refs <= 0 && t.bindings <= 0 && not t.root then destroy t
+let maybe_collect t = if t.refs <= 0 && t.bindings <= 0 && not (is_root t) then destroy t
 
 let release t =
   if not t.destroyed then begin

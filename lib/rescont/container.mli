@@ -19,27 +19,51 @@ exception Error of string
 
 val create_root : unit -> t
 (** The machine-wide root container: fixed share 1.0 of the whole CPU.  A
-    simulated kernel creates exactly one. *)
+    simulated kernel creates exactly one.  Creating it starts a {!run}:
+    the root and every container created under it share one ledger
+    arena, one strict-memory flag, one topology generation and one set
+    of id counters, all starting from zero, so a run's results do not
+    depend on what else ran in the process. *)
 
 val create : ?name:string -> ?attrs:Attrs.t -> parent:t -> unit -> t
-(** Create a child container.  Defaults: {!Attrs.default}, a generated
-    name.  @raise Error if [parent] is destroyed or not fixed-share, if
-    [parent] has thread bindings, or if a fixed-share child would
-    over-subscribe the parent (children's shares summing past 1). *)
+(** Create a child container in [parent]'s run.  Defaults:
+    {!Attrs.default}, a generated name.  @raise Error if [parent] is
+    destroyed or not fixed-share, if [parent] has thread bindings, or if
+    a fixed-share child would over-subscribe the parent (children's
+    shares summing past 1). *)
 
-val create_detached : ?name:string -> ?attrs:Attrs.t -> unit -> t
-(** A container with "no parent" (§4.6 allows parentless containers, e.g.
-    after the parent is destroyed). *)
+type run
+(** One simulated run: everything {!create_root} starts afresh. *)
+
+val create_detached : ?name:string -> ?attrs:Attrs.t -> run -> t
+(** A container with "no parent" in the given run (§4.6 allows
+    parentless containers, e.g. after the parent is destroyed). *)
+
+val run : t -> run
+(** The run the container belongs to. *)
+
+type id_space = Task_ids | Pids | Listen_ids | Conn_ids | Runq_ids
+
+val fresh_id : run -> id_space -> int
+(** The next id in one of the run's id spaces: 1, 2, 3, … in the order
+    they are drawn.  The other layers draw their entity ids here (tasks,
+    processes, listen and connection sockets, run queues), so ids count
+    per run, like container ids. *)
+
+val arm_strict_memory : run -> unit
+(** From now on, an over-refund of memory in this run raises
+    {!Usage.Negative_memory} instead of saturating at zero.  Armed
+    invariants turn this on, for their own run only. *)
 
 (** {1 Structure} *)
 
 val id : t -> int
+(** Counts from 1 in creation order within the run. *)
 
 val slot : t -> int
-(** Dense per-domain creation-order index (the container's own
+(** Dense per-run creation-order index (the container's own
     {!Usage.slot}): small, never reused, suitable for indexing flat
-    per-container state arrays.  Nothing may depend on absolute slot
-    values — only on per-rig creation order, like {!id}. *)
+    per-container state arrays. *)
 
 val name : t -> string
 val parent : t -> t option
@@ -76,7 +100,8 @@ val set_parent : t -> t option -> unit
     roll-up chain and {!topology_generation} unchanged.  A container moved
     under its current parent does not count against that parent's share
     budget, and joins the end of its children.  @raise Error on cycles,
-    destroyed endpoints, non-fixed-share parents, or over-subscription. *)
+    destroyed endpoints, a parent in another run, non-fixed-share
+    parents, or over-subscription. *)
 
 val iter_subtree : (t -> unit) -> t -> unit
 (** Pre-order traversal of the container and its descendants, children in
@@ -95,10 +120,11 @@ val ancestry : t -> t array
     the cache itself, not a copy.  This is the closure-free fast path that
     charging and scheduling iterate. *)
 
-val topology_generation : unit -> int
-(** Global counter bumped whenever a parent link of an existing container
-    changes (detach, re-parent, destroy).  Caches of per-subtree
-    aggregates (e.g. run-queue work counts) key their validity on it. *)
+val topology_generation : t -> int
+(** The container's run's counter, bumped whenever a parent link of an
+    existing container in the run changes (detach, re-parent, destroy).
+    Caches of per-subtree aggregates (e.g. run-queue work counts) key
+    their validity on it. *)
 
 (** {1 Attributes and usage} *)
 

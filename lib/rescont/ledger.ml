@@ -1,11 +1,11 @@
 (* The struct-of-arrays accumulator arena behind {!Usage}.
 
-   Every [Usage.create] in a domain takes one integer slot in that
-   domain's arena; each accumulator (cpu ns, packets, bytes, memory, …)
-   is a flat [int array] indexed by slot.  A charge is a handful of int
-   stores into parallel arrays — no boxed record per container, no
-   pointer chasing, and the accumulators of containers created together
-   (a rig's tree, built in creation order) sit in adjacent cache lines.
+   Every [Usage.create] takes one integer slot in its run's arena; each
+   accumulator (cpu ns, packets, bytes, memory, …) is a flat [int array]
+   indexed by slot.  A charge is a handful of int stores into parallel
+   arrays — no boxed record per container, no pointer chasing, and the
+   accumulators of containers created together (a rig's tree, built in
+   creation order) sit in adjacent cache lines.
 
    Hierarchical roll-up uses the [parent] array: {!Container} links each
    container's subtree-accumulator slot to its parent's, so charging a
@@ -15,11 +15,8 @@
    Slots are never reclaimed: a destroyed container's accumulators stay
    readable (billing closes its last cycle against them) and the arena
    only ever grows — bounded by the number of containers ever created in
-   the domain, two slots each, which even a long fuzz run keeps in the
-   low megabytes.  The arena is domain-local (like the strict-memory
-   flag) so parallel sweep domains never contend; cross-domain {e reads}
-   of a finished rig's usage are safe because a [Usage.t] carries its
-   arena pointer. *)
+   the run, two slots each.  Each run ({!Container.create_root}) owns one
+   arena, which becomes garbage with the run's last container. *)
 
 exception Negative_memory of { have : int; delta : int }
 
@@ -43,9 +40,11 @@ type t = {
   mutable disk_time : int array; (* ns *)
   mutable parent : int array; (* slot of the parent's subtree accumulator; -1 = none *)
   mutable used : int;
+  mutable strict : bool; (* over-refunds raise: the run's invariants are armed *)
 }
 
-let create_arena cap =
+let create () =
+  let cap = 256 in
   {
     cpu_user = Array.make cap 0;
     cpu_kernel = Array.make cap 0;
@@ -60,20 +59,10 @@ let create_arena cap =
     disk_time = Array.make cap 0;
     parent = Array.make cap (-1);
     used = 0;
+    strict = false;
   }
 
-let domain_arena : t Domain.DLS.key = Domain.DLS.new_key (fun () -> create_arena 256)
-let get () = Domain.DLS.get domain_arena
-
-(* Swap in a fresh arena for this domain.  Outstanding views stay valid
-   — every [Usage.t] pins the arena it was allocated in — but any slot
-   bloat accumulated by previous rigs stops being live major heap (a
-   large dead arena of int arrays otherwise gets scanned on every major
-   cycle, taxing everything that runs after it in the same process).
-   Must only be called between rigs: live containers keep charging into
-   their own (old) arena, but a container created after the renewal can
-   never be attached under one created before it. *)
-let renew () = Domain.DLS.set domain_arena (create_arena 256)
+let set_strict t on = t.strict <- on
 
 let grow t =
   let cap = Array.length t.cpu_user in
@@ -123,11 +112,11 @@ let add_tx t slot ~packets ~bytes =
 (* Under armed invariants a refund that exceeds the balance is a hard
    accounting error; otherwise it saturates at zero, matching what a
    defensive kernel counter would do. *)
-let add_memory t slot ~strict delta =
+let add_memory t slot delta =
   let have = t.memory_bytes.(slot) in
   let balance = have + delta in
   if balance < 0 then
-    if strict then raise (Negative_memory { have; delta }) else t.memory_bytes.(slot) <- 0
+    if t.strict then raise (Negative_memory { have; delta }) else t.memory_bytes.(slot) <- 0
   else t.memory_bytes.(slot) <- balance
 
 let add_disk t slot ~bytes ns =
@@ -180,10 +169,10 @@ let add_tx_chain t slot ~packets ~bytes =
     i := Array.unsafe_get p !i
   done
 
-let add_memory_chain t slot ~strict delta =
+let add_memory_chain t slot delta =
   let i = ref slot in
   while !i >= 0 do
-    add_memory t !i ~strict delta;
+    add_memory t !i delta;
     i := t.parent.(!i)
   done
 

@@ -1,6 +1,6 @@
 (** Struct-of-arrays accumulator arena behind {!Usage} — internal.
 
-    One arena per domain; every {!Usage.create} takes one slot, every
+    One arena per run; every {!Usage.create} takes one slot, every
     accumulator is a flat [int array] indexed by slot, and hierarchical
     roll-up walks the [parent] slot array instead of a chain of boxed
     records.  Use {!Usage} (and {!Container}'s charge operations) rather
@@ -9,7 +9,7 @@
     lockstep test holds the two to field-for-field agreement.
 
     Slots are never reclaimed — the arena grows monotonically with the
-    number of containers ever created in the domain (two slots per
+    number of containers ever created in the run (two slots per
     container), which keeps destroyed containers' totals readable and
     the memory bound linear in lifetime container count. *)
 
@@ -17,16 +17,13 @@ type t
 
 exception Negative_memory of { have : int; delta : int }
 
-val get : unit -> t
-(** The calling domain's arena. *)
+val create : unit -> t
+(** A fresh, empty arena, not strict. *)
 
-val renew : unit -> unit
-(** Swap in a fresh, empty arena for the calling domain.  Outstanding
-    usages stay readable (each pins the arena it was allocated in), but
-    slots stop being handed out of the old arena, so its growth stops
-    being live heap once the last view drops.  Only call between rigs:
-    a container created after the renewal cannot be attached under one
-    created before it (different arenas refuse to chain-link). *)
+val set_strict : t -> bool -> unit
+(** Whether an over-refund of memory in this arena raises
+    {!Negative_memory} (armed invariants turn this on for their run's
+    arena) or saturates the balance at zero. *)
 
 val alloc : t -> int
 (** Claim a fresh slot, all accumulators zero, no parent. *)
@@ -47,9 +44,9 @@ val add_cpu : t -> int -> kernel:bool -> int -> unit
 val add_rx : t -> int -> packets:int -> bytes:int -> unit
 val add_tx : t -> int -> packets:int -> bytes:int -> unit
 
-val add_memory : t -> int -> strict:bool -> int -> unit
-(** @raise Negative_memory when [strict] and the delta would drive the
-    slot's balance negative; saturates at zero otherwise. *)
+val add_memory : t -> int -> int -> unit
+(** @raise Negative_memory when the arena is strict and the delta would
+    drive the slot's balance negative; saturates at zero otherwise. *)
 
 val add_disk : t -> int -> bytes:int -> int -> unit
 val add_kernel_objects : t -> int -> int -> unit
@@ -63,7 +60,7 @@ val add_kernel_objects : t -> int -> int -> unit
 val add_cpu_chain : t -> int -> kernel:bool -> int -> unit
 val add_rx_chain : t -> int -> packets:int -> bytes:int -> unit
 val add_tx_chain : t -> int -> packets:int -> bytes:int -> unit
-val add_memory_chain : t -> int -> strict:bool -> int -> unit
+val add_memory_chain : t -> int -> int -> unit
 val add_disk_chain : t -> int -> bytes:int -> int -> unit
 
 (** {1 Reading} *)

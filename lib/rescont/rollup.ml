@@ -44,7 +44,6 @@ let group t ~name =
   t.groups <- t.groups @ [ g ];
   g
 
-let group_name g = g.g_name
 let groups t = t.groups
 
 let read_into d usage =

@@ -24,8 +24,6 @@ val create : unit -> t
 val group : t -> name:string -> group
 (** Add a named group (a tenant's cluster-wide totals). *)
 
-val group_name : group -> string
-
 val groups : t -> group list
 (** In creation order. *)
 

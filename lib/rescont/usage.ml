@@ -2,44 +2,28 @@ module Simtime = Engine.Simtime
 
 exception Negative_memory = Ledger.Negative_memory
 
-(* Under armed invariants a refund that exceeds the balance is a hard
-   accounting error; otherwise it saturates at zero, matching what a
-   defensive kernel counter would do.  The flag is domain-local so a fuzz
-   run arming invariants inside one sweep domain cannot change the
-   semantics of rigs running concurrently in other domains. *)
-let strict_memory = Domain.DLS.new_key (fun () -> false)
-
-let set_strict_memory on = Domain.DLS.set strict_memory on
-let strict_memory_enabled () = Domain.DLS.get strict_memory
-
-(* A usage is a slot in the domain's struct-of-arrays {!Ledger} arena:
+(* A usage is a slot in its run's struct-of-arrays {!Ledger} arena:
    charges and reads index flat int arrays, and this record is the only
    per-container allocation accounting ever makes.  The record-based
    implementation these semantics are specified by is [Spec.Usage_ref]. *)
 type t = { arena : Ledger.t; slot : int }
 
-let create () =
-  let arena = Ledger.get () in
-  { arena; slot = Ledger.alloc arena }
-
+let create arena = { arena; slot = Ledger.alloc arena }
 let slot t = t.slot
-let same_arena a b = a.arena == b.arena
-let renew_domain_arena = Ledger.renew
 
 let set_chain_parent t parent =
   match parent with
   | None -> Ledger.set_parent t.arena ~slot:t.slot ~parent:(-1)
   | Some p ->
       if not (p.arena == t.arena) then
-        invalid_arg "Usage.set_chain_parent: usages belong to different domain arenas";
+        invalid_arg "Usage.set_chain_parent: usages belong to different ledger arenas";
       Ledger.set_parent t.arena ~slot:t.slot ~parent:p.slot
 
 let charge_cpu t ~kernel span = Ledger.add_cpu t.arena t.slot ~kernel (Simtime.span_to_ns span)
 let charge_rx t ~packets ~bytes = Ledger.add_rx t.arena t.slot ~packets ~bytes
 let charge_tx t ~packets ~bytes = Ledger.add_tx t.arena t.slot ~packets ~bytes
 
-let charge_memory t delta =
-  Ledger.add_memory t.arena t.slot ~strict:(strict_memory_enabled ()) delta
+let charge_memory t delta = Ledger.add_memory t.arena t.slot delta
 
 let charge_disk t ~bytes span =
   Ledger.add_disk t.arena t.slot ~bytes (Simtime.span_to_ns span)
@@ -55,8 +39,7 @@ let charge_cpu_chain t ~kernel span =
 let charge_rx_chain t ~packets ~bytes = Ledger.add_rx_chain t.arena t.slot ~packets ~bytes
 let charge_tx_chain t ~packets ~bytes = Ledger.add_tx_chain t.arena t.slot ~packets ~bytes
 
-let charge_memory_chain t delta =
-  Ledger.add_memory_chain t.arena t.slot ~strict:(strict_memory_enabled ()) delta
+let charge_memory_chain t delta = Ledger.add_memory_chain t.arena t.slot delta
 
 let charge_disk_chain t ~bytes span =
   Ledger.add_disk_chain t.arena t.slot ~bytes (Simtime.span_to_ns span)

@@ -5,8 +5,8 @@
     container; ancestors accumulate subtree totals so hierarchical limits
     can be checked in O(depth).
 
-    A usage is a slot in the calling domain's struct-of-arrays {!Ledger}
-    arena — charges are int stores into flat arrays, and hierarchical
+    A usage is a slot in its run's struct-of-arrays {!Ledger} arena —
+    charges are int stores into flat arrays, and hierarchical
     roll-up is an index walk over the arena's parent-slot array.  The
     record-based reference semantics live in the test-only
     [Spec.Usage_ref], which a QCheck lockstep property holds this module
@@ -14,27 +14,14 @@
 
 type t
 
-val create : unit -> t
+val create : Ledger.t -> t
+(** A zeroed usage in a fresh slot of the arena. *)
 
 val slot : t -> int
 (** The usage's arena slot: a small dense int, allocated in creation
-    order within the domain — suitable as an array index for auxiliary
+    order within the arena — suitable as an array index for auxiliary
     per-container state (the schedulers index their flat state this
     way).  Slots are never reused. *)
-
-val same_arena : t -> t -> bool
-(** Whether two usages live in the same domain arena (and so may be
-    chain-linked). *)
-
-val renew_domain_arena : unit -> unit
-(** Swap in a fresh, empty ledger arena for the calling domain.  Slots
-    are never reused within an arena, so a harness that builds and
-    tears down many rigs in one domain (the benchmark driver, a long
-    sweep) accumulates dead-but-live slot columns; renewing between
-    rigs lets the old arena be collected once its last view drops.
-    Existing usages stay readable — each pins its own arena — but
-    containers from different arenas cannot be chain-linked, so never
-    call this while a rig is mid-flight. *)
 
 (** {1 Charging} *)
 
@@ -45,18 +32,12 @@ val charge_rx : t -> packets:int -> bytes:int -> unit
 val charge_tx : t -> packets:int -> bytes:int -> unit
 val charge_memory : t -> int -> unit
 (** Adjust current memory held by a (possibly negative) byte delta.  A
-    delta that would drive the balance negative (a double refund) either
-    saturates the balance at zero (default) or raises {!Negative_memory}
-    when strict mode is on — see {!set_strict_memory}. *)
+    delta that would drive the balance negative (a double refund)
+    saturates the balance at zero, or raises {!Negative_memory} when the
+    usage's arena is strict ({!Ledger.set_strict}: a run whose
+    invariants are armed, see {!Container.arm_strict_memory}). *)
 
 exception Negative_memory of { have : int; delta : int }
-
-val set_strict_memory : bool -> unit
-(** Enable/disable strict memory accounting process-wide.  Armed invariant
-    registries switch this on so a double refund fails loudly at the
-    charging site rather than silently saturating. *)
-
-val strict_memory_enabled : unit -> bool
 
 val incr_kernel_objects : t -> unit
 val decr_kernel_objects : t -> unit
@@ -74,7 +55,7 @@ val charge_disk : t -> bytes:int -> Engine.Simtime.span -> unit
 
 val set_chain_parent : t -> t option -> unit
 (** Link (or with [None] unlink) this usage's chain parent.
-    @raise Invalid_argument if the two usages live in different domain
+    @raise Invalid_argument if the two usages live in different ledger
     arenas. *)
 
 val charge_cpu_chain : t -> kernel:bool -> Engine.Simtime.span -> unit

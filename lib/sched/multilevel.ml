@@ -63,7 +63,7 @@ let make ?(window = Simtime.ms 100) ?invariants ~root () =
       Engine.Invariant.register registry ~law:"sched.runq-counts" (fun () -> Runq.validate runq)
   | None -> ());
   (* Scheduler state lives in a flat array indexed by [Container.slot] —
-     dense per-domain creation order, never reused — so the hot lookup is
+     dense per-run creation order, never reused — so the hot lookup is
      a bounds check and an array load instead of a hash probe. *)
   let states : cstate option array ref = ref (Array.make 64 None) in
   let state_of container =

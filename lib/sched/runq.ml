@@ -55,7 +55,7 @@ type node = {
 }
 
 type t = {
-  id : int; (* matches Task.rq_owner for tasks this queue tracks intrusively *)
+  mutable id : int; (* matches Task.rq_owner for tasks tracked intrusively; 0 until the first *)
   mutable queued : int array; (* bucket heads ([ix], -1 if empty) of the nodes with a ring *)
   mutable nqueued : int;
   mutable nodes : node option array; (* Container.slot -> node *)
@@ -66,16 +66,15 @@ type t = {
   mutable nbusy : int;
   mutable total : int; (* live tasks across all queues *)
   mutable next_stamp : int;
-  mutable topo_gen : int;
+  mutable topo_gen : int; (* the run's topology generation at the last [sync] *)
 }
 
 (* Queue ids only ever participate in equality tests against
-   [Task.rq_owner]; nothing may depend on their absolute values. *)
-let next_rqid = Atomic.make 0
-
+   [Task.rq_owner].  A queue has no container at hand when it is made, so
+   it draws its id from the run of the first task it tracks. *)
 let create () =
   {
-    id = Atomic.fetch_and_add next_rqid 1;
+    id = 0;
     queued = Array.make 64 (-1);
     nqueued = 0;
     nodes = Array.make 64 None;
@@ -86,11 +85,11 @@ let create () =
     nbusy = 0;
     total = 0;
     next_stamp = 0;
-    topo_gen = Container.topology_generation ();
+    topo_gen = 0;
   }
 
 (* The node a slot names, if it belongs to [container].  Slots are dense
-   per ledger arena, and one container tree lives in one arena, so two
+   per run, and the tasks of one run queue belong to one run, so two
    containers of one run queue never share a slot; [node] refuses the
    case rather than alias their state. *)
 let find t container =
@@ -113,7 +112,7 @@ let node t container =
   | Some n when n.container == container -> n
   | Some n ->
       invalid_arg
-        (Printf.sprintf "Runq.node: %s and %s share ledger slot %d (different arenas)"
+        (Printf.sprintf "Runq.node: %s and %s share ledger slot %d (different runs)"
            (Container.name n.container) (Container.name container) slot)
   | None ->
       let n =
@@ -230,9 +229,15 @@ let stale n = not (n.chain_key == Container.ancestry n.container)
 (* Two passes: every stale chain gives its count back before any new
    chain takes one.  A node whose parent changed is listed under the old
    parent until the last of its busy rings lets go, so it must leave that
-   set before it can join the new parent's, whichever ring comes first. *)
+   set before it can join the new parent's, whichever ring comes first.
+   With no busy ring there is nothing to move (a ring's chain is
+   refreshed when it turns busy), and otherwise any busy container names
+   the run whose generation to read. *)
 let sync t =
-  let g = Container.topology_generation () in
+  let g =
+    if t.nbusy = 0 then t.topo_gen
+    else Container.topology_generation (Array.unsafe_get t.busy 0).container
+  in
   if g <> t.topo_gen then begin
     t.topo_gen <- g;
     for i = 0 to t.nbusy - 1 do
@@ -372,11 +377,13 @@ let compact t n =
 let enqueue t (task : Task.t) =
   if not (mem t task) then begin
     sync t;
-    let n = queue_for t (Task.container task) in
+    let container = Task.container task in
+    let n = queue_for t container in
     let stamp = t.next_stamp in
     t.next_stamp <- stamp + 1;
     ring_push n task stamp;
     if task.Task.rq_owner < 0 then begin
+      if t.id = 0 then t.id <- Container.fresh_id (Container.run container) Container.Runq_ids;
       task.Task.rq_owner <- t.id;
       task.Task.rq_slot <- n.slot;
       task.Task.rq_stamp <- stamp
@@ -473,7 +480,7 @@ let containers_with_work t =
   iter_busy t (fun c -> acc := c :: !acc);
   !acc
 
-(* Slots are per arena, not per run queue, so the slot array can be
+(* Slots are per run, not per run queue, so the slot array can be
    mostly empty: the law walks the dense creation-order list instead. *)
 let iter_nodes t f =
   for i = 0 to t.nall - 1 do

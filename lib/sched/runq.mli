@@ -49,7 +49,7 @@ val node : t -> Rescont.Container.t -> node
 (** The container's node, created empty on first use.  O(1): nodes are
     found through an array indexed by {!Rescont.Container.slot}.
     @raise Invalid_argument if another container already holds that slot
-    here (containers from two ledger arenas in one run queue). *)
+    here (containers from two runs in one run queue). *)
 
 val node_container : node -> Rescont.Container.t
 
@@ -76,7 +76,8 @@ val containers_with_work : t -> Rescont.Container.t list
     but unsorted: it is the reverse of the order in which a stdlib
     [Hashtbl] keyed by container id would iterate the containers ever
     queued here, so it follows from which containers were queued and in
-    what order.  The lottery policy walks its tickets and the stride
+    what order; container ids count per run, so nothing outside the run
+    moves it.  The lottery policy walks its tickets and the stride
     policy breaks pass ties in this order, so it is part of the simulated
     result. *)
 

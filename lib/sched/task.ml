@@ -10,13 +10,12 @@ type t = {
   mutable home_cpu : int;
 }
 
-(* Atomic so parallel sweep domains can create tasks concurrently; nothing
-   may depend on absolute id values, only on per-rig creation order. *)
-let next_id = Atomic.make 0
-
+(* Ids count per run: drawn from the run of the container the task is
+   first bound to. *)
 let create ?(kernel = false) ~name binding =
+  let run = Rescont.Container.run (Rescont.Binding.resource_binding binding) in
   {
-    id = Atomic.fetch_and_add next_id 1 + 1;
+    id = Rescont.Container.fresh_id run Rescont.Container.Task_ids;
     name;
     binding;
     kernel;
@@ -45,6 +44,5 @@ let none =
 
 let is_none t = t == none
 let container t = Rescont.Binding.resource_binding t.binding
-let scheduler_containers t = Rescont.Binding.scheduler_binding t.binding
 let equal a b = a.id = b.id
 let pp ppf t = Format.fprintf ppf "task#%d(%s)" t.id t.name

@@ -5,7 +5,7 @@
     blocking state) lives in {!Procsim}. *)
 
 type t = {
-  id : int;
+  id : int;  (** Counts from 1 in creation order within the run. *)
   name : string;
   binding : Rescont.Binding.t;
   kernel : bool;  (** [true] for kernel threads, e.g. per-process network threads. *)
@@ -40,9 +40,6 @@ val none : t
 val is_none : t -> bool
 val container : t -> Rescont.Container.t
 (** The task's current resource binding. *)
-
-val scheduler_containers : t -> Rescont.Container.t list
-(** The task's scheduler-binding set, most recently used first. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -14,7 +14,7 @@ let make ?(tau = Simtime.sec 1) () =
   if tau_ns <= 0. then invalid_arg "Timeshare.make: tau must be positive";
   let runq = Runq.create () in
   (* Per-container decay state as two flat arrays indexed by
-     [Container.slot] (dense per-domain creation order, never reused):
+     [Container.slot] (dense per-run creation order, never reused):
      the decayed usage as settled at [dlast.(slot)] nanoseconds.  Same
      semantics as the [Spec.Decay] record module — which stays as the unit-
      tested reference — but the badness scan over a binding set becomes

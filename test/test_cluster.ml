@@ -247,11 +247,11 @@ let test_zero_window_refused () =
           ignore (Cluster.create ~machines:2 ~shards ~window:Simtime.span_zero ())))
     [ 1; 2 ]
 
-(* The strict-memory flag is domain-local, and a 4-domain run may hand
-   shard 3 (machine 3) to any of the pool's domains in any window, so
-   [run_for] must set the flag wherever a shard runs: an over-refund
-   raises when the cluster is armed and saturates when it is not, even
-   if the calling domain's flag says otherwise. *)
+(* The strict-memory flag belongs to each machine's run, and a 4-domain
+   run may hand shard 3 (machine 3) to any of the pool's domains in any
+   window: an over-refund raises when the cluster is armed and saturates
+   when it is not, even right after an armed cluster ran in the same
+   process. *)
 let test_strict_flag_reaches_every_shard () =
   let over_refund_raises ~armed =
     let c =
@@ -270,10 +270,8 @@ let test_strict_flag_reaches_every_shard () =
     | exception Rescont.Usage.Negative_memory _ -> true
   in
   Alcotest.(check bool) "armed: over-refund raises" true (over_refund_raises ~armed:true);
-  Rescont.Usage.set_strict_memory true;
   Alcotest.(check bool) "unarmed: over-refund saturates" false
-    (over_refund_raises ~armed:false);
-  Rescont.Usage.set_strict_memory false
+    (over_refund_raises ~armed:false)
 
 let test_empty_machine_no_stall () =
   (* At 20 arrivals/s over 200 ms some machines see no traffic at all;

@@ -242,7 +242,8 @@ let test_reparent_invalidates_descendants () =
   Container.charge_cpu leaf ~kernel:false (Simtime.us 1);
   Alcotest.(check int) "depth before" 3 (Container.depth leaf);
   Alcotest.(check (float 1e-9)) "guarantee before" 0.2 (Container.guaranteed_fraction leaf);
-  let root2 = Container.create_root () in
+  (* A second top-level tree of the same run: a parentless container. *)
+  let root2 = Container.create_detached ~name:"root2" ~attrs:(fixed 1.0) (Container.run root) in
   Container.set_parent b (Some root2);
   Container.charge_cpu leaf ~kernel:false (Simtime.us 7);
   Alcotest.(check int) "old chain frozen at a" 1_000 (cpu a);
@@ -283,16 +284,16 @@ let test_children_insertion_order () =
     (List.map Container.name (Container.children root))
 
 let test_topology_generation () =
-  let g0 = Container.topology_generation () in
   let root = Container.create_root () in
+  let g0 = Container.topology_generation root in
   let a = Container.create ~parent:root ~attrs:(fixed 0.5) () in
   Alcotest.(check int) "creation does not bump topology" g0
-    (Container.topology_generation ());
+    (Container.topology_generation root);
   Container.set_parent a None;
-  Alcotest.(check bool) "detach bumps topology" true (Container.topology_generation () > g0);
-  let g1 = Container.topology_generation () in
+  Alcotest.(check bool) "detach bumps topology" true (Container.topology_generation root > g0);
+  let g1 = Container.topology_generation root in
   Container.destroy a;
-  Alcotest.(check bool) "destroy bumps topology" true (Container.topology_generation () > g1)
+  Alcotest.(check bool) "destroy bumps topology" true (Container.topology_generation root > g1)
 
 (* A refused re-parent moves nothing.  [set_parent] once detached first
    and validated after, so a refusal left the container under no parent
@@ -312,7 +313,7 @@ let test_refused_reparent_moves_nothing () =
   List.iter
     (fun target ->
       let what = Container.name target in
-      let gen = Container.topology_generation () and kids = names target in
+      let gen = Container.topology_generation c and kids = names target in
       let home_cpu = cpu home and root_cpu = cpu root and target_cpu = cpu target in
       (match Container.set_parent c (Some target) with
       | () -> Alcotest.failf "re-parent under %s accepted" what
@@ -322,7 +323,7 @@ let test_refused_reparent_moves_nothing () =
       Alcotest.(check (list string)) (what ^ ": old parent's children") [ "c"; "sib" ] (names home);
       Alcotest.(check (list string)) (what ^ ": target's children") kids (names target);
       Alcotest.(check int) (what ^ ": adoption_seq") seq (Container.adoption_seq c);
-      Alcotest.(check int) (what ^ ": topology generation") gen (Container.topology_generation ());
+      Alcotest.(check int) (what ^ ": topology generation") gen (Container.topology_generation c);
       Alcotest.(check bool) (what ^ ": ancestry cache kept") true (Container.ancestry c == chain);
       Container.charge_cpu c ~kernel:false (Simtime.us 1);
       Alcotest.(check int) (what ^ ": rolls up to home") (home_cpu + 1_000) (cpu home);
@@ -336,6 +337,48 @@ let test_refused_reparent_moves_nothing () =
   Alcotest.(check (list string)) "same-parent move goes last" [ "sib"; "d"; "c" ] (names home);
   Alcotest.(check bool) "committed share refolded in the new order" true
     (Container.committed_share home = 0. +. 0. +. 0.7 +. 0.3)
+
+(* Each root starts a run, and a container never changes runs: a
+   re-parent from one run's tree into another's is refused before
+   anything moves, so both trees, their roll-ups and both runs' topology
+   generations stay as they were. *)
+let test_reparent_across_runs_refused () =
+  let root_a = Container.create_root () and root_b = Container.create_root () in
+  let pa = Container.create ~parent:root_a ~name:"pa" ~attrs:(fixed 0.5) () in
+  let c = Container.create ~parent:pa ~name:"c" ~attrs:(ts 10) () in
+  let pb = Container.create ~parent:root_b ~name:"pb" ~attrs:(fixed 0.5) () in
+  ignore (Container.create ~parent:pb ~name:"kid" ~attrs:(ts 10) ());
+  Container.charge_cpu c ~kernel:false (Simtime.us 3);
+  Container.charge_memory c 100;
+  let names p = List.map Container.name (Container.children p) in
+  let gen_a = Container.topology_generation root_a
+  and gen_b = Container.topology_generation root_b in
+  let totals () =
+    List.map
+      (fun x -> (cpu x, Usage.memory_bytes (Container.subtree_usage x)))
+      [ root_a; pa; c; root_b; pb ]
+  in
+  let before = totals () in
+  List.iter
+    (fun target ->
+      let what = Container.name target in
+      (match Container.set_parent c (Some target) with
+      | () -> Alcotest.failf "re-parent under %s (another run) accepted" what
+      | exception Container.Error _ -> ());
+      Alcotest.(check bool) (what ^ ": parent kept") true
+        (match Container.parent c with Some p -> p == pa | None -> false);
+      Alcotest.(check (list string)) (what ^ ": old parent's children") [ "c" ] (names pa);
+      Alcotest.(check (list string)) (what ^ ": root b's children") [ "pb" ] (names root_b);
+      Alcotest.(check (list string)) (what ^ ": pb's children") [ "kid" ] (names pb);
+      Alcotest.(check int) (what ^ ": run a's topology") gen_a
+        (Container.topology_generation root_a);
+      Alcotest.(check int) (what ^ ": run b's topology") gen_b
+        (Container.topology_generation root_b);
+      Alcotest.(check (list (pair int int))) (what ^ ": usage of both trees") before (totals ()))
+    [ root_b; pb ];
+  Container.charge_cpu c ~kernel:false (Simtime.us 2);
+  Alcotest.(check int) "charges still roll up in run a" 5_000 (cpu root_a);
+  Alcotest.(check int) "run b still uncharged" 0 (cpu root_b)
 
 (* {1 Child bookkeeping against a list model}
 
@@ -624,4 +667,5 @@ let suite =
     Alcotest.test_case "refused re-parent moves nothing" `Quick
       test_refused_reparent_moves_nothing;
     QCheck_alcotest.to_alcotest prop_children_lockstep;
+    Alcotest.test_case "re-parent across runs refused" `Quick test_reparent_across_runs_refused;
   ]

@@ -176,8 +176,8 @@ let make_rig mode =
 let run machine sim span = Machine.run_until machine (Simtime.add (Sim.now sim) span)
 
 let test_event_server_serves () =
-  let sim, _, machine, proc, stack, cache = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache ~listens:[ listen ] ()
   in
@@ -193,8 +193,8 @@ let test_event_server_serves () =
     (Httpsim.Event_server.accepts server - Workload.Sclient.completed clients <= 8)
 
 let test_event_server_persistent () =
-  let sim, _, machine, proc, stack, cache = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache ~listens:[ listen ] ()
   in
@@ -212,7 +212,7 @@ let test_event_server_persistent () =
 
 let test_event_server_per_connection_containers () =
   let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache
       ~policy:(Httpsim.Event_server.Per_connection { parent = root; priority_of = (fun _ -> 10) })
@@ -239,7 +239,7 @@ let test_cgi_fork_sandbox () =
     Httpsim.Cgi.create ~stack ~server_process:proc ~cgi_parent
       ~compute:(Simtime.ms 200) ()
   in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache
       ~dynamic_handler:(Httpsim.Cgi.handler cgi) ~listens:[ listen ] ()
@@ -265,12 +265,12 @@ let test_cgi_fork_sandbox () =
     (Simtime.span_to_ns (Container.subtree_cpu cgi_parent) >= 200_000_000)
 
 let test_cgi_persistent_pool () =
-  let sim, _, machine, proc, stack, cache = make_rig Stack.Rc in
+  let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
   let cgi =
     Httpsim.Cgi.create ~stack ~server_process:proc ~compute:(Simtime.ms 50)
       ~mode:(Httpsim.Cgi.Persistent_pool 2) ()
   in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache
       ~dynamic_handler:(Httpsim.Cgi.handler cgi) ~listens:[ listen ] ()
@@ -287,7 +287,7 @@ let test_cgi_persistent_pool () =
 
 let test_forked_server_serves () =
   let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Forked_server.create ~stack ~master:proc ~cache ~workers:4
       ~policy:(Httpsim.Event_server.Per_connection { parent = root; priority_of = (fun _ -> 10) })
@@ -305,8 +305,8 @@ let test_forked_server_serves () =
 let test_forked_server_worker_limit () =
   (* More concurrent connections than workers: the master queues them and
      every request is still answered. *)
-  let sim, _, machine, proc, stack, cache = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Forked_server.create ~stack ~master:proc ~cache ~workers:2 ~listens:[ listen ] ()
   in
@@ -321,11 +321,11 @@ let test_forked_server_worker_limit () =
    the client — the worker hands the connection to the CGI engine and must
    not close it underneath. *)
 let test_threaded_server_cgi_detach () =
-  let sim, _, machine, proc, stack, cache = make_rig Stack.Rc in
+  let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
   let cgi =
     Httpsim.Cgi.create ~stack ~server_process:proc ~compute:(Simtime.ms 20) ()
   in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Threaded_server.create ~stack ~process:proc ~cache ~workers:4
       ~dynamic_handler:(Httpsim.Cgi.handler cgi) ~listens:[ listen ] ()
@@ -405,8 +405,8 @@ let test_accept_vs_existing_priority () =
     (favoured > 2 * disfavoured)
 
 let test_unknown_document_404 () =
-  let sim, _, machine, proc, stack, cache = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache ~listens:[ listen ] ()
   in
@@ -473,7 +473,7 @@ let test_long_transfer_does_not_starve () =
   let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
   File_cache.add_document cache ~path:"/big/4m" ~bytes:4_000_000;
   File_cache.warm cache;
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Threaded_server.create ~stack ~process:proc ~cache ~workers:8
       ~policy:(Httpsim.Event_server.Per_connection { parent = root; priority_of = (fun _ -> 10) })
@@ -501,7 +501,7 @@ let test_long_transfer_does_not_starve () =
 
 let test_threaded_server_serves () =
   let sim, root, machine, proc, stack, cache = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Threaded_server.create ~stack ~process:proc ~cache ~workers:4
       ~policy:(Httpsim.Event_server.Per_connection { parent = root; priority_of = (fun _ -> 10) })

@@ -114,6 +114,22 @@ let test_scheduler_ablation () =
   in
   Alcotest.(check int) "four schedulers" 4 (List.length (Engine.Series.table_rows table))
 
+(* Lottery walks its tickets in run-queue order, which follows container
+   ids: the table must not change with what was built before it in the
+   process. *)
+let test_scheduler_ablation_hermetic () =
+  let render () =
+    Format.asprintf "%a" Engine.Series.pp_table
+      (Experiments.Exp_ablation.scheduler_family_table ~measure:(Simtime.sec 2) ())
+  in
+  let first = render () in
+  for rigs = 1 to 3 do
+    for _ = 1 to rigs do
+      ignore (Experiments.Harness.make_rig Experiments.Harness.Rc_sys)
+    done;
+    Alcotest.(check string) (Printf.sprintf "after %d more rigs" rigs) first (render ())
+  done
+
 let test_disk_extension_shapes () =
   let event =
     Experiments.Exp_disk.architecture_run ~warmup:(Simtime.sec 2) ~measure:(Simtime.sec 5)
@@ -158,4 +174,5 @@ let suite =
     Alcotest.test_case "scheduler ablation" `Slow test_scheduler_ablation;
     Alcotest.test_case "disk extension shapes" `Slow test_disk_extension_shapes;
     Alcotest.test_case "determinism" `Slow test_determinism;
+    Alcotest.test_case "scheduler ablation is hermetic" `Quick test_scheduler_ablation_hermetic;
   ]

@@ -13,12 +13,6 @@ module Socket = Netsim.Socket
 module Stack = Netsim.Stack
 module Ipaddr = Netsim.Ipaddr
 
-(* Restore the process-wide strict-memory flag no matter how a test ends. *)
-let with_strict_memory on f =
-  let before = Usage.strict_memory_enabled () in
-  Usage.set_strict_memory on;
-  Fun.protect ~finally:(fun () -> Usage.set_strict_memory before) f
-
 (* {1 Registry} *)
 
 let test_registry_basics () =
@@ -134,13 +128,13 @@ let test_cpu_conservation_holds () =
     (List.map (fun v -> v.Invariant.law) (Machine.check_invariants machine))
 
 let test_mischarge_caught () =
-  let sim, _root, machine = make_machine () in
+  let sim, root, machine = make_machine () in
   ignore
     (Machine.spawn machine ~name:"work" ~container:(Machine.system_container machine) (fun () ->
          Machine.cpu (Simtime.ms 5)));
   (* Interrupt work billed to a container outside the root's subtree:
      busy time advances, the root rollup does not. *)
-  let detached = Container.create_detached ~name:"outside" () in
+  let detached = Container.create_detached ~name:"outside" (Container.run root) in
   ignore
     (Sim.after sim (Simtime.ms 2) (fun () ->
          Machine.steal_time machine ~cost:(Simtime.us 70) ~charge:(`Container detached)));
@@ -150,46 +144,63 @@ let test_mischarge_caught () =
   | v :: _ -> Alcotest.(check string) "first broken law" "cpu.conservation" v.Invariant.law
 
 let test_armed_machine_raises_at_quiesce () =
-  let sim, _root, machine = make_machine () in
+  let sim, root, machine = make_machine () in
   Machine.arm_invariants machine;
-  with_strict_memory false (fun () ->
-      let detached = Container.create_detached ~name:"outside" () in
-      ignore
-        (Sim.after sim (Simtime.ms 1) (fun () ->
-             Machine.steal_time machine ~cost:(Simtime.us 50) ~charge:(`Container detached)));
-      Alcotest.(check bool) "run_until raises Violation" true
-        (try
-           Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.sec 1));
-           false
-         with Invariant.Violation v -> v.Invariant.law = "cpu.conservation"))
+  let detached = Container.create_detached ~name:"outside" (Container.run root) in
+  ignore
+    (Sim.after sim (Simtime.ms 1) (fun () ->
+         Machine.steal_time machine ~cost:(Simtime.us 50) ~charge:(`Container detached)));
+  Alcotest.(check bool) "run_until raises Violation" true
+    (try
+       Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.sec 1));
+       false
+     with Invariant.Violation v -> v.Invariant.law = "cpu.conservation")
 
 let test_armed_machine_checks_periodically () =
   let sim, root, machine = make_machine () in
-  with_strict_memory false (fun () ->
-      Machine.arm_invariants ~interval:(Simtime.ms 5) machine;
-      ignore
-        (Machine.spawn machine ~name:"spin" ~container:root (fun () ->
-             for _ = 1 to 20 do
-               Machine.cpu (Simtime.ms 2)
-             done));
-      Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 100));
-      let sweeps = Invariant.checks_run (Machine.invariants machine) in
-      Alcotest.(check bool) "periodic sweeps ran" true (sweeps >= 10))
+  Machine.arm_invariants ~interval:(Simtime.ms 5) machine;
+  ignore
+    (Machine.spawn machine ~name:"spin" ~container:root (fun () ->
+         for _ = 1 to 20 do
+           Machine.cpu (Simtime.ms 2)
+         done));
+  Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 100));
+  let sweeps = Invariant.checks_run (Machine.invariants machine) in
+  Alcotest.(check bool) "periodic sweeps ran" true (sweeps >= 10)
 
 (* {1 Strict memory mode} *)
 
 let test_memory_clamp_vs_raise () =
-  let u = Usage.create () in
-  with_strict_memory false (fun () ->
-      Usage.charge_memory u 100;
-      Usage.charge_memory u (-250);
-      Alcotest.(check int) "saturates at zero when lenient" 0 (Usage.memory_bytes u));
-  let u2 = Usage.create () in
-  with_strict_memory true (fun () ->
-      Usage.charge_memory u2 100;
-      Alcotest.(check bool) "over-refund raises when strict" true
-        (try Usage.charge_memory u2 (-250); false with Usage.Negative_memory _ -> true);
-      Alcotest.(check int) "balance untouched by the failed charge" 100 (Usage.memory_bytes u2))
+  let u = Usage.create (Rescont.Ledger.create ()) in
+  Usage.charge_memory u 100;
+  Usage.charge_memory u (-250);
+  Alcotest.(check int) "saturates at zero when lenient" 0 (Usage.memory_bytes u);
+  let strict_arena = Rescont.Ledger.create () in
+  Rescont.Ledger.set_strict strict_arena true;
+  let u2 = Usage.create strict_arena in
+  Usage.charge_memory u2 100;
+  Alcotest.(check bool) "over-refund raises when strict" true
+    (try Usage.charge_memory u2 (-250); false with Usage.Negative_memory _ -> true);
+  Alcotest.(check int) "balance untouched by the failed charge" 100 (Usage.memory_bytes u2)
+
+(* Arming is per run: arming machine A's invariants makes A's memory
+   accounting strict and leaves machine B's, built afterwards in the
+   same process and domain, saturating. *)
+let test_strict_memory_is_per_run () =
+  let _sim_a, root_a, machine_a = make_machine () in
+  Machine.arm_invariants machine_a;
+  let _sim_b, root_b, _machine_b = make_machine () in
+  let b = Container.create ~parent:root_b ~name:"b" () in
+  Container.charge_memory b 100;
+  (match Container.charge_memory b (-250) with
+  | () -> ()
+  | exception Usage.Negative_memory _ -> Alcotest.fail "machine B raised: A's arming leaked");
+  Alcotest.(check int) "B saturates at zero" 0 (Usage.memory_bytes (Container.usage b));
+  Alcotest.(check int) "B's root too" 0 (Usage.memory_bytes (Container.subtree_usage root_b));
+  let a = Container.create ~parent:root_a ~name:"a" () in
+  Container.charge_memory a 100;
+  Alcotest.(check bool) "A still raises" true
+    (try Container.charge_memory a (-250); false with Usage.Negative_memory _ -> true)
 
 (* {1 Stack and cache law registration} *)
 
@@ -218,26 +229,25 @@ let test_subsystem_laws_registered () =
     (List.map (fun v -> v.Invariant.law) (Machine.check_invariants machine))
 
 let test_net_laws_hold_under_traffic () =
-  let sim, _root, machine = make_machine () in
+  let sim, root, machine = make_machine () in
   let proc = Process.create machine ~name:"srv" () in
   let stack = Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container proc) () in
   let cache = Httpsim.File_cache.create () in
   Httpsim.File_cache.register_invariants cache (Machine.invariants machine);
   Httpsim.File_cache.add_document cache ~path:"/doc/1k" ~bytes:1024;
   Httpsim.File_cache.warm cache;
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache ~listens:[ listen ] ()
   in
   ignore (Httpsim.Event_server.start server);
-  with_strict_memory false (fun () ->
-      Machine.arm_invariants ~interval:(Simtime.ms 2) machine;
-      let clients = Workload.Sclient.create ~stack ~port:80 ~path:"/doc/1k" ~count:3 () in
-      Workload.Sclient.start clients;
-      Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 200));
-      Alcotest.(check bool) "requests flowed" true (Workload.Sclient.completed clients > 10);
-      Alcotest.(check int) "no violations across the run" 0
-        (Invariant.violations_seen (Machine.invariants machine)))
+  Machine.arm_invariants ~interval:(Simtime.ms 2) machine;
+  let clients = Workload.Sclient.create ~stack ~port:80 ~path:"/doc/1k" ~count:3 () in
+  Workload.Sclient.start clients;
+  Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 200));
+  Alcotest.(check bool) "requests flowed" true (Workload.Sclient.completed clients > 10);
+  Alcotest.(check int) "no violations across the run" 0
+    (Invariant.violations_seen (Machine.invariants machine))
 
 let suite =
   [
@@ -255,4 +265,5 @@ let suite =
     Alcotest.test_case "memory clamp vs strict raise" `Quick test_memory_clamp_vs_raise;
     Alcotest.test_case "subsystem laws registered" `Quick test_subsystem_laws_registered;
     Alcotest.test_case "net laws hold under traffic" `Quick test_net_laws_hold_under_traffic;
+    Alcotest.test_case "strict memory is per run" `Quick test_strict_memory_is_per_run;
   ]

@@ -674,7 +674,9 @@ let bare_round_trips wq ~cpu_n ~wait_n =
     () bare_handler;
   !words
 
-let test_slice_allocation_budget policy () =
+type budget_run = { words : float; bare : float; slices : int; cpu_n : int; wait_n : int }
+
+let slice_budget_run policy =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let pol =
@@ -735,7 +737,10 @@ let test_slice_allocation_budget policy () =
   Machine.run_until machine (Simtime.of_ns 1_200_000_000);
   let words = Gc.minor_words () -. w0 in
   let cpu_n = !cpu_n - cpu0 and wait_n = !wait_n - wait0 and slices = dispatches () - slices0 in
-  let bare = bare_round_trips wq ~cpu_n ~wait_n in
+  { words; bare = bare_round_trips wq ~cpu_n ~wait_n; slices; cpu_n; wait_n }
+
+let test_slice_allocation_budget policy () =
+  let { words; bare; slices; cpu_n; wait_n } = slice_budget_run policy in
   Alcotest.(check bool) "thousands of slices" true (slices > 10_000);
   Alcotest.(check bool) "the pair blocked and woke" true (wait_n > 1_000);
   Alcotest.(check (float 0.))
@@ -743,6 +748,24 @@ let test_slice_allocation_budget policy () =
        slices cpu_n wait_n)
     0.
     ((words -. bare) /. float_of_int slices)
+
+(* Timeshare breaks badness ties in run-queue order, which follows
+   container ids: the scenario's counts must not move when another
+   machine ran before it in the process. *)
+let test_slice_counts_hermetic () =
+  let counts () =
+    let r = slice_budget_run `Timeshare in
+    (r.cpu_n, r.wait_n, r.slices)
+  in
+  let first = counts () in
+  for runs = 1 to 3 do
+    for _ = 1 to runs do
+      ignore (slice_budget_run `Multilevel)
+    done;
+    Alcotest.(check (triple int int int))
+      (Printf.sprintf "cpu performs, waits and slices after %d more multilevel runs" runs)
+      first (counts ())
+  done
 
 let suite =
   [
@@ -782,4 +805,5 @@ let suite =
     Alcotest.test_case "process exit_all" `Quick test_process_exit_all;
     Alcotest.test_case "waitq FIFO order" `Quick test_waitq_fifo_order;
     Alcotest.test_case "kill blocked thread" `Quick test_kill_blocked_thread;
+    Alcotest.test_case "timeshare slice counts are hermetic" `Quick test_slice_counts_hermetic;
   ]

@@ -176,7 +176,7 @@ let test_handshake_establishes () =
   List.iter
     (fun mode ->
       let rig = make_rig mode in
-      let listen = Socket.make_listen ~port:80 () in
+      let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
       Stack.add_listen rig.stack listen;
       let established = ref None in
       connect_one rig ~on_established:(fun conn -> established := Some conn);
@@ -202,7 +202,7 @@ let test_filter_demux_most_specific () =
   let l_special =
     Socket.make_listen ~port:80 ~filter:(Filter.host special_src) ~container:c_special ()
   in
-  let l_any = Socket.make_listen ~port:80 () in
+  let l_any = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
   Stack.add_listen rig.stack l_any;
   Stack.add_listen rig.stack l_special;
   connect_one rig ~src:special_src ~on_established:(fun _ -> ());
@@ -216,7 +216,7 @@ let test_filter_demux_most_specific () =
 
 let test_request_response_roundtrip () =
   let rig = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
   Stack.add_listen rig.stack listen;
   let response = ref None in
   Stack.connect rig.stack ~src:(Ipaddr.v 10 0 0 1) ~port:80
@@ -256,7 +256,7 @@ let test_request_response_roundtrip () =
 
 let test_client_close_surfaces () =
   let rig = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
   Stack.add_listen rig.stack listen;
   let the_conn = ref None in
   connect_one rig ~on_established:(fun conn -> the_conn := Some conn);
@@ -271,7 +271,7 @@ let test_client_close_surfaces () =
 
 let test_syn_queue_eviction () =
   let rig = make_rig Stack.Softirq in
-  let listen = Socket.make_listen ~port:80 ~syn_backlog:4 () in
+  let listen = Socket.make_unbound_listen ~port:80 ~syn_backlog:4 (Container.run rig.root) in
   Stack.add_listen rig.stack listen;
   for _ = 1 to 10 do
     Stack.inject_syn rig.stack ~src:(Ipaddr.v 192 168 66 1) ~port:80
@@ -282,7 +282,7 @@ let test_syn_queue_eviction () =
 
 let test_syn_drop_notification () =
   let rig = make_rig Stack.Softirq in
-  let listen = Socket.make_listen ~port:80 ~syn_backlog:2 () in
+  let listen = Socket.make_unbound_listen ~port:80 ~syn_backlog:2 (Container.run rig.root) in
   Stack.add_listen rig.stack listen;
   let reported = ref [] in
   Stack.set_on_syn_drop rig.stack (fun _l src -> reported := Ipaddr.to_string src :: !reported);
@@ -338,7 +338,7 @@ let test_softirq_steals_from_current () =
   let stack =
     Stack.create ~machine ~mode:Stack.Softirq ~softirq_charge:Stack.Charge_current ~owner ()
   in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   Stack.add_listen stack listen;
   let victim = Container.create ~parent:root ~name:"victim" ~attrs:(Attrs.timeshare ()) () in
   let finished = ref Simtime.zero in
@@ -357,7 +357,7 @@ let test_softirq_steals_from_current () =
 
 let test_socket_buffer_memory () =
   let rig = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
   Stack.add_listen rig.stack listen;
   let the_conn = ref None in
   connect_one rig ~on_established:(fun conn -> the_conn := Some conn);
@@ -408,7 +408,7 @@ let test_memory_limit_drops () =
    leaks a little with every abandoned connection. *)
 let test_close_refunds_buffered_rx () =
   let rig = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
   Stack.add_listen rig.stack listen;
   let the_conn = ref None in
   connect_one rig ~on_established:(fun conn -> the_conn := Some conn);
@@ -439,7 +439,7 @@ let test_syn_timeout_counted () =
   let stack =
     Stack.create ~machine ~mode:Stack.Softirq ~syn_timeout:(Simtime.ms 100) ~owner ()
   in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
   Stack.add_listen stack listen;
   let reported = ref [] in
   Stack.set_on_syn_drop stack (fun _l src -> reported := Ipaddr.to_string src :: !reported);
@@ -475,7 +475,7 @@ let prop_memory_balance =
     QCheck2.Gen.(list_size (int_range 1 20) (pair (int_range 1 1400) bool))
     (fun ops ->
       let rig = make_rig Stack.Rc in
-      let listen = Socket.make_listen ~port:80 () in
+      let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
       Stack.add_listen rig.stack listen;
       let the_conn = ref None in
       connect_one rig ~on_established:(fun conn -> the_conn := Some conn);
@@ -506,8 +506,8 @@ let test_demux_tie_break_order_independent () =
   let winner insertion_order =
     let rig = make_rig Stack.Rc in
     (* Creation order fixes listen ids: first < second. *)
-    let first = Socket.make_listen ~port:80 ~filter:(filter ()) () in
-    let second = Socket.make_listen ~port:80 ~filter:(filter ()) () in
+    let first = Socket.make_unbound_listen ~port:80 ~filter:(filter ()) (Container.run rig.root) in
+    let second = Socket.make_unbound_listen ~port:80 ~filter:(filter ()) (Container.run rig.root) in
     List.iter (Stack.add_listen rig.stack)
       (match insertion_order with `First_then_second -> [ first; second ] | `Reversed -> [ second; first ]);
     connect_one rig ~src ~on_established:(fun _ -> ());
@@ -527,8 +527,10 @@ let test_demux_specificity_both_orders () =
   List.iter
     (fun reversed ->
       let rig = make_rig Stack.Rc in
-      let l_host = Socket.make_listen ~port:80 ~filter:(Filter.host special) () in
-      let l_any = Socket.make_listen ~port:80 () in
+      let l_host =
+        Socket.make_unbound_listen ~port:80 ~filter:(Filter.host special) (Container.run rig.root)
+      in
+      let l_any = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
       List.iter (Stack.add_listen rig.stack)
         (if reversed then [ l_any; l_host ] else [ l_host; l_any ]);
       connect_one rig ~src:special ~on_established:(fun _ -> ());
@@ -567,45 +569,41 @@ let test_tables_bounded_under_container_churn () =
    draining and closing afterwards refunds the new container for bytes it
    was never charged — a negative balance. *)
 let test_rebind_moves_buffered_charge () =
-  let strict_before = Rescont.Usage.strict_memory_enabled () in
-  Rescont.Usage.set_strict_memory true;
-  Fun.protect
-    ~finally:(fun () -> Rescont.Usage.set_strict_memory strict_before)
-    (fun () ->
-      let rig = make_rig Stack.Rc in
-      let listen = Socket.make_listen ~port:80 () in
-      Stack.add_listen rig.stack listen;
-      let the_conn = ref None in
-      connect_one rig ~on_established:(fun conn -> the_conn := Some conn);
-      run rig (Simtime.ms 10);
-      let conn = match !the_conn with Some c -> c | None -> Alcotest.fail "no conn" in
-      Stack.client_send rig.stack conn (Payload.make ~tag:"r" ~bytes:500 (Sim.now rig.sim));
-      run rig (Simtime.ms 10);
-      Alcotest.(check int) "charged to the pre-bind owner" 500
-        (Rescont.Usage.memory_bytes (Container.usage rig.owner));
-      (* The server accepts and gives the connection its own container —
-         the per-connection policy. *)
-      let per_conn = Container.create ~parent:rig.root ~name:"conn-1" () in
-      Socket.bind_container conn per_conn;
-      Alcotest.(check int) "charge moved off the old owner" 0
-        (Rescont.Usage.memory_bytes (Container.usage rig.owner));
-      Alcotest.(check int) "charge moved onto the new container" 500
-        (Rescont.Usage.memory_bytes (Container.usage per_conn));
-      (* Drain then close: both refunds must hit the rebound container
-         without driving any balance negative (strict mode would raise). *)
-      ignore (Stack.recv rig.stack conn);
-      Alcotest.(check int) "drain refunds the new container" 0
-        (Rescont.Usage.memory_bytes (Container.usage per_conn));
-      Stack.client_send rig.stack conn (Payload.make ~tag:"s" ~bytes:300 (Sim.now rig.sim));
-      run rig (Simtime.ms 10);
-      ignore
-        (Machine.spawn rig.machine ~name:"closer" ~container:rig.owner (fun () ->
-             Stack.close rig.stack conn));
-      run rig (Simtime.ms 10);
-      Alcotest.(check int) "close refunds the rebound container too" 0
-        (Rescont.Usage.memory_bytes (Container.usage per_conn));
-      Alcotest.(check int) "whole subtree balances" 0
-        (Rescont.Usage.memory_bytes (Container.subtree_usage rig.root)))
+  let rig = make_rig Stack.Rc in
+  Container.arm_strict_memory (Container.run rig.root);
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
+  Stack.add_listen rig.stack listen;
+  let the_conn = ref None in
+  connect_one rig ~on_established:(fun conn -> the_conn := Some conn);
+  run rig (Simtime.ms 10);
+  let conn = match !the_conn with Some c -> c | None -> Alcotest.fail "no conn" in
+  Stack.client_send rig.stack conn (Payload.make ~tag:"r" ~bytes:500 (Sim.now rig.sim));
+  run rig (Simtime.ms 10);
+  Alcotest.(check int) "charged to the pre-bind owner" 500
+    (Rescont.Usage.memory_bytes (Container.usage rig.owner));
+  (* The server accepts and gives the connection its own container —
+     the per-connection policy. *)
+  let per_conn = Container.create ~parent:rig.root ~name:"conn-1" () in
+  Socket.bind_container conn per_conn;
+  Alcotest.(check int) "charge moved off the old owner" 0
+    (Rescont.Usage.memory_bytes (Container.usage rig.owner));
+  Alcotest.(check int) "charge moved onto the new container" 500
+    (Rescont.Usage.memory_bytes (Container.usage per_conn));
+  (* Drain then close: both refunds must hit the rebound container
+     without driving any balance negative (strict mode would raise). *)
+  ignore (Stack.recv rig.stack conn);
+  Alcotest.(check int) "drain refunds the new container" 0
+    (Rescont.Usage.memory_bytes (Container.usage per_conn));
+  Stack.client_send rig.stack conn (Payload.make ~tag:"s" ~bytes:300 (Sim.now rig.sim));
+  run rig (Simtime.ms 10);
+  ignore
+    (Machine.spawn rig.machine ~name:"closer" ~container:rig.owner (fun () ->
+         Stack.close rig.stack conn));
+  run rig (Simtime.ms 10);
+  Alcotest.(check int) "close refunds the rebound container too" 0
+    (Rescont.Usage.memory_bytes (Container.usage per_conn));
+  Alcotest.(check int) "whole subtree balances" 0
+    (Rescont.Usage.memory_bytes (Container.subtree_usage rig.root))
 
 (* Every half-open connection that dies — evicted on overflow or timed out
    — is dropped {e exactly once}: the listener's counter, the stack-wide
@@ -624,7 +622,7 @@ let prop_syn_drops_exactly_once =
         Stack.create ~machine ~mode:Stack.Softirq ~syn_timeout:(Simtime.ms 50)
           ~owner:(Process.default_container proc) ()
       in
-      let listen = Socket.make_listen ~port:80 ~syn_backlog () in
+      let listen = Socket.make_unbound_listen ~port:80 ~syn_backlog (Container.run root) in
       Stack.add_listen stack listen;
       let notified = ref 0 in
       Stack.set_on_syn_drop stack (fun _ _ -> incr notified);
@@ -649,7 +647,7 @@ let prop_syn_drops_exactly_once =
 
 let test_remove_listen () =
   let rig = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
   Stack.add_listen rig.stack listen;
   Stack.remove_listen rig.stack listen;
   let refused = ref false in
@@ -660,9 +658,27 @@ let test_remove_listen () =
   Alcotest.(check bool) "closed listen refuses" true !refused;
   Alcotest.(check int) "no listens left" 0 (List.length (Stack.listens rig.stack))
 
+(* Listen ids are unique only within a run, so a stack installs only its
+   own run's sockets: one made in another rig's run, bound or not, is
+   refused before the stack changes. *)
+let test_add_listen_refuses_other_run () =
+  let rig = make_rig Stack.Rc and other = make_rig Stack.Rc in
+  let refused l =
+    match Stack.add_listen rig.stack l with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "unbound socket of another run" true
+    (refused (Socket.make_unbound_listen ~port:80 (Container.run other.root)));
+  Alcotest.(check bool) "socket bound to another run's container" true
+    (refused (Socket.make_listen ~port:80 ~container:other.owner ()));
+  Alcotest.(check int) "nothing installed" 0 (List.length (Stack.listens rig.stack));
+  Alcotest.(check bool) "own run's socket installs" false
+    (refused (Socket.make_unbound_listen ~port:80 (Container.run rig.root)))
+
 let test_link_serialisation () =
   let rig = make_rig Stack.Rc in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run rig.root) in
   Stack.add_listen rig.stack listen;
   (* A 1.25 MB message at 100 Mbps takes ~100 ms on the wire (plus ~21 ms
      of send-path CPU); a tiny message sent right after must not overtake
@@ -749,7 +765,7 @@ let test_net_routing () =
   Alcotest.(check int) "two machines" 2 (List.length (Netsim.Net.machines net));
   Alcotest.(check bool) "duplicate rejected" true
     (try Netsim.Net.attach net ~addr:addr_a stack_b; false with Invalid_argument _ -> true);
-  let listen_b = Socket.make_listen ~port:80 () in
+  let listen_b = Socket.make_unbound_listen ~port:80 (Container.run root_b) in
   Stack.add_listen stack_b listen_b;
   let established = ref false and refused = ref false in
   Netsim.Net.connect net ~src:addr_a ~dst:addr_b ~port:80
@@ -798,6 +814,8 @@ let suite =
     Alcotest.test_case "SYN timeout counted" `Quick test_syn_timeout_counted;
     Alcotest.test_case "add_service coverage" `Quick test_add_service_covers;
     Alcotest.test_case "remove listen" `Quick test_remove_listen;
+    Alcotest.test_case "add_listen refuses another run's socket" `Quick
+      test_add_listen_refuses_other_run;
     Alcotest.test_case "link serialisation + FIFO" `Quick test_link_serialisation;
     Alcotest.test_case "LRP vs RC charging" `Quick test_lrp_vs_rc_charging;
     Alcotest.test_case "container tree dump" `Quick test_pp_tree;

@@ -30,7 +30,7 @@ let run_scenario () =
   let server =
     Httpsim.Event_server.create ~stack ~process:proc ~cache
       ~policy:Httpsim.Event_server.Inherit_listen
-      ~listens:[ Socket.make_listen ~port:80 () ]
+      ~listens:[ Socket.make_unbound_listen ~port:80 (Container.run root) ]
       ()
   in
   ignore (Httpsim.Event_server.start server);
@@ -38,6 +38,64 @@ let run_scenario () =
   Workload.Sclient.start clients;
   Machine.run_until machine (Simtime.of_ns 50_000_000);
   (machine, stack, server, cache)
+
+(* A small RC rig with a container per connection, so its trace carries
+   container ids, process names (which embed the pid), listen and
+   connection ids.  Returns the trace and what the run served. *)
+let per_connection_run () =
+  let sim = Sim.create () in
+  let root = Container.create_root () in
+  let trace = Tracelog.create ~enabled:true ~capacity:8192 () in
+  let machine = Machine.create ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root ~trace () in
+  let proc = Process.create machine ~name:"httpd" () in
+  let stack =
+    Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container proc) ()
+  in
+  let cache = Httpsim.File_cache.create () in
+  Httpsim.File_cache.add_document cache ~path:"/doc/1k" ~bytes:1024;
+  Httpsim.File_cache.warm cache;
+  let vip = Container.create ~parent:root ~name:"vip" () in
+  let server =
+    Httpsim.Event_server.create ~stack ~process:proc ~cache ~api:Httpsim.Event_server.Event_api
+      ~policy:(Httpsim.Event_server.Per_connection { parent = root; priority_of = (fun _ -> 10) })
+      ~listens:
+        [ Socket.make_unbound_listen ~port:80 (Container.run root);
+          Socket.make_listen ~port:80 ~container:vip
+            ~filter:(Netsim.Filter.prefix ~template:(Netsim.Ipaddr.v 10 9 0 0) ~bits:16)
+            () ]
+      ()
+  in
+  ignore (Httpsim.Event_server.start server);
+  let clients = Workload.Sclient.create ~stack ~port:80 ~path:"/doc/1k" ~count:2 () in
+  let vips =
+    Workload.Sclient.create ~stack ~name:"vip" ~src_base:(Netsim.Ipaddr.v 10 9 0 1) ~port:80
+      ~path:"/doc/1k" ~count:1 ()
+  in
+  Workload.Sclient.start clients;
+  Workload.Sclient.start vips;
+  Machine.run_until machine (Simtime.of_ns 30_000_000);
+  ( Tracelog.to_jsonl (Machine.trace machine),
+    (Workload.Sclient.completed clients, Workload.Sclient.completed vips,
+     Simtime.span_to_ns (Container.subtree_cpu root)) )
+
+(* A run is a pure function of its inputs: the same rig built again in
+   the same process, after another rig, traces the same ids and serves
+   the same requests. *)
+let test_rig_repeats_after_other_rigs () =
+  let trace1, served1 = per_connection_run () in
+  ignore (run_scenario ());
+  let trace2, served2 = per_connection_run () in
+  Alcotest.(check (triple int int int)) "same results" served1 served2;
+  let c1, v1, _ = served1 in
+  Alcotest.(check bool) "both client groups served" true (c1 > 0 && v1 > 0);
+  let mentions needle =
+    let n = String.length needle and h = String.length trace1 in
+    let rec at i = i + n <= h && (String.sub trace1 i n = needle || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "trace carries per-connection containers" true
+    (mentions "\"container\":\"conn-");
+  Alcotest.(check string) "byte-equal trace JSONL" trace1 trace2
 
 let parse_line line =
   match Jsonx.parse line with
@@ -174,4 +232,5 @@ let suite =
     Alcotest.test_case "metrics snapshot agrees with views" `Quick test_metrics_snapshot_agrees;
     Alcotest.test_case "registry identity" `Quick test_registry_identity;
     Alcotest.test_case "registry gauges and conflicts" `Quick test_registry_gauge_and_conflicts;
+    Alcotest.test_case "rig repeats after other rigs" `Quick test_rig_repeats_after_other_rigs;
   ]

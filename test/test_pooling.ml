@@ -34,6 +34,7 @@ let make_rig mode =
   { sim; machine; stack }
 
 let run rig span = Machine.run_until rig.machine (Simtime.add (Sim.now rig.sim) span)
+let run_of rig = Container.run (Machine.root rig.machine)
 
 (* {1 Demux table vs reference fold} *)
 
@@ -94,7 +95,7 @@ let prop_demux_matches_reference =
               (* Add outnumbers remove so tables actually fill up. *)
               let port = 80 + (a mod 2) in
               let filter = filter_pool.(b mod Array.length filter_pool) in
-              let l = Socket.make_listen ~port ~filter () in
+              let l = Socket.make_unbound_listen ~port ~filter (run_of rig) in
               Stack.add_listen rig.stack l;
               added := l :: !added
           | _, [] -> ()
@@ -111,9 +112,9 @@ let prop_demux_matches_reference =
 let test_demux_tie_breaks_to_earliest_bound () =
   let rig = make_rig Stack.Softirq in
   let f = Filter.prefix ~template:(Ipaddr.v 10 1 0 0) ~bits:16 in
-  let first = Socket.make_listen ~port:80 ~filter:f () in
-  let second = Socket.make_listen ~port:80 ~filter:f () in
-  let catch_all = Socket.make_listen ~port:80 () in
+  let first = Socket.make_unbound_listen ~port:80 ~filter:f (run_of rig) in
+  let second = Socket.make_unbound_listen ~port:80 ~filter:f (run_of rig) in
+  let catch_all = Socket.make_unbound_listen ~port:80 (run_of rig) in
   Stack.add_listen rig.stack second;
   Stack.add_listen rig.stack first;
   Stack.add_listen rig.stack catch_all;
@@ -237,7 +238,7 @@ let fresh_conn =
   let n = ref 0 in
   fun () ->
     incr n;
-    Socket.make_conn
+    Socket.make_conn ~id:!n
       ~src:(Ipaddr.v 10 0 (!n / 256) (!n mod 256))
       ~src_port:0 ~client:Socket.null_handlers ~now:Simtime.zero
 
@@ -299,7 +300,7 @@ let prop_conn_table_matches_list =
 (* {1 Reap is incremental: all-live reap rebuilds nothing} *)
 
 let establish_many rig ~count =
-  let listen = Socket.make_listen ~port:80 ~backlog:256 () in
+  let listen = Socket.make_unbound_listen ~port:80 ~backlog:256 (run_of rig) in
   Stack.add_listen rig.stack listen;
   let established = ref 0 in
   for i = 0 to count - 1 do

@@ -39,7 +39,7 @@ let test_attrs_helpers () =
 (* {1 Usage} *)
 
 let test_usage_counters () =
-  let u = Usage.create () in
+  let u = Usage.create (Rescont.Ledger.create ()) in
   Usage.charge_cpu u ~kernel:false (Simtime.us 10);
   Usage.charge_cpu u ~kernel:true (Simtime.us 4);
   Usage.charge_rx u ~packets:3 ~bytes:1500;
@@ -58,7 +58,7 @@ let test_usage_counters () =
   Alcotest.(check int) "kernel objects" 1 (Usage.kernel_objects u)
 
 let test_usage_snapshot_and_reset () =
-  let u = Usage.create () in
+  let u = Usage.create (Rescont.Ledger.create ()) in
   Usage.charge_cpu u ~kernel:false (Simtime.us 7);
   let snap = Usage.snapshot u in
   Usage.charge_cpu u ~kernel:false (Simtime.us 7);

@@ -19,7 +19,7 @@ let fresh_conn =
   let n = ref 0 in
   fun () ->
     incr n;
-    Socket.make_conn
+    Socket.make_conn ~id:!n
       ~src:(Ipaddr.v 10 3 (!n / 256 mod 256) (!n mod 256))
       ~src_port:0 ~client:Socket.null_handlers ~now:Simtime.zero
 
@@ -168,10 +168,9 @@ let prop_usage_lockstep =
   QCheck2.Test.make ~name:"usage arena lockstep with record spec" ~count:300
     QCheck2.Gen.(list_size (int_range 1 80) (triple (int_bound 6) (int_bound 9) (int_bound 997)))
     (fun ops ->
-      let u = Usage.create () in
+      let arena = Rescont.Ledger.create () in
+      let u = Usage.create arena in
       let r = Usage_ref.create () in
-      let prev_strict = Usage.strict_memory_enabled () in
-      Fun.protect ~finally:(fun () -> Usage.set_strict_memory prev_strict) @@ fun () ->
       let agree what a b =
         if a <> b then QCheck2.Test.fail_reportf "%s: arena %d, spec %d" what a b
       in
@@ -195,7 +194,7 @@ let prop_usage_lockstep =
                  the exception payload. *)
               let delta = b - 400 in
               let strict = a land 1 = 1 in
-              Usage.set_strict_memory strict;
+              Rescont.Ledger.set_strict arena strict;
               let outcome_u =
                 try
                   Usage.charge_memory u delta;

@@ -21,7 +21,7 @@ let make_rig () =
   (sim, machine, proc, stack, cache)
 
 let with_server (sim, machine, proc, stack, cache) =
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run (Machine.root machine)) in
   let server = Httpsim.Event_server.create ~stack ~process:proc ~cache ~listens:[ listen ] () in
   ignore (Httpsim.Event_server.start server);
   (sim, machine, stack, server)
@@ -130,7 +130,7 @@ let test_sclient_percentiles () =
 
 let test_synflood_rate () =
   let sim, machine, _, stack, _ = make_rig () in
-  let listen = Socket.make_listen ~port:80 () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run (Machine.root machine)) in
   Stack.add_listen stack listen;
   let flood = Workload.Synflood.create ~stack ~rate_per_sec:10_000. ~port:80 () in
   Workload.Synflood.start flood;
@@ -144,7 +144,9 @@ let test_synflood_rate () =
 
 let test_synflood_sources_cycle () =
   let sim, machine, _, stack, _ = make_rig () in
-  let listen = Socket.make_listen ~port:80 ~syn_backlog:10_000 () in
+  let listen =
+    Socket.make_unbound_listen ~port:80 ~syn_backlog:10_000 (Container.run (Machine.root machine))
+  in
   Stack.add_listen stack listen;
   let flood =
     Workload.Synflood.create ~stack ~src_count:4 ~rate_per_sec:100_000. ~port:80 ()
@@ -169,7 +171,9 @@ let test_synflood_prefix () =
 
 let test_synflood_poisson () =
   let sim, machine, _, stack, _ = make_rig () in
-  let listen = Socket.make_listen ~port:80 ~syn_backlog:100_000 () in
+  let listen =
+    Socket.make_unbound_listen ~port:80 ~syn_backlog:100_000 (Container.run (Machine.root machine))
+  in
   Stack.add_listen stack listen;
   let flood =
     Workload.Synflood.create ~stack ~rng:(Engine.Rng.create ~seed:3) ~rate_per_sec:10_000.
