@@ -532,7 +532,7 @@ let make_demux_stack n =
   let sim = Engine.Sim.create () in
   let root = Container.create_root () in
   let policy = Sched.Timeshare.make () in
-  let machine = Procsim.Machine.create ~sim ~policy ~root () in
+  let machine = Procsim.Machine.create ~sim ~policy:(fun () -> policy) ~root () in
   let proc = Procsim.Process.create machine ~name:"bench" () in
   let stack =
     Netsim.Stack.create ~machine ~mode:Netsim.Stack.Softirq

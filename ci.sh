@@ -15,11 +15,13 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
-echo "== perfbench output check (full windows at seed 7; every repetition must match golden.json)"
+echo "== perfbench output check (full windows at seeds 1 and 7; every repetition must match golden.json)"
 # dune runtest replays only tiny windows at seed 1.  run.py exits 1 when
 # any repetition's simulated statistics differ from the recorded ones.
-for w in conn-containers zipf-flash cluster-hold; do
-  python3 perfbench/run.py --workload "$w" --seed 7 --seconds 0 > /dev/null
+for seed in 1 7; do
+  for w in conn-containers zipf-flash cluster-hold; do
+    python3 perfbench/run.py --workload "$w" --seed "$seed" --seconds 0 > /dev/null
+  done
 done
 
 echo "== bench smoke (tiny quotas; executes the harness, gates nothing)"
@@ -109,6 +111,7 @@ placement () {
 }
 placement 30
 placement 30 --cpus 2
+placement 30 --cpus 4
 placement 30 --zipf
 placement 5 --machines 4
 

@@ -25,7 +25,7 @@ module Stack = Netsim.Stack
 let () =
   let sim = Sim.create () in
   let root = Container.create_root () in
-  let machine = Machine.create ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root () in
   let sysproc = Process.create machine ~name:"system" () in
   let stack =
     Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container sysproc) ()

@@ -21,7 +21,7 @@ let run ~sandbox =
   let policy =
     if sandbox then Sched.Multilevel.make ~root () else Sched.Timeshare.make ()
   in
-  let machine = Machine.create ~sim ~policy ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> policy) ~root () in
   let proc = Process.create machine ~name:"httpd" () in
   let mode = if sandbox then Stack.Rc else Stack.Softirq in
   let stack = Stack.create ~machine ~mode ~owner:(Process.default_container proc) () in

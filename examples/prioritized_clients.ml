@@ -22,7 +22,7 @@ let premium_src = Ipaddr.v 10 9 9 9
 let () =
   let sim = Engine.Sim.create () in
   let root = Container.create_root () in
-  let machine = Machine.create ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root () in
   let proc = Process.create machine ~name:"httpd" () in
   let stack = Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container proc) () in
   let cache = Httpsim.File_cache.create () in

@@ -35,7 +35,7 @@ let premium_src = Ipaddr.v 10 99 0 1
 (* One simulated machine: its own CPU, scheduler and container tree. *)
 let make_machine sim name =
   let root = Container.create_root () in
-  let machine = Machine.create ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root () in
   let proc = Process.create machine ~name () in
   let stack = Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container proc) () in
   (root, machine, proc, stack)

@@ -17,7 +17,7 @@ let () =
   let sim = Engine.Sim.create () in
   let root = Container.create_root () in
   let policy = Sched.Multilevel.make ~root () in
-  let machine = Machine.create ~sim ~policy ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> policy) ~root () in
 
   (* 2. A hierarchy: a guaranteed database, a best-effort web class, and a
         batch job capped at 10% of the machine. *)

@@ -118,12 +118,9 @@ type t = {
   cluster_laws : Engine.Invariant.t; (* cluster-level laws: usage-rollup *)
   arrival_rng : Rng.t;
   service : Dist.t; (* per-request CPU burn, in nanoseconds *)
-  request_bytes : int;
-  response_bytes : int;
   hold : Simtime.span; (* client-side linger after the response *)
   workers : int;
   port : int;
-  rollup_period : Simtime.span;
   (* In-flight request rings, indexed by [seq land mask].  [issue_seq]
      detects eviction, [done_seq] dedups clone responses, [issue_ns] is
      the client-side issue stamp.  Balancer-side state: written only by
@@ -154,6 +151,13 @@ type t = {
   mutable arrivals_on : bool;
   mutable t0_ns : int; (* profile epoch: simulation time at [start] *)
 }
+
+let request_bytes = 256
+let response_bytes = 4096
+
+(* How often the barrier aggregates the tenant rollup and checks the
+   cluster laws. *)
+let rollup_period = Simtime.ms 10
 
 (* Enough virtual nodes that arc-share imbalance is a few percent: with V
    vnodes per machine the share standard deviation is ~1/sqrt(V). *)
@@ -244,7 +248,7 @@ let serve_conn t node conn =
         Machine.cpu Costs.read_parse;
         Machine.cpu (Simtime.ns (Dist.sample_int t.service node.node_rng));
         Machine.cpu Costs.write_syscall;
-        Stack.send node.stack conn (Netsim.Payload.make ~bytes:t.response_bytes (Machine.now node.machine));
+        Stack.send node.stack conn (Netsim.Payload.make ~bytes:response_bytes (Machine.now node.machine));
         node.served <- node.served + 1;
         (* Server-side sojourn: request hits the NIC -> response handed to
            the wire.  The arrival instant is recovered from the client's
@@ -254,7 +258,7 @@ let serve_conn t node conn =
            This is the PS-oracle observable. *)
         let arrived_ns =
           Simtime.to_ns req.Netsim.Payload.created
-          + Simtime.span_to_ns (Stack.delivery_delay node.stack req)
+          + Simtime.span_to_ns (Stack.delivery_delay req)
         in
         let soj = Simtime.to_ns (Machine.now node.machine) - arrived_ns in
         Stats.Summary.add node.server_sojourn (float_of_int soj /. 1e9)
@@ -322,7 +326,7 @@ let make_handlers t node =
       (fun conn ->
         (* Request immediately; the hold happens after the response. *)
         Stack.client_send node.stack conn
-          (Netsim.Payload.make ~bytes:t.request_bytes (Machine.now node.machine)));
+          (Netsim.Payload.make ~bytes:request_bytes (Machine.now node.machine)));
     on_refused = (fun () -> node.refused <- node.refused + 1);
     on_response =
       (fun conn _payload ->
@@ -478,7 +482,7 @@ let barrier_exchange t wend_ns =
     let c = Array.fold_left ( + ) 0 t.conns_snapshot in
     if c > t.peak_concurrent then t.peak_concurrent <- c;
     check_cluster_laws t;
-    let period = Simtime.span_to_ns t.rollup_period in
+    let period = Simtime.span_to_ns rollup_period in
     while t.next_rollup_ns <= wend_ns do
       t.next_rollup_ns <- t.next_rollup_ns + period
     done
@@ -487,11 +491,9 @@ let barrier_exchange t wend_ns =
 (* ---------------- construction ---------------- *)
 
 let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
-    ?(policy = Round_robin) ?(profile = Poisson 1000.) ?service ?(request_bytes = 256)
-    ?(response_bytes = 4096) ?(hold = Simtime.span_zero) ?(workers = 32)
-    ?(quantum = Simtime.us 50) ?(rollup_period = Simtime.ms 10) ?(ring_bits = 20)
-    ?(syn_backlog = 1024) ?latency ?window ?(tenants = [ tenant_spec "tenant0" ])
-    ?(seed = 1) () =
+    ?(policy = Round_robin) ?(profile = Poisson 1000.) ?service ?(hold = Simtime.span_zero)
+    ?(workers = 32) ?(quantum = Simtime.us 50) ?(ring_bits = 20) ?(syn_backlog = 1024) ?window
+    ?(tenants = [ tenant_spec "tenant0" ]) ?(seed = 1) () =
   if machines <= 0 then invalid_arg "Cluster.create: machines must be positive";
   if shards <= 0 then invalid_arg "Cluster.create: shards must be positive";
   if tenants = [] then invalid_arg "Cluster.create: at least one tenant";
@@ -514,22 +516,18 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
         let sim = shard_sims.(i mod shards) in
         let root = Container.create_root () in
         let invariants = Engine.Invariant.create () in
-        let make_policy _cpu =
+        let make_policy () =
           match mode with
-          | Stack.Rc -> Sched.Multilevel.make ~window:(Simtime.ms 100) ~invariants ~root ()
+          | Stack.Rc -> Sched.Multilevel.make ~invariants ~root ()
           | Stack.Softirq | Stack.Lrp -> Sched.Timeshare.make ()
         in
-        let policy0 = make_policy 0 in
         let machine =
-          if cpus > 1 then
-            Machine.create ~cpus ~shard_policy:make_policy ~quantum ~invariants ~sim
-              ~policy:policy0 ~root ()
-          else Machine.create ~quantum ~invariants ~sim ~policy:policy0 ~root ()
+          Machine.create ~cpus ~quantum ~invariants ~sim ~policy:make_policy ~root ()
         in
         let server_container =
           Container.create ~name:(Printf.sprintf "node%d.server" i) ~parent:root ()
         in
-        let stack = Stack.create ?latency ~machine ~mode ~owner:server_container () in
+        let stack = Stack.create ~machine ~mode ~owner:server_container () in
         per_node_tenant_containers.(i) <-
           Array.map
             (fun spec ->
@@ -563,7 +561,7 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
         let ns = Simtime.span_to_ns w in
         if ns <= 0 then invalid_arg "Cluster.create: window must be positive";
         ns
-    | None -> Simtime.span_to_ns (Stack.syn_delivery_delay nodes.(0).stack)
+    | None -> Simtime.span_to_ns Stack.syn_delivery_delay
   in
   let rollup = Rollup.create () in
   let cluster_laws = Engine.Invariant.create () in
@@ -604,12 +602,9 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
       cluster_laws;
       arrival_rng;
       service;
-      request_bytes;
-      response_bytes;
       hold;
       workers;
       port = 80;
-      rollup_period;
       mask;
       issue_seq = Array.make (mask + 1) (-1);
       issue_ns = Array.make (mask + 1) 0;
@@ -687,7 +682,7 @@ let start t =
     end
   in
   Sim.post t.shard_sims.(0) (Simtime.ns 1) tick;
-  t.next_rollup_ns <- t.t0_ns + Simtime.span_to_ns t.rollup_period
+  t.next_rollup_ns <- t.t0_ns + Simtime.span_to_ns rollup_period
 
 let stop_arrivals t = t.arrivals_on <- false
 

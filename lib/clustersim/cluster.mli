@@ -70,15 +70,11 @@ val create :
   ?policy:policy ->
   ?profile:profile ->
   ?service:Engine.Dist.t ->
-  ?request_bytes:int ->
-  ?response_bytes:int ->
   ?hold:Engine.Simtime.span ->
   ?workers:int ->
   ?quantum:Engine.Simtime.span ->
-  ?rollup_period:Engine.Simtime.span ->
   ?ring_bits:int ->
   ?syn_backlog:int ->
-  ?latency:Engine.Simtime.span ->
   ?window:Engine.Simtime.span ->
   ?tenants:tenant_spec list ->
   ?seed:int ->
@@ -86,15 +82,17 @@ val create :
   t
 (** Defaults: 4 machines × 1 CPU, 1 shard, [Rc] mode, round-robin,
     Poisson 1000/s, exponential 400 µs service (sampled in nanoseconds of
-    CPU burn), 256 B requests, 4 KB responses, zero hold, 32 workers per
-    machine, 50 µs quantum (workers approximate processor sharing), 10 ms
-    rollup period, 2^20-entry in-flight rings, one unit-weight tenant.
+    CPU burn), zero hold, 32 workers per machine, 50 µs quantum (workers
+    approximate processor sharing), 2^20-entry in-flight rings, one
+    unit-weight tenant.  Requests are 256 B and responses 4 KB, every
+    stack has a 150 µs one-way wire latency, and the tenant rollup runs
+    every 10 ms.  Each of a machine's [cpus] processors gets its own
+    run-queue shard.
 
     [shards] partitions the machines over that many event cores
     (clamped to [machines]); [domains] caps how many OS domains run them
     (default: min of shards and the host's recommended domain count — see
-    {!Engine.Shard.create}).  [latency] is each stack's one-way wire
-    latency (default 150 µs); [window] overrides the dispatch window
+    {!Engine.Shard.create}).  [window] overrides the dispatch window
     (default: a SYN's wire time, {!Netsim.Stack.syn_delivery_delay} — the
     largest conservative lookahead).  A larger window amortises barriers
     at the price of added dispatch latency.

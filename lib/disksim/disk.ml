@@ -9,8 +9,6 @@ type request = { bytes : int; completion : unit -> unit }
 
 type t = {
   machine : Machine.t;
-  seek_time : Simtime.span;
-  bytes_per_ns : float;
   queues : (int, request Queue.t * Container.t) Hashtbl.t;
   served_stamp : (int, int) Hashtbl.t;
   mutable tick : int;
@@ -19,12 +17,14 @@ type t = {
   mutable completed : int;
 }
 
-let create ?(seek_time = Simtime.ms 8) ?(transfer_rate_mb_s = 20.) ~machine () =
-  if transfer_rate_mb_s <= 0. then invalid_arg "Disk.create: rate must be positive";
+(* A late-1990s SCSI disk: average positioning time, and a 20 MB/s media
+   rate in bytes per nanosecond. *)
+let seek_time = Simtime.ms 8
+let bytes_per_ns = 20. *. 1e6 /. 1e9
+
+let create ~machine () =
   {
     machine;
-    seek_time;
-    bytes_per_ns = transfer_rate_mb_s *. 1e6 /. 1e9;
     queues = Hashtbl.create 16;
     served_stamp = Hashtbl.create 16;
     tick = 0;
@@ -33,9 +33,9 @@ let create ?(seek_time = Simtime.ms 8) ?(transfer_rate_mb_s = 20.) ~machine () =
     completed = 0;
   }
 
-let service_time t ~bytes =
-  let transfer_ns = int_of_float (Float.round (float_of_int bytes /. t.bytes_per_ns)) in
-  Simtime.span_add t.seek_time (Simtime.span_of_ns transfer_ns)
+let service_time (_ : t) ~bytes =
+  let transfer_ns = int_of_float (Float.round (float_of_int bytes /. bytes_per_ns)) in
+  Simtime.span_add seek_time (Simtime.span_of_ns transfer_ns)
 
 let queue_for t container =
   let cid = Container.id container in

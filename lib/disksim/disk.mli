@@ -14,14 +14,9 @@
 
 type t
 
-val create :
-  ?seek_time:Engine.Simtime.span ->
-  ?transfer_rate_mb_s:float ->
-  machine:Procsim.Machine.t ->
-  unit ->
-  t
-(** Defaults: 8 ms average positioning time and 20 MB/s media rate —
-    a late-1990s SCSI disk, matching the paper's hardware era. *)
+val create : machine:Procsim.Machine.t -> unit -> t
+(** An 8 ms average positioning time and a 20 MB/s media rate — a
+    late-1990s SCSI disk, matching the paper's hardware era. *)
 
 val submit :
   t -> container:Rescont.Container.t -> bytes:int -> (unit -> unit) -> unit

@@ -5,11 +5,11 @@ let add_point c ~x ~y = c.pts <- (x, y) :: c.pts
 let curve_name c = c.name
 let points c = List.rev c.pts
 
-let y_at ?(eps = 1e-9) c x =
+let y_at c x =
   (* Abscissae are often computed (e.g. [i * step]), so exact float equality
      misses points; match within a tolerance scaled to the magnitude of [x]
      and return the closest match. *)
-  let tol = eps *. Float.max 1.0 (Float.abs x) in
+  let tol = 1e-9 *. Float.max 1.0 (Float.abs x) in
   List.fold_left
     (fun best (px, py) ->
       let d = Float.abs (px -. x) in

@@ -15,9 +15,9 @@ val curve_name : curve -> string
 val points : curve -> (float * float) list
 (** Points in insertion order. *)
 
-val y_at : ?eps:float -> curve -> float -> float option
+val y_at : curve -> float -> float option
 (** [y_at c x] is the y value recorded closest to [x] within a relative
-    tolerance of [eps] (default [1e-9], scaled by [max 1. |x|]).  Abscissae
+    tolerance of [1e-9], scaled by [max 1. |x|].  Abscissae
     produced by float arithmetic (e.g. [i *. step]) therefore still match
     their nominal grid value. *)
 

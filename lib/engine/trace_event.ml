@@ -21,7 +21,6 @@ type t =
   | Conn_close of { conn : int; refunded_bytes : int }
   | Http_request of { conn : int; path : string; dynamic : bool }
   | Http_response of { conn : int; path : string; bytes : int }
-  | Message of { category : string; message : string }
 
 let resource_name = function
   | Cpu -> "cpu"
@@ -45,7 +44,6 @@ let category = function
   | Net_enqueue _ | Net_dequeue _ -> "netq"
   | Early_discard _ | Rx_discard _ | Syn_drop _ | Accept_drop _ -> "drop"
   | Http_request _ | Http_response _ -> "http"
-  | Message { category; _ } -> category
 
 let render = function
   | Dispatch { cpu; thread; container; work_ns; _ } ->
@@ -80,7 +78,6 @@ let render = function
   | Http_request { conn; path; dynamic } ->
       Printf.sprintf "conn#%d %s %s" conn (if dynamic then "CGI" else "GET") path
   | Http_response { conn; path; bytes } -> Printf.sprintf "conn#%d %s -> %dB" conn path bytes
-  | Message { message; _ } -> message
 
 open Jsonx
 
@@ -138,5 +135,3 @@ let to_json = function
         [ ("conn", Int conn); ("path", String path); ("dynamic", Bool dynamic) ]
   | Http_response { conn; path; bytes } ->
       typed "http_response" [ ("conn", Int conn); ("path", String path); ("bytes", Int bytes) ]
-  | Message { category; message } ->
-      typed "message" [ ("category", String category); ("message", String message) ]

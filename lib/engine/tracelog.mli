@@ -22,14 +22,6 @@ val set_enabled : t -> bool -> unit
 val event : t -> Simtime.t -> Trace_event.t -> unit
 (** Record a typed event (no-op when disabled). *)
 
-val emit : t -> Simtime.t -> category:string -> string -> unit
-(** Record a raw-string {!Trace_event.Message} (no-op when disabled). *)
-
-val emitf :
-  t -> Simtime.t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted emission; the message is only formatted when tracing is
-    enabled — a disabled trace skips the formatting work entirely. *)
-
 val entries : t -> entry list
 (** Retained entries, oldest first. *)
 

@@ -12,8 +12,7 @@ module Socket = Netsim.Socket
 let shares_under policy_of ?(measure = Simtime.sec 10) () =
   let sim = Sim.create () in
   let root = Container.create_root () in
-  let policy = policy_of root in
-  let machine = Machine.create ~sim ~policy ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> policy_of root) ~root () in
   let priorities = [ 30; 20; 10 ] in
   let containers =
     List.mapi
@@ -74,10 +73,11 @@ let scheduler_family_table ?measure () =
 let binding_sizes ~prune ~containers () =
   let sim = Sim.create () in
   let root = Container.create_root () in
-  let policy = Sched.Multilevel.make ~root () in
   let prune_interval = if prune then Simtime.ms 100 else Simtime.sec 3600 in
   let machine =
-    Machine.create ~prune_interval ~prune_age:(Simtime.ms 500) ~sim ~policy ~root ()
+    Machine.create ~prune_interval ~prune_age:(Simtime.ms 500) ~sim
+      ~policy:(fun () -> Sched.Multilevel.make ~root ())
+      ~root ()
   in
   let leaves =
     List.init containers (fun i ->
@@ -109,7 +109,8 @@ let binding_sizes ~prune ~containers () =
   Machine.run_until machine (Simtime.add Simtime.zero (Simtime.sec 5));
   (!peak, !final)
 
-let binding_prune_table ?(containers = 32) () =
+let binding_prune_table () =
+  let containers = 32 in
   let t =
     Engine.Series.table
       ~title:
@@ -232,8 +233,7 @@ let server_share_with ~softirq_charge ?(warmup = Simtime.sec 5) ?(measure = Simt
     ?(concurrent_cgi = 4) () =
   let sim = Sim.create () in
   let root = Container.create_root () in
-  let policy = Sched.Timeshare.make () in
-  let machine = Machine.create ~sim ~policy ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> Sched.Timeshare.make ()) ~root () in
   let server_proc = Procsim.Process.create machine ~name:"httpd" () in
   let stack =
     Netsim.Stack.create ~machine ~mode:Netsim.Stack.Softirq ~softirq_charge

@@ -16,7 +16,8 @@
 val scheduler_family_table :
   ?measure:Engine.Simtime.span -> unit -> Engine.Series.table
 
-val binding_prune_table : ?containers:int -> unit -> Engine.Series.table
+val binding_prune_table : unit -> Engine.Series.table
+(** One thread multiplexed over 32 containers, with and without pruning. *)
 
 val quantum_table :
   ?warmup:Engine.Simtime.span -> ?measure:Engine.Simtime.span -> unit -> Engine.Series.table

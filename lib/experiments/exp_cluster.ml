@@ -148,9 +148,8 @@ let oracle_curve ?(machines = 4) ?shards ?(rhos = [ 0.3; 0.5; 0.7 ]) ?warmup ?me
 (* The acceptance gate: >= 10^5 concurrent connections (rate x hold), a
    moderate per-machine utilisation (~0.62 at ~0.9 ms demand per
    request), and the closed form within 5%. *)
-let gate_point ?(machines = 16) ?shards ?(rate = 10_800.) ?(hold = Simtime.sec 10) ?seed
-    ?cal () =
-  let cal = match cal with Some c -> c | None -> calibrate ?seed () in
+let gate_point ?(machines = 16) ?shards ?(rate = 10_800.) ?(hold = Simtime.sec 10) ?seed () =
+  let cal = calibrate ?seed () in
   oracle_point ~machines ?shards ~rate ~hold ~warmup:(Simtime.sec 11)
     ~measure:(Simtime.sec 8) ?seed ~t0:cal.cal_t0 ()
 
@@ -323,8 +322,10 @@ type qos_point = {
    connections include half-open ones, so least-connections sees the
    flood as load and routes around the machine; round-robin keeps
    sending every Nth request into it. *)
-let qos_run ?(machines = 4) ?(rate = 1_800.) ?(flood_rate = 30_000.)
-    ?(warmup = Simtime.sec 1) ?(measure = Simtime.sec 4) ?(seed = 77) ~policy () =
+let flood_rate = 30_000.
+
+let qos_run ?(machines = 4) ?(rate = 1_800.) ?(warmup = Simtime.sec 1)
+    ?(measure = Simtime.sec 4) ?(seed = 77) ~policy () =
   let c =
     Cluster.create ~machines ~policy ~profile:(Cluster.Poisson rate)
       ~service:(Dist.exponential ~mean:(service_mean_us *. 1000.))
@@ -363,7 +364,7 @@ let qos_run ?(machines = 4) ?(rate = 1_800.) ?(flood_rate = 30_000.)
     q_syn_drops = (Netsim.Stack.stats (Cluster.node_stack c 0)).Netsim.Stack.syn_queue_drops;
   }
 
-let qos_table ?machines ?rate ?flood_rate ?warmup ?measure ?seed () =
+let qos_table ?machines ?rate ?warmup ?measure ?seed () =
   let t =
     Engine.Series.table
       ~title:"Balancer policy under a SYN-flooded machine (machine 0 attacked)"
@@ -373,7 +374,7 @@ let qos_table ?machines ?rate ?flood_rate ?warmup ?measure ?seed () =
   in
   List.iter
     (fun policy ->
-      let p = qos_run ?machines ?rate ?flood_rate ?warmup ?measure ?seed ~policy () in
+      let p = qos_run ?machines ?rate ?warmup ?measure ?seed ~policy () in
       Engine.Series.add_row t
         [
           p.q_policy;

@@ -72,7 +72,6 @@ val gate_point :
   ?rate:float ->
   ?hold:Engine.Simtime.span ->
   ?seed:int ->
-  ?cal:calibration ->
   unit ->
   oracle_point
 (** The acceptance-gate configuration: clients hold connections for 10 s
@@ -157,22 +156,20 @@ type qos_point = {
 val qos_run :
   ?machines:int ->
   ?rate:float ->
-  ?flood_rate:float ->
   ?warmup:Engine.Simtime.span ->
   ?measure:Engine.Simtime.span ->
   ?seed:int ->
   policy:Clustersim.Cluster.policy ->
   unit ->
   qos_point
-(** Machine 0 is SYN-flooded from inside tenant 0's prefix.  Half-open
-    connections are tracked from SYN, so least-connections balancing sees
-    the flood as load and routes around the machine; round-robin keeps
-    feeding it. *)
+(** Machine 0 is SYN-flooded at 30 000 SYN/s from inside tenant 0's
+    prefix.  Half-open connections are tracked from SYN, so
+    least-connections balancing sees the flood as load and routes around
+    the machine; round-robin keeps feeding it. *)
 
 val qos_table :
   ?machines:int ->
   ?rate:float ->
-  ?flood_rate:float ->
   ?warmup:Engine.Simtime.span ->
   ?measure:Engine.Simtime.span ->
   ?seed:int ->

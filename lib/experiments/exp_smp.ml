@@ -85,7 +85,7 @@ let livelock_run ?(good_clients = 16) ?(syn_rate = 40_000.) ?(warmup = Simtime.s
     l_good_rps = float_of_int (Sclient.completed good) /. Simtime.span_to_sec_f measure;
   }
 
-let livelock_table ?(cpus_list = [ 1; 2; 4 ]) ?good_clients ?syn_rate ?warmup ?measure () =
+let livelock_table ?good_clients ?syn_rate ?warmup ?measure () =
   let t =
     Engine.Series.table
       ~title:
@@ -106,7 +106,7 @@ let livelock_table ?(cpus_list = [ 1; 2; 4 ]) ?good_clients ?syn_rate ?warmup ?m
           (if cpus = 1 then "-" else Printf.sprintf "%.0f%%" (100. *. r.l_other_busy_max));
           Printf.sprintf "%.0f" r.l_good_rps;
         ])
-    cpus_list;
+    [ 1; 2; 4 ];
   t
 
 (* --- Fixed-share guarantees while one core is saturated -------------- *)

@@ -28,14 +28,13 @@ val livelock_run :
     hashed elsewhere keep their throughput. *)
 
 val livelock_table :
-  ?cpus_list:int list ->
   ?good_clients:int ->
   ?syn_rate:float ->
   ?warmup:Engine.Simtime.span ->
   ?measure:Engine.Simtime.span ->
   unit ->
   Engine.Series.table
-(** One {!livelock_run} row per processor count (default [1; 2; 4]). *)
+(** One {!livelock_run} row per processor count: 1, 2 and 4. *)
 
 (** {1 Fixed-share guarantees while one core is saturated} *)
 

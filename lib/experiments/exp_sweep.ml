@@ -14,15 +14,14 @@ type result = {
   completed : int;
 }
 
-let grid ?(systems = [ Harness.Unmodified; Harness.Lrp_sys; Harness.Rc_sys ])
-    ?(client_counts = [ 4; 16 ]) ?(seeds = [ 1; 2 ]) () =
+let grid ?(client_counts = [ 4; 16 ]) ?(seeds = [ 1; 2 ]) () =
   Array.of_list
     (List.concat_map
        (fun system ->
          List.concat_map
            (fun clients -> List.map (fun seed -> { system; clients; seed }) seeds)
            client_counts)
-       systems)
+       [ Harness.Unmodified; Harness.Lrp_sys; Harness.Rc_sys ])
 
 (* One grid point is a complete closed-loop run: all randomness (client
    think-time jitter) comes from the point's own seed, so the result is a

@@ -18,15 +18,10 @@ type result = {
   completed : int;
 }
 
-val grid :
-  ?systems:Harness.system list ->
-  ?client_counts:int list ->
-  ?seeds:int list ->
-  unit ->
-  point array
-(** Deterministically ordered cross product (systems, outermost, then
-    client counts, then seeds).  Defaults: all three systems × {4, 16}
-    clients × seeds {1, 2}. *)
+val grid : ?client_counts:int list -> ?seeds:int list -> unit -> point array
+(** Deterministically ordered cross product of all three systems
+    (outermost), client counts, then seeds.  Defaults: {4, 16} clients ×
+    seeds {1, 2}. *)
 
 val run :
   ?cpus:int ->

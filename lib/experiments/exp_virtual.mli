@@ -17,13 +17,8 @@ type guest_result = {
 }
 
 val run :
-  ?shares:float list ->
-  ?clients_per_guest:int list ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  unit ->
-  guest_result list
-(** Defaults: shares [0.5; 0.3; 0.2], client counts [16; 16; 16] (all
-    saturating, so measured share should equal allocation). *)
+  ?warmup:Engine.Simtime.span -> ?measure:Engine.Simtime.span -> unit -> guest_result list
+(** Three guests with shares 0.5, 0.3 and 0.2, each driven by 16 static
+    clients (all saturating, so measured share should equal allocation). *)
 
 val table : unit -> Engine.Series.table

@@ -37,31 +37,24 @@ let observe ?(capacity = 65536) () = Atomic.set observe_capacity (Some capacity)
 let observing () = Atomic.get observe_capacity <> None
 let last_rig () = Atomic.get last
 
-let make_rig ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(limit_window = Simtime.ms 100)
-    ?server_attrs system =
+let make_rig ?(cpus = 1) ?(quantum = Simtime.ms 1) system =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let invariants = Engine.Invariant.create () in
-  let make_policy _cpu =
+  let make_policy () =
     match system with
     | Unmodified | Lrp_sys -> Sched.Timeshare.make ()
-    | Rc_sys -> Sched.Multilevel.make ~window:limit_window ~invariants ~root ()
+    | Rc_sys -> Sched.Multilevel.make ~invariants ~root ()
   in
-  let policy = make_policy 0 in
   let trace =
     match Atomic.get observe_capacity with
     | Some capacity -> Some (Engine.Tracelog.create ~enabled:true ~capacity ())
     | None -> None
   in
-  (* A real SMP rig gets one run-queue shard per processor; the
-     uniprocessor path is untouched (same policy value, same machine). *)
   let machine =
-    if cpus > 1 then
-      Machine.create ~cpus ~shard_policy:make_policy ~quantum ?trace ~sim ~policy ~root
-        ~invariants ()
-    else Machine.create ~cpus ~quantum ?trace ~sim ~policy ~root ~invariants ()
+    Machine.create ~cpus ~quantum ?trace ~sim ~policy:make_policy ~root ~invariants ()
   in
-  let server_proc = Process.create machine ?container_attrs:server_attrs ~name:"httpd" () in
+  let server_proc = Process.create machine ~name:"httpd" () in
   let mode =
     match system with Unmodified -> Stack.Softirq | Lrp_sys -> Stack.Lrp | Rc_sys -> Stack.Rc
   in

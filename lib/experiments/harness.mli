@@ -26,18 +26,10 @@ type rig = {
   cache : Httpsim.File_cache.t;
 }
 
-val make_rig :
-  ?cpus:int ->
-  ?quantum:Engine.Simtime.span ->
-  ?limit_window:Engine.Simtime.span ->
-  ?server_attrs:Rescont.Attrs.t ->
-  system ->
-  rig
-(** Build a rig.  The cache is pre-loaded with "/doc/1k" (1 024 bytes,
-    warm) and a few other documents.  [server_attrs] sets the server
-    process's default container attributes (default: fixed-share class
-    with share 0 — i.e. a node that may own child containers but competes
-    via the timeshare residual; see {!Sched.Multilevel}). *)
+val make_rig : ?cpus:int -> ?quantum:Engine.Simtime.span -> system -> rig
+(** Build a rig.  Each of the [cpus] processors (default 1) gets its own
+    run-queue shard of the system's policy.  The cache is pre-loaded with
+    "/doc/1k" (1 024 bytes, warm) and a few other documents. *)
 
 val run_for : rig -> Engine.Simtime.span -> unit
 (** Advance the simulation by a span. *)

@@ -223,19 +223,13 @@ and run_single_seed ~inject ~cpus ~zipf ?trace_path ~mode ~seed () =
   (* Same policy constructor per run-queue shard; the generated
      scenario itself is a pure function of (seed, mode) — [cpus] only
      changes where its work lands, never the rng stream. *)
-  let make_policy _cpu =
+  let make_policy () =
     match mode with
     | Stack.Rc -> Sched.Multilevel.make ~invariants ~root ()
     | Stack.Softirq | Stack.Lrp -> Sched.Timeshare.make ()
   in
-  let policy = make_policy 0 in
   let trace = Engine.Tracelog.create ~enabled:true ~capacity:4096 () in
-  let machine =
-    if cpus > 1 then
-      Machine.create ~cpus ~shard_policy:make_policy ~sim ~policy ~root ~invariants
-        ~trace ()
-    else Machine.create ~sim ~policy ~root ~invariants ~trace ()
-  in
+  let machine = Machine.create ~cpus ~sim ~policy:make_policy ~root ~invariants ~trace () in
   let server_proc = Process.create machine ~name:"httpd" () in
   let stack =
     Stack.create ~machine ~mode

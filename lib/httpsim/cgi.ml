@@ -16,7 +16,6 @@ type t = {
   server_process : Process.t;
   cgi_parent : Container.t option;
   compute : Simtime.span;
-  response_bytes : int;
   mode : mode;
   mutable active : int;
   mutable completed : int;
@@ -28,6 +27,7 @@ type t = {
 }
 
 let machine t = Stack.machine t.stack
+let response_bytes = 1024
 
 let track_principal t c =
   if not (List.exists (fun x -> Container.id x = Container.id c) t.principals) then
@@ -42,7 +42,7 @@ let run_job t job =
   Machine.cpu ~kernel:false t.compute;
   Machine.cpu ~kernel:true Costs.write_syscall;
   Stack.send t.stack job.conn
-    (Http.response ~now:(Machine.now (machine t)) job.meta ~body_bytes:t.response_bytes);
+    (Http.response ~now:(Machine.now (machine t)) job.meta ~body_bytes:response_bytes);
   Machine.cpu ~kernel:true Costs.close_syscall;
   Stack.close t.stack job.conn;
   (match job.container with Some c -> Container.release c | None -> ());
@@ -77,13 +77,12 @@ let ensure_pool t size =
   end
 
 let create ~stack ~server_process ?cgi_parent ?(compute = Costs.cgi_compute_default)
-    ?(response_bytes = 1024) ?(mode = Fork_per_request) () =
+    ?(mode = Fork_per_request) () =
   {
     stack;
     server_process;
     cgi_parent;
     compute;
-    response_bytes;
     mode;
     active = 0;
     completed = 0;

@@ -20,12 +20,11 @@ val create :
   server_process:Procsim.Process.t ->
   ?cgi_parent:Rescont.Container.t ->
   ?compute:Engine.Simtime.span ->
-  ?response_bytes:int ->
   ?mode:mode ->
   unit ->
   t
 (** Defaults: no containers, {!Costs.cgi_compute_default} of CPU per
-    request, 1 KB responses, [Fork_per_request]. *)
+    request, [Fork_per_request].  Responses are 1 KB. *)
 
 val handler : t -> Netsim.Socket.conn -> Http.meta -> unit
 (** The [dynamic_handler] to plug into {!Event_server.create}.  Must run on

@@ -53,7 +53,6 @@ let create ~stack ~process ~cache ?disk ?(workers = 16)
 
 let served t = Engine.Metrics.counter_value t.served
 let accepts t = Engine.Metrics.counter_value t.accepts
-let active_workers t = t.active
 
 let try_accept t =
   let rec scan = function

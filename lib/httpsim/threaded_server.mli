@@ -28,4 +28,3 @@ val start : t -> unit
 
 val served : t -> int
 val accepts : t -> int
-val active_workers : t -> int

@@ -53,8 +53,6 @@ type t = {
   mode : mode;
   costs : costs;
   mtu : int;
-  latency : Simtime.span;
-  link_bytes_per_ns : float;
   queue_cap : int;
   syn_timeout : Simtime.span;
   softirq_charge : softirq_charge;
@@ -95,7 +93,6 @@ let machine t = t.machine
 let mode t = t.mode
 let stats t = t.stats
 let costs t = t.costs
-let latency t = t.latency
 (* Listeners chain: several server applications may share one stack (e.g.
    virtual hosting), and each adds its own wakeup. *)
 let add_on_event t f =
@@ -114,14 +111,19 @@ let stamp_table_size t = Hashtbl.length t.served_stamp
 let tracked_conns t = Conn_table.length t.conns
 let pool_stats t = Workpool.stats t.pool
 
+(* The access link: one-way propagation latency, and the paper's
+   100 Mbps Fast Ethernet in bytes per nanosecond. *)
+let latency = Simtime.us 150
+let link_bytes_per_ns = 100. *. 1e6 /. 8. /. 1e9
+
 (* Wire time of a payload on the access link: propagation plus
-   serialisation at the link rate (a 4 MB response takes ~1/3 s on the
-   paper's 100 Mbps Fast Ethernet, however fast the CPU). *)
-let delivery_delay t payload =
+   serialisation at the link rate (a 4 MB response takes ~1/3 s however
+   fast the CPU). *)
+let delivery_delay payload =
   let transfer_ns =
-    int_of_float (Float.round (float_of_int payload.Payload.bytes /. t.link_bytes_per_ns))
+    int_of_float (Float.round (float_of_int payload.Payload.bytes /. link_bytes_per_ns))
   in
-  Simtime.span_add t.latency (Simtime.span_of_ns transfer_ns)
+  Simtime.span_add latency (Simtime.span_of_ns transfer_ns)
 
 (* Schedule a client-bound event no earlier than everything already sent
    on this connection: per-connection FIFO, like TCP. *)
@@ -355,7 +357,7 @@ let rec perform t (w : Workpool.item) =
       | None ->
           t.stats.refused <- t.stats.refused + 1;
           let client = w.client in
-          schedule t t.latency (fun () -> client.Socket.on_refused ())
+          schedule t latency (fun () -> client.Socket.on_refused ())
       | Some l ->
           if tracing t then
             tell t
@@ -375,7 +377,7 @@ let rec perform t (w : Workpool.item) =
           charge_rx (container_of_work t w) 1 40;
           (* SYN|ACK goes out; a real client ACKs one round trip later. *)
           if w.completes then
-            schedule t (Simtime.span_add t.latency t.latency) (fun () -> ack_arrival t conn))
+            schedule t (Simtime.span_add latency latency) (fun () -> ack_arrival t conn))
   | Workpool.Ack ->
       let conn = w.conn in
       charge_rx (container_of_work t w) 1 40;
@@ -403,7 +405,7 @@ let rec perform t (w : Workpool.item) =
               Queue.push conn l.Socket.accept_queue;
               t.stats.conns_established <- t.stats.conns_established + 1;
               t.on_event ();
-              schedule t t.latency (fun () ->
+              schedule t latency (fun () ->
                   conn.Socket.client.Socket.on_established conn)
             end
       end
@@ -712,10 +714,8 @@ let add_service ?cpu t ~name ~home ~covers =
   | Some svc -> t.services <- svc :: t.services
   | None -> ()
 
-let create ?(mtu = 1460) ?(latency = Simtime.us 150) ?(costs = default_costs)
-    ?(link_mbps = 100.) ?(queue_cap = 64) ?(syn_timeout = Simtime.sec 75)
-    ?(softirq_charge = Charge_system) ~machine ~mode ~owner () =
-  if link_mbps <= 0. then invalid_arg "Stack.create: link rate must be positive";
+let create ?(mtu = 1460) ?(costs = default_costs) ?(queue_cap = 64)
+    ?(syn_timeout = Simtime.sec 75) ?(softirq_charge = Charge_system) ~machine ~mode ~owner () =
   let system = Machine.system_container machine in
   let t =
     {
@@ -723,8 +723,6 @@ let create ?(mtu = 1460) ?(latency = Simtime.us 150) ?(costs = default_costs)
       mode;
       costs;
       mtu;
-      latency;
-      link_bytes_per_ns = link_mbps *. 1e6 /. 8. /. 1e9;
       queue_cap;
       syn_timeout;
       softirq_charge;
@@ -899,7 +897,7 @@ let send t conn payload =
   | Some c -> Container.charge_tx c ~packets ~bytes:payload.Payload.bytes
   | None -> Container.charge_tx t.owner ~packets ~bytes:payload.Payload.bytes);
   if conn.Socket.state = Socket.Established || conn.Socket.state = Socket.Close_wait then
-    schedule_to_client t conn (delivery_delay t payload) (fun () ->
+    schedule_to_client t conn (delivery_delay payload) (fun () ->
         conn.Socket.client.Socket.on_response conn payload)
 
 let close t conn =
@@ -920,11 +918,11 @@ let close t conn =
       tell t
         (Engine.Trace_event.Conn_close
            { conn = conn.Socket.conn_id; refunded_bytes = !refunded });
-    schedule_to_client t conn t.latency (fun () -> conn.Socket.client.Socket.on_closed conn)
+    schedule_to_client t conn latency (fun () -> conn.Socket.client.Socket.on_closed conn)
   end
 
 let connect t ~src ?(src_port = 0) ~port ~handlers () =
-  schedule t t.latency (fun () ->
+  schedule t latency (fun () ->
       syn_arrival t ~src ~src_port ~port ~client:handlers ~completes:true)
 
 (* External arrival injection for cross-shard dispatch: the balancer
@@ -941,12 +939,12 @@ let inject_connect_at t ~at ~src ~src_port ~port ~handlers =
    cluster's dispatch lookahead is derived from. *)
 let syn_wire_bytes = 40
 
-let syn_delivery_delay t = delivery_delay t (Payload.make ~bytes:syn_wire_bytes Simtime.zero)
+let syn_delivery_delay = delivery_delay (Payload.make ~bytes:syn_wire_bytes Simtime.zero)
 
 let client_send t conn payload =
-  schedule t (delivery_delay t payload) (fun () -> data_arrival t conn payload)
+  schedule t (delivery_delay payload) (fun () -> data_arrival t conn payload)
 
-let client_close t conn = schedule t t.latency (fun () -> fin_arrival t conn)
+let client_close t conn = schedule t latency (fun () -> fin_arrival t conn)
 
 let inject_syn t ~src ~port =
   schedule t Simtime.span_zero (fun () ->

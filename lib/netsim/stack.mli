@@ -19,7 +19,7 @@
 
     The client side of the network (remote machines, switch) is abstract
     and infinitely fast: client behaviour lives in callbacks invoked after
-    the configured one-way latency. *)
+    the one-way latency (150 µs). *)
 
 type mode = Softirq | Lrp | Rc
 
@@ -65,9 +65,7 @@ type softirq_charge =
 
 val create :
   ?mtu:int ->
-  ?latency:Engine.Simtime.span ->
   ?costs:costs ->
-  ?link_mbps:float ->
   ?queue_cap:int ->
   ?syn_timeout:Engine.Simtime.span ->
   ?softirq_charge:softirq_charge ->
@@ -80,15 +78,13 @@ val create :
     no more specific container is bound (in [Lrp] mode: always; in [Rc]
     mode: the fallback) — normally the server process's default container.
     [queue_cap] bounds each deferred-processing queue (default 64 packets,
-    like a BSD [ipintrq]).  Defaults: MTU 1460, one-way latency 150 µs,
-    100 Mbps access link (message delivery takes latency plus
-    serialisation time at the link rate), SYN timeout 75 s. *)
+    like a BSD [ipintrq]).  Defaults: MTU 1460, SYN timeout 75 s.
+    Messages cross the access link of {!delivery_delay}. *)
 
 val machine : t -> Procsim.Machine.t
 val mode : t -> mode
 val stats : t -> stats
 val costs : t -> costs
-val latency : t -> Engine.Simtime.span
 
 val add_on_event : t -> (unit -> unit) -> unit
 (** Register a callback invoked whenever a socket becomes readable or
@@ -175,7 +171,7 @@ val inject_connect_at :
     fire-and-forget event per arrival.
     @raise Invalid_argument if [at] is in this machine's past. *)
 
-val syn_delivery_delay : t -> Engine.Simtime.span
+val syn_delivery_delay : Engine.Simtime.span
 (** Wire time of a bare SYN segment (40 bytes, the size the receive path
     charges per connection attempt): one-way latency plus serialisation
     at the link rate.  This is the balancer->machine delivery delay, and
@@ -230,11 +226,12 @@ val demux_lookup : t -> port:int -> src:Ipaddr.t -> Socket.listen option
 (** The production early demultiplexer: first match in the port-indexed,
     specificity-sorted {!Demux} table. *)
 
-val delivery_delay : t -> Payload.t -> Engine.Simtime.span
-(** Wire time of a payload on the access link: one-way latency plus
-    serialisation at the link rate.  Exposed so measurement code can
-    recover a message's arrival instant from its [created] stamp (the
-    cluster experiments compute server-side sojourns this way). *)
+val delivery_delay : Payload.t -> Engine.Simtime.span
+(** Wire time of a payload on the access link: one-way latency (150 µs)
+    plus serialisation at the link rate (100 Mbps).  Every stack has the
+    same link.  Exposed so measurement code can recover a message's
+    arrival instant from its [created] stamp (the cluster experiments
+    compute server-side sojourns this way). *)
 
 val reap : t -> int
 (** Remove closed connections from the registry, returning how many were

@@ -64,11 +64,7 @@ type handlers = {
 
 type t = {
   sim : Sim.t;
-  pol : Sched.Policy.t; (* = shards.(0); kept as the public "the policy" view *)
-  shards : Sched.Policy.t array; (* one run-queue shard per processor; all
-                                    physically equal when the machine runs a
-                                    single shared queue *)
-  sharded : bool; (* true iff the shards are distinct policy instances *)
+  shards : Sched.Policy.t array; (* one run-queue shard per processor, all distinct *)
   root : Container.t;
   quantum : int;
   currents : dispatch option array; (* one slot per processor *)
@@ -91,7 +87,6 @@ type t = {
   mutable tslot_used : int;
   mutable on_idle : unit -> unit;
   invariants : Engine.Invariant.t;
-  mutable starvation_bound : int; (* ns a non-idle thread may wait while idle runs *)
   trace : Engine.Tracelog.t;
   metrics : Engine.Metrics.t;
   c_dispatches : Engine.Metrics.counter;
@@ -128,7 +123,6 @@ let sim m = m.sim
 let now m = Sim.now m.sim
 let root m = m.root
 let system_container m = m.root
-let policy m = m.pol
 let busy_time m = Simtime.span_of_ns m.busy
 
 let busy_time_on m cpu =
@@ -317,17 +311,14 @@ and steal_from m ~cpu k =
   let n = cpus m in
   if k >= n then no_thread
   else
-    let vpol = m.shards.((cpu + k) mod n) in
-    if vpol == m.shards.(cpu) then steal_from m ~cpu (k + 1)
-    else
-      let thread = pick_thread m vpol in
-      if thread != no_thread && (not thread.pinned) && thread.state = Ready
-         && thread.task.Task.home_cpu <> cpu
-      then begin
-        migrate m thread ~to_cpu:cpu;
-        thread
-      end
-      else steal_from m ~cpu (k + 1)
+    let thread = pick_thread m m.shards.((cpu + k) mod n) in
+    if thread != no_thread && (not thread.pinned) && thread.state = Ready
+       && thread.task.Task.home_cpu <> cpu
+    then begin
+      migrate m thread ~to_cpu:cpu;
+      thread
+    end
+    else steal_from m ~cpu (k + 1)
 
 and dispatch_next m = dispatch_from m 0
 
@@ -353,7 +344,7 @@ and dispatch_from m cpu =
           let pol = m.shards.(cpu) in
           let thread =
             let local = pick_thread m pol in
-            if local == no_thread && m.sharded then steal_from m ~cpu 1 else local
+            if local == no_thread then steal_from m ~cpu 1 else local
           in
           if thread == no_thread then begin
             (match pol.Sched.Policy.next_release ~now:(now m) with
@@ -455,27 +446,43 @@ let rebalance m =
   done;
   if !moved then kick m
 
-let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
-    ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 100)
-    ?(prune_age = Simtime.ms 500) ?trace ?metrics ?invariants ~sim ~policy:pol ~root () =
+(* Tasks queued across every shard.  A loop rather than a fold: the
+   network stack asks on every service pick. *)
+let runnable_tasks m =
+  let n = ref 0 in
+  for i = 0 to Array.length m.shards - 1 do
+    n := !n + m.shards.(i).Sched.Policy.runnable_count ()
+  done;
+  !n
+
+let rebalance_interval = Simtime.ms 5
+
+(* How long a runnable non-idle thread may wait while an idle-class
+   thread holds its processor before [sched.no-idle-starvation] fails. *)
+let starvation_bound_ns = Simtime.span_to_ns (Simtime.ms 100)
+
+let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 100)
+    ?(prune_age = Simtime.ms 500) ?trace ?invariants ~sim ~policy ~root () =
   if cpus <= 0 then invalid_arg "Machine.create: cpus must be positive";
+  (* Run-queue membership is intrusive (a task records the one queue
+     holding it), so two processors must never share a policy. *)
+  let shards = Array.init cpus (fun _ -> policy ()) in
+  for i = 1 to cpus - 1 do
+    for j = 0 to i - 1 do
+      if shards.(j) == shards.(i) then
+        invalid_arg
+          (Printf.sprintf "Machine.create: processors %d and %d got the same policy" j i)
+    done
+  done;
   let trace = match trace with Some t -> t | None -> Engine.Tracelog.create () in
-  let metrics = match metrics with Some r -> r | None -> Engine.Metrics.create () in
+  let metrics = Engine.Metrics.create () in
   let invariants =
     match invariants with Some i -> i | None -> Engine.Invariant.create ()
   in
-  let shards =
-    Array.init cpus (fun i ->
-        if i = 0 then pol
-        else match shard_policy with Some f -> f i | None -> pol)
-  in
-  let sharded = cpus > 1 && shard_policy <> None in
   let m =
     {
       sim;
-      pol;
       shards;
-      sharded;
       root;
       quantum = Simtime.span_to_ns quantum;
       currents = Array.make cpus None;
@@ -497,7 +504,6 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
       tslot_used = 0;
       on_idle = (fun () -> ());
       invariants;
-      starvation_bound = Simtime.span_to_ns (Simtime.ms 100);
       trace;
       metrics;
       c_dispatches = Engine.Metrics.counter metrics "sched.dispatches";
@@ -569,13 +575,8 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
         d);
   m.dispatch_some <- Array.map (fun d -> Some d) m.dispatch_pool;
   Engine.Metrics.gauge metrics "machine.busy_ns" (fun () -> float_of_int m.busy);
-  let runnable_total () =
-    if m.sharded then
-      Array.fold_left (fun acc p -> acc + p.Sched.Policy.runnable_count ()) 0 m.shards
-    else m.pol.Sched.Policy.runnable_count ()
-  in
   Engine.Metrics.gauge metrics "machine.runnable_tasks" (fun () ->
-      float_of_int (runnable_total ()));
+      float_of_int (runnable_tasks m));
   (* Per-CPU gauges only at cpus > 1, so uniprocessor metric snapshots are
      unchanged by the SMP work. *)
   if cpus > 1 then
@@ -583,8 +584,7 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
       Engine.Metrics.gauge metrics (Printf.sprintf "machine.busy_ns.cpu%d" i) (fun () ->
           float_of_int m.busy_cpu.(i))
     done;
-  if sharded then
-    ignore (Sim.every sim rebalance_interval (fun () -> rebalance m));
+  if cpus > 1 then ignore (Sim.every sim rebalance_interval (fun () -> rebalance m));
   Engine.Metrics.gauge metrics "rc.root.cpu_ns" (fun () ->
       float_of_int (Rescont.Usage.cpu_ns (Container.subtree_usage root)));
   Engine.Metrics.gauge metrics "rc.root.memory_bytes" (fun () ->
@@ -665,21 +665,19 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
       !bad);
   I.register invariants ~law:"sched.no-idle-starvation" (fun () ->
       (* Checked per processor: an idle-class thread holding cpu [i] only
-         starves a non-idle thread that competes for cpu [i] — on a sharded
-         machine that is a thread homed on the same shard (the scheduler
+         starves a non-idle thread homed on the same shard (the scheduler
          prefers non-idle work within a shard; a backlog on a *different*
          saturated shard is ordinary queueing, not an idle-semantics
-         violation).  With one shared queue every thread competes for every
-         processor, which recovers the original global law. *)
+         violation).  On a uniprocessor this is the global law. *)
       let container_of th = Binding.resource_binding th.task.Task.binding in
       let now_ns = Simtime.to_ns (now m) in
       let starved_on cpu =
         List.find_opt
           (fun th ->
             th.state = Ready
-            && ((not m.sharded) || th.task.Task.home_cpu = cpu)
+            && th.task.Task.home_cpu = cpu
             && (not (Attrs.is_idle_class (Container.attrs (container_of th))))
-            && now_ns - Simtime.to_ns th.ready_since > m.starvation_bound)
+            && now_ns - Simtime.to_ns th.ready_since > starvation_bound_ns)
           m.threads
       in
       let bad = ref (Ok ()) in
@@ -707,24 +705,20 @@ let create ?(cpus = 1) ?shard_policy ?(rebalance_interval = Simtime.ms 5)
   m
 
 (* Initial placement: the least-loaded shard, counting both queued tasks
-   and an occupied processor slot; ties go to the lowest CPU.  On a
-   single-queue machine everything lands on (the notional) CPU 0. *)
+   and an occupied processor slot; ties go to the lowest CPU. *)
 let place m =
-  if not m.sharded then 0
-  else begin
-    let best = ref 0 and best_score = ref max_int in
-    for i = 0 to cpus m - 1 do
-      let score =
-        m.shards.(i).Sched.Policy.runnable_count ()
-        + (match m.currents.(i) with Some _ -> 1 | None -> 0)
-      in
-      if score < !best_score then begin
-        best := i;
-        best_score := score
-      end
-    done;
-    !best
-  end
+  let best = ref 0 and best_score = ref max_int in
+  for i = 0 to cpus m - 1 do
+    let score =
+      m.shards.(i).Sched.Policy.runnable_count ()
+      + (match m.currents.(i) with Some _ -> 1 | None -> 0)
+    in
+    if score < !best_score then begin
+      best := i;
+      best_score := score
+    end
+  done;
+  !best
 
 let spawn m ?(kernel = false) ?cpu ~name ~container body =
   Engine.Metrics.incr m.c_spawns;
@@ -861,10 +855,7 @@ let invariants m = m.invariants
 
 let check_invariants m = Engine.Invariant.check m.invariants
 
-let arm_invariants ?(interval = Simtime.ms 10) ?starvation_bound m =
-  (match starvation_bound with
-  | Some b -> m.starvation_bound <- Simtime.span_to_ns b
-  | None -> ());
+let arm_invariants ?(interval = Simtime.ms 10) m =
   Engine.Invariant.arm m.invariants;
   Container.arm_strict_memory (Container.run m.root);
   ignore (Sim.every m.sim interval (fun () -> Engine.Invariant.check_exn m.invariants))
@@ -876,18 +867,3 @@ let run_until m horizon =
   if Engine.Invariant.armed m.invariants then Engine.Invariant.check_exn m.invariants
 
 let set_on_idle m f = m.on_idle <- f
-
-let runnable_tasks m =
-  if m.sharded then
-    Array.fold_left (fun acc p -> acc + p.Sched.Policy.runnable_count ()) 0 m.shards
-  else m.pol.Sched.Policy.runnable_count ()
-
-let runnable_tasks_on m cpu =
-  if cpu < 0 || cpu >= cpus m then invalid_arg "Machine.runnable_tasks_on: no such processor";
-  m.shards.(cpu).Sched.Policy.runnable_count ()
-
-let shard m cpu =
-  if cpu < 0 || cpu >= cpus m then invalid_arg "Machine.shard: no such processor";
-  m.shards.(cpu)
-
-let sharded m = m.sharded

@@ -1,9 +1,9 @@
-(** The simulated uniprocessor machine: threads, blocking, dispatching.
+(** The simulated machine: threads, blocking, dispatching.
 
     Threads are OCaml effect-based coroutines, so simulated kernel and
     application code is written in direct style: [Machine.cpu] consumes
     simulated CPU, [Waitq.wait] blocks, and the dispatcher interleaves
-    threads under the machine's scheduling policy in quanta, charging every
+    threads under the machine's scheduling policies in quanta, charging every
     consumed slice to the running thread's resource-binding container.
 
     Interrupt-level work (NIC interrupts, softirq protocol processing in
@@ -17,16 +17,13 @@ type thread
 
 val create :
   ?cpus:int ->
-  ?shard_policy:(int -> Sched.Policy.t) ->
-  ?rebalance_interval:Engine.Simtime.span ->
   ?quantum:Engine.Simtime.span ->
   ?prune_interval:Engine.Simtime.span ->
   ?prune_age:Engine.Simtime.span ->
   ?trace:Engine.Tracelog.t ->
-  ?metrics:Engine.Metrics.t ->
   ?invariants:Engine.Invariant.t ->
   sim:Engine.Sim.t ->
-  policy:Sched.Policy.t ->
+  policy:(unit -> Sched.Policy.t) ->
   root:Rescont.Container.t ->
   unit ->
   t
@@ -37,16 +34,17 @@ val create :
     control the periodic pruning of scheduler-binding sets (paper §4.3;
     defaults 100 ms / 500 ms).
 
-    [policy] serves processor 0.  With [shard_policy], processors
-    [1 .. cpus-1] each get their own run-queue shard [shard_policy i] and
-    the machine runs as a real SMP kernel: tasks are stamped with a home
-    CPU at spawn (least-loaded shard, or the [?cpu] pin), an idle processor
-    steals runnable work from other shards, and a periodic container-aware
-    rebalance (every [rebalance_interval], default 5 ms) moves tasks from
-    the deepest to the shallowest queue.  Migration only ever moves a task
-    to a strictly less-loaded shard, so fixed-share guarantees cannot be
-    diluted by it.  Without [shard_policy], all processors share [policy]
-    — one global queue, the pre-SMP behaviour. *)
+    [policy] is called once per processor, in processor order, and each
+    result is that processor's run-queue shard.  Tasks are stamped with a
+    home CPU at spawn (least-loaded shard, or the [?cpu] pin).  At
+    [cpus > 1] an idle processor steals runnable work from other shards,
+    and a periodic container-aware rebalance (every 5 ms) moves tasks
+    from the deepest to the shallowest queue.  Migration only ever moves
+    a task to a strictly less-loaded shard, so fixed-share guarantees
+    cannot be diluted by it.
+    @raise Invalid_argument if [cpus <= 0], or if [policy] returns the
+    same policy for two processors (a task can sit in one run queue
+    only). *)
 
 val sim : t -> Engine.Sim.t
 val now : t -> Engine.Simtime.t
@@ -54,16 +52,6 @@ val root : t -> Rescont.Container.t
 
 val system_container : t -> Rescont.Container.t
 (** Where consumption "charged to no process at all" lands (the root). *)
-
-val policy : t -> Sched.Policy.t
-(** Processor 0's scheduling policy (the only one unless the machine was
-    created with [shard_policy]). *)
-
-val shard : t -> int -> Sched.Policy.t
-(** The run-queue shard serving the given processor. *)
-
-val sharded : t -> bool
-(** [true] iff the machine runs distinct per-CPU run-queue shards. *)
 
 val busy_time : t -> Engine.Simtime.span
 (** Total CPU time consumed so far (slices + stolen interrupt time),
@@ -178,23 +166,21 @@ val invariants : t -> Engine.Invariant.t
     the global sum and no processor exceeds its committed time horizon),
     [cpu.subtree-rollup], [memory.non-negative] (no container's memory
     balance below zero) and [sched.no-idle-starvation] (no non-idle
-    runnable thread competing for a processor waits past a bound while an
-    idle-class thread holds that processor — per-CPU on a sharded
-    machine); the network stack, scheduler and caches sharing the machine
-    register their own laws here. *)
+    runnable thread homed on a processor waits past 100 ms while an
+    idle-class thread holds that processor); the network stack,
+    scheduler and caches sharing the machine register their own laws
+    here. *)
 
 val check_invariants : t -> Engine.Invariant.violation list
 (** Run every registered law now (independent of arming). *)
 
-val arm_invariants :
-  ?interval:Engine.Simtime.span -> ?starvation_bound:Engine.Simtime.span -> t -> unit
+val arm_invariants : ?interval:Engine.Simtime.span -> t -> unit
 (** Arm the registry: check every law every [interval] of simulated time
     (default 10 ms) and at every {!run_until} horizon, raising
     {!Engine.Invariant.Violation} on the first broken law.  Also arms
     strict memory accounting for the machine's run
     ({!Rescont.Container.arm_strict_memory}), so double refunds raise at
-    the charge site; other runs in the process are unaffected.
-    [starvation_bound] (default 100 ms) tunes [sched.no-idle-starvation]. *)
+    the charge site; other runs in the process are unaffected. *)
 
 val set_on_idle : t -> (unit -> unit) -> unit
 (** [on_idle] fires when the dispatcher finds no eligible task {e and}
@@ -209,9 +195,6 @@ val runnable_tasks : t -> int
     a processor are dequeued while they run, so from inside a running
     thread this counts the {e other} runnable tasks. *)
 
-val runnable_tasks_on : t -> int -> int
-(** Number of tasks queued in one processor's shard. *)
-
 val cpus : t -> int
 
 val trace : t -> Engine.Tracelog.t
@@ -220,7 +203,7 @@ val trace : t -> Engine.Tracelog.t
     "irq", "migrate", "charge". *)
 
 val metrics : t -> Engine.Metrics.t
-(** The machine's metrics registry (fresh unless one was passed at
-    creation).  The machine registers the [sched.*] and [machine.*]
-    counters and gauges plus root-subtree [rc.root.*] gauges; other
-    subsystems sharing the machine register their own instruments here. *)
+(** The machine's metrics registry, made with the machine.  The machine
+    registers the [sched.*] and [machine.*] counters and gauges plus
+    root-subtree [rc.root.*] gauges; other subsystems sharing the machine
+    register their own instruments here. *)

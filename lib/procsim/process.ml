@@ -12,20 +12,18 @@ type t = {
 }
 
 (* Pids count per run, from the machine's root. *)
-let make machine ~container_parent ~container_attrs ~descriptors ~name =
+let make machine ~container_parent ~descriptors ~name =
   let pid = Container.fresh_id (Container.run (Machine.root machine)) Container.Pids in
   let default_container =
-    Container.create
-      ~name:(Printf.sprintf "proc-%s-%d" name pid)
-      ?attrs:container_attrs ~parent:container_parent ()
+    Container.create ~name:(Printf.sprintf "proc-%s-%d" name pid) ~parent:container_parent ()
   in
   { pid; name; machine; default_container; descriptors; threads = []; container_parent }
 
-let create machine ?container_parent ?container_attrs ~name () =
+let create machine ?container_parent ~name () =
   let container_parent =
     match container_parent with Some c -> c | None -> Machine.root machine
   in
-  make machine ~container_parent ~container_attrs ~descriptors:(Desc_table.create ()) ~name
+  make machine ~container_parent ~descriptors:(Desc_table.create ()) ~name
 
 let pid t = t.pid
 let name t = t.name
@@ -40,9 +38,9 @@ let spawn_thread t ?container ~name body =
   t.threads <- thread :: t.threads;
   thread
 
-let fork t ?container_attrs ~name body =
+let fork t ~name body =
   let child =
-    make t.machine ~container_parent:t.container_parent ~container_attrs
+    make t.machine ~container_parent:t.container_parent
       ~descriptors:(Desc_table.inherit_all t.descriptors) ~name
   in
   let thread = spawn_thread child ~name:(name ^ "-main") body in

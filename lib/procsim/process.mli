@@ -7,15 +7,10 @@
 
 type t
 
-val create :
-  Machine.t ->
-  ?container_parent:Rescont.Container.t ->
-  ?container_attrs:Rescont.Attrs.t ->
-  name:string ->
-  unit ->
-  t
-(** Create a process with a fresh default container.  The container is a
-    child of [container_parent] (default: the machine root). *)
+val create : Machine.t -> ?container_parent:Rescont.Container.t -> name:string -> unit -> t
+(** Create a process with a fresh default container of default attributes.
+    The container is a child of [container_parent] (default: the machine
+    root). *)
 
 val pid : t -> int
 val name : t -> string
@@ -29,8 +24,7 @@ val spawn_thread :
 (** Spawn a thread bound initially to [container] (default: the process's
     default container). *)
 
-val fork :
-  t -> ?container_attrs:Rescont.Attrs.t -> name:string -> (unit -> unit) -> t * Machine.thread
+val fork : t -> name:string -> (unit -> unit) -> t * Machine.thread
 (** [fork parent ~name body] models [fork()]: the child process receives a
     copy of the parent's container descriptor table (each descriptor
     re-referenced), a fresh default container created beside the parent's,

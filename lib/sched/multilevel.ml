@@ -54,9 +54,10 @@ type cstate = {
   fs : floats;
 }
 
-let make ?(window = Simtime.ms 100) ?invariants ~root () =
-  let window_ns = Simtime.span_to_ns window in
-  if window_ns <= 0 then invalid_arg "Multilevel.make: window must be positive";
+(* The CPU-limit accounting window. *)
+let window_ns = Simtime.span_to_ns (Simtime.ms 100)
+
+let make ?invariants ~root () =
   let runq = Runq.create () in
   (match invariants with
   | Some registry ->

@@ -10,19 +10,13 @@
     - {b idle-class} containers (priority 0) run only when nothing else in
       the whole hierarchy is eligible;
     - {b CPU limits} ([cpu_limit] attribute) are enforced over an
-      accounting window: once a container subtree has consumed its limit
+      accounting window of 100 ms: once a container subtree has consumed its limit
       within the window, its tasks are ineligible until the window rolls
       over — the "resource sandbox" of §4.8/§5.6.
 
     Only leaf containers hold runnable tasks (threads bind to leaves,
     §5.1); interior nodes aggregate. *)
 
-val make :
-  ?window:Engine.Simtime.span ->
-  ?invariants:Engine.Invariant.t ->
-  root:Rescont.Container.t ->
-  unit ->
-  Policy.t
-(** [window] is the CPU-limit accounting window (default 100 ms).
-    [invariants], when given, receives the [sched.runq-counts] law
+val make : ?invariants:Engine.Invariant.t -> root:Rescont.Container.t -> unit -> Policy.t
+(** [invariants], when given, receives the [sched.runq-counts] law
     ({!Runq.validate} over this policy's run queue). *)

@@ -9,10 +9,8 @@ module Container = Rescont.Container
 
    Membership lives on the task rather than in a hash table, so the
    per-packet enqueue/dequeue cycle does no hashing and no allocation.
-   A task can only carry one queue's fields; the rare second queue (the
-   scheduler equivalence tests enqueue one task into an optimised and a
-   reference policy at once) falls back to a per-queue [overflow] table
-   with the exact same semantics, which is never probed while empty.
+   A task carries one queue's fields, so it sits in at most one run
+   queue at a time; enqueueing it into a second one raises.
 
    Every container the queue has met owns one [node], found through a
    flat array indexed by [Container.slot]: its ring (allocated when a task
@@ -55,13 +53,12 @@ type node = {
 }
 
 type t = {
-  mutable id : int; (* matches Task.rq_owner for tasks tracked intrusively; 0 until the first *)
+  mutable id : int; (* matches Task.rq_owner of the tasks queued here; 0 until the first *)
   mutable queued : int array; (* bucket heads ([ix], -1 if empty) of the nodes with a ring *)
   mutable nqueued : int;
   mutable nodes : node option array; (* Container.slot -> node *)
   mutable all : node array; (* every node, in creation order, in [0, nall) *)
   mutable nall : int;
-  overflow : (int, int * int) Hashtbl.t; (* task id -> (container slot, stamp) *)
   mutable busy : node array; (* the rings with live tasks, in slots [0, nbusy) *)
   mutable nbusy : int;
   mutable total : int; (* live tasks across all queues *)
@@ -80,7 +77,6 @@ let create () =
     nodes = Array.make 64 None;
     all = [||];
     nall = 0;
-    overflow = Hashtbl.create 8;
     busy = [||];
     nbusy = 0;
     total = 0;
@@ -300,22 +296,11 @@ let queue_for t container =
   end;
   n
 
-let owns t (task : Task.t) = task.Task.rq_owner = t.id
+let mem t (task : Task.t) = task.Task.rq_owner = t.id
 
-let mem t (task : Task.t) =
-  owns t task || (Hashtbl.length t.overflow > 0 && Hashtbl.mem t.overflow task.Task.id)
-
-(* Liveness of a ring entry: the fast path is three field compares on the
-   task itself; overflow membership is consulted only for tasks owned by
-   another queue. *)
+(* Liveness of a ring entry: three field compares on the task itself. *)
 let entry_live t slot (task : Task.t) stamp =
-  if task.Task.rq_owner = t.id then task.Task.rq_slot = slot && task.Task.rq_stamp = stamp
-  else
-    Hashtbl.length t.overflow > 0
-    &&
-    match Hashtbl.find t.overflow task.Task.id with
-    | s, st -> s = slot && st = stamp
-    | exception Not_found -> false
+  task.Task.rq_owner = t.id && task.Task.rq_slot = slot && task.Task.rq_stamp = stamp
 
 let ring_push n task stamp =
   let cap = Array.length n.tasks in
@@ -376,19 +361,19 @@ let compact t n =
 
 let enqueue t (task : Task.t) =
   if not (mem t task) then begin
+    if task.Task.rq_owner >= 0 then
+      invalid_arg
+        (Printf.sprintf "Runq.enqueue: task#%d is queued in another run queue" task.Task.id);
     sync t;
     let container = Task.container task in
     let n = queue_for t container in
     let stamp = t.next_stamp in
     t.next_stamp <- stamp + 1;
     ring_push n task stamp;
-    if task.Task.rq_owner < 0 then begin
-      if t.id = 0 then t.id <- Container.fresh_id (Container.run container) Container.Runq_ids;
-      task.Task.rq_owner <- t.id;
-      task.Task.rq_slot <- n.slot;
-      task.Task.rq_stamp <- stamp
-    end
-    else Hashtbl.replace t.overflow task.Task.id (n.slot, stamp);
+    if t.id = 0 then t.id <- Container.fresh_id (Container.run container) Container.Runq_ids;
+    task.Task.rq_owner <- t.id;
+    task.Task.rq_slot <- n.slot;
+    task.Task.rq_stamp <- stamp;
     if n.live = 0 then begin
       refresh_chain t n;
       busy_add t n
@@ -400,22 +385,10 @@ let enqueue t (task : Task.t) =
   end
 
 let dequeue t (task : Task.t) =
-  let slot =
-    if owns t task then begin
-      let slot = task.Task.rq_slot in
-      task.Task.rq_owner <- -1;
-      task.Task.rq_slot <- -1;
-      slot
-    end
-    else if Hashtbl.length t.overflow = 0 then -1
-    else
-      match Hashtbl.find t.overflow task.Task.id with
-      | slot, _stamp ->
-          Hashtbl.remove t.overflow task.Task.id;
-          slot
-      | exception Not_found -> -1
-  in
-  if slot >= 0 then begin
+  if mem t task then begin
+    let slot = task.Task.rq_slot in
+    task.Task.rq_owner <- -1;
+    task.Task.rq_slot <- -1;
     sync t;
     match t.nodes.(slot) with
     | Some n ->
@@ -522,16 +495,6 @@ let validate t =
   if !mismatch = None && t.nbusy <> !busy then
     mismatch :=
       Some (Printf.sprintf "busy set holds %d queues but %d have live tasks" t.nbusy !busy);
-  Hashtbl.iter
-    (fun task_id (slot, _stamp) ->
-      let queued =
-        slot < Array.length t.nodes
-        && match t.nodes.(slot) with Some n -> Array.length n.tasks > 0 | None -> false
-      in
-      if !mismatch = None && not queued then
-        mismatch :=
-          Some (Printf.sprintf "overflow task#%d mapped to slot %d with no queue" task_id slot))
-    t.overflow;
   (match !mismatch with
   | Some _ -> ()
   | None ->

@@ -10,10 +10,12 @@ type t
 val create : unit -> t
 
 val enqueue : t -> Task.t -> unit
-(** Add under the task's current container; no-op if already queued. *)
+(** Add under the task's current container; no-op if already queued.
+    A task sits in at most one run queue.
+    @raise Invalid_argument if another run queue holds the task. *)
 
 val dequeue : t -> Task.t -> unit
-(** Remove wherever it is queued; no-op if absent. *)
+(** Remove from this queue; no-op if the task is not queued here. *)
 
 val requeue : t -> Task.t -> unit
 (** [dequeue] then [enqueue] under the (possibly new) binding. *)

@@ -11,11 +11,8 @@ type t = {
   kernel : bool;  (** [true] for kernel threads, e.g. per-process network threads. *)
   mutable rq_owner : int;
       (** Intrusive run-queue bookkeeping, owned by {!Runq}: the id of
-          the run queue currently holding the task ([-1] when none).
-          Membership checks read a task field instead of a hash table;
-          a task queued in {e two} run queues at once (the scheduler
-          equivalence tests do this) overflows into the second queue's
-          side table. *)
+          the one run queue currently holding the task ([-1] when none).
+          Membership checks read a task field instead of a hash table. *)
   mutable rq_slot : int;
       (** {!Rescont.Container.slot} of the container the task is queued
           under; owned by {!Runq}. *)
@@ -25,8 +22,8 @@ type t = {
           none; owned by [Procsim.Machine]. *)
   mutable home_cpu : int;
       (** Processor whose run-queue shard currently holds (or last held)
-          the task; owned by [Procsim.Machine].  Always [0] on a machine
-          with a single shared queue. *)
+          the task; owned by [Procsim.Machine].  Always [0] on a
+          uniprocessor. *)
 }
 
 val create : ?kernel:bool -> name:string -> Rescont.Binding.t -> t

@@ -12,7 +12,7 @@ module Disk = Disksim.Disk
 let make_rig () =
   let sim = Sim.create () in
   let root = Container.create_root () in
-  let machine = Machine.create ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root () in
   let disk = Disk.create ~machine () in
   (sim, root, machine, disk)
 

@@ -164,7 +164,7 @@ let make_rig mode =
     | Stack.Softirq | Stack.Lrp -> Sched.Timeshare.make ()
     | Stack.Rc -> Sched.Multilevel.make ~root ()
   in
-  let machine = Machine.create ~sim ~policy ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> policy) ~root () in
   let proc = Process.create machine ~name:"httpd" () in
   let stack = Stack.create ~machine ~mode ~owner:(Process.default_container proc) () in
   let cache = File_cache.create () in

@@ -114,7 +114,7 @@ let make_machine () =
   let root = Container.create_root () in
   let invariants = Invariant.create () in
   let policy = Sched.Multilevel.make ~invariants ~root () in
-  let machine = Machine.create ~sim ~policy ~root ~invariants () in
+  let machine = Machine.create ~sim ~policy:(fun () -> policy) ~root ~invariants () in
   (sim, root, machine)
 
 let test_cpu_conservation_holds () =

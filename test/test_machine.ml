@@ -17,7 +17,7 @@ let make_machine ?(policy = `Multilevel) () =
     | `Multilevel -> Sched.Multilevel.make ~root ()
     | `Timeshare -> Sched.Timeshare.make ()
   in
-  let machine = Machine.create ~sim ~policy:pol ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> pol) ~root () in
   (sim, root, machine)
 
 let leaf root name = Container.create ~parent:root ~name ~attrs:(Attrs.timeshare ()) ()
@@ -270,7 +270,7 @@ let test_smp_parallel_progress () =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let machine =
-    Machine.create ~cpus:2 ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root ()
+    Machine.create ~cpus:2 ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ()
   in
   let mk name =
     let c = leaf root name in
@@ -293,7 +293,7 @@ let test_smp_single_thread_no_speedup () =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let machine =
-    Machine.create ~cpus:4 ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root ()
+    Machine.create ~cpus:4 ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ()
   in
   let c = leaf root "solo" in
   let finished = ref Simtime.zero in
@@ -309,7 +309,7 @@ let test_smp_irq_on_cpu0_only () =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let machine =
-    Machine.create ~cpus:2 ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root ()
+    Machine.create ~cpus:2 ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ()
   in
   (* A long interrupt storm parks processor 0; a thread spawned after it
      still runs immediately on processor 1. *)
@@ -377,7 +377,7 @@ let test_tracing () =
   let root = Container.create_root () in
   let trace = Engine.Tracelog.create ~enabled:true () in
   let machine =
-    Machine.create ~trace ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root ()
+    Machine.create ~trace ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ()
   in
   let a = leaf root "a" and b = leaf root "b" in
   ignore
@@ -469,17 +469,13 @@ let test_kill_blocked_thread () =
   Machine.run_until machine (Simtime.of_ns 10_000_000);
   Alcotest.(check bool) "killed thread never resumes" false !resumed
 
-(* --- Sharded (per-CPU run queue) machines ---------------------------- *)
+(* --- Multiprocessor machines: one run-queue shard per CPU ------------ *)
 
 let make_smp ?(cpus = 2) () =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let machine =
-    Machine.create ~cpus
-      ~shard_policy:(fun _ -> Sched.Multilevel.make ~root ())
-      ~sim
-      ~policy:(Sched.Multilevel.make ~root ())
-      ~root ()
+    Machine.create ~cpus ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ()
   in
   (sim, root, machine)
 
@@ -593,6 +589,16 @@ let test_smp_rebind_on_cpu1 () =
   Alcotest.(check int) "cpu 0 idle throughout" 0
     (Simtime.span_to_ns (Machine.busy_time_on machine 0))
 
+(* Every processor's run-queue shard is its own policy: a factory that
+   hands two processors the same one is refused. *)
+let test_smp_one_policy_per_cpu () =
+  let sim = Sim.create () in
+  let root = Container.create_root () in
+  let shared = Sched.Multilevel.make ~root () in
+  Alcotest.check_raises "shared policy refused"
+    (Invalid_argument "Machine.create: processors 0 and 1 got the same policy") (fun () ->
+      ignore (Machine.create ~cpus:2 ~sim ~policy:(fun () -> shared) ~root ()))
+
 (* Random mixes of pinned/unpinned, CPU-burning, sleeping threads at 1, 2
    and 4 processors, with the conservation laws armed: the per-CPU busy
    counters must partition the global [cpu.conservation] total exactly. *)
@@ -605,11 +611,7 @@ let prop_per_cpu_busy_partitions_total =
       let sim = Sim.create () in
       let root = Container.create_root () in
       let machine =
-        Machine.create ~cpus
-          ~shard_policy:(fun _ -> Sched.Multilevel.make ~root ())
-          ~sim
-          ~policy:(Sched.Multilevel.make ~root ())
-          ~root ()
+        Machine.create ~cpus ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ()
       in
       Machine.arm_invariants machine;
       List.iteri
@@ -686,7 +688,9 @@ let slice_budget_run policy =
   in
   (* Binding pruning rebuilds a list every [prune_interval]; keep it out
      of the window. *)
-  let machine = Machine.create ~prune_interval:(Simtime.sec 100) ~sim ~policy:pol ~root () in
+  let machine =
+    Machine.create ~prune_interval:(Simtime.sec 100) ~sim ~policy:(fun () -> pol) ~root ()
+  in
   let group =
     Container.create ~parent:root ~name:"group" ~attrs:(Attrs.fixed_share ~share:0.5 ()) ()
   in
@@ -806,4 +810,5 @@ let suite =
     Alcotest.test_case "waitq FIFO order" `Quick test_waitq_fifo_order;
     Alcotest.test_case "kill blocked thread" `Quick test_kill_blocked_thread;
     Alcotest.test_case "timeshare slice counts are hermetic" `Quick test_slice_counts_hermetic;
+    Alcotest.test_case "SMP one policy per processor" `Quick test_smp_one_policy_per_cpu;
   ]

@@ -157,7 +157,7 @@ let make_rig mode =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let policy = Sched.Multilevel.make ~root () in
-  let machine = Machine.create ~sim ~policy ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> policy) ~root () in
   let proc = Process.create machine ~name:"srv" () in
   let owner = Process.default_container proc in
   let stack = Stack.create ~machine ~mode ~owner () in
@@ -332,7 +332,7 @@ let test_softirq_steals_from_current () =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let policy = Sched.Timeshare.make () in
-  let machine = Machine.create ~sim ~policy ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> policy) ~root () in
   let proc = Process.create machine ~name:"srv" () in
   let owner = Process.default_container proc in
   let stack =
@@ -433,7 +433,7 @@ let test_close_refunds_buffered_rx () =
 let test_syn_timeout_counted () =
   let sim = Sim.create () in
   let root = Container.create_root () in
-  let machine = Machine.create ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root () in
   let proc = Process.create machine ~name:"srv" () in
   let owner = Process.default_container proc in
   let stack =
@@ -616,7 +616,7 @@ let prop_syn_drops_exactly_once =
       let sim = Sim.create () in
       let root = Container.create_root () in
       let policy = Sched.Multilevel.make ~root () in
-      let machine = Machine.create ~sim ~policy ~root () in
+      let machine = Machine.create ~sim ~policy:(fun () -> policy) ~root () in
       let proc = Process.create machine ~name:"srv" () in
       let stack =
         Stack.create ~machine ~mode:Stack.Softirq ~syn_timeout:(Simtime.ms 50)
@@ -751,8 +751,9 @@ let test_net_routing () =
   (* Second machine sharing the same event engine. *)
   let root_b = Container.create_root () in
   let machine_b =
-    Machine.create ~sim:rig_a.sim ~policy:(Sched.Multilevel.make ~root:root_b ()) ~root:root_b
-      ()
+    Machine.create ~sim:rig_a.sim
+      ~policy:(fun () -> Sched.Multilevel.make ~root:root_b ())
+      ~root:root_b ()
   in
   let proc_b = Process.create machine_b ~name:"b" () in
   let stack_b =

@@ -18,7 +18,9 @@ let run_scenario () =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let trace = Tracelog.create ~enabled:true ~capacity:8192 () in
-  let machine = Machine.create ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root ~trace () in
+  let machine =
+    Machine.create ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ~trace ()
+  in
   let proc = Process.create machine ~name:"httpd" () in
   let stack =
     Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container proc) ()
@@ -46,7 +48,9 @@ let per_connection_run () =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let trace = Tracelog.create ~enabled:true ~capacity:8192 () in
-  let machine = Machine.create ~sim ~policy:(Sched.Multilevel.make ~root ()) ~root ~trace () in
+  let machine =
+    Machine.create ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ~trace ()
+  in
   let proc = Process.create machine ~name:"httpd" () in
   let stack =
     Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container proc) ()

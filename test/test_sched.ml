@@ -146,6 +146,34 @@ let test_runq_busy_set_law () =
   check Runq.Swap_busy_children "busy children of p: cached [c; a], recomputed [a; c]";
   check Runq.Stray_idle_child "busy children of p: cached [a; b; c], recomputed [a; c]"
 
+(* A task's membership fields name one run queue, so a second queue
+   refuses it rather than tracking it on the side, and the refusal
+   leaves both queues as they were. *)
+let test_runq_one_queue_per_task () =
+  let _, _, leaves = setup_leaves 2 in
+  let a = List.nth leaves 0 and b = List.nth leaves 1 in
+  let q1 = Runq.create () and q2 = Runq.create () in
+  let t = task_on a "t" and u = task_on b "u" in
+  Runq.enqueue q1 t;
+  Runq.enqueue q2 u;
+  let state () = (Runq.count q1, Runq.validate q1, Runq.count q2, Runq.validate q2) in
+  let before = state () in
+  Alcotest.check_raises "enqueue into a second queue"
+    (Invalid_argument
+       (Printf.sprintf "Runq.enqueue: task#%d is queued in another run queue" t.Task.id))
+    (fun () -> Runq.enqueue q2 t);
+  let show (c1, v1, c2, v2) =
+    let r = function Ok () -> "ok" | Error e -> e in
+    Printf.sprintf "q1 %d %s, q2 %d %s" c1 (r v1) c2 (r v2)
+  in
+  Alcotest.(check string) "both queues unchanged" (show before) (show (state ()));
+  Alcotest.(check bool) "still in the first" true (Runq.mem q1 t);
+  Alcotest.(check bool) "not in the second" false (Runq.mem q2 t);
+  (* Once the first queue lets go, the second may take it. *)
+  Runq.dequeue q1 t;
+  Runq.enqueue q2 t;
+  Alcotest.(check int) "moved" 2 (Runq.count q2)
+
 (* {1 Policy harness}
 
    Run a policy directly (no machine): repeatedly pick, charge a fixed
@@ -242,7 +270,7 @@ let test_multilevel_cpu_limit () =
     Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:0.3 ~cpu_limit:0.3 ()) ()
   in
   let free = Container.create ~parent:root ~attrs:(ts 10) () in
-  let policy = Sched.Multilevel.make ~window:(Simtime.ms 100) ~root () in
+  let policy = Sched.Multilevel.make ~root () in
   let count = run_policy policy [ task_on capped "c"; task_on free "f" ] ~slices:1000 in
   Alcotest.(check bool) "cap enforced" true (abs (count capped - 300) < 40)
 
@@ -251,7 +279,7 @@ let test_multilevel_limit_leaves_cpu_idle () =
   let capped =
     Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:0.2 ~cpu_limit:0.2 ()) ()
   in
-  let policy = Sched.Multilevel.make ~window:(Simtime.ms 100) ~root () in
+  let policy = Sched.Multilevel.make ~root () in
   let count = run_policy policy [ task_on capped "c" ] ~slices:1000 in
   (* Even alone, a hard limit caps consumption (20 of each 100 slices). *)
   Alcotest.(check bool) "throttled alone" true (count capped <= 220);
@@ -261,7 +289,7 @@ let test_multilevel_limit_leaves_cpu_idle () =
   let capped3 =
     Container.create ~parent:root3 ~attrs:(Attrs.fixed_share ~share:0.2 ~cpu_limit:0.2 ()) ()
   in
-  let policy3 = Sched.Multilevel.make ~window:(Simtime.ms 100) ~root:root3 () in
+  let policy3 = Sched.Multilevel.make ~root:root3 () in
   let count3 = run_policy policy3 [ task_on capped3 "c3" ] ~slices:50 in
   Alcotest.(check bool) "20 slices then throttled" true (count3 capped3 <= 22);
   (match some_task (policy3.Sched.Policy.pick ~now:(Simtime.of_ns 50_000_000)) with
@@ -465,7 +493,9 @@ let test_runq_lazy_reenqueue () =
    their creation order and the order their tasks arrive in, and the
    residual 0.4 gives each of two equal timeshare siblings a weight of
    exactly 0.2, tying with the 0.2 share; the off-by-an-ulp residual of
-   any other order breaks those ties differently from the reference. *)
+   any other order breaks those ties differently from the reference.  A
+   task sits in one run queue, so each policy queues its own twin: same
+   name, same container. *)
 let test_multilevel_share_sum_order () =
   let root = Container.create_root () in
   let p = Container.create ~parent:root ~name:"p" ~attrs:(fixed 0.5) () in
@@ -478,9 +508,9 @@ let test_multilevel_share_sum_order () =
   let opt = Sched.Multilevel.make ~root () and refp = Spec.Multilevel_ref.make ~root () in
   List.iteri
     (fun i c ->
-      let t = task_on c (Printf.sprintf "t%d" i) in
-      opt.Sched.Policy.enqueue t;
-      refp.Sched.Policy.enqueue t)
+      let name = Printf.sprintf "t%d" i in
+      opt.Sched.Policy.enqueue (task_on c name);
+      refp.Sched.Policy.enqueue (task_on c name))
     (shares @ timeshare);
   for i = 1 to 300 do
     let now = Simtime.of_ns (i * 1_000_000) in
@@ -508,7 +538,9 @@ let test_multilevel_share_sum_order () =
    0.1, 0.2 and 0.3, adopted in random order, whose float sum depends on
    the order the eligibility pass adds them.  After every step the
    optimised policy's [sched.runq-counts] law must hold: its incrementally
-   re-synced subtree counts and busy sets equal a from-scratch rebuild. *)
+   re-synced subtree counts and busy sets equal a from-scratch rebuild.
+   A task sits in one run queue, so the reference queues a twin of every
+   task (same name, same container) and picks are compared through it. *)
 let prop_multilevel_matches_reference =
   QCheck2.Test.make ~name:"multilevel matches reference pick-for-pick" ~count:25
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -566,6 +598,12 @@ let prop_multilevel_matches_reference =
                 task_on leaf (Printf.sprintf "%s.t%d" (Container.name leaf) i)))
           leaves
       in
+      let twins = Hashtbl.create 64 in
+      let add_twin t =
+        Hashtbl.replace twins t.Task.id (task_on (Task.container t) t.Task.name)
+      in
+      let twin t = Hashtbl.find twins t.Task.id in
+      List.iter add_twin tasks;
       let invariants = Engine.Invariant.create () in
       let opt = Sched.Multilevel.make ~invariants ~root () in
       let refp = Spec.Multilevel_ref.make ~root () in
@@ -576,7 +614,7 @@ let prop_multilevel_matches_reference =
       let marked = ref [||] in
       let enqueue_both t =
         opt.Sched.Policy.enqueue t;
-        refp.Sched.Policy.enqueue t
+        refp.Sched.Policy.enqueue (twin t)
       in
       List.iter enqueue_both tasks;
       let random_task () = !tasks_arr.(Engine.Rng.int rng (Array.length !tasks_arr)) in
@@ -592,7 +630,7 @@ let prop_multilevel_matches_reference =
         | 0 ->
             let t = random_task () in
             opt.Sched.Policy.dequeue t;
-            refp.Sched.Policy.dequeue t
+            refp.Sched.Policy.dequeue (twin t)
         | 1 -> enqueue_both (random_task ())
         | 2 -> (
             (* Re-shape the tree under both schedulers' feet. *)
@@ -610,6 +648,7 @@ let prop_multilevel_matches_reference =
               Container.create ~parent:g ~name:(Printf.sprintf "n%d" step) ~attrs:(ts (prio ())) ()
             in
             let t = task_on leaf (Printf.sprintf "n%d.t" step) in
+            add_twin t;
             tasks_arr := Array.append !tasks_arr [| t |];
             enqueue_both t
         | 5 | 6 ->
@@ -634,7 +673,7 @@ let prop_multilevel_matches_reference =
             let pr = some_task (refp.Sched.Policy.pick ~now:!now) in
             (match (po, pr) with
             | None, None -> ()
-            | Some a, Some b when Task.equal a b -> ()
+            | Some a, Some b when Task.equal (twin a) b -> ()
             | _ ->
                 let name = function Some t -> t.Task.name | None -> "<none>" in
                 ok := false;
@@ -690,4 +729,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stride_accuracy;
     Alcotest.test_case "multilevel share sum order" `Quick test_multilevel_share_sum_order;
     QCheck_alcotest.to_alcotest prop_multilevel_matches_reference;
+    Alcotest.test_case "runq one queue per task" `Quick test_runq_one_queue_per_task;
   ]

@@ -170,21 +170,22 @@ let test_event_core_allocates_nothing () =
 
 let test_tracelog () =
   let module T = Engine.Tracelog in
+  let kill i = Engine.Trace_event.Kill { thread = Printf.sprintf "thread %d" i } in
   let tr = T.create ~enabled:true ~capacity:4 () in
   for i = 1 to 6 do
-    T.emitf tr (Simtime.of_ns i) ~category:"cat" "event %d" i
+    T.event tr (Simtime.of_ns i) (kill i)
   done;
   let entries = T.entries tr in
   Alcotest.(check int) "capacity bound" 4 (List.length entries);
   (match entries with
   | first :: _ ->
-      Alcotest.(check string) "oldest retained" "event 3"
+      Alcotest.(check string) "oldest retained" "thread 3"
         (Engine.Trace_event.render first.T.event)
   | [] -> Alcotest.fail "no entries");
-  Alcotest.(check int) "find by category" 4 (List.length (T.find tr ~category:"cat"));
+  Alcotest.(check int) "find by category" 4 (List.length (T.find tr ~category:"kill"));
   Alcotest.(check int) "find missing" 0 (List.length (T.find tr ~category:"nope"));
   T.set_enabled tr false;
-  T.emit tr Simtime.zero ~category:"cat" "dropped";
+  T.event tr Simtime.zero (kill 7);
   Alcotest.(check int) "disabled drops" 4 (List.length (T.entries tr));
   T.clear tr;
   Alcotest.(check int) "cleared" 0 (List.length (T.entries tr))

@@ -12,7 +12,7 @@ let make_rig () =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let policy = Sched.Multilevel.make ~root () in
-  let machine = Machine.create ~sim ~policy ~root () in
+  let machine = Machine.create ~sim ~policy:(fun () -> policy) ~root () in
   let proc = Process.create machine ~name:"srv" () in
   let stack = Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container proc) () in
   let cache = Httpsim.File_cache.create () in
