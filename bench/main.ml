@@ -558,7 +558,10 @@ let bench_demux ~listens ~table =
   let stack = make_demux_stack listens in
   let srcs = Array.init 64 (fun i -> Netsim.Ipaddr.v 10 (i mod 8) (i mod 32) 7) in
   let lookup =
-    if table then Netsim.Stack.demux_lookup else Spec.Demux_ref.lookup
+    if table then Netsim.Stack.demux_lookup
+    else
+      let installed = Netsim.Stack.listens stack in
+      fun _ ~port ~src -> Spec.Demux_ref.lookup installed ~port ~src
   in
   let k = ref 0 in
   Test.make

@@ -50,25 +50,7 @@ let metrics_out_flag =
 
 let run_baseline _jobs fast csv =
   let measure = if fast then Simtime.sec 2 else Simtime.sec 5 in
-  let t =
-    Engine.Series.table ~title:"Baseline throughput (paper §5.3, unmodified kernel, 1KB cached)"
-      ~columns:
-        [ "connection mode"; "throughput (req/s)"; "paper (req/s)"; "CPU/request (us)";
-          "paper (us)" ]
-  in
-  List.iter
-    (fun persistent ->
-      let r = Experiments.Exp_baseline.run ~measure ~persistent () in
-      Engine.Series.add_row t
-        [
-          (if persistent then "persistent (HTTP/1.1)" else "connection per request");
-          Printf.sprintf "%.0f" r.Experiments.Exp_baseline.throughput;
-          (if persistent then "9487" else "2954");
-          Printf.sprintf "%.1f" r.Experiments.Exp_baseline.cpu_per_request_us;
-          (if persistent then "105" else "338");
-        ])
-    [ false; true ];
-  print_table ~csv t
+  print_table ~csv (Experiments.Exp_baseline.table ~measure ())
 
 let run_table1 _jobs _fast csv = print_table ~csv (Experiments.Exp_table1.table ())
 

@@ -1,11 +1,12 @@
 #!/bin/sh
-# CI gate: build everything, run the test suites, replay the repository
-# benchmark's full windows against perfbench/golden.json, check the
-# fast-path benchmarks against the committed baseline (BENCH_PR15.json),
-# verify the sharded-execution determinism contract (shards=N
-# byte-identical to shards=1), and check that fuzz and ablation output
-# does not depend on what else ran in the process.  Referenced from
-# README.md "Install and build".
+# CI gate: build everything, run the test suites, run every example
+# twice (same output, exit 0), replay the repository benchmark's full
+# windows against perfbench/golden.json, check the fast-path benchmarks
+# against the committed baseline (BENCH_PR15.json), verify the
+# sharded-execution determinism contract (shards=N byte-identical to
+# shards=1), and check that fuzz and ablation output does not depend on
+# what else ran in the process.  Referenced from README.md "Install and
+# build".
 set -eu
 cd "$(dirname "$0")"
 
@@ -14,6 +15,14 @@ dune build @all
 
 echo "== dune runtest"
 dune runtest
+
+echo "== examples (each must exit 0 and print the same output on a second run)"
+for src in examples/*.ml; do
+  name=$(basename "$src" .ml)
+  _build/default/examples/"$name".exe > "${TMPDIR:-/tmp}/rc-example-$name.1"
+  _build/default/examples/"$name".exe > "${TMPDIR:-/tmp}/rc-example-$name.2"
+  cmp "${TMPDIR:-/tmp}/rc-example-$name.1" "${TMPDIR:-/tmp}/rc-example-$name.2"
+done
 
 echo "== perfbench output check (full windows at seeds 1 and 7; every repetition must match golden.json)"
 # dune runtest replays only tiny windows at seed 1.  run.py exits 1 when

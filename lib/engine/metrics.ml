@@ -1,12 +1,7 @@
 type labels = (string * string) list
 
 type counter = { c_name : string; c_labels : labels; mutable c_value : int }
-type histogram = { h_name : string; h_labels : labels; h_hist : Stats.Histogram.t }
-
-type instrument =
-  | I_counter of counter
-  | I_gauge of (unit -> float) ref
-  | I_histogram of histogram
+type instrument = I_counter of counter | I_gauge of (unit -> float) ref
 
 type entry = { e_name : string; e_labels : labels; e_instrument : instrument }
 
@@ -28,10 +23,7 @@ let key name labels =
     labels;
   Buffer.contents buf
 
-let kind_name = function
-  | I_counter _ -> "counter"
-  | I_gauge _ -> "gauge"
-  | I_histogram _ -> "histogram"
+let kind_name = function I_counter _ -> "counter" | I_gauge _ -> "gauge"
 
 let conflict name existing wanted =
   invalid_arg
@@ -69,39 +61,16 @@ let gauge t ?(labels = []) name read =
       Hashtbl.replace t.by_key k
         { e_name = name; e_labels = labels; e_instrument = I_gauge (ref read) }
 
-let histogram t ?(labels = []) ~lo ~hi ~buckets name =
-  let labels = normalize labels in
-  let k = key name labels in
-  match Hashtbl.find_opt t.by_key k with
-  | Some { e_instrument = I_histogram h; _ } -> h
-  | Some { e_instrument; _ } -> conflict name e_instrument "histogram"
-  | None ->
-      let h = { h_name = name; h_labels = labels; h_hist = Stats.Histogram.create ~lo ~hi ~buckets } in
-      Hashtbl.replace t.by_key k { e_name = name; e_labels = labels; e_instrument = I_histogram h };
-      h
-
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let counter_value c = c.c_value
-let observe h x = Stats.Histogram.add h.h_hist x
 
-type value =
-  | Counter of int
-  | Gauge of float
-  | Histogram of { lo : float; hi : float; total : int; counts : int array }
+type value = Counter of int | Gauge of float
 
 type sample = { name : string; labels : labels; value : value }
 
 let read_instrument = function
   | I_counter c -> Counter c.c_value
   | I_gauge cell -> Gauge (!cell ())
-  | I_histogram h ->
-      Histogram
-        {
-          lo = Stats.Histogram.lo h.h_hist;
-          hi = Stats.Histogram.hi h.h_hist;
-          total = Stats.Histogram.count h.h_hist;
-          counts = Stats.Histogram.bucket_counts h.h_hist;
-        }
 
 let snapshot t =
   Hashtbl.fold
@@ -126,16 +95,6 @@ let sample_to_json s =
   match s.value with
   | Counter v -> Obj (base @ [ ("kind", String "counter"); ("value", Int v) ])
   | Gauge v -> Obj (base @ [ ("kind", String "gauge"); ("value", Float v) ])
-  | Histogram { lo; hi; total; counts } ->
-      Obj
-        (base
-        @ [
-            ("kind", String "histogram");
-            ("lo", Float lo);
-            ("hi", Float hi);
-            ("total", Int total);
-            ("counts", List (Array.to_list (Array.map (fun c -> Int c) counts)));
-          ])
 
 let to_json t =
   let open Jsonx in
@@ -156,7 +115,5 @@ let pp ppf t =
       in
       match s.value with
       | Counter v -> Format.fprintf ppf "%-40s %d@." (s.name ^ labels) v
-      | Gauge v -> Format.fprintf ppf "%-40s %.3f@." (s.name ^ labels) v
-      | Histogram { total; _ } ->
-          Format.fprintf ppf "%-40s histogram n=%d@." (s.name ^ labels) total)
+      | Gauge v -> Format.fprintf ppf "%-40s %.3f@." (s.name ^ labels) v)
     (snapshot t)

@@ -1,6 +1,6 @@
 (** A registry of named, optionally labelled metrics.
 
-    Subsystems register three kinds of instrument:
+    Subsystems register two kinds of instrument:
 
     - {e counters}: monotonically increasing integers mutated on the hot
       path (an increment costs one field write — cheap enough for the
@@ -8,22 +8,19 @@
     - {e gauges}: pull-style — a closure sampled at snapshot time, used to
       expose existing mutable statistics (e.g. the network stack's drop
       counters) without duplicating state, so the exported value agrees
-      with the in-process view by construction;
-    - {e histograms}: bounded-bucket distributions (see
-      {!Stats.Histogram}).
+      with the in-process view by construction.
 
-    Identity is [(name, labels)].  Requesting an existing counter or
-    histogram returns the registered instrument (so several components may
-    share one by name); registering a gauge under an existing identity
-    replaces the previous closure.  Snapshots are sorted by name then
-    labels, so exports are deterministic. *)
+    Identity is [(name, labels)].  Requesting an existing counter returns
+    the registered instrument (so several components may share one by
+    name); registering a gauge under an existing identity replaces the
+    previous closure.  Snapshots are sorted by name then labels, so
+    exports are deterministic. *)
 
 type t
 
 type labels = (string * string) list
 
 type counter
-type histogram
 
 val create : unit -> t
 
@@ -31,7 +28,6 @@ val create : unit -> t
 
 val counter : t -> ?labels:labels -> string -> counter
 val gauge : t -> ?labels:labels -> string -> (unit -> float) -> unit
-val histogram : t -> ?labels:labels -> lo:float -> hi:float -> buckets:int -> string -> histogram
 (** @raise Invalid_argument when an existing identity is bound to an
     instrument of a different kind. *)
 
@@ -46,14 +42,10 @@ val register_counter : t -> counter -> unit
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
-val observe : histogram -> float -> unit
 
 (** {1 Snapshots} *)
 
-type value =
-  | Counter of int
-  | Gauge of float
-  | Histogram of { lo : float; hi : float; total : int; counts : int array }
+type value = Counter of int | Gauge of float
 
 type sample = { name : string; labels : labels; value : value }
 
@@ -65,8 +57,7 @@ val value : t -> ?labels:labels -> string -> value option
 
 val to_json : t -> Jsonx.t
 (** [{ "schema_version": 1, "metrics": [ {"name", "labels", "kind",
-    ...} ] }] — counters/gauges carry ["value"]; histograms carry ["lo"],
-    ["hi"], ["total"] and ["counts"]. *)
+    "value"} ] }], with ["kind"] either ["counter"] or ["gauge"]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Aligned human-readable dump of a snapshot. *)

@@ -93,136 +93,3 @@ module Reservoir = struct
 
   let median t = percentile t 0.5
 end
-
-module Histogram = struct
-  type t = { lo : float; hi : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~buckets =
-    if hi <= lo then invalid_arg "Histogram.create: hi <= lo";
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets must be positive";
-    { lo; hi; counts = Array.make buckets 0; total = 0 }
-
-  let add t x =
-    let buckets = Array.length t.counts in
-    let idx =
-      if x <= t.lo then 0
-      else if x >= t.hi then buckets - 1
-      else int_of_float (float_of_int buckets *. (x -. t.lo) /. (t.hi -. t.lo))
-    in
-    let idx = Stdlib.min idx (buckets - 1) in
-    t.counts.(idx) <- t.counts.(idx) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-  let lo t = t.lo
-  let hi t = t.hi
-  let bucket_counts t = Array.copy t.counts
-
-  let pp ppf t =
-    let buckets = Array.length t.counts in
-    let width = (t.hi -. t.lo) /. float_of_int buckets in
-    let peak = Array.fold_left Stdlib.max 1 t.counts in
-    Array.iteri
-      (fun i c ->
-        let bar = String.make (40 * c / peak) '#' in
-        Format.fprintf ppf "[%8.3f,%8.3f) %6d %s@." (t.lo +. (width *. float_of_int i))
-          (t.lo +. (width *. float_of_int (i + 1)))
-          c bar)
-      t.counts
-end
-
-module Rate = struct
-  (* Marks live in a fixed-capacity ring so memory stays bounded over long
-     runs; [count] remains the all-time weighted total. *)
-  type t = {
-    capacity : int;
-    times : int array; (* timestamps in ns *)
-    weights : int array;
-    mutable head : int; (* next write position *)
-    mutable len : int; (* retained marks, <= capacity *)
-    mutable count : int;
-    mutable latest : int; (* ns of the most recent mark *)
-    mutable dropped : int; (* weighted marks overwritten by ring wrap *)
-  }
-
-  let create ?(capacity = 4096) () =
-    if capacity <= 0 then invalid_arg "Rate.create: capacity must be positive";
-    {
-      capacity;
-      times = Array.make capacity 0;
-      weights = Array.make capacity 0;
-      head = 0;
-      len = 0;
-      count = 0;
-      latest = min_int;
-      dropped = 0;
-    }
-
-  let mark t ?(weight = 1) now =
-    let ns = Simtime.to_ns now in
-    if t.len = t.capacity then t.dropped <- t.dropped + t.weights.(t.head);
-    t.times.(t.head) <- ns;
-    t.weights.(t.head) <- weight;
-    t.head <- (t.head + 1) mod t.capacity;
-    if t.len < t.capacity then t.len <- t.len + 1;
-    t.count <- t.count + weight;
-    if ns > t.latest then t.latest <- ns
-
-  let count t = t.count
-  let retained t = t.len
-  let dropped t = t.dropped
-
-  (* Timestamp of the oldest retained mark (only meaningful when len > 0). *)
-  let earliest_ns t =
-    let start = ((t.head - t.len) mod t.capacity + t.capacity) mod t.capacity in
-    t.times.(start)
-
-  let covered_since t = if t.len = 0 || t.dropped = 0 then None else Some (Simtime.of_ns (earliest_ns t))
-
-  let fold_marks t f init =
-    let acc = ref init in
-    let start = ((t.head - t.len) mod t.capacity + t.capacity) mod t.capacity in
-    for i = 0 to t.len - 1 do
-      let idx = (start + i) mod t.capacity in
-      acc := f !acc t.times.(idx) t.weights.(idx)
-    done;
-    !acc
-
-  let rate_over t window =
-    let secs = Simtime.span_to_sec_f window in
-    if secs <= 0. || t.len = 0 then 0.
-    else begin
-      let cutoff = t.latest - Simtime.span_to_ns window in
-      if t.dropped = 0 || earliest_ns t <= cutoff then begin
-        (* Every mark inside the window is still retained: exact. *)
-        let in_window =
-          fold_marks t (fun acc ts w -> if ts > cutoff && ts <= t.latest then acc + w else acc) 0
-        in
-        float_of_int in_window /. secs
-      end
-      else begin
-        (* Ring saturated inside the window: marks that old were
-           overwritten, so dividing the retained weight by the full window
-           would under-report (the pre-fix behaviour capped the result near
-           capacity/window).  Report the rate over the span the ring still
-           covers, (earliest retained, latest]; the earliest mark itself is
-           excluded because the gap preceding it is unknown. *)
-        let e = earliest_ns t in
-        let covered_secs = float_of_int (t.latest - e) /. 1e9 in
-        if covered_secs <= 0. then
-          (* Degenerate: every retained mark shares one timestamp; fall
-             back to the requested window. *)
-          float_of_int (fold_marks t (fun acc _ w -> acc + w) 0) /. secs
-        else begin
-          let in_cov = fold_marks t (fun acc ts w -> if ts > e then acc + w else acc) 0 in
-          float_of_int in_cov /. covered_secs
-        end
-      end
-    end
-
-  let rate_between t t0 t1 =
-    let lo = Simtime.to_ns t0 and hi = Simtime.to_ns t1 in
-    let in_window = fold_marks t (fun acc ts w -> if ts >= lo && ts < hi then acc + w else acc) 0 in
-    let secs = Simtime.span_to_sec_f (Simtime.diff t1 t0) in
-    if secs <= 0. then 0. else float_of_int in_window /. secs
-end

@@ -38,67 +38,3 @@ module Reservoir : sig
 
   val median : t -> float
 end
-
-module Histogram : sig
-  (** Fixed-width-bucket histogram over a known range. *)
-
-  type t
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val lo : t -> float
-  val hi : t -> float
-  val bucket_counts : t -> int array
-  val pp : Format.formatter -> t -> unit
-end
-
-module Rate : sig
-  (** Event counting over simulated time, e.g. requests per second.
-
-      Marks are retained in a fixed-capacity ring buffer, so memory stays
-      bounded over arbitrarily long runs; windowed queries see at most the
-      last [capacity] marks. *)
-
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] bounds the retained marks (default 4096). *)
-
-  val mark : t -> ?weight:int -> Simtime.t -> unit
-
-  val count : t -> int
-  (** All-time weighted mark count (not bounded by the ring). *)
-
-  val retained : t -> int
-  (** Number of marks currently held in the ring. *)
-
-  val dropped : t -> int
-  (** Weighted count of marks overwritten by ring wrap since creation: 0
-      means every mark ever made is retained and windowed queries are
-      exact over any range. *)
-
-  val covered_since : t -> Simtime.t option
-  (** The earliest timestamp for which the ring still holds every mark.
-      [None] when nothing has been dropped (full history retained).
-      Queries reaching before this point see only a partial count. *)
-
-  val fold_marks : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
-  (** [fold_marks t f init] folds [f acc time_ns weight] over the retained
-      marks, oldest first.  Only the last {!retained} marks are visible. *)
-
-  val rate_over : t -> Simtime.span -> float
-  (** [rate_over t window] is the weighted count of marks whose timestamps
-      fall within [window] of the most recent mark, divided by [window] in
-      seconds.  Zero when empty or the window is non-positive.  When the
-      ring has saturated inside the window (marks arriving faster than
-      capacity over the window — open-loop arrival rates do this), the
-      rate is computed over the span the ring actually covers instead of
-      the full window, so the result tracks the true rate rather than
-      flattening at capacity/window. *)
-
-  val rate_between : t -> Simtime.t -> Simtime.t -> float
-  (** Retained events with timestamps inside the half-open interval, per
-      second.  Exact only when the interval lies within {!covered_since};
-      older marks have been overwritten and are not counted. *)
-end

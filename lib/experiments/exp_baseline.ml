@@ -8,7 +8,6 @@ type result = {
   persistent : bool;
   throughput : float;
   cpu_per_request_us : float;
-  mean_latency_ms : float;
 }
 
 let run ?(clients = 32) ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 5) ~persistent () =
@@ -36,15 +35,14 @@ let run ?(clients = 32) ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 5) ~pe
   let cpu_per_request_us =
     if requests = 0 then 0. else Simtime.span_to_us_f busy /. float_of_int requests
   in
-  let mean_latency_ms = Engine.Stats.Summary.mean (Workload.Sclient.response_times load) in
-  { persistent; throughput; cpu_per_request_us; mean_latency_ms }
+  { persistent; throughput; cpu_per_request_us }
 
-let table () =
+let table ~measure () =
   let t =
     Engine.Series.table ~title:"Baseline throughput (paper §5.3, unmodified kernel, 1KB cached)"
       ~columns:
         [ "connection mode"; "throughput (req/s)"; "paper (req/s)"; "CPU/request (us)";
-          "paper (us)"; "mean latency (ms)" ]
+          "paper (us)" ]
   in
   let row r =
     Engine.Series.add_row t
@@ -54,9 +52,8 @@ let table () =
         (if r.persistent then "9487" else "2954");
         Printf.sprintf "%.1f" r.cpu_per_request_us;
         (if r.persistent then "105" else "338");
-        Printf.sprintf "%.2f" r.mean_latency_ms;
       ]
   in
-  row (run ~persistent:false ());
-  row (run ~persistent:true ());
+  row (run ~measure ~persistent:false ());
+  row (run ~measure ~persistent:true ());
   t

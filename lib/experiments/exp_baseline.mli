@@ -9,11 +9,12 @@ type result = {
   persistent : bool;
   throughput : float;  (** requests per second at saturation *)
   cpu_per_request_us : float;  (** measured busy CPU divided by requests *)
-  mean_latency_ms : float;
 }
 
 val run : ?clients:int -> ?warmup:Engine.Simtime.span -> ?measure:Engine.Simtime.span ->
   persistent:bool -> unit -> result
 
-val table : unit -> Engine.Series.table
-(** Both rows, with the paper's numbers alongside. *)
+val table : measure:Engine.Simtime.span -> unit -> Engine.Series.table
+(** Both rows, connection per request first, each measured over
+    [measure] after the default warm-up, with the paper's numbers
+    alongside: the table [rc_sim baseline] prints. *)

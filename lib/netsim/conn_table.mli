@@ -1,92 +1,32 @@
-(** Struct-of-arrays registry of the connections a {!Stack} has created.
+(** The open connections a {!Stack} has created, as a swap-remove set.
 
-    Per-slot state lives in parallel field arrays — the connection, a
-    wrapping generation stamp, and a mirror of the connection's
-    buffered rx bytes — so table-wide scans (the memory-conservation law,
-    reap sweeps, slot-order batch processing) walk flat arrays instead of
-    chasing one boxed record per connection.  Each tracked connection is
-    stamped with its slot index ([Socket.track_slot]), so add, remove, and
-    membership are O(1) and allocation-free once the backing arrays have
-    grown to the peak population.  The stack removes a connection the
-    moment it transitions to [Closed], so the table holds exactly the
-    non-closed connections.
+    The connections sit densely in one array, and each carries its index
+    there ([Socket.track_slot]), so add, remove and membership are O(1)
+    and allocation-free once the array has grown to the peak population.
+    The stack removes a connection the moment it transitions to
+    [Closed], so the table holds exactly the non-closed connections.
 
     The list representation survives as the QCheck executable reference
     (test_pooling's conn-table equivalence property). *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Initial capacity defaults to 64 slots; the table doubles as needed. *)
+val create : unit -> t
+(** An empty table of 64 slots; it doubles as needed. *)
 
 val length : t -> int
 (** Number of tracked connections. *)
 
 val add : t -> Socket.conn -> unit
-(** Track a connection, stamping [track_slot]; its rx mirror starts at 0.
+(** Track a connection, stamping [track_slot].
     @raise Invalid_argument if it is already tracked (by any table). *)
 
 val remove : t -> Socket.conn -> bool
-(** Untrack in O(1) via the stamped slot; [false] if it was not tracked
-    here.  Bumps the slot's generation, so outstanding {!handle}s for the
-    departed occupant go stale. *)
+(** Untrack in O(1): the last connection moves into the vacated slot.
+    [false] if the connection was not tracked here. *)
 
 val mem : t -> Socket.conn -> bool
 
-(** {1 Generation-stamped handles}
-
-    A handle packs (slot, generation at issue) into one immediate int:
-    storable in flat int arrays and across events without pinning the
-    connection.  {!find} rejects a handle once its slot has been vacated —
-    the slot's next occupant carries a new generation.  Generations are
-    {!generation_bits} (28) bits wide, so aliasing a handle needs 2^28
-    reuses of one slot — unreachable even for cluster runs that churn 10^6
-    connections.  (The original 16-bit stamp wrapped at 65536 reuses of a
-    hot slot, which cluster-scale churn can reach; the staleness
-    regression test pins the widened bound.) *)
-
-type handle = int
-
-val null_handle : handle
-(** Never resolves. *)
-
-val handle : t -> Socket.conn -> handle
-(** The current handle for a tracked connection; {!null_handle} if it is
-    not tracked here. *)
-
-val find : t -> handle -> Socket.conn option
-(** Resolve a handle: [None] if the slot was vacated (stale generation) or
-    the handle is out of range. *)
-
-(** {1 Buffered-rx mirror}
-
-    The stack maintains, per slot, the byte count buffered in the
-    occupant's rx queue (updated at data-push, recv and close).  The
-    table-wide sum is then one flat array walk — the fast side of the
-    memory-conservation law — while the structural per-queue walk remains
-    available to validate the mirror itself. *)
-
-val rx_add : t -> Socket.conn -> int -> unit
-(** Adjust the tracked connection's mirrored rx byte count; no-op if the
-    connection is not tracked here (a vacated slot's mirror is already
-    zeroed). *)
-
-val rx_of : t -> Socket.conn -> int
-(** The mirrored count for a tracked connection (0 if untracked). *)
-
-val rx_total : t -> int
-(** Sum of the mirror over all slots, in slot order. *)
-
-val iter : t -> (Socket.conn -> unit) -> unit
-(** Visit every tracked connection (slot order, not insertion order). *)
-
 val fold : t -> init:'a -> ('a -> Socket.conn -> 'a) -> 'a
-
-val reap_closed : t -> int
-(** Remove every tracked connection in state [Closed], returning how many
-    were removed.  With the stack untracking on close this is normally a
-    scan that removes nothing and allocates nothing. *)
-
-val generation_bits : int
-(** Width of the per-slot generation stamp: a handle can alias again only
-    after [2^generation_bits] reuses of its slot. *)
+(** Visit every tracked connection, in slot order (which a removal
+    reorders). *)

@@ -61,4 +61,5 @@ let lookup t ~port ~src =
       in
       scan 0
 
-let ports t = Hashtbl.length t.buckets
+let fold t ~init f =
+  Hashtbl.fold (fun _ bucket acc -> Array.fold_left f acc bucket) t.buckets init

@@ -22,5 +22,6 @@ val lookup : t -> port:int -> src:Ipaddr.t -> Socket.listen option
 (** The most specific matching listen socket, ties to the earliest
     bound. *)
 
-val ports : t -> int
-(** Number of ports with at least one listen socket. *)
+val fold : t -> init:'a -> ('a -> Socket.listen -> 'a) -> 'a
+(** Visit every installed listen socket: each port's bucket in demux
+    order, the ports in an unspecified but deterministic order. *)

@@ -57,8 +57,7 @@ type t = {
   syn_timeout : Simtime.span;
   softirq_charge : softirq_charge;
   owner : Container.t;
-  mutable listen_sockets : Socket.listen list; (* reference demux walks this *)
-  demux : Demux.t; (* port-indexed fast path, mirrors [listen_sockets] *)
+  demux : Demux.t; (* the installed listen sockets, by port *)
   mutable on_event : unit -> unit;
   mutable on_readable : Socket.conn -> unit;
   mutable on_syn_drop : Socket.listen -> Ipaddr.t -> unit;
@@ -132,7 +131,7 @@ let schedule_to_client t conn delay f =
   let target = Simtime.max (Simtime.add current delay) conn.Socket.last_delivery in
   conn.Socket.last_delivery <- target;
   Sim.post_at (Machine.sim t.machine) target f
-let listens t = t.listen_sockets
+let listens t = Demux.fold t.demux ~init:[] (fun acc l -> l :: acc)
 let now t = Machine.now t.machine
 
 let tracing t = Engine.Tracelog.enabled (Machine.trace t.machine)
@@ -141,13 +140,9 @@ let tell t ev = Engine.Tracelog.event (Machine.trace t.machine) (now t) ev
 let add_listen t l =
   if not (l.Socket.listen_run == Container.run (Machine.root t.machine)) then
     invalid_arg "Stack.add_listen: the socket was made in another run";
-  t.listen_sockets <- l :: t.listen_sockets;
   Demux.add t.demux l
 
-let remove_listen t l =
-  t.listen_sockets <-
-    List.filter (fun l' -> l'.Socket.listen_id <> l.Socket.listen_id) t.listen_sockets;
-  Demux.remove t.demux l
+let remove_listen t l = Demux.remove t.demux l
 
 let demux_lookup t ~port ~src = Demux.lookup t.demux ~port ~src
 
@@ -238,9 +233,9 @@ let memory_limit_exceeded container ~extra =
 let schedule t delay f = Sim.post (Machine.sim t.machine) delay f
 
 (* A connection leaves the registry the instant it closes, from whichever
-   path closed it — that is what keeps {!Conn_table} scans (the memory
-   conservation law, [reap]) proportional to live traffic with no pruning
-   pass at all. *)
+   path closed it, so the registry holds exactly the open connections
+   and the memory-conservation law's walk is proportional to live
+   traffic with no pruning pass at all. *)
 let mark_closed t conn =
   conn.Socket.state <- Socket.Closed;
   ignore (Conn_table.remove t.conns conn)
@@ -304,19 +299,11 @@ let evict_syn t l =
 
 let track_conn t conn = Conn_table.add t.conns conn
 
-(* The registry holds exactly the non-closed connections, so a reap pass
-   normally removes nothing — and, unlike the old [List.filter] rebuild,
-   costs no allocation when it does not. *)
-let reap t = Conn_table.reap_closed t.conns
-
 let sum_conn_rx acc conn =
   Queue.fold (fun a p -> a + p.Payload.bytes) acc conn.Socket.rx_queue
 
-(* Fast readout: the table's per-slot rx mirror summed in slot order.  The
-   structural per-queue walk stays available so the conservation law can
-   hold the mirror itself to account. *)
-let buffered_rx_bytes t = Conn_table.rx_total t.conns
-let buffered_rx_bytes_walk t = Conn_table.fold t.conns ~init:0 sum_conn_rx
+(* The bytes buffered in every open connection's rx queue. *)
+let buffered_rx_bytes t = Conn_table.fold t.conns ~init:0 sum_conn_rx
 
 (* Container teardown (§4.6): drop the per-container deferred-processing
    queue and service stamp, or both tables grow forever under per-connection
@@ -433,7 +420,6 @@ let rec perform t (w : Workpool.item) =
              application reads it (§4.4). *)
           Container.charge_memory owner payload.Payload.bytes;
           Queue.push payload conn.Socket.rx_queue;
-          Conn_table.rx_add t.conns conn payload.Payload.bytes;
           t.on_event ();
           (* Edge-triggered readability: fire only on the empty->non-empty
              transition so scan-free servers can keep a duplicate-free
@@ -727,7 +713,6 @@ let create ?(mtu = 1460) ?(costs = default_costs) ?(queue_cap = 64)
       syn_timeout;
       softirq_charge;
       owner;
-      listen_sockets = [];
       demux = Demux.create ();
       on_event = (fun () -> ());
       on_readable = (fun _ -> ());
@@ -793,36 +778,24 @@ let create ?(mtu = 1460) ?(costs = default_costs) ?(queue_cap = 64)
               ~what:(Printf.sprintf "listen #%d %s queue" l.Socket.listen_id kind)
               length bound
         in
-        let rec scan = function
-          | [] -> Ok ()
-          | l :: rest -> (
-              match
-                bounded l "syn" (Queue.length l.Socket.syn_queue) l.Socket.syn_backlog
-              with
-              | Error _ as e -> e
-              | Ok () -> (
-                  match
-                    bounded l "accept" (Queue.length l.Socket.accept_queue) l.Socket.backlog
-                  with
-                  | Error _ as e -> e
-                  | Ok () -> scan rest))
-        in
-        scan t.listen_sockets);
+        Demux.fold t.demux ~init:(Ok ()) (fun acc l ->
+            match acc with
+            | Error _ -> acc
+            | Ok () -> (
+                match
+                  bounded l "syn" (Queue.length l.Socket.syn_queue) l.Socket.syn_backlog
+                with
+                | Error _ as e -> e
+                | Ok () ->
+                    bounded l "accept" (Queue.length l.Socket.accept_queue) l.Socket.backlog)));
     I.register inv ~law:"net.memory-conservation" (fun () ->
-        (* Two checks in one law: the slot-order rx mirror must agree with
-           a structural walk of the rx queues (the mirror is redundant
-           state and may not drift), and that total must equal the memory
-           charged into the root's subtree. *)
-        match
-          I.equal_int ~what:"rx mirror vs structural rx-queue walk" (buffered_rx_bytes t)
-            (buffered_rx_bytes_walk t)
-        with
-        | Error _ as e -> e
-        | Ok () ->
-            I.equal_int ~what:"buffered rx bytes vs root-subtree memory_bytes"
-              (buffered_rx_bytes t)
-              (Rescont.Usage.memory_bytes
-                 (Container.subtree_usage (Machine.root machine))));
+        (* Socket-buffer memory is charged to the container that owns the
+           buffered bytes (§4.4), so the bytes sitting in the open
+           connections' rx queues must equal the memory charged into the
+           root's subtree. *)
+        I.equal_int ~what:"buffered rx bytes vs root-subtree memory_bytes"
+          (buffered_rx_bytes t)
+          (Rescont.Usage.memory_bytes (Container.subtree_usage (Machine.root machine))));
     (* Pooled work items can never leak or double-free silently: every item
        is on the free list, held by a service thread, or queued for one —
        and each per-container queue's linked length matches its counter. *)
@@ -887,7 +860,6 @@ let recv t conn =
   | None -> None
   | Some payload ->
       Container.charge_memory (rx_memory_container t conn) (-payload.Payload.bytes);
-      Conn_table.rx_add t.conns conn (-payload.Payload.bytes);
       Some payload
 
 let send t conn payload =

@@ -221,6 +221,8 @@ val stamp_table_size : t -> int
     queue table). *)
 
 val listens : t -> Socket.listen list
+(** The installed listen sockets, read from the {!Demux} table; the
+    order is unspecified. *)
 
 val demux_lookup : t -> port:int -> src:Ipaddr.t -> Socket.listen option
 (** The production early demultiplexer: first match in the port-indexed,
@@ -232,12 +234,6 @@ val delivery_delay : Payload.t -> Engine.Simtime.span
     same link.  Exposed so measurement code can recover a message's
     arrival instant from its [created] stamp (the cluster experiments
     compute server-side sojourns this way). *)
-
-val reap : t -> int
-(** Remove closed connections from the registry, returning how many were
-    removed.  Connections already leave the registry the moment they
-    close, so this normally removes nothing — and, unlike the old
-    list-rebuild prune, performs no allocation when it doesn't. *)
 
 val tracked_conns : t -> int
 (** Non-closed connections currently in the registry. *)

@@ -167,22 +167,12 @@ let pop q =
     Some item
   end
 
-let queue_iter q f =
-  let rec walk item =
-    if item != q.pool.nil then begin
-      f item;
-      walk item.next
-    end
-  in
-  walk q.head
-
 (* Structural audit used by the pool-consistency law: the linked length
    of each queue must match its counter, and every linked item must be in
    the queued lifecycle state. *)
 let queue_validate q =
-  let n = ref 0 in
-  let ok = ref true in
-  queue_iter q (fun item ->
-      incr n;
-      if item.lifecycle <> lifecycle_queued then ok := false);
-  !ok && !n = q.count
+  let rec walk item n =
+    if item == q.pool.nil then n = q.count
+    else item.lifecycle = lifecycle_queued && walk item.next (n + 1)
+  in
+  walk q.head 0

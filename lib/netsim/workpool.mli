@@ -58,8 +58,6 @@ val push : queue -> item -> unit
 val pop : queue -> item option
 (** Dequeue the head back into the in-service state. *)
 
-val queue_iter : queue -> (item -> unit) -> unit
-
 val queue_validate : queue -> bool
 (** Structural audit: linked length matches the counter and every linked
     item is in the queued state. *)

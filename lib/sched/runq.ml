@@ -10,7 +10,9 @@ module Container = Rescont.Container
    Membership lives on the task rather than in a hash table, so the
    per-packet enqueue/dequeue cycle does no hashing and no allocation.
    A task carries one queue's fields, so it sits in at most one run
-   queue at a time; enqueueing it into a second one raises.
+   queue at a time; enqueueing it into a second one raises.  Queue ids
+   count per run, so every run's first queue has id 1: a queue also
+   records its run, and a task of another run is never a member.
 
    Every container the queue has met owns one [node], found through a
    flat array indexed by [Container.slot]: its ring (allocated when a task
@@ -54,6 +56,7 @@ type node = {
 
 type t = {
   mutable id : int; (* matches Task.rq_owner of the tasks queued here; 0 until the first *)
+  mutable run : Container.run option; (* the run [id] counts in; [None] until the first *)
   mutable queued : int array; (* bucket heads ([ix], -1 if empty) of the nodes with a ring *)
   mutable nqueued : int;
   mutable nodes : node option array; (* Container.slot -> node *)
@@ -68,10 +71,12 @@ type t = {
 
 (* Queue ids only ever participate in equality tests against
    [Task.rq_owner].  A queue has no container at hand when it is made, so
-   it draws its id from the run of the first task it tracks. *)
+   it draws its id from the run of the first task it tracks, and records
+   that run. *)
 let create () =
   {
     id = 0;
+    run = None;
     queued = Array.make 64 (-1);
     nqueued = 0;
     nodes = Array.make 64 None;
@@ -296,7 +301,10 @@ let queue_for t container =
   end;
   n
 
-let mem t (task : Task.t) = task.Task.rq_owner = t.id
+let of_run t (task : Task.t) =
+  match t.run with Some run -> task.Task.run == run | None -> false
+
+let mem t (task : Task.t) = task.Task.rq_owner = t.id && of_run t task
 
 (* Liveness of a ring entry: three field compares on the task itself. *)
 let entry_live t slot (task : Task.t) stamp =
@@ -364,13 +372,18 @@ let enqueue t (task : Task.t) =
     if task.Task.rq_owner >= 0 then
       invalid_arg
         (Printf.sprintf "Runq.enqueue: task#%d is queued in another run queue" task.Task.id);
+    (match t.run with
+    | Some run ->
+        if not (run == task.Task.run) then
+          invalid_arg (Printf.sprintf "Runq.enqueue: task#%d is of another run" task.Task.id)
+    | None ->
+        t.run <- Some task.Task.run;
+        t.id <- Container.fresh_id task.Task.run Container.Runq_ids);
     sync t;
-    let container = Task.container task in
-    let n = queue_for t container in
+    let n = queue_for t (Task.container task) in
     let stamp = t.next_stamp in
     t.next_stamp <- stamp + 1;
     ring_push n task stamp;
-    if t.id = 0 then t.id <- Container.fresh_id (Container.run container) Container.Runq_ids;
     task.Task.rq_owner <- t.id;
     task.Task.rq_slot <- n.slot;
     task.Task.rq_stamp <- stamp;

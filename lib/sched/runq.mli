@@ -11,11 +11,14 @@ val create : unit -> t
 
 val enqueue : t -> Task.t -> unit
 (** Add under the task's current container; no-op if already queued.
-    A task sits in at most one run queue.
-    @raise Invalid_argument if another run queue holds the task. *)
+    A task sits in at most one run queue, and a queue holds the tasks of
+    one run ({!Task.t.run}): the run of the first task it takes.
+    @raise Invalid_argument, before either queue changes, if another run
+    queue holds the task or the task is of another run. *)
 
 val dequeue : t -> Task.t -> unit
-(** Remove from this queue; no-op if the task is not queued here. *)
+(** Remove from this queue; no-op if the task is not queued here (a task
+    of another run never is). *)
 
 val requeue : t -> Task.t -> unit
 (** [dequeue] then [enqueue] under the (possibly new) binding. *)

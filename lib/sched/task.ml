@@ -1,5 +1,6 @@
 type t = {
   id : int;
+  run : Rescont.Container.run;
   name : string;
   binding : Rescont.Binding.t;
   kernel : bool;
@@ -16,6 +17,7 @@ let create ?(kernel = false) ~name binding =
   let run = Rescont.Container.run (Rescont.Binding.resource_binding binding) in
   {
     id = Rescont.Container.fresh_id run Rescont.Container.Task_ids;
+    run;
     name;
     binding;
     kernel;
@@ -26,12 +28,13 @@ let create ?(kernel = false) ~name binding =
     home_cpu = 0;
   }
 
-(* Never queued, never run: compared by [==] only, so its binding (which
-   would need a container, and so a fresh container id) is a placeholder
-   that nothing reads. *)
+(* Never queued, never run: compared by [==] only, so its binding and
+   run (which would need a container, and so a fresh container id) are
+   placeholders that nothing reads. *)
 let none =
   {
     id = 0;
+    run = Obj.magic 0;
     name = "none";
     binding = Obj.magic 0;
     kernel = false;

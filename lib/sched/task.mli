@@ -6,6 +6,9 @@
 
 type t = {
   id : int;  (** Counts from 1 in creation order within the run. *)
+  run : Rescont.Container.run;
+      (** The run the task was made in: that of the container it was
+          first bound to. *)
   name : string;
   binding : Rescont.Binding.t;
   kernel : bool;  (** [true] for kernel threads, e.g. per-process network threads. *)
@@ -31,8 +34,8 @@ val create : ?kernel:bool -> name:string -> Rescont.Binding.t -> t
 val none : t
 (** The absent task: what {!Policy.t.pick} and {!Runq.front} answer when
     there is nothing to run, so that a pick, which runs once per slice,
-    boxes no option.  Test it with {!is_none}; its binding must not be
-    read. *)
+    boxes no option.  Test it with {!is_none}; its binding and run must
+    not be read. *)
 
 val is_none : t -> bool
 val container : t -> Rescont.Container.t

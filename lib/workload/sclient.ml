@@ -41,13 +41,7 @@ type t = {
   mutable timeouts : int;
   mutable latencies : Stats.Summary.t;
   mutable reservoir : Stats.Reservoir.t;
-  mutable marks : Stats.Rate.t; (* completion timestamps, bounded ring *)
 }
-
-(* Big enough that no experiment in the suite wraps the ring (the busiest
-   runs complete a few thousand requests per simulated second); unlike the
-   unbounded list it used to be, memory stays O(1) over long soaks. *)
-let marks_capacity = 1 lsl 16
 
 let create ~stack ?(name = "clients") ?(src_base = Ipaddr.v 10 1 0 1) ?(port = 80)
     ?(path = "/doc/1k") ?path_mix ?doc_mix ?(persistent = false) ?(requests_per_conn = 64)
@@ -109,7 +103,6 @@ let create ~stack ?(name = "clients") ?(src_base = Ipaddr.v 10 1 0 1) ?(port = 8
     timeouts = 0;
     latencies = Stats.Summary.create ();
     reservoir = Stats.Reservoir.create (Engine.Rng.create ~seed:(seed + 1));
-    marks = Stats.Rate.create ~capacity:marks_capacity ();
   }
 
 let sim t = Machine.sim (Stack.machine t.stack)
@@ -126,7 +119,6 @@ let think t =
 
 let record_response t client =
   t.completed <- t.completed + 1;
-  Stats.Rate.mark t.marks (now t);
   let latency_ms = Simtime.span_to_ms_f (Simtime.diff (now t) client.issued) in
   Stats.Summary.add t.latencies latency_ms;
   Stats.Reservoir.add t.reservoir latency_ms
@@ -239,29 +231,8 @@ let reset_stats t =
   t.completed <- 0;
   t.refused <- 0;
   t.timeouts <- 0;
-  t.marks <- Stats.Rate.create ~capacity:marks_capacity ();
   t.latencies <- Stats.Summary.create ();
   t.reservoir <- Stats.Reservoir.create (Engine.Rng.create ~seed:1)
-
-let completions_in t t0 t1 =
-  (* The marks ring is bounded; if completions ever arrive fast enough to
-     wrap it inside the queried window (open-loop cluster rates can),
-     counting only the retained marks would silently under-report.  Fail
-     loudly instead: the caller must query a window the ring still covers
-     (reset_stats at the window start guarantees that for the suite's
-     measure windows). *)
-  (match Stats.Rate.covered_since t.marks with
-  | Some covered when Simtime.compare t0 covered < 0 ->
-      invalid_arg
-        (Printf.sprintf
-           "Sclient.completions_in: %d completion marks dropped before the queried window; \
-            reset_stats at the window start or raise the ring capacity"
-           (Stats.Rate.dropped t.marks))
-  | _ -> ());
-  let lo = Simtime.to_ns t0 and hi = Simtime.to_ns t1 in
-  Stats.Rate.fold_marks t.marks
-    (fun acc ts w -> if ts >= lo && ts < hi then acc + w else acc)
-    0
 
 (* [name] is carried for diagnostics in traces. *)
 let _ = fun t -> t.name

@@ -68,11 +68,3 @@ val response_percentile : t -> float -> float
 
 val reset_stats : t -> unit
 (** Zero the counters and latency summary (end-of-warmup). *)
-
-val completions_in : t -> Engine.Simtime.t -> Engine.Simtime.t -> int
-(** Responses received within the half-open window (for steady-state
-    throughput measurements).
-    @raise Invalid_argument if completion marks inside the window have
-    been dropped by the bounded ring (the count would silently
-    under-report); call {!reset_stats} at the window start, or widen the
-    ring, rather than trusting a partial count. *)

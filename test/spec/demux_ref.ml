@@ -8,7 +8,7 @@
 module Socket = Netsim.Socket
 module Filter = Netsim.Filter
 
-let lookup stack ~port ~src =
+let lookup listens ~port ~src =
   List.fold_left
     (fun best l ->
       if l.Socket.port <> port || not (Filter.matches l.Socket.filter src) then best
@@ -19,4 +19,4 @@ let lookup stack ~port ~src =
             let c = Filter.compare_specificity l.Socket.filter b.Socket.filter in
             if c < 0 || (c = 0 && l.Socket.listen_id < b.Socket.listen_id) then Some l
             else best)
-    None (Netsim.Stack.listens stack)
+    None listens

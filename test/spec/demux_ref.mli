@@ -3,6 +3,7 @@
     every (port, source). *)
 
 val lookup :
-  Netsim.Stack.t -> port:int -> src:Netsim.Ipaddr.t -> Netsim.Socket.listen option
-(** A fold over {!Netsim.Stack.listens} picking the most specific
-    matching filter, ties to the earliest bound (lowest listen id). *)
+  Netsim.Socket.listen list -> port:int -> src:Netsim.Ipaddr.t -> Netsim.Socket.listen option
+(** A fold over the installed listen sockets, in any order, picking the
+    most specific matching filter, ties to the earliest bound (lowest
+    listen id). *)

@@ -249,6 +249,41 @@ let test_net_laws_hold_under_traffic () =
   Alcotest.(check int) "no violations across the run" 0
     (Invariant.violations_seen (Machine.invariants machine))
 
+(* The buffered bytes of the open connections and the memory charged
+   into the root's subtree are two records of one quantity (§4.4), and
+   the law must name a mismatch either way round: bytes buffered with no
+   charge, and a charge with no bytes buffered. *)
+let test_memory_conservation_names_both_mismatches () =
+  let sim, root, machine = make_machine () in
+  let proc = Process.create machine ~name:"srv" () in
+  let stack = Stack.create ~machine ~mode:Stack.Rc ~owner:(Process.default_container proc) () in
+  let listen = Socket.make_unbound_listen ~port:80 (Container.run root) in
+  Stack.add_listen stack listen;
+  Stack.connect stack ~src:(Ipaddr.v 10 0 0 1) ~port:80 ~handlers:Socket.null_handlers ();
+  Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 5));
+  let conn =
+    match Stack.accept stack listen with
+    | Some conn -> conn
+    | None -> Alcotest.fail "the connection did not establish"
+  in
+  let law () =
+    List.filter_map
+      (fun v ->
+        if v.Invariant.law = "net.memory-conservation" then Some v.Invariant.detail else None)
+      (Machine.check_invariants machine)
+  in
+  Alcotest.(check (list string)) "holds on the live rig" [] (law ());
+  Queue.push (Netsim.Payload.make ~bytes:100 (Sim.now sim)) conn.Socket.rx_queue;
+  Alcotest.(check (list string)) "bytes buffered with no charge"
+    [ "buffered rx bytes vs root-subtree memory_bytes: expected 100, got 0 (delta -100)" ]
+    (law ());
+  Queue.clear conn.Socket.rx_queue;
+  Alcotest.(check (list string)) "holds again" [] (law ());
+  Container.charge_memory (Process.default_container proc) 64;
+  Alcotest.(check (list string)) "memory charged with no bytes buffered"
+    [ "buffered rx bytes vs root-subtree memory_bytes: expected 0, got 64 (delta 64)" ]
+    (law ())
+
 let suite =
   [
     Alcotest.test_case "registry basics" `Quick test_registry_basics;
@@ -265,5 +300,7 @@ let suite =
     Alcotest.test_case "memory clamp vs strict raise" `Quick test_memory_clamp_vs_raise;
     Alcotest.test_case "subsystem laws registered" `Quick test_subsystem_laws_registered;
     Alcotest.test_case "net laws hold under traffic" `Quick test_net_laws_hold_under_traffic;
+    Alcotest.test_case "memory conservation names both mismatches" `Quick
+      test_memory_conservation_names_both_mismatches;
     Alcotest.test_case "strict memory is per run" `Quick test_strict_memory_is_per_run;
   ]

@@ -174,6 +174,35 @@ let test_runq_one_queue_per_task () =
   Runq.enqueue q2 t;
   Alcotest.(check int) "moved" 2 (Runq.count q2)
 
+(* Queue ids count per run, so the first queue of every run has id 1,
+   and so does [rq_owner] of every task queued in one.  A queue records
+   its run, so a task of another run is never its member: enqueueing it
+   raises before either queue changes, and dequeueing it does nothing. *)
+let test_runq_other_run_is_not_member () =
+  let _, _, la = setup_leaves 1 and _, _, lb = setup_leaves 1 in
+  let qa = Runq.create () and qb = Runq.create () in
+  let ta = task_on (List.hd la) "ta" and tb = task_on (List.hd lb) "tb" in
+  Runq.enqueue qa ta;
+  Runq.enqueue qb tb;
+  Alcotest.(check bool) "same queue id in both runs" true (ta.Task.rq_owner = tb.Task.rq_owner);
+  Alcotest.(check bool) "tb is not in qa" false (Runq.mem qa tb);
+  Alcotest.(check bool) "ta is not in qb" false (Runq.mem qb ta);
+  Alcotest.check_raises "enqueue of a task queued in another run"
+    (Invalid_argument
+       (Printf.sprintf "Runq.enqueue: task#%d is queued in another run queue" tb.Task.id))
+    (fun () -> Runq.enqueue qa tb);
+  Runq.dequeue qa tb;
+  let idle = task_on (List.hd lb) "idle" in
+  Alcotest.check_raises "enqueue of an unqueued task of another run"
+    (Invalid_argument (Printf.sprintf "Runq.enqueue: task#%d is of another run" idle.Task.id))
+    (fun () -> Runq.enqueue qa idle);
+  let r = function Ok () -> "ok" | Error e -> e in
+  Alcotest.(check (pair int int)) "counts" (1, 1) (Runq.count qa, Runq.count qb);
+  Alcotest.(check string) "qa validates" "ok" (r (Runq.validate qa));
+  Alcotest.(check string) "qb validates" "ok" (r (Runq.validate qb));
+  Alcotest.(check bool) "tb still in qb" true (Runq.mem qb tb);
+  Alcotest.(check bool) "ta still in qa" true (Runq.mem qa ta)
+
 (* {1 Policy harness}
 
    Run a policy directly (no machine): repeatedly pick, charge a fixed
@@ -730,4 +759,6 @@ let suite =
     Alcotest.test_case "multilevel share sum order" `Quick test_multilevel_share_sum_order;
     QCheck_alcotest.to_alcotest prop_multilevel_matches_reference;
     Alcotest.test_case "runq one queue per task" `Quick test_runq_one_queue_per_task;
+    Alcotest.test_case "runq other run's task is not a member" `Quick
+      test_runq_other_run_is_not_member;
   ]

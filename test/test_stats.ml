@@ -1,7 +1,6 @@
 (* Tests for Engine.Stats. *)
 
 module Stats = Engine.Stats
-module Simtime = Engine.Simtime
 
 let test_summary_basic () =
   let s = Stats.Summary.create () in
@@ -66,85 +65,6 @@ let test_reservoir_errors () =
     (Invalid_argument "Reservoir.percentile: fraction out of range") (fun () ->
       ignore (Stats.Reservoir.percentile r 1.5))
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; -5.; 25. ];
-  let counts = Stats.Histogram.bucket_counts h in
-  Alcotest.(check int) "total" 6 (Stats.Histogram.count h);
-  Alcotest.(check int) "first bucket gets underflow" 2 counts.(0);
-  Alcotest.(check int) "bucket 1" 2 counts.(1);
-  Alcotest.(check int) "last bucket gets overflow" 2 counts.(9)
-
-let test_rate () =
-  let r = Stats.Rate.create () in
-  Stats.Rate.mark r (Simtime.of_ns 100);
-  Stats.Rate.mark r ~weight:2 (Simtime.of_ns 200);
-  Stats.Rate.mark r (Simtime.of_ns 1_000_000_000);
-  Alcotest.(check int) "count" 4 (Stats.Rate.count r);
-  Alcotest.(check (float 1e-9)) "rate over 2s" 2. (Stats.Rate.rate_over r (Simtime.sec 2));
-  Alcotest.(check (float 1e-9)) "windowed"
-    3_000_000.
-    (Stats.Rate.rate_between r (Simtime.of_ns 0) (Simtime.of_ns 1_000))
-
-(* Regression: [rate_over] used to divide the all-time mark count by the
-   window span, ignoring timestamps entirely.  A 1-second window over marks
-   ten seconds apart must only see the recent one. *)
-let test_rate_window_aware () =
-  let r = Stats.Rate.create () in
-  Stats.Rate.mark r (Simtime.of_ns 0);
-  Stats.Rate.mark r (Simtime.of_ns 10_000_000_000);
-  Alcotest.(check int) "all-time count still 2" 2 (Stats.Rate.count r);
-  Alcotest.(check (float 1e-9)) "1s window sees only the recent mark" 1.
-    (Stats.Rate.rate_over r (Simtime.sec 1));
-  Alcotest.(check (float 1e-9)) "wide window sees both" 0.1
-    (Stats.Rate.rate_over r (Simtime.sec 20))
-
-(* Regression: [marks] used to grow without bound.  The ring buffer keeps a
-   fixed number of recent marks while the all-time count keeps counting. *)
-let test_rate_bounded_memory () =
-  let r = Stats.Rate.create ~capacity:8 () in
-  for i = 1 to 100 do
-    Stats.Rate.mark r (Simtime.of_ns (i * 1_000))
-  done;
-  Alcotest.(check int) "retention capped at capacity" 8 (Stats.Rate.retained r);
-  Alcotest.(check int) "all-time count unaffected" 100 (Stats.Rate.count r);
-  Alcotest.(check int) "overwritten marks counted" 92 (Stats.Rate.dropped r);
-  (match Stats.Rate.covered_since r with
-  | Some t -> Alcotest.(check int) "coverage starts at oldest retained" 93_000 (Simtime.to_ns t)
-  | None -> Alcotest.fail "saturated ring must report partial coverage")
-
-(* Regression: when marks arrive faster than capacity-per-window — the
-   window "saturates" the ring — [rate_over] used to divide the retained
-   weight by the full window, flattening the reported rate at
-   capacity/window (8 marks/s here) no matter how fast marks really came.
-   Marks 1µs apart are a true rate of 10^6/s; the saturated query must
-   report the rate over the span the ring covers, not the floor. *)
-let test_rate_window_saturation () =
-  let r = Stats.Rate.create ~capacity:8 () in
-  for i = 1 to 100 do
-    Stats.Rate.mark r (Simtime.of_ns (i * 1_000))
-  done;
-  Alcotest.(check (float 1.)) "saturated 1s window reports the true rate" 1e6
-    (Stats.Rate.rate_over r (Simtime.sec 1));
-  (* A window the ring fully covers is still computed exactly: the last
-     5µs hold marks 96..100. *)
-  Alcotest.(check (float 1e-6)) "covered window stays exact" 1e6
-    (Stats.Rate.rate_over r (Simtime.us 5));
-  (* Unsaturated ring: behaviour unchanged even for huge windows. *)
-  let fresh = Stats.Rate.create ~capacity:8 () in
-  Stats.Rate.mark fresh (Simtime.of_ns 0);
-  Stats.Rate.mark fresh (Simtime.of_ns 10_000_000_000);
-  Alcotest.(check (float 1e-9)) "unsaturated wide window unchanged" 0.1
-    (Stats.Rate.rate_over fresh (Simtime.sec 20))
-
-(* The S-client surfaces ring saturation instead of silently undercounting
-   completions in a measurement window. *)
-let test_rate_covered_since_none () =
-  let r = Stats.Rate.create ~capacity:8 () in
-  Stats.Rate.mark r (Simtime.of_ns 5);
-  Alcotest.(check bool) "no drops -> full coverage" true (Stats.Rate.covered_since r = None);
-  Alcotest.(check int) "no drops counted" 0 (Stats.Rate.dropped r)
-
 let prop_summary_mean_bounded =
   QCheck2.Test.make ~name:"summary mean within [min,max]" ~count:300
     QCheck2.Gen.(list_size (int_range 1 50) (float_range (-1e6) 1e6))
@@ -163,11 +83,5 @@ let suite =
     Alcotest.test_case "reservoir small" `Quick test_reservoir_small;
     Alcotest.test_case "reservoir overflow" `Quick test_reservoir_overflow;
     Alcotest.test_case "reservoir errors" `Quick test_reservoir_errors;
-    Alcotest.test_case "histogram" `Quick test_histogram;
-    Alcotest.test_case "rate" `Quick test_rate;
-    Alcotest.test_case "rate window aware" `Quick test_rate_window_aware;
-    Alcotest.test_case "rate bounded memory" `Quick test_rate_bounded_memory;
-    Alcotest.test_case "rate window saturation" `Quick test_rate_window_saturation;
-    Alcotest.test_case "rate coverage accessors" `Quick test_rate_covered_since_none;
     QCheck_alcotest.to_alcotest prop_summary_mean_bounded;
   ]
