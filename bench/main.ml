@@ -1224,23 +1224,7 @@ let print_table t = Format.printf "%a@." Engine.Series.pp_table t
 let run_experiments ~fast =
   let measure_short = if fast then Simtime.sec 2 else Simtime.sec 5 in
   Format.printf "--- §5.3 baseline ---@.";
-  let baseline =
-    Engine.Series.table ~title:"Baseline throughput (§5.3)"
-      ~columns:[ "connection mode"; "req/s"; "paper"; "CPU/request (us)"; "paper (us)" ]
-  in
-  List.iter
-    (fun persistent ->
-      let r = Experiments.Exp_baseline.run ~measure:measure_short ~persistent () in
-      Engine.Series.add_row baseline
-        [
-          (if persistent then "persistent" else "connection per request");
-          Printf.sprintf "%.0f" r.Experiments.Exp_baseline.throughput;
-          (if persistent then "9487" else "2954");
-          Printf.sprintf "%.1f" r.Experiments.Exp_baseline.cpu_per_request_us;
-          (if persistent then "105" else "338");
-        ])
-    [ false; true ];
-  print_table baseline;
+  print_table (Experiments.Exp_baseline.table ~measure:measure_short ());
   Format.printf "--- Table 1 (simulated-kernel charges use the paper's values) ---@.";
   print_table (Experiments.Exp_table1.table ());
   Format.printf "--- Figure 11 ---@.";

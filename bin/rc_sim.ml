@@ -244,7 +244,7 @@ let run_cluster fast csv check machines shards json_out =
 let cluster_cmd =
   let check_flag =
     let doc =
-      "Also run the acceptance gate: 8 machines, clients holding connections so \
+      "Also run the acceptance gate: 16 machines, clients holding connections so \
        >= 10^5 are concurrently open, M/G/1-PS prediction within 5%."
     in
     Arg.(value & flag & info [ "check" ] ~doc)

@@ -4,9 +4,11 @@
 # windows against perfbench/golden.json, check the fast-path benchmarks
 # against the committed baseline (BENCH_PR15.json), verify the
 # sharded-execution determinism contract (shards=N byte-identical to
-# shards=1), and check that fuzz and ablation output does not depend on
-# what else ran in the process.  Referenced from README.md "Install and
-# build".
+# shards=1), check that fuzz and ablation output does not depend on
+# what else ran in the process, and compare the paper's figures and
+# tables (rc_sim all --fast, less Table 1's host-time block) byte for
+# byte with results/rc_sim_all_fast.txt.  Referenced from README.md
+# "Install and build".
 set -eu
 cd "$(dirname "$0")"
 
@@ -132,5 +134,11 @@ start=$(grep -n -x -F "$(head -n 1 "$tmp/rc-ablation.txt")" "$tmp/rc-all.txt" | 
 [ -n "$start" ]
 tail -n +"$start" "$tmp/rc-all.txt" | head -n "$lines" > "$tmp/rc-all-ablation.txt"
 cmp "$tmp/rc-ablation.txt" "$tmp/rc-all-ablation.txt"
+
+echo "== science gate (the same rc_sim all --fast run must print results/rc_sim_all_fast.txt)"
+# Table 1's block is cut: its last column is host wall clock.  A
+# deliberate model change regenerates the file with the same command and
+# lists what moved.
+sed '/^== Table 1/,/^$/d' "$tmp/rc-all.txt" | cmp - results/rc_sim_all_fast.txt
 
 echo "CI gate passed."

@@ -3,15 +3,13 @@ module Sim = Engine.Sim
 module Machine = Procsim.Machine
 module Container = Rescont.Container
 module Attrs = Rescont.Attrs
-module Usage = Rescont.Usage
+module Order = Rescont.Service_order
 
 type request = { bytes : int; completion : unit -> unit }
 
 type t = {
   machine : Machine.t;
-  queues : (int, request Queue.t * Container.t) Hashtbl.t;
-  served_stamp : (int, int) Hashtbl.t;
-  mutable tick : int;
+  order : request Queue.t Order.t; (* the request queues, one per reader *)
   mutable in_service : bool;
   mutable busy_ns : int;
   mutable completed : int;
@@ -23,70 +21,55 @@ let seek_time = Simtime.ms 8
 let bytes_per_ns = 20. *. 1e6 /. 1e9
 
 let create ~machine () =
-  {
-    machine;
-    queues = Hashtbl.create 16;
-    served_stamp = Hashtbl.create 16;
-    tick = 0;
-    in_service = false;
-    busy_ns = 0;
-    completed = 0;
-  }
+  { machine; order = Order.create (); in_service = false; busy_ns = 0; completed = 0 }
 
 let service_time (_ : t) ~bytes =
   let transfer_ns = int_of_float (Float.round (float_of_int bytes /. bytes_per_ns)) in
   Simtime.span_add seek_time (Simtime.span_of_ns transfer_ns)
 
-let queue_for t container =
-  let cid = Container.id container in
-  match Hashtbl.find_opt t.queues cid with
-  | Some (q, _) -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace t.queues cid (q, container);
-      q
+(* A destroyed reader's entry leaves once its queue is empty; until then
+   its queued reads are served, and charged, like any other. *)
+let leave_if_done t e =
+  if Queue.is_empty (Order.fifo e) && Container.is_destroyed (Order.container e) then
+    Order.remove t.order e
 
-(* Container-priority order, least-recently-served among equals — the same
-   discipline as the network stack's deferred-processing queues. *)
-let best_pending t =
-  let stamp c =
-    match Hashtbl.find_opt t.served_stamp (Container.id c) with Some s -> s | None -> -1
-  in
-  Hashtbl.fold
-    (fun _ (q, c) acc ->
-      if Queue.is_empty q then acc
-      else
-        let prio = (Container.attrs c).Attrs.priority in
-        match acc with
-        | Some (best, best_prio)
-          when best_prio > prio || (best_prio = prio && stamp best <= stamp c) ->
-            acc
-        | Some _ | None -> Some (c, prio))
-    t.queues None
+let entry_for t container =
+  match Order.find t.order container with
+  | e -> e
+  | exception Not_found ->
+      let e = Order.add t.order container (Queue.create ()) in
+      if not (Container.is_destroyed container) then
+        Container.on_destroy container (fun _ -> leave_if_done t e);
+      e
+
+(* The network stack's service order (§4.4), ranked by CPU priority. *)
+let priority c = (Container.attrs c).Attrs.priority
 
 let rec start_next t =
   if not t.in_service then
-    match best_pending t with
+    match Order.best t.order priority with
     | None -> ()
-    | Some (container, _) -> (
-        match Queue.take_opt (queue_for t container) with
-        | None -> ()
-        | Some request ->
-            t.in_service <- true;
-            t.tick <- t.tick + 1;
-            Hashtbl.replace t.served_stamp (Container.id container) t.tick;
-            let span = service_time t ~bytes:request.bytes in
-            Sim.post (Machine.sim t.machine) span (fun () ->
-                   t.in_service <- false;
-                   t.busy_ns <- t.busy_ns + Simtime.span_to_ns span;
-                   t.completed <- t.completed + 1;
-                   Container.charge_disk container ~bytes:request.bytes span;
-                   request.completion ();
-                   start_next t))
+    | Some e ->
+        let q = Order.fifo e in
+        let request = Queue.take q in
+        let container = Order.container e in
+        t.in_service <- true;
+        Order.popped t.order e ~empty:(Queue.is_empty q);
+        leave_if_done t e;
+        let span = service_time t ~bytes:request.bytes in
+        Sim.post (Machine.sim t.machine) span (fun () ->
+            t.in_service <- false;
+            t.busy_ns <- t.busy_ns + Simtime.span_to_ns span;
+            t.completed <- t.completed + 1;
+            Container.charge_disk container ~bytes:request.bytes span;
+            request.completion ();
+            start_next t)
 
 let submit t ~container ~bytes completion =
   if bytes < 0 then invalid_arg "Disk.submit: negative size";
-  Queue.push { bytes; completion } (queue_for t container);
+  let e = entry_for t container in
+  Queue.push { bytes; completion } (Order.fifo e);
+  Order.pushed t.order e;
   start_next t
 
 let read t ~container ~bytes =

@@ -4,9 +4,12 @@
     resource to the right activity; disk bandwidth allocation is one of
     the complementary policies it enables.  This module provides the
     substrate: a single-spindle disk (seek + rotational overhead per
-    request, then sequential transfer) whose request queue is drained in
-    container-priority order with weighted fair queueing among equals —
-    the same discipline the network stack uses for packets.
+    request, then sequential transfer) whose per-container request
+    queues are drained in the network stack's service order
+    ({!Rescont.Service_order}): container priority first, then least
+    recently served, then creation order.  A destroyed reader's queued
+    reads are still served and charged; its entry leaves once they are
+    done.
 
     Requests are asynchronous at the kernel level ({!submit}) with a
     blocking wrapper for machine threads ({!read}).  Service time is

@@ -11,7 +11,6 @@ val curve : string -> curve
 (** A named, initially empty curve. *)
 
 val add_point : curve -> x:float -> y:float -> unit
-val curve_name : curve -> string
 val points : curve -> (float * float) list
 (** Points in insertion order. *)
 

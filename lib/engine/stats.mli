@@ -10,7 +10,6 @@ module Summary : sig
   val count : t -> int
   val mean : t -> float
   val variance : t -> float
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
   val total : t -> float

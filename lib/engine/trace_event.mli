@@ -62,6 +62,3 @@ val to_json : t -> Jsonx.t
 (** Structured form: an object with a ["type"] discriminator plus the
     event's fields.  Does not include the timestamp — the trace log adds
     it per entry. *)
-
-val resource_name : resource -> string
-val drop_reason_name : drop_reason -> string

@@ -50,10 +50,9 @@ type oracle_point = {
 
 let service_mean_us = 400.
 
-let make_oracle_cluster ?(shards = 1) ?domains ?window ?ring_bits ~machines ~rate ~hold
-    ~seed () =
+let make_oracle_cluster ?(shards = 1) ?window ?ring_bits ~machines ~rate ~hold ~seed () =
   let policy = if machines = 1 then Cluster.Round_robin else Cluster.Flow_hash in
-  Cluster.create ~machines ~shards ?domains ?window ?ring_bits ~policy
+  Cluster.create ~machines ~shards ?window ?ring_bits ~policy
     ~profile:(Cluster.Poisson rate)
     ~service:(Dist.exponential ~mean:(service_mean_us *. 1000.))
     ~hold ~seed ()
@@ -70,8 +69,12 @@ type calibration = {
    the request's sojourn — comes from the busy-time counter and is what
    utilisation targeting needs: with the default 400 us service the
    simulated kernel spends ~0.9 ms of CPU per request end to end. *)
-let calibrate ?(seed = 42) () =
-  let c = make_oracle_cluster ~machines:1 ~rate:50. ~hold:Simtime.span_zero ~seed () in
+let oracle_seed = 42
+
+let calibrate () =
+  let c =
+    make_oracle_cluster ~machines:1 ~rate:50. ~hold:Simtime.span_zero ~seed:oracle_seed ()
+  in
   Cluster.start c;
   Cluster.run_for c (Simtime.sec 1);
   Cluster.reset_stats c;
@@ -85,10 +88,8 @@ let calibrate ?(seed = 42) () =
     cal_demand = busy /. float_of_int (Cluster.completed c);
   }
 
-let oracle_point ?(machines = 4) ?shards ?domains ?window ?(rate = 5_600.)
-    ?(hold = Simtime.span_zero) ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 6)
-    ?(seed = 42) ~t0 () =
-  let c = make_oracle_cluster ?shards ?domains ?window ~machines ~rate ~hold ~seed () in
+let oracle_point ~machines ?shards ~rate ~hold ~warmup ~measure ~t0 () =
+  let c = make_oracle_cluster ?shards ~machines ~rate ~hold ~seed:oracle_seed () in
   Cluster.start c;
   Cluster.run_for c warmup;
   Cluster.reset_stats c;
@@ -133,14 +134,15 @@ type oracle_result = { o_t0_ms : float; o_points : oracle_point list }
    utilisations via the calibrated per-request demand, all at hold 0 (the
    gate point with its 10^5 held connections runs separately —
    [gate_point]). *)
-let oracle_curve ?(machines = 4) ?shards ?(rhos = [ 0.3; 0.5; 0.7 ]) ?warmup ?measure
-    ?seed () =
-  let cal = calibrate ?seed () in
+let oracle_curve ?(machines = 4) ?shards ?(rhos = [ 0.3; 0.5; 0.7 ])
+    ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 6) () =
+  let cal = calibrate () in
   let points =
     List.map
       (fun rho ->
         let rate = float_of_int machines *. rho /. cal.cal_demand in
-        oracle_point ~machines ?shards ~rate ?warmup ?measure ?seed ~t0:cal.cal_t0 ())
+        oracle_point ~machines ?shards ~rate ~hold:Simtime.span_zero ~warmup ~measure
+          ~t0:cal.cal_t0 ())
       rhos
   in
   { o_t0_ms = cal.cal_t0 *. 1e3; o_points = points }
@@ -148,10 +150,10 @@ let oracle_curve ?(machines = 4) ?shards ?(rhos = [ 0.3; 0.5; 0.7 ]) ?warmup ?me
 (* The acceptance gate: >= 10^5 concurrent connections (rate x hold), a
    moderate per-machine utilisation (~0.62 at ~0.9 ms demand per
    request), and the closed form within 5%. *)
-let gate_point ?(machines = 16) ?shards ?(rate = 10_800.) ?(hold = Simtime.sec 10) ?seed () =
-  let cal = calibrate ?seed () in
-  oracle_point ~machines ?shards ~rate ~hold ~warmup:(Simtime.sec 11)
-    ~measure:(Simtime.sec 8) ?seed ~t0:cal.cal_t0 ()
+let gate_point ?shards () =
+  let cal = calibrate () in
+  oracle_point ~machines:16 ?shards ~rate:10_800. ~hold:(Simtime.sec 10)
+    ~warmup:(Simtime.sec 11) ~measure:(Simtime.sec 8) ~t0:cal.cal_t0 ()
 
 (* --- the 10^6-concurrent-connection run ------------------------------ *)
 
@@ -179,12 +181,12 @@ type mega_point = {
    over a hold period.  Wall-clock measurement is the caller's business
    (the bench harness wraps this); the point itself reports simulated
    scale. *)
-let mega_point ?(machines = 64) ?(shards = 8) ?domains ?(rate = 52_000.)
-    ?(hold = Simtime.sec 20) ?(warmup = Simtime.sec 21) ?(measure = Simtime.sec 6)
-    ?(window = Simtime.ms 2) ?(seed = 2026) () =
+let mega_point () =
+  let machines = 64 and rate = 52_000. and hold = Simtime.sec 20 in
+  let warmup = Simtime.sec 21 and measure = Simtime.sec 6 in
   let c =
-    make_oracle_cluster ~shards ?domains ~window ~ring_bits:21 ~machines ~rate ~hold ~seed
-      ()
+    make_oracle_cluster ~shards:8 ~window:(Simtime.ms 2) ~ring_bits:21 ~machines ~rate ~hold
+      ~seed:2026 ()
   in
   Cluster.start c;
   Cluster.run_for c warmup;
@@ -265,16 +267,16 @@ type clone_pair = {
    difference is the cloning effect (min of two iid sojourns), not a load
    difference.  Network constants appear on both sides and cancel in the
    comparison. *)
-let clone_pair ?(machines = 4) ?(rate = 2_400.) ?(warmup = Simtime.sec 1)
-    ?(measure = Simtime.sec 4) ?(seed = 1_234) () =
+let clone_pair ?(measure = Simtime.sec 4) () =
+  let rate = 2_400. in
   let run policy rate =
     let c =
-      Cluster.create ~machines ~policy ~profile:(Cluster.Poisson rate)
+      Cluster.create ~machines:4 ~policy ~profile:(Cluster.Poisson rate)
         ~service:(Dist.exponential ~mean:(service_mean_us *. 1000.))
-        ~seed ()
+        ~seed:1_234 ()
     in
     Cluster.start c;
-    Cluster.run_for c warmup;
+    Cluster.run_for c (Simtime.sec 1);
     Cluster.reset_stats c;
     Cluster.run_for c measure;
     (Stats.Summary.mean (Cluster.client_sojourn c), Cluster.completed c)
@@ -324,12 +326,12 @@ type qos_point = {
    sending every Nth request into it. *)
 let flood_rate = 30_000.
 
-let qos_run ?(machines = 4) ?(rate = 1_800.) ?(warmup = Simtime.sec 1)
-    ?(measure = Simtime.sec 4) ?(seed = 77) ~policy () =
+let qos_run ~measure ~policy =
+  let machines = 4 in
   let c =
-    Cluster.create ~machines ~policy ~profile:(Cluster.Poisson rate)
+    Cluster.create ~machines ~policy ~profile:(Cluster.Poisson 1_800.)
       ~service:(Dist.exponential ~mean:(service_mean_us *. 1000.))
-      ~seed ()
+      ~seed:77 ()
   in
   let flood =
     Synflood.create
@@ -339,7 +341,7 @@ let qos_run ?(machines = 4) ?(rate = 1_800.) ?(warmup = Simtime.sec 1)
   in
   Cluster.start c;
   Synflood.start flood;
-  Cluster.run_for c warmup;
+  Cluster.run_for c (Simtime.sec 1);
   Cluster.reset_stats c;
   let served0 = Array.init machines (Cluster.node_served c) in
   Cluster.run_for c measure;
@@ -364,7 +366,7 @@ let qos_run ?(machines = 4) ?(rate = 1_800.) ?(warmup = Simtime.sec 1)
     q_syn_drops = (Netsim.Stack.stats (Cluster.node_stack c 0)).Netsim.Stack.syn_queue_drops;
   }
 
-let qos_table ?machines ?rate ?warmup ?measure ?seed () =
+let qos_table ?(measure = Simtime.sec 4) () =
   let t =
     Engine.Series.table
       ~title:"Balancer policy under a SYN-flooded machine (machine 0 attacked)"
@@ -374,7 +376,7 @@ let qos_table ?machines ?rate ?warmup ?measure ?seed () =
   in
   List.iter
     (fun policy ->
-      let p = qos_run ?machines ?rate ?warmup ?measure ?seed ~policy () in
+      let p = qos_run ~measure ~policy in
       Engine.Series.add_row t
         [
           p.q_policy;
@@ -388,8 +390,8 @@ let qos_table ?machines ?rate ?warmup ?measure ?seed () =
 
 (* --- tenant rollup table -------------------------------------------- *)
 
-let tenant_table ?(machines = 4) ?(rate = 4_000.) ?(measure = Simtime.sec 3)
-    ?(seed = 5) () =
+let tenant_table ?(measure = Simtime.sec 3) () =
+  let machines = 4 in
   let tenants =
     [
       Cluster.tenant_spec "gold" ~weight:3
@@ -399,7 +401,7 @@ let tenant_table ?(machines = 4) ?(rate = 4_000.) ?(measure = Simtime.sec 3)
     ]
   in
   let c =
-    Cluster.create ~machines ~profile:(Cluster.Poisson rate) ~tenants ~seed ()
+    Cluster.create ~machines ~profile:(Cluster.Poisson 4_000.) ~tenants ~seed:5 ()
   in
   Cluster.start c;
   Cluster.run_for c measure;

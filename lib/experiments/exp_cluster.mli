@@ -24,56 +24,23 @@ type oracle_point = {
 
 type oracle_result = { o_t0_ms : float; o_points : oracle_point list }
 
-type calibration = {
-  cal_t0 : float;  (** mean in-sojourn demand, seconds *)
-  cal_demand : float;  (** total CPU demand per request, seconds *)
-}
-
-val calibrate : ?seed:int -> unit -> calibration
-(** A single machine at near-zero load: the mean in-server sojourn is the
-    per-request in-sojourn demand [T0], and busy-time over completions is
-    the total CPU demand per request (~0.9 ms at the default 400 us
-    service) — what utilisation targeting divides by. *)
-
-val oracle_point :
-  ?machines:int ->
-  ?shards:int ->
-  ?domains:int ->
-  ?window:Engine.Simtime.span ->
-  ?rate:float ->
-  ?hold:Engine.Simtime.span ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?seed:int ->
-  t0:float ->
-  unit ->
-  oracle_point
-(** One loaded run compared against the closed form.  Predictions are
-    per-machine (the hash ring's shares are uneven) and averaged with
-    completion weights.  [shards]/[domains]/[window] select sharded
-    execution ({!Clustersim.Cluster.create}); the in-server sojourn the
-    oracle compares is window-independent, and results are byte-identical
-    at every shard count. *)
-
 val oracle_curve :
   ?machines:int ->
   ?shards:int ->
   ?rhos:float list ->
   ?warmup:Engine.Simtime.span ->
   ?measure:Engine.Simtime.span ->
-  ?seed:int ->
   unit ->
   oracle_result
-(** Calibrate once, then one point per target utilisation. *)
+(** Calibrate once on a single machine at near-zero load (the mean
+    in-server sojourn is [T0]; busy time over completions is the CPU
+    demand per request that utilisation targeting divides by), then one
+    point per target utilisation.  Each point's prediction is per machine
+    (the hash ring's shares are uneven), averaged with completion weights.
+    [shards] selects sharded execution ({!Clustersim.Cluster.create});
+    results are byte-identical at every shard count. *)
 
-val gate_point :
-  ?machines:int ->
-  ?shards:int ->
-  ?rate:float ->
-  ?hold:Engine.Simtime.span ->
-  ?seed:int ->
-  unit ->
-  oracle_point
+val gate_point : ?shards:int -> unit -> oracle_point
 (** The acceptance-gate configuration: clients hold connections for 10 s
     after their response, so 10.8k arrivals/s sustain >= 10^5 concurrent
     connections across 16 machines while each machine runs at ~0.62
@@ -96,18 +63,7 @@ type mega_point = {
   mp_evicted : int;
 }
 
-val mega_point :
-  ?machines:int ->
-  ?shards:int ->
-  ?domains:int ->
-  ?rate:float ->
-  ?hold:Engine.Simtime.span ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?window:Engine.Simtime.span ->
-  ?seed:int ->
-  unit ->
-  mega_point
+val mega_point : unit -> mega_point
 (** The scale demonstration: 52,000 arrivals/s each holding its connection
     for 20 s sustain ~1.04 million concurrent connections over 64
     machines, executed across 8 shards with a 2 ms dispatch window and
@@ -115,7 +71,6 @@ val mega_point :
     territory ([--mega]), not CI. *)
 
 val oracle_table : oracle_result -> Engine.Series.table
-val point_json : oracle_point -> Engine.Jsonx.t
 val oracle_json : ?gate:oracle_point -> oracle_result -> Engine.Jsonx.t
 
 (** {1 The cloning bound} *)
@@ -128,16 +83,9 @@ type clone_pair = {
   c_ratio : float;  (** replicated / single; the bound requires <= 1 *)
 }
 
-val clone_pair :
-  ?machines:int ->
-  ?rate:float ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?seed:int ->
-  unit ->
-  clone_pair
-(** Single dispatch at rate [lambda] vs two clones per request at
-    [lambda/2]: equal per-machine load, so the client-side sojourn
+val clone_pair : ?measure:Engine.Simtime.span -> unit -> clone_pair
+(** Single dispatch at 2 400 arrivals/s vs two clones per request at half
+    that rate, over 4 machines: equal per-machine load, so the client-side sojourn
     difference is purely the first-response-wins effect —
     [E[min of 2 iid] <= E[single]]. *)
 
@@ -145,47 +93,16 @@ val clone_table : clone_pair -> Engine.Series.table
 
 (** {1 Differentiated QoS under a flooded machine} *)
 
-type qos_point = {
-  q_policy : string;
-  q_goodput : float;  (** completions/s *)
-  q_sojourn_ms : float;  (** mean client sojourn *)
-  q_flooded_share : float;  (** fraction of requests served by machine 0 *)
-  q_syn_drops : int;  (** SYN-queue drops on machine 0 *)
-}
-
-val qos_run :
-  ?machines:int ->
-  ?rate:float ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?seed:int ->
-  policy:Clustersim.Cluster.policy ->
-  unit ->
-  qos_point
-(** Machine 0 is SYN-flooded at 30 000 SYN/s from inside tenant 0's
-    prefix.  Half-open connections are tracked from SYN, so
-    least-connections balancing sees the flood as load and routes around
-    the machine; round-robin keeps feeding it. *)
-
-val qos_table :
-  ?machines:int ->
-  ?rate:float ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?seed:int ->
-  unit ->
-  Engine.Series.table
-(** One {!qos_run} row per policy (round-robin, least-conns). *)
+val qos_table : ?measure:Engine.Simtime.span -> unit -> Engine.Series.table
+(** One row per balancer policy (round-robin, least-conns), 4 machines
+    at 1 800 arrivals/s.  Machine 0 is SYN-flooded at 30 000 SYN/s from
+    inside tenant 0's prefix.  Half-open connections are tracked from
+    SYN, so least-connections balancing sees the flood as load and routes
+    around the machine; round-robin keeps feeding it. *)
 
 (** {1 Tenant rollup} *)
 
-val tenant_table :
-  ?machines:int ->
-  ?rate:float ->
-  ?measure:Engine.Simtime.span ->
-  ?seed:int ->
-  unit ->
-  Engine.Series.table
-(** Cluster-wide per-tenant usage via the rollup groups (3:1 arrival
-    weights), with the "cluster.usage-rollup" law checked at the end.
+val tenant_table : ?measure:Engine.Simtime.span -> unit -> Engine.Series.table
+(** Cluster-wide per-tenant usage over 4 machines at 4 000 arrivals/s via
+    the rollup groups (3:1 arrival weights), with the "cluster.usage-rollup" law checked at the end.
     @raise Failure on a law violation. *)

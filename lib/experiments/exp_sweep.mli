@@ -43,6 +43,5 @@ val run_grid :
 (** Run every point, fanned across [jobs] domains, results in grid
     order. *)
 
-val report_json : result array -> Engine.Jsonx.t
 val report_string : result array -> string
 (** Compact one-line JSON document plus trailing newline. *)

@@ -20,8 +20,6 @@
 
 type server_model = Event | Threaded | Forked
 
-val server_model_name : server_model -> string
-
 val mode_name : Netsim.Stack.mode -> string
 val mode_of_string : string -> Netsim.Stack.mode option
 

@@ -4,6 +4,7 @@ module Machine = Procsim.Machine
 module Container = Rescont.Container
 module Usage = Rescont.Usage
 module Attrs = Rescont.Attrs
+module Order = Rescont.Service_order
 
 type mode = Softirq | Lrp | Rc
 
@@ -62,9 +63,7 @@ type t = {
   mutable on_readable : Socket.conn -> unit;
   mutable on_syn_drop : Socket.listen -> Ipaddr.t -> unit;
   pool : Workpool.t;
-  queues : (int, Workpool.queue * Container.t) Hashtbl.t;
-  served_stamp : (int, int) Hashtbl.t; (* container id -> last service tick *)
-  mutable service_tick : int;
+  order : Workpool.queue Order.t; (* deferred-processing queues, one per container *)
   mutable pending : int;
   mutable services : service list; (* specific first, catch-all last *)
   conns : Conn_table.t; (* every non-closed connection this stack created *)
@@ -81,6 +80,8 @@ type t = {
 and service = {
   svc_name : string;
   svc_covers : Container.t -> bool;
+  svc_rank : Container.t -> int; (* [net_rank] of the covered containers *)
+  svc_rank_regular : Container.t -> int; (* the same, idle class excluded *)
   svc_wq : Machine.Waitq.t;
   svc_home : Container.t;
   svc_cpu : int; (* processor the kthread is pinned to; -1 = unpinned *)
@@ -105,8 +106,7 @@ let set_on_event = add_on_event
 let set_on_readable t f = t.on_readable <- f
 let set_on_syn_drop t f = t.on_syn_drop <- f
 let pending_work t = t.pending
-let queue_table_size t = Hashtbl.length t.queues
-let stamp_table_size t = Hashtbl.length t.served_stamp
+let queue_table_size t = Order.length t.order
 let tracked_conns t = Conn_table.length t.conns
 let pool_stats t = Workpool.stats t.pool
 
@@ -231,6 +231,7 @@ let memory_limit_exceeded container ~extra =
   check container
 
 let schedule t delay f = Sim.post (Machine.sim t.machine) delay f
+let queued_in acc e = acc + Workpool.queue_length (Order.fifo e)
 
 (* A connection leaves the registry the instant it closes, from whichever
    path closed it, so the registry holds exactly the open connections
@@ -305,30 +306,57 @@ let sum_conn_rx acc conn =
 (* The bytes buffered in every open connection's rx queue. *)
 let buffered_rx_bytes t = Conn_table.fold t.conns ~init:0 sum_conn_rx
 
-(* Container teardown (§4.6): drop the per-container deferred-processing
-   queue and service stamp, or both tables grow forever under per-connection
+(* Container teardown (§4.6): drop the container's deferred-processing
+   queue, or the service order grows forever under per-connection
    container churn.  Work still queued for the dead principal is discarded
    like an early drop — no further CPU will be spent on it. *)
-let forget_container t container =
-  let cid = Container.id container in
-  (match Hashtbl.find_opt t.queues cid with
-  | Some (q, _) ->
-      let dropped = Workpool.queue_length q in
-      if dropped > 0 then begin
-        t.pending <- t.pending - dropped;
-        t.stats.rx_queue_drops <- t.stats.rx_queue_drops + dropped
+let forget_container t e =
+  let q = Order.fifo e in
+  let dropped = Workpool.queue_length q in
+  if dropped > 0 then begin
+    t.pending <- t.pending - dropped;
+    t.stats.rx_queue_drops <- t.stats.rx_queue_drops + dropped
+  end;
+  let rec drain () =
+    match Workpool.pop q with
+    | Some item ->
+        Workpool.release t.pool item;
+        drain ()
+    | None -> ()
+  in
+  drain ();
+  Order.remove t.order e
+
+(* A container's rank in the service order (§4.3): its network priority
+   if [covers] admits it, [min_int] (never picked) otherwise. *)
+let net_rank ~covers ~allow_idle c =
+  if covers c && (allow_idle || not (is_idle_class c)) then
+    Attrs.effective_net_priority (Container.attrs c)
+  else min_int
+
+(* Pop the entry's next packet, stamping the entry served: the kthread's
+   one dequeue path, for a pick's first packet and for the drain after. *)
+let take t e =
+  let q = Order.fifo e in
+  match Workpool.pop q with
+  | None -> None
+  | Some _ as taken ->
+      t.pending <- t.pending - 1;
+      Order.popped t.order e ~empty:(Workpool.queue_is_empty q);
+      if tracing t then begin
+        let container = Order.container e in
+        tell t
+          (Engine.Trace_event.Net_dequeue
+             {
+               cid = Container.id container;
+               container = Container.name container;
+               depth = Workpool.queue_length q;
+             })
       end;
-      let rec drain () =
-        match Workpool.pop q with
-        | Some item ->
-            Workpool.release t.pool item;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      Hashtbl.remove t.queues cid
-  | None -> ());
-  Hashtbl.remove t.served_stamp cid
+      taken
+
+let best_pending t svc ~allow_idle =
+  Order.best t.order (if allow_idle then svc.svc_rank else svc.svc_rank_regular)
 
 let charge_rx container packets bytes = Container.charge_rx container ~packets ~bytes
 
@@ -440,42 +468,15 @@ let rec perform t (w : Workpool.item) =
       | Socket.Syn_rcvd | Socket.Close_wait | Socket.Closed -> ())
 
 (* Deferred-processing queues, one per container (RC) or one for the owner
-   process (LRP). *)
-and queue_for t container =
-  let cid = Container.id container in
-  match Hashtbl.find_opt t.queues cid with
-  | Some (q, _) -> q
-  | None ->
-      let q = Workpool.queue_create t.pool in
-      (* Only live containers get a tracked queue: a service thread that
-         kept a reference across the teardown would otherwise resurrect the
-         table entry with no hook left to prune it — a leak per churned
-         container.  The untracked queue is a harmless sink. *)
-      if not (Container.is_destroyed container) then begin
-        Hashtbl.replace t.queues cid (q, container);
-        Container.on_destroy container (fun c -> forget_container t c)
-      end;
-      q
-
-and best_pending t ~covers ~allow_idle =
-  (* Highest container priority wins; equal priorities are served
-     least-recently-first so no container can starve its peers. *)
-  let stamp c =
-    match Hashtbl.find_opt t.served_stamp (Container.id c) with Some s -> s | None -> -1
-  in
-  Hashtbl.fold
-    (fun _ (q, c) acc ->
-      if Workpool.queue_is_empty q then acc
-      else if not (covers c) then acc
-      else if (not allow_idle) && is_idle_class c then acc
-      else
-        let prio = Attrs.effective_net_priority (Container.attrs c) in
-        match acc with
-        | Some (best, best_prio)
-          when best_prio > prio || (best_prio = prio && stamp best <= stamp c) ->
-            acc
-        | Some _ | None -> Some (c, prio))
-    t.queues None
+   process (LRP).  Only live containers get one (see [enqueue_work]); it
+   leaves with its container. *)
+and entry_for t container =
+  match Order.find t.order container with
+  | e -> e
+  | exception Not_found ->
+      let e = Order.add t.order container (Workpool.queue_create t.pool) in
+      Container.on_destroy container (fun _ -> forget_container t e);
+      e
 
 (* The covering service pinned to [steer] when one exists, else the first
    covering service (the uniprocessor case, and explicitly-added virtual
@@ -490,42 +491,6 @@ and service_covering t container ~steer =
   in
   find None t.services
 
-and service_has_work t svc =
-  Hashtbl.fold
-    (fun _ (q, c) acc -> acc || ((not (Workpool.queue_is_empty q)) && svc.svc_covers c))
-    t.queues false
-
-and pick_work t svc =
-  (* Running tasks are dequeued from the policy while on a processor, so a
-     positive count means someone other than this thread wants the CPU. *)
-  let machine_otherwise_busy = Machine.runnable_tasks t.machine > 0 in
-  let choice =
-    match
-      best_pending t ~covers:svc.svc_covers ~allow_idle:(not machine_otherwise_busy)
-    with
-    | Some (c, _) -> Some c
-    | None -> None
-  in
-  match choice with
-  | None -> None
-  | Some container -> (
-      let q = queue_for t container in
-      match Workpool.pop q with
-      | None -> None
-      | Some work ->
-          t.pending <- t.pending - 1;
-          t.service_tick <- t.service_tick + 1;
-          Hashtbl.replace t.served_stamp (Container.id container) t.service_tick;
-          if tracing t then
-            tell t
-              (Engine.Trace_event.Net_dequeue
-                 {
-                   cid = Container.id container;
-                   container = Container.name container;
-                   depth = Workpool.queue_length q;
-                 });
-          Some (container, work))
-
 and enqueue_work t (work : Workpool.item) =
   let container = container_of_work t work in
   if Container.is_destroyed container then begin
@@ -535,7 +500,8 @@ and enqueue_work t (work : Workpool.item) =
     Workpool.release t.pool work
   end
   else
-    let q = queue_for t container in
+    let e = entry_for t container in
+    let q = Order.fifo e in
     if Workpool.queue_length q >= t.queue_cap then begin
       (* Early discard at interrupt level: the whole point of LRP/RC under
          overload — no further CPU is spent on this packet. *)
@@ -552,6 +518,7 @@ and enqueue_work t (work : Workpool.item) =
     end
     else begin
       Workpool.push q work;
+      Order.pushed t.order e;
       t.pending <- t.pending + 1;
       if tracing t then
         tell t
@@ -567,9 +534,9 @@ and enqueue_work t (work : Workpool.item) =
       match service_covering t container ~steer:(steer_of_work t work) with
       | Some svc ->
           if not svc.svc_busy then begin
-            (match (svc.svc_thread, best_pending t ~covers:svc.svc_covers ~allow_idle:true) with
-            | Some kthread, Some (best, _) when t.mode = Rc ->
-                Machine.rebind t.machine kthread best
+            (match (svc.svc_thread, best_pending t svc ~allow_idle:true) with
+            | Some kthread, Some best when t.mode = Rc ->
+                Machine.rebind t.machine kthread (Order.container best)
             | (Some _ | None), (Some _ | None) -> ());
             Machine.Waitq.signal svc.svc_wq
           end
@@ -626,51 +593,52 @@ let fin_arrival t conn =
   work.Workpool.conn <- conn;
   dispatch t work
 
+(* The busy entry the kthread serves next.  Running tasks are dequeued
+   from the policy while on a processor, so a positive count means someone
+   other than this thread wants the CPU, and idle-class work waits. *)
+let pick_work t svc =
+  best_pending t svc ~allow_idle:(Machine.runnable_tasks t.machine = 0)
+
+let serve t work =
+  Machine.cpu ~kernel:true (cost_of_work t work);
+  perform t work;
+  Workpool.release t.pool work
+
+(* Once bound to a container, drain its whole queue before moving on:
+   hopping containers costs a scheduling turn per packet, and queues are
+   bounded so no peer waits more than [queue_cap] packets.  Idle-class
+   queues are drained one packet at a time so regular work can reclaim
+   the thread between packets.  The entry is held across the drain: if
+   its container dies meanwhile, its queue is emptied and the drain ends. *)
+let rec drain t e =
+  let container = Order.container e in
+  if not (is_idle_class container && Machine.runnable_tasks t.machine > 0) then
+    match take t e with
+    | None -> ()
+    | Some work ->
+        serve t work;
+        if not (is_idle_class container) then drain t e
+
 let kthread_body t svc () =
   let self = Machine.self () in
-  (* Once bound to a container, drain its whole queue before moving on:
-     hopping containers costs a scheduling turn per packet, and queues are
-     bounded so no peer waits more than [queue_cap] packets.  Idle-class
-     queues are drained one packet at a time so regular work can reclaim
-     the thread between packets. *)
-  let rec drain container =
-    if not (is_idle_class container && Machine.runnable_tasks t.machine > 0) then begin
-      match Workpool.pop (queue_for t container) with
-      | None -> ()
-      | Some work ->
-          t.pending <- t.pending - 1;
-          t.service_tick <- t.service_tick + 1;
-          Hashtbl.replace t.served_stamp (Container.id container) t.service_tick;
-          if tracing t then
-            tell t
-              (Engine.Trace_event.Net_dequeue
-                 {
-                   cid = Container.id container;
-                   container = Container.name container;
-                   depth = Workpool.queue_length (queue_for t container);
-                 });
-          Machine.cpu ~kernel:true (cost_of_work t work);
-          perform t work;
-          Workpool.release t.pool work;
-          if not (is_idle_class container) then drain container
-    end
-  in
   let rec loop () =
     match pick_work t svc with
-    | Some (container, work) ->
-        svc.svc_busy <- true;
-        if t.mode = Rc then Machine.rebind t.machine self container
-        else Machine.rebind t.machine self svc.svc_home;
-        Machine.cpu ~kernel:true (cost_of_work t work);
-        perform t work;
-        Workpool.release t.pool work;
-        drain container;
-        svc.svc_busy <- false;
-        loop ()
-    | None ->
-        svc.svc_busy <- false;
-        Machine.Waitq.wait svc.svc_wq;
-        loop ()
+    | Some e -> (
+        match take t e with
+        | Some work ->
+            svc.svc_busy <- true;
+            Machine.rebind t.machine self
+              (if t.mode = Rc then Order.container e else svc.svc_home);
+            serve t work;
+            drain t e;
+            svc.svc_busy <- false;
+            loop ()
+        | None -> wait ())
+    | None -> wait ()
+  and wait () =
+    svc.svc_busy <- false;
+    Machine.Waitq.wait svc.svc_wq;
+    loop ()
   in
   loop ()
 
@@ -682,6 +650,8 @@ let spawn_service ?cpu t ~name ~home ~covers =
         {
           svc_name = name;
           svc_covers = covers;
+          svc_rank = net_rank ~covers ~allow_idle:true;
+          svc_rank_regular = net_rank ~covers ~allow_idle:false;
           svc_wq = Machine.Waitq.create ~name t.machine;
           svc_home = home;
           svc_cpu = (match cpu with Some c -> c | None -> -1);
@@ -718,9 +688,7 @@ let create ?(mtu = 1460) ?(costs = default_costs) ?(queue_cap = 64)
       on_readable = (fun _ -> ());
       on_syn_drop = (fun _ _ -> ());
       pool = Workpool.create ();
-      queues = Hashtbl.create 64;
-      served_stamp = Hashtbl.create 64;
-      service_tick = 0;
+      order = Order.create ();
       pending = 0;
       services = [];
       conns = Conn_table.create ();
@@ -766,9 +734,7 @@ let create ?(mtu = 1460) ?(costs = default_costs) ?(queue_cap = 64)
   let inv = Machine.invariants machine in
   if not (List.mem "net.pending-consistency" (I.names inv)) then begin
     I.register inv ~law:"net.pending-consistency" (fun () ->
-        let queued =
-          Hashtbl.fold (fun _ (q, _) acc -> acc + Workpool.queue_length q) t.queues 0
-        in
+        let queued = Order.fold t.order ~init:0 queued_in in
         I.equal_int ~what:"queued deferred packets vs stack pending counter" queued t.pending);
     I.register inv ~law:"net.queue-bounds" (fun () ->
         let bounded l kind length bound =
@@ -807,17 +773,15 @@ let create ?(mtu = 1460) ?(costs = default_costs) ?(queue_cap = 64)
         with
         | Error _ as e -> e
         | Ok () ->
-            let structural =
-              Hashtbl.fold (fun _ (q, _) acc -> acc + Workpool.queue_length q) t.queues 0
-            in
+            let structural = Order.fold t.order ~init:0 queued_in in
             (match
                I.equal_int ~what:"pool queued counter vs per-container queue lengths"
                  queued structural
              with
             | Error _ as e -> e
             | Ok () ->
-                if Hashtbl.fold (fun _ (q, _) acc -> acc && Workpool.queue_validate q) t.queues true
-                then Ok ()
+                let valid ok e = ok && Workpool.queue_validate (Order.fifo e) in
+                if Order.fold t.order ~init:true valid then Ok ()
                 else Error "a per-container work queue fails structural validation"))
   end;
   (match mode with
@@ -840,7 +804,7 @@ let create ?(mtu = 1460) ?(costs = default_costs) ?(queue_cap = 64)
       Machine.set_on_idle machine (fun () ->
           List.iter
             (fun svc ->
-              if (not svc.svc_busy) && service_has_work t svc then
+              if (not svc.svc_busy) && Option.is_some (best_pending t svc ~allow_idle:true) then
                 Machine.Waitq.signal svc.svc_wq)
             t.services));
   t

@@ -213,12 +213,9 @@ val pending_work : t -> int
 (** Packets queued for deferred protocol processing (LRP/RC modes). *)
 
 val queue_table_size : t -> int
-(** Containers with a deferred-processing queue.  Bounded by the live
-    container population: queues are torn down with their container. *)
-
-val stamp_table_size : t -> int
-(** Containers with a recorded last-served tick (same lifetime as the
-    queue table). *)
+(** Containers with a deferred-processing queue: each live container from
+    its first enqueued packet until it is destroyed.  Bounded by the live
+    container population. *)
 
 val listens : t -> Socket.listen list
 (** The installed listen sockets, read from the {!Demux} table; the

@@ -29,12 +29,14 @@ module Container = Rescont.Container
 
    Invariant: a ring with [live > 0] has its whole [live] added along its
    cached [chain], and such rings are exactly the members of the dense
-   [busy] set.  When the container topology generation moves, [sync]
-   visits only the busy rings and moves each one's [live] from its old
-   chain to its new ancestry, skipping any whose ancestry array is
-   physically unchanged, so a re-shape costs O(busy queues x depth) rather
-   than O(every container ever queued).  An idle ring's chain may be
-   stale; it is refreshed when the ring next turns busy. *)
+   [busy] set, kept in ascending [Container.id] (creation order within
+   the run), the order the flat policies break ties in.  When the
+   container topology generation moves, [sync] visits only the busy rings
+   and moves each one's [live] from its old chain to its new ancestry,
+   skipping any whose ancestry array is physically unchanged, so a
+   re-shape costs O(busy queues x depth) rather than O(every container
+   ever queued).  An idle ring's chain may be stale; it is refreshed when
+   the ring next turns busy. *)
 
 type node = {
   container : Container.t;
@@ -44,25 +46,20 @@ type node = {
   mutable head : int;
   mutable len : int; (* ring entries, live or stale *)
   mutable live : int;
-  mutable busy_ix : int; (* slot in [busy] while [live > 0], else -1 *)
   mutable chain : node array; (* cached nodes along the ancestry, self first *)
   mutable chain_key : Container.t array; (* the ancestry array [chain] was built from *)
   mutable count : int; (* live tasks queued anywhere in the subtree *)
   mutable kids : node array; (* children with [count > 0], adoption order, in [0, nkids) *)
   mutable nkids : int;
-  ix : int; (* position in [all] *)
-  mutable qnext : int; (* [ix] of the next node in its [queued] bucket; -1 ends it *)
 }
 
 type t = {
   mutable id : int; (* matches Task.rq_owner of the tasks queued here; 0 until the first *)
   mutable run : Container.run option; (* the run [id] counts in; [None] until the first *)
-  mutable queued : int array; (* bucket heads ([ix], -1 if empty) of the nodes with a ring *)
-  mutable nqueued : int;
   mutable nodes : node option array; (* Container.slot -> node *)
   mutable all : node array; (* every node, in creation order, in [0, nall) *)
   mutable nall : int;
-  mutable busy : node array; (* the rings with live tasks, in slots [0, nbusy) *)
+  mutable busy : node array; (* the rings with live tasks, ascending id, in [0, nbusy) *)
   mutable nbusy : int;
   mutable total : int; (* live tasks across all queues *)
   mutable next_stamp : int;
@@ -77,8 +74,6 @@ let create () =
   {
     id = 0;
     run = None;
-    queued = Array.make 64 (-1);
-    nqueued = 0;
     nodes = Array.make 64 None;
     all = [||];
     nall = 0;
@@ -125,14 +120,11 @@ let node t container =
           head = 0;
           len = 0;
           live = 0;
-          busy_ix = -1;
           chain = [||];
           chain_key = [||];
           count = 0;
           kids = [||];
           nkids = 0;
-          ix = t.nall;
-          qnext = -1;
         }
       in
       Array.unsafe_set t.nodes slot (Some n);
@@ -206,24 +198,34 @@ let add_chain chain delta =
       else if n.count = 0 then kid_remove (Array.unsafe_get chain (i + 1)) n
   done
 
+(* Insert in ascending container id, as [kid_insert] does in adoption
+   order: the newest container usually sorts last, so the scan from the
+   back stops at once.  By id rather than by slot, so that reusing ledger
+   slots could never reorder the set. *)
 let busy_add t n =
   if t.nbusy = Array.length t.busy then begin
     let grown = Array.make (max 16 (2 * t.nbusy)) n in
     Array.blit t.busy 0 grown 0 t.nbusy;
     t.busy <- grown
   end;
-  n.busy_ix <- t.nbusy;
-  t.busy.(t.nbusy) <- n;
+  let id = Container.id n.container in
+  let j = ref t.nbusy in
+  while !j > 0 && Container.id (Array.unsafe_get t.busy (!j - 1)).container > id do
+    Array.unsafe_set t.busy !j (Array.unsafe_get t.busy (!j - 1));
+    decr j
+  done;
+  Array.unsafe_set t.busy !j n;
   t.nbusy <- t.nbusy + 1
 
-(* Swap-remove: only the set's membership matters, never its order. *)
 let busy_remove t n =
-  let last = t.nbusy - 1 in
-  let moved = t.busy.(last) in
-  t.busy.(n.busy_ix) <- moved;
-  moved.busy_ix <- n.busy_ix;
-  n.busy_ix <- -1;
-  t.nbusy <- last
+  let j = ref (t.nbusy - 1) in
+  while not (t.busy.(!j) == n) do
+    decr j
+  done;
+  for k = !j to t.nbusy - 2 do
+    Array.unsafe_set t.busy k (Array.unsafe_get t.busy (k + 1))
+  done;
+  t.nbusy <- t.nbusy - 1
 
 let stale n = not (n.chain_key == Container.ancestry n.container)
 
@@ -254,50 +256,11 @@ let sync t =
     done
   end
 
-(* The nodes that ever held a ring, in the order a stdlib [Hashtbl]
-   keyed by container id iterates them: the policies break ties in that
-   order (see [containers_with_work]).  The table only ever gains keys,
-   so the order follows from the insertions alone: ascending bucket
-   [Hashtbl.hash id land (buckets - 1)], newest first within a bucket;
-   64 buckets to start, doubling once the count exceeds twice the
-   bucket count, each bucket splitting in order.  The buckets are chains
-   through [qnext], which a loop walks without the closure
-   [Hashtbl.iter] allocates on every call. *)
-let bucket_of buckets n = Hashtbl.hash (Container.id n.container) land (Array.length buckets - 1)
-
-let queued_add t n =
-  let b = bucket_of t.queued n in
-  n.qnext <- t.queued.(b);
-  t.queued.(b) <- n.ix;
-  t.nqueued <- t.nqueued + 1;
-  let half = Array.length t.queued in
-  if t.nqueued > 2 * half then begin
-    let grown = Array.make (2 * half) (-1) in
-    for b = 0 to half - 1 do
-      let i = ref t.queued.(b) and lo = ref (-1) and hi = ref (-1) in
-      while !i >= 0 do
-        let n = t.all.(!i) in
-        i := n.qnext;
-        n.qnext <- -1;
-        if bucket_of grown n = b then begin
-          if !lo < 0 then grown.(b) <- n.ix else t.all.(!lo).qnext <- n.ix;
-          lo := n.ix
-        end
-        else begin
-          if !hi < 0 then grown.(b + half) <- n.ix else t.all.(!hi).qnext <- n.ix;
-          hi := n.ix
-        end
-      done
-    done;
-    t.queued <- grown
-  end
-
 let queue_for t container =
   let n = node t container in
   if Array.length n.tasks = 0 then begin
     n.tasks <- Array.make 8 Task.none;
-    n.stamps <- Array.make 8 0;
-    queued_add t n
+    n.stamps <- Array.make 8 0
   end;
   n
 
@@ -448,17 +411,9 @@ let subtree_has_work t container =
   sync t;
   match find t container with Some n -> n.count > 0 | None -> false
 
-(* Visit every container with live queued work in [queued] order, not
-   the [busy] set's: policies break ties on it. *)
 let iter_busy t f =
-  let q = t.queued in
-  for b = 0 to Array.length q - 1 do
-    let i = ref (Array.unsafe_get q b) in
-    while !i >= 0 do
-      let n = t.all.(!i) in
-      if n.live > 0 then f n.container;
-      i := n.qnext
-    done
+  for i = 0 to t.nbusy - 1 do
+    f (Array.unsafe_get t.busy i).container
   done
 
 let containers_with_work t =
@@ -481,7 +436,6 @@ let validate t =
   sync t;
   let mismatch = ref None in
   let total = ref 0 in
-  let busy = ref 0 in
   iter_nodes t (fun n ->
       let live = ref 0 in
       let cap = Array.length n.tasks in
@@ -490,24 +444,27 @@ let validate t =
         if entry_live t n.slot n.tasks.(j) n.stamps.(j) then incr live
       done;
       total := !total + !live;
-      if n.live > 0 then incr busy;
       if !mismatch = None && n.live <> !live then
         mismatch :=
           Some
             (Printf.sprintf "queue %s: live=%d but %d ring entries are live"
-               (Container.name n.container) n.live !live);
-      let in_busy = n.busy_ix >= 0 && n.busy_ix < t.nbusy && t.busy.(n.busy_ix) == n in
-      if !mismatch = None && in_busy <> (n.live > 0) then
-        mismatch :=
-          Some
-            (Printf.sprintf "queue %s: live=%d but %s the busy set" (Container.name n.container)
-               n.live
-               (if in_busy then "in" else "missing from")));
+               (Container.name n.container) n.live !live));
   if !mismatch = None && t.total <> !total then
     mismatch := Some (Printf.sprintf "total=%d but queues hold %d live entries" t.total !total);
-  if !mismatch = None && t.nbusy <> !busy then
-    mismatch :=
-      Some (Printf.sprintf "busy set holds %d queues but %d have live tasks" t.nbusy !busy);
+  let names l = String.concat "; " (List.map Container.name l) in
+  (* The busy set: exactly the queues with live tasks, in ascending id. *)
+  if !mismatch = None then begin
+    let expected =
+      List.init t.nall (fun i -> t.all.(i).container)
+      |> List.filter (fun c -> container_has_work t c)
+      |> List.sort (fun a b -> Int.compare (Container.id a) (Container.id b))
+    in
+    let cached = List.init t.nbusy (fun i -> t.busy.(i).container) in
+    if not (List.equal ( == ) cached expected) then
+      mismatch :=
+        Some
+          (Printf.sprintf "busy set: cached [%s], recomputed [%s]" (names cached) (names expected))
+  end;
   (match !mismatch with
   | Some _ -> ()
   | None ->
@@ -543,7 +500,6 @@ let validate t =
         fresh;
       (* Busy sets: each node's must be exactly its children with queued
          subtree work, in [Container.children] order. *)
-      let names l = String.concat "; " (List.map Container.name l) in
       iter_nodes t (fun n ->
           if !mismatch = None then begin
             let expected =

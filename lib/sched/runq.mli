@@ -77,26 +77,24 @@ val sync : t -> unit
     {!busy_children}. *)
 
 val containers_with_work : t -> Rescont.Container.t list
-(** Distinct containers with non-empty queues.  The order is deterministic
-    but unsorted: it is the reverse of the order in which a stdlib
-    [Hashtbl] keyed by container id would iterate the containers ever
-    queued here, so it follows from which containers were queued and in
-    what order; container ids count per run, so nothing outside the run
-    moves it.  The lottery policy walks its tickets and the stride
-    policy breaks pass ties in this order, so it is part of the simulated
-    result. *)
+(** Distinct containers with non-empty queues, in descending
+    {!Rescont.Container.id}.  Ids count per run in creation order, so
+    nothing outside the run moves the order.  The lottery policy lays out
+    its tickets and the stride policy breaks pass ties in this order, so
+    it is part of the simulated result. *)
 
 val iter_busy : t -> (Rescont.Container.t -> unit) -> unit
 (** [iter_busy t f] applies [f] to every container with live queued work,
-    in that [Hashtbl] iteration order (the reverse of
-    {!containers_with_work}'s list), without allocating.  The
-    per-dispatch pick path of the timeshare policy runs on this and
-    breaks badness ties on the visit order. *)
+    in ascending {!Rescont.Container.id} (the reverse of
+    {!containers_with_work}'s list), without allocating.  O(busy
+    containers).  The per-dispatch pick path of the timeshare policy runs
+    on this and breaks badness ties on the visit order. *)
 
 val validate : t -> (unit, string) result
 (** Conservation check: re-derives per-container live counts, the set of
-    busy queues, subtree occupancy and every node's busy children
-    (membership and order) from the ring contents and the container tree,
+    busy queues (membership and ascending-id order), subtree occupancy and
+    every node's busy children (membership and order) from the ring
+    contents and the container tree,
     and compares them with the incrementally maintained state.  [Ok ()]
     iff they all agree.  Used as the [sched.runq-counts] invariant law. *)
 

@@ -58,9 +58,10 @@ let make ?(tau = Simtime.sec 1) () =
      scratch cells hoisted out of the closures, a single pass over the
      run-queue's busy containers instead of materialised candidate lists,
      and the binding set folded in place rather than sorted.  Ties on
-     badness resolve to the container visited last, exactly as the old
-     list-building pick did (it consed the candidates up in visit order,
-     reversing them, then kept the first minimum). *)
+     badness resolve to the container visited last, the newest (the run
+     queue visits in ascending id), exactly as the old list-building pick
+     did (it consed the candidates up in visit order, reversing them, then
+     kept the first minimum). *)
   let cur_now_ns = ref 0 in
   let usage_sum = { fv = 0. } in
   let prio_max = ref 0 in

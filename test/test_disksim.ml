@@ -117,6 +117,42 @@ let test_disk_overlaps_cpu () =
   Alcotest.(check bool) "cpu work unimpeded by disk" true
     (Simtime.to_ns !burned <= 101_000_000)
 
+(* Two never-served readers at one priority, queued newest first, are
+   served in creation order, whatever the hash order of their ids. *)
+let test_never_served_in_creation_order () =
+  let sim, root, machine, disk = make_rig () in
+  let first = Container.create ~parent:root ~name:"first" () in
+  let older = Container.create ~parent:root ~name:"older" () in
+  let newer = Test_netsim.hashes_before ~buckets:16 ~parent:root older in
+  let order = ref [] in
+  let read c =
+    Disk.submit disk ~container:c ~bytes:10_000 (fun () -> order := Container.name c :: !order)
+  in
+  (* [first] takes the disk; the other two wait, never served. *)
+  read first;
+  read newer;
+  read older;
+  run machine sim (Simtime.sec 1);
+  Alcotest.(check (list string)) "oldest never-served first"
+    [ "first"; "older"; Container.name newer ] (List.rev !order)
+
+(* A reader destroyed with a read still queued: the read completes and is
+   charged to it. *)
+let test_destroyed_reader_still_served () =
+  let sim, root, machine, disk = make_rig () in
+  let busy = Container.create ~parent:root ~name:"busy" () in
+  let reader = Container.create ~parent:root ~name:"reader" () in
+  let done_ = ref false in
+  Disk.submit disk ~container:busy ~bytes:10_000 (fun () -> ());
+  Disk.submit disk ~container:reader ~bytes:2_000_000 (fun () -> done_ := true);
+  Container.destroy reader;
+  run machine sim (Simtime.sec 1);
+  Alcotest.(check bool) "read completed" true !done_;
+  Alcotest.(check int) "completed" 2 (Disk.completed disk);
+  Alcotest.(check int) "disk reads charged" 1 (Usage.disk_reads (Container.usage reader));
+  Alcotest.(check int) "disk bytes charged" 2_000_000
+    (Usage.disk_bytes (Container.usage reader))
+
 let test_invalid () =
   let _, root, _, disk = make_rig () in
   let c = Container.create ~parent:root () in
@@ -133,4 +169,7 @@ let suite =
     Alcotest.test_case "blocking read" `Quick test_blocking_read;
     Alcotest.test_case "disk overlaps cpu" `Quick test_disk_overlaps_cpu;
     Alcotest.test_case "invalid sizes" `Quick test_invalid;
+    Alcotest.test_case "never-served readers in creation order" `Quick
+      test_never_served_in_creation_order;
+    Alcotest.test_case "destroyed reader still served" `Quick test_destroyed_reader_still_served;
   ]

@@ -541,8 +541,39 @@ let test_demux_specificity_both_orders () =
       Alcotest.(check bool) "wildcard got the other" true (Socket.accept_ready l_any))
     [ false; true ]
 
-(* Regression: the per-container queue and last-served tables must not
-   grow with container churn — each teardown prunes both (§4.6: containers
+(* A container created under [parent] after [a] that a stdlib [Hashtbl]
+   of [buckets] buckets keyed by container id visits no later than [a]
+   (lower bucket, or the same bucket, newest first): a pair whose hash
+   order disagrees with its creation order. *)
+let hashes_before ~buckets ~parent a =
+  let bucket c = Hashtbl.hash (Container.id c) land (buckets - 1) in
+  let rec make i =
+    let b = Container.create ~parent ~name:(Printf.sprintf "b%d" i) () in
+    if bucket b <= bucket a then b else make (i + 1)
+  in
+  make 0
+
+(* Two never-served containers at one network priority, whose SYNs queue
+   newest first, are served in creation order (§4.3), whatever the hash
+   order of their ids. *)
+let test_never_served_in_creation_order () =
+  let rig = make_rig Stack.Rc in
+  let older = Container.create ~parent:rig.root ~name:"older" () in
+  let newer = hashes_before ~buckets:64 ~parent:rig.root older in
+  let l_older = Socket.make_listen ~port:80 ~container:older () in
+  let l_newer = Socket.make_listen ~port:81 ~container:newer () in
+  Stack.add_listen rig.stack l_older;
+  Stack.add_listen rig.stack l_newer;
+  Stack.inject_syn rig.stack ~src:(Ipaddr.v 192 168 66 1) ~port:81;
+  Stack.inject_syn rig.stack ~src:(Ipaddr.v 192 168 66 2) ~port:80;
+  (* One SYN's protocol processing (95 us) fits, not two. *)
+  run rig (Simtime.us 150);
+  Alcotest.(check int) "one SYN processed" 1 (Stack.stats rig.stack).Stack.packets_processed;
+  Alcotest.(check (pair int int)) "the older container's first" (1, 0)
+    (Queue.length l_older.Socket.syn_queue, Queue.length l_newer.Socket.syn_queue)
+
+(* Regression: the per-container queues must not grow with container
+   churn — each teardown drops its container's entry (§4.6: containers
    are transient, per-connection in the extreme). *)
 let test_tables_bounded_under_container_churn () =
   let rig = make_rig Stack.Rc in
@@ -559,8 +590,6 @@ let test_tables_bounded_under_container_churn () =
   run rig (Simtime.ms 10);
   Alcotest.(check bool) "queue table bounded by live containers" true
     (Stack.queue_table_size rig.stack <= 4);
-  Alcotest.(check bool) "stamp table bounded by live containers" true
-    (Stack.stamp_table_size rig.stack <= 4);
   Alcotest.(check int) "no deferred work points at dead containers" 0
     (Stack.pending_work rig.stack)
 
@@ -810,6 +839,8 @@ let suite =
       test_demux_tie_break_order_independent;
     Alcotest.test_case "demux specificity both orders" `Quick test_demux_specificity_both_orders;
     Alcotest.test_case "tables bounded under churn" `Slow test_tables_bounded_under_container_churn;
+    Alcotest.test_case "never-served containers in creation order" `Quick
+      test_never_served_in_creation_order;
     Alcotest.test_case "rebind moves buffered charge" `Quick test_rebind_moves_buffered_charge;
     QCheck_alcotest.to_alcotest prop_syn_drops_exactly_once;
     Alcotest.test_case "SYN timeout counted" `Quick test_syn_timeout_counted;

@@ -1,4 +1,5 @@
-(* Tests for Rescont.Attrs, Usage, Binding, Desc_table and Ops. *)
+(* Tests for Rescont.Attrs, Usage, Binding, Desc_table, Ops and
+   Service_order. *)
 
 module Attrs = Rescont.Attrs
 module Usage = Rescont.Usage
@@ -6,6 +7,7 @@ module Container = Rescont.Container
 module Binding = Rescont.Binding
 module Desc_table = Rescont.Desc_table
 module Ops = Rescont.Ops
+module Order = Rescont.Service_order
 module Simtime = Engine.Simtime
 
 (* {1 Attrs} *)
@@ -474,6 +476,91 @@ let prop_desc_table_matches_scan =
           same && Array.for_all agree !tables && refs_agree ())
         ops)
 
+(* {1 Service_order} *)
+
+(* Containers under one root, in creation order, with the given CPU
+   priorities; the service order ranks them by that priority. *)
+let order_rig prios =
+  let root = Container.create_root () in
+  let cs =
+    List.mapi
+      (fun i p ->
+        Container.create ~parent:root ~name:(Printf.sprintf "c%d" i)
+          ~attrs:(Attrs.timeshare ~priority:p ()) ())
+      prios
+  in
+  (Order.create (), cs)
+
+let by_priority c = (Container.attrs c).Attrs.priority
+let order_push o e x = Queue.push x (Order.fifo e); Order.pushed o e
+
+let order_pop o e =
+  let q = Order.fifo e in
+  ignore (Queue.pop q : int);
+  Order.popped o e ~empty:(Queue.is_empty q)
+
+let picked o =
+  match Order.best o by_priority with
+  | Some e -> Container.name (Order.container e)
+  | None -> "none"
+
+let test_order_priority_first () =
+  let o, cs = order_rig [ 1; 5 ] in
+  let low = Order.add o (List.nth cs 0) (Queue.create ()) in
+  let high = Order.add o (List.nth cs 1) (Queue.create ()) in
+  order_push o high 1;
+  order_pop o high;
+  order_push o low 2;
+  order_push o high 3;
+  (* The low entry was never served and is older; priority still wins. *)
+  Alcotest.(check string) "higher priority first" "c1" (picked o);
+  order_pop o high;
+  Alcotest.(check string) "then the low one" "c0" (picked o);
+  Alcotest.(check string) "a min_int rank excludes" "none"
+    (match Order.best o (fun _ -> min_int) with Some _ -> "some" | None -> "none")
+
+let test_order_least_recently_served () =
+  let o, cs = order_rig [ 5; 5; 5 ] in
+  let es = List.map (fun c -> Order.add o c (Queue.create ())) cs in
+  let e i = List.nth es i in
+  (* Serve c2, then c0, then c1: c2 is now the least recently served. *)
+  List.iter (fun i -> order_push o (e i) i; order_pop o (e i)) [ 2; 0; 1 ];
+  List.iter (fun i -> order_push o (e i) i) [ 1; 0; 2 ];
+  Alcotest.(check string) "least recently served" "c2" (picked o);
+  order_pop o (e 2);
+  Alcotest.(check string) "next least recent" "c0" (picked o);
+  order_pop o (e 0);
+  Alcotest.(check string) "most recent last" "c1" (picked o);
+  order_pop o (e 1);
+  Alcotest.(check string) "all empty" "none" (picked o)
+
+(* The tie the rule settles by creation order: two never-served entries
+   at one priority, queued newest first, are served oldest first. *)
+let test_order_never_served_oldest_first () =
+  let o, cs = order_rig [ 5; 5 ] in
+  let older = Order.add o (List.nth cs 0) (Queue.create ()) in
+  let newer = Order.add o (List.nth cs 1) (Queue.create ()) in
+  order_push o newer 1;
+  order_push o older 2;
+  Alcotest.(check string) "oldest first" "c0" (picked o);
+  order_pop o older;
+  Alcotest.(check string) "then the newer" "c1" (picked o)
+
+let test_order_removed_never_picked () =
+  let o, cs = order_rig [ 9; 5 ] in
+  let gone = Order.add o (List.nth cs 0) (Queue.create ()) in
+  let kept = Order.add o (List.nth cs 1) (Queue.create ()) in
+  order_push o gone 1;
+  order_push o kept 2;
+  Order.remove o gone;
+  Order.remove o gone (* idempotent *);
+  Alcotest.(check int) "one entry left" 1 (Order.length o);
+  Alcotest.(check string) "removed entry skipped" "c1" (picked o);
+  order_pop o kept;
+  Alcotest.(check string) "nothing left" "none" (picked o);
+  Alcotest.(check bool) "not found" true
+    (match Order.find o (List.nth cs 0) with _ -> false | exception Not_found -> true)
+
 let suite =
   [
     Alcotest.test_case "attrs constructors" `Quick test_attrs_constructors;
@@ -496,6 +583,13 @@ let suite =
     Alcotest.test_case "ops bind thread" `Quick test_ops_bind_thread;
     Alcotest.test_case "ops set parent" `Quick test_ops_set_parent;
     Alcotest.test_case "ops cost table" `Quick test_ops_costs_table;
+    Alcotest.test_case "service order: priority first" `Quick test_order_priority_first;
+    Alcotest.test_case "service order: least recently served" `Quick
+      test_order_least_recently_served;
+    Alcotest.test_case "service order: never served, oldest first" `Quick
+      test_order_never_served_oldest_first;
+    Alcotest.test_case "service order: removed entry never picked" `Quick
+      test_order_removed_never_picked;
     QCheck_alcotest.to_alcotest prop_desc_table_model;
     QCheck_alcotest.to_alcotest prop_desc_table_matches_scan;
   ]

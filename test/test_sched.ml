@@ -68,11 +68,11 @@ let test_runq_basic () =
 
 (* Timeshare, lottery and stride break ties in the order [iter_busy] and
    [containers_with_work] visit busy containers, so that order is part of
-   the simulated result: a stdlib [Hashtbl] keyed by container id, filled
-   in the order the containers first queue.  1100 containers, enough to
-   double the bucket array three times, queue in shuffled order, and a
-   third drain again. *)
-let test_runq_busy_order_is_hashtbl_order () =
+   the simulated result: creation order within the run.  1100 containers
+   queue in shuffled order and a third drain again; [iter_busy] must visit
+   the rest in ascending id and [containers_with_work] list them in
+   descending id. *)
+let test_runq_busy_order_is_creation_order () =
   let _, _, leaves = setup_leaves 1100 in
   let cs = Array.of_list leaves in
   let rng = Engine.Rng.create ~seed:5 in
@@ -83,26 +83,24 @@ let test_runq_busy_order_is_hashtbl_order () =
     cs.(j) <- c
   done;
   let q = Runq.create () in
-  let oracle = Hashtbl.create 64 in
   let tasks =
     Array.map
       (fun c ->
         let t = task_on c "t" in
         Runq.enqueue q t;
-        Hashtbl.replace oracle (Container.id c) c;
         t)
       cs
   in
   Array.iteri (fun i t -> if i mod 3 = 0 then Runq.dequeue q t) tasks;
-  let expected =
-    Hashtbl.fold (fun _ c acc -> if Runq.container_has_work q c then c :: acc else acc) oracle []
-  in
   let ids = List.map Container.id in
-  Alcotest.(check (list int)) "containers_with_work" (ids expected)
+  let ascending = List.sort Int.compare (ids (List.filter (Runq.container_has_work q) leaves)) in
+  Alcotest.(check int) "two thirds still queued" 733 (List.length ascending);
+  Alcotest.(check (list int)) "containers_with_work" (List.rev ascending)
     (ids (Runq.containers_with_work q));
   let visited = ref [] in
   Runq.iter_busy q (fun c -> visited := c :: !visited);
-  Alcotest.(check (list int)) "iter_busy" (ids expected) (ids !visited)
+  Alcotest.(check (list int)) "iter_busy" ascending (List.rev (ids !visited));
+  Alcotest.(check (result unit string)) "validate" (Ok ()) (Runq.validate q)
 
 let test_runq_requeue_moves () =
   let _, _, leaves = setup_leaves 2 in
@@ -732,8 +730,8 @@ let suite =
     Alcotest.test_case "decay monotone" `Quick test_decay_monotone_without_charges;
     Alcotest.test_case "runq basics" `Quick test_runq_basic;
     Alcotest.test_case "runq requeue" `Quick test_runq_requeue_moves;
-    Alcotest.test_case "runq busy order is Hashtbl order" `Quick
-      test_runq_busy_order_is_hashtbl_order;
+    Alcotest.test_case "runq busy order is creation order" `Quick
+      test_runq_busy_order_is_creation_order;
     Alcotest.test_case "runq subtree" `Quick test_runq_subtree;
     Alcotest.test_case "runq lazy re-enqueue" `Quick test_runq_lazy_reenqueue;
     Alcotest.test_case "runq busy-set law" `Quick test_runq_busy_set_law;
