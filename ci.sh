@@ -1,14 +1,18 @@
 #!/bin/sh
 # CI gate: build everything, run the test suites, run every example
-# twice (same output, exit 0), replay the repository benchmark's full
+# twice (same output, exit 0, and the first run byte for byte equal to
+# results/examples/<name>.txt), replay the repository benchmark's full
 # windows against perfbench/golden.json, check the fast-path benchmarks
 # against the committed baseline (BENCH_PR15.json), verify the
 # sharded-execution determinism contract (shards=N byte-identical to
 # shards=1), check that fuzz and ablation output does not depend on
-# what else ran in the process, and compare the paper's figures and
-# tables (rc_sim all --fast, less Table 1's host-time block) byte for
-# byte with results/rc_sim_all_fast.txt.  Referenced from README.md
-# "Install and build".
+# what else ran in the process, compare the placement gate's --jobs 1
+# fuzz lines (five families, concatenated) byte for byte with
+# results/fuzz_jobs1.txt, and compare the paper's figures and tables
+# (rc_sim all --fast, less Table 1's host-time block) byte for byte with
+# results/rc_sim_all_fast.txt.  A deliberate model change regenerates
+# each committed file with the command that writes it here and lists
+# what moved.  Referenced from README.md "Install and build".
 set -eu
 cd "$(dirname "$0")"
 
@@ -18,12 +22,13 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
-echo "== examples (each must exit 0 and print the same output on a second run)"
+echo "== examples (each must exit 0, print the same output on a second run, and print results/examples/<name>.txt)"
 for src in examples/*.ml; do
   name=$(basename "$src" .ml)
   _build/default/examples/"$name".exe > "${TMPDIR:-/tmp}/rc-example-$name.1"
   _build/default/examples/"$name".exe > "${TMPDIR:-/tmp}/rc-example-$name.2"
   cmp "${TMPDIR:-/tmp}/rc-example-$name.1" "${TMPDIR:-/tmp}/rc-example-$name.2"
+  cmp "${TMPDIR:-/tmp}/rc-example-$name.1" results/examples/"$name".txt
 done
 
 echo "== perfbench output check (full windows at seeds 1 and 7; every repetition must match golden.json)"
@@ -101,12 +106,16 @@ dune exec bin/rc_sim.exe -- fuzz --seed 1 --mode rc --inject mischarge \
 echo "== placement gate (the same fuzz lines at --jobs 1, at --jobs 2 and with each seed alone in its own process)"
 # A run is a pure function of its inputs: nothing a scenario prints may
 # depend on what ran before it in the process or on which domain ran it.
+# Each family's --jobs 1 output is also appended to rc-fuzz-j1.txt for
+# the fuzz gate below.
 rc_sim=_build/default/bin/rc_sim.exe
 tmp="${TMPDIR:-/tmp}"
+: > "$tmp/rc-fuzz-j1.txt"
 placement () {
   seeds=$1
   shift
   "$rc_sim" fuzz --seeds "$seeds" --jobs 1 "$@" > "$tmp/rc-place-j1.out"
+  cat "$tmp/rc-place-j1.out" >> "$tmp/rc-fuzz-j1.txt"
   "$rc_sim" fuzz --seeds "$seeds" --jobs 2 "$@" > "$tmp/rc-place-j2.out"
   : > "$tmp/rc-place-alone.out"
   s=1
@@ -125,6 +134,9 @@ placement 30 --cpus 2
 placement 30 --cpus 4
 placement 30 --zipf
 placement 5 --machines 4
+
+echo "== fuzz gate (the five families' --jobs 1 lines must print results/fuzz_jobs1.txt)"
+cmp "$tmp/rc-fuzz-j1.txt" results/fuzz_jobs1.txt
 
 echo "== ablation placement (rc_sim ablation --fast must print its section of rc_sim all --fast)"
 "$rc_sim" ablation --fast > "$tmp/rc-ablation.txt"

@@ -35,11 +35,12 @@ let at t time f =
 let after t span f = at t (Simtime.add (now t) (Simtime.span_max span Simtime.span_zero)) f
 
 (* Fire-and-forget scheduling: most events in a run — scheduler kicks,
-   packet deliveries, think-time wakeups — are never cancelled, so
-   returning a cancellable handle for them is pure overhead. *)
+   packet deliveries, think-time wakeups — are never cancelled.  They
+   take the same fire-once node as [at]; its handle is an immediate int,
+   so dropping it allocates nothing. *)
 let post_at t time f =
   check_time t time;
-  Timer_wheel.insert_pooled t ~prio:(Simtime.to_ns time) f
+  ignore (Timer_wheel.insert_oneshot t ~prio:(Simtime.to_ns time) f)
 
 let post t span f = post_at t (Simtime.add (now t) (Simtime.span_max span Simtime.span_zero)) f
 

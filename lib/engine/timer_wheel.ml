@@ -296,18 +296,6 @@ let rearm t h ~prio =
   t.meta.(i) <- t.meta.(i) lor m_queued;
   enqueue_node t i
 
-(* Fire-and-forget insertion: the node never escapes the wheel, so there
-   is nothing to cancel and the node can be recycled through the free list
-   the moment it is popped.  This is what makes the simulator's internal
-   one-shot events (scheduler kicks, packet delivery, think-time wakeups —
-   the bulk of all events) allocation-free in steady state. *)
-let insert_pooled t ~prio value =
-  if prio < t.cur then
-    invalid_arg
-      (Printf.sprintf "Timer_wheel.insert_pooled: priority %d below lower bound %d" prio t.cur);
-  let i = alloc_node t ~prio ~value ~pin:false in
-  enqueue_node t i
-
 (* Unlink the node if it is queued, and recycle it either way, pinned
    or not: the handle goes stale for good.  That is what ends a periodic
    series, also from inside its own firing, where the node has popped

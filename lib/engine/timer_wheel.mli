@@ -57,14 +57,6 @@ val insert_oneshot : 'a t -> prio:int -> 'a -> 'a handle
     been reused.  Same ordering semantics as {!insert}.
     @raise Invalid_argument if [prio < lower_bound t]. *)
 
-val insert_pooled : 'a t -> prio:int -> 'a -> unit
-(** Fire-and-forget {!insert}: no handle is returned, so the element can
-    never be cancelled or re-armed — in exchange the wheel recycles its
-    node through an internal free list when it is popped, making
-    steady-state one-shot traffic (scheduler kicks, packet-delivery
-    events) allocation-free.  Same ordering semantics as {!insert}.
-    @raise Invalid_argument if [prio < lower_bound t]. *)
-
 val rearm : 'a t -> 'a handle -> prio:int -> unit
 (** [rearm t h ~prio] re-queues the {e popped} pinned node behind [h] at
     a new priority, reusing its storage — the allocation-free re-arm of

@@ -100,7 +100,7 @@ let create ~stack ~process ~cache ?disk ?(api = Select) ?(policy = No_containers
   Engine.Metrics.gauge registry ~labels "http.open_conns" (fun () ->
       float_of_int t.nconns);
   List.iter (Stack.add_listen stack) listens;
-  Stack.set_on_event stack (fun () -> Machine.Waitq.signal t.wq);
+  Stack.add_on_event stack (fun () -> Machine.Waitq.signal t.wq);
   t
 
 let static_served t = Engine.Metrics.counter_value t.static_served

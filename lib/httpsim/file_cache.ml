@@ -4,11 +4,11 @@
    whole table per victim — O(n) per miss — and registered documents with a
    quadratic list append.  At the seed's 4 documents that was invisible; a
    Zipf working set of 10^5-10^6 documents lives or dies on it.  Layout
-   follows the PR 6 Ledger/Conn_table idiom: every per-document field is a
-   flat int array indexed by a dense per-cache slot, and recency is
-   structural — a doubly-linked list threaded through [prev]/[next] index
-   arrays (head = MRU, tail = LRU) — so lookup, touch, and eviction are all
-   O(1) and allocation-free.
+   follows the struct-of-arrays idiom of [Usage] and [Conn_table]: every
+   per-document field is a flat int array indexed by a dense per-cache
+   slot, and recency is structural — a doubly-linked list threaded
+   through [prev]/[next] index arrays (head = MRU, tail = LRU) — so
+   lookup, touch, and eviction are all O(1) and allocation-free.
 
    Residency is one bit per slot in [bits], the only residency marker:
    [load] sets it, [evict_lru] clears it, and [prev]/[next] of a slot whose

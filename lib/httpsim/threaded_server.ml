@@ -48,7 +48,7 @@ let create ~stack ~process ~cache ?disk ?(workers = 16)
   Engine.Metrics.gauge registry ~labels "http.active_workers" (fun () -> float_of_int t.active);
   List.iter (Stack.add_listen stack) listens;
   (* All idle workers race for each event; the first to run claims it. *)
-  Stack.set_on_event stack (fun () -> Machine.Waitq.broadcast t.wq);
+  Stack.add_on_event stack (fun () -> Machine.Waitq.broadcast t.wq);
   t
 
 let served t = Engine.Metrics.counter_value t.served

@@ -102,7 +102,6 @@ let add_on_event t f =
       previous ();
       f ())
 
-let set_on_event = add_on_event
 let set_on_readable t f = t.on_readable <- f
 let set_on_syn_drop t f = t.on_syn_drop <- f
 let pending_work t = t.pending

@@ -91,10 +91,6 @@ val add_on_event : t -> (unit -> unit) -> unit
     acceptable; server applications use it to wake their event loops.
     Callbacks chain — several applications may share the stack. *)
 
-val set_on_event : t -> (unit -> unit) -> unit
-(** Alias of {!add_on_event} (kept for symmetry with the single-server
-    experiments). *)
-
 val set_on_readable : t -> (Socket.conn -> unit) -> unit
 (** Register the edge-triggered readability callback: invoked with the
     connection when its rx queue goes from empty to non-empty, and when

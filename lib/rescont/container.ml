@@ -5,12 +5,12 @@ exception Error of string
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 (* A run: what [create_root] starts and every container of its tree
-   shares.  Ids, ledger slots and the topology generation count from
+   shares.  Ids, usage slots and the topology generation count from
    zero in each run, so what one run does cannot depend on what ran
    before it in the process.  Only the domain running the run touches
    it, so the counters are plain fields. *)
 type run = {
-  ledger : Ledger.t; (* also holds the run's strict-memory flag *)
+  arena : Usage.arena; (* also holds the run's strict-memory flag *)
   mutable topology : int; (* bumped when a parent link of an existing container changes *)
   mutable containers : int; (* last container id drawn *)
   ids : int array; (* last id drawn in each [id_space], by [space_index] *)
@@ -60,7 +60,7 @@ let fresh_id run space =
   run.ids.(i) <- id;
   id
 
-let arm_strict_memory run = Ledger.set_strict run.ledger true
+let arm_strict_memory run = Usage.set_strict run.arena true
 
 (* Schedulers cache per-subtree aggregates keyed on this counter and
    rebuild them only when the tree actually moved. *)
@@ -235,8 +235,8 @@ let make ?name ?(attrs = Attrs.default) ~parent ~run () =
       adopt_next = 0;
       ancestry = [||];
       attrs;
-      usage = Usage.create run.ledger;
-      subtree_usage = Usage.create run.ledger;
+      usage = Usage.create run.arena;
+      subtree_usage = Usage.create run.arena;
       refs = 1;
       bindings = 0;
       destroyed = false;
@@ -257,7 +257,7 @@ let make ?name ?(attrs = Attrs.default) ~parent ~run () =
 
 let create_root () =
   let run =
-    { ledger = Ledger.create (); topology = 0; containers = 0; ids = Array.make 5 0 }
+    { arena = Usage.create_arena (); topology = 0; containers = 0; ids = Array.make 5 0 }
   in
   make ~name:"root" ~attrs:(Attrs.fixed_share ~share:1.0 ()) ~parent:None ~run ()
 
@@ -327,7 +327,7 @@ let set_attrs t attrs =
 (* Charges land on the container's own usage and roll up into the subtree
    usage of the container and every ancestor, so hierarchical accounting
    survives the destruction of children (§4.5).  The roll-up is an index
-   walk over the ledger arena's parent-slot array ([Usage.*_chain]),
+   walk over the usage arena's parent-slot array ([Usage.*_chain]),
    maintained eagerly at attach/detach/destroy — no record chasing, no
    closures, no allocation. *)
 

@@ -20,7 +20,7 @@ exception Error of string
 val create_root : unit -> t
 (** The machine-wide root container: fixed share 1.0 of the whole CPU.  A
     simulated kernel creates exactly one.  Creating it starts a {!run}:
-    the root and every container created under it share one ledger
+    the root and every container created under it share one usage
     arena, one strict-memory flag, one topology generation and one set
     of id counters, all starting from zero, so a run's results do not
     depend on what else ran in the process. *)

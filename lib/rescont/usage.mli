@@ -5,16 +5,31 @@
     container; ancestors accumulate subtree totals so hierarchical limits
     can be checked in O(depth).
 
-    A usage is a slot in its run's struct-of-arrays {!Ledger} arena —
-    charges are int stores into flat arrays, and hierarchical
-    roll-up is an index walk over the arena's parent-slot array.  The
-    record-based reference semantics live in the test-only
-    [Spec.Usage_ref], which a QCheck lockstep property holds this module
-    to. *)
+    A usage is a slot in its run's struct-of-arrays {!arena}: charges are
+    int stores into flat arrays, and hierarchical roll-up is an index walk
+    over the arena's parent-slot array.  The record-based reference
+    semantics live in the test-only [Spec.Usage_ref], which a QCheck
+    lockstep property holds this module to. *)
+
+type arena
+(** One run's accumulators: a flat [int array] per field, indexed by
+    slot, plus the parent-slot array and the strict-memory flag.  Slots
+    are never reclaimed, so the arena grows with the number of usages
+    ever created in it (two per container) and a destroyed container's
+    totals stay readable. *)
+
+val create_arena : unit -> arena
+(** A fresh, empty arena, not strict. *)
+
+val set_strict : arena -> bool -> unit
+(** Whether an over-refund of memory in this arena raises
+    {!Negative_memory} (armed invariants turn this on for their run's
+    arena, see {!Container.arm_strict_memory}) or saturates the balance
+    at zero. *)
 
 type t
 
-val create : Ledger.t -> t
+val create : arena -> t
 (** A zeroed usage in a fresh slot of the arena. *)
 
 val slot : t -> int
@@ -34,8 +49,7 @@ val charge_memory : t -> int -> unit
 (** Adjust current memory held by a (possibly negative) byte delta.  A
     delta that would drive the balance negative (a double refund)
     saturates the balance at zero, or raises {!Negative_memory} when the
-    usage's arena is strict ({!Ledger.set_strict}: a run whose
-    invariants are armed, see {!Container.arm_strict_memory}). *)
+    usage's arena is strict ({!set_strict}). *)
 
 exception Negative_memory of { have : int; delta : int }
 
@@ -55,8 +69,7 @@ val charge_disk : t -> bytes:int -> Engine.Simtime.span -> unit
 
 val set_chain_parent : t -> t option -> unit
 (** Link (or with [None] unlink) this usage's chain parent.
-    @raise Invalid_argument if the two usages live in different ledger
-    arenas. *)
+    @raise Invalid_argument if the two usages live in different arenas. *)
 
 val charge_cpu_chain : t -> kernel:bool -> Engine.Simtime.span -> unit
 val charge_rx_chain : t -> packets:int -> bytes:int -> unit

@@ -1,51 +1,47 @@
 module Container = Rescont.Container
 
-(* Queues use lazy deletion over flat ring buffers: each per-container
-   queue is a pair of parallel arrays (tasks and enqueue stamps), and an
-   entry is live only while the task's own intrusive membership fields
-   ([rq_owner]/[rq_slot]/[rq_stamp] on {!Task.t}) still match it.  Dequeue
-   is therefore O(1) field stores; stale entries are skipped when they
-   reach the front and bulk-compacted if they ever dominate a ring.
-
-   Membership lives on the task rather than in a hash table, so the
-   per-packet enqueue/dequeue cycle does no hashing and no allocation.
-   A task carries one queue's fields, so it sits in at most one run
-   queue at a time; enqueueing it into a second one raises.  Queue ids
-   count per run, so every run's first queue has id 1: a queue also
-   records its run, and a task of another run is never a member.
+(* Each container's queue is a FIFO linked through the tasks it holds:
+   [rq_prev]/[rq_next] on {!Task.t}, ending in [Task.none], with the
+   container's node keeping the [head] and the [tail].  Enqueue appends,
+   dequeue unlinks in O(1), and a rotate moves the head behind the rest,
+   so the per-packet enqueue/dequeue cycle does no hashing and no
+   allocation.  The task also records the queue holding it ([rq_owner])
+   and the container slot it is queued under ([rq_slot]), so it sits in
+   at most one run queue at a time; enqueueing it into a second one
+   raises.  Queue ids count per run, so every run's first queue has id
+   1: a queue also records its run, and a task of another run is never a
+   member.
 
    Every container the queue has met owns one [node], found through a
-   flat array indexed by [Container.slot]: its ring (allocated when a task
-   first queues there), the number of live tasks queued anywhere in its
-   subtree, and the set of its children whose subtree count is positive.
-   The counts are maintained along each ring's cached ancestor chain of
-   nodes, keyed on the physical identity of [Container.ancestry] (rebuilt
-   exactly when the topology above the container changes), so the common
-   bump is a straight array walk.  A count's 0 <-> 1 transitions are the
-   only moments a child joins or leaves its parent's busy set, which is
-   kept in [Container.children] order (ascending [Container.adoption_seq])
-   so a multilevel pick visits exactly the children with queued work, in
-   the order the reference scheduler does.
+   flat array indexed by [Container.slot]: its FIFO, the number of tasks
+   queued anywhere in its subtree, and the set of its children whose
+   subtree count is positive.  The counts are maintained along each
+   node's cached ancestor chain of nodes, keyed on the physical identity
+   of [Container.ancestry] (rebuilt exactly when the topology above the
+   container changes), so the common bump is a straight array walk.  A
+   count's 0 <-> 1 transitions are the only moments a child joins or
+   leaves its parent's busy set, which is kept in [Container.children]
+   order (ascending [Container.adoption_seq]) so a multilevel pick visits
+   exactly the children with queued work, in the order the reference
+   scheduler does.
 
-   Invariant: a ring with [live > 0] has its whole [live] added along its
-   cached [chain], and such rings are exactly the members of the dense
+   Invariant: a node with [live > 0] has its whole [live] added along its
+   cached [chain], and such nodes are exactly the members of the dense
    [busy] set, kept in ascending [Container.id] (creation order within
    the run), the order the flat policies break ties in.  When the
-   container topology generation moves, [sync] visits only the busy rings
-   and moves each one's [live] from its old chain to its new ancestry,
-   skipping any whose ancestry array is physically unchanged, so a
-   re-shape costs O(busy queues x depth) rather than O(every container
-   ever queued).  An idle ring's chain may be stale; it is refreshed when
-   the ring next turns busy. *)
+   container topology generation moves, [sync] visits only the busy
+   nodes and moves each one's [live] from its old chain to its new
+   ancestry, skipping any whose ancestry array is physically unchanged,
+   so a re-shape costs O(busy queues x depth) rather than O(every
+   container ever queued).  An idle node's chain may be stale; it is
+   refreshed when the node next turns busy. *)
 
 type node = {
   container : Container.t;
   slot : int; (* [Container.slot container] *)
-  mutable tasks : Task.t array; (* ring: [||] until a task queues here, then a power of two *)
-  mutable stamps : int array; (* enqueue stamp of the parallel [tasks] entry *)
-  mutable head : int;
-  mutable len : int; (* ring entries, live or stale *)
-  mutable live : int;
+  mutable head : Task.t; (* oldest queued task; [Task.none] when empty *)
+  mutable tail : Task.t; (* newest queued task; [Task.none] when empty *)
+  mutable live : int; (* tasks queued here *)
   mutable chain : node array; (* cached nodes along the ancestry, self first *)
   mutable chain_key : Container.t array; (* the ancestry array [chain] was built from *)
   mutable count : int; (* live tasks queued anywhere in the subtree *)
@@ -59,10 +55,9 @@ type t = {
   mutable nodes : node option array; (* Container.slot -> node *)
   mutable all : node array; (* every node, in creation order, in [0, nall) *)
   mutable nall : int;
-  mutable busy : node array; (* the rings with live tasks, ascending id, in [0, nbusy) *)
+  mutable busy : node array; (* the nodes with queued tasks, ascending id, in [0, nbusy) *)
   mutable nbusy : int;
-  mutable total : int; (* live tasks across all queues *)
-  mutable next_stamp : int;
+  mutable total : int; (* tasks across all queues *)
   mutable topo_gen : int; (* the run's topology generation at the last [sync] *)
 }
 
@@ -80,7 +75,6 @@ let create () =
     busy = [||];
     nbusy = 0;
     total = 0;
-    next_stamp = 0;
     topo_gen = 0;
   }
 
@@ -115,10 +109,8 @@ let node t container =
         {
           container;
           slot;
-          tasks = [||];
-          stamps = [||];
-          head = 0;
-          len = 0;
+          head = Task.none;
+          tail = Task.none;
           live = 0;
           chain = [||];
           chain_key = [||];
@@ -143,7 +135,7 @@ let busy_child_count n = n.nkids
 
 (* The nodes keep their identity across topology changes; only the
    ancestry ARRAY changes identity, which is exactly the event that
-   invalidates a ring's cached chain. *)
+   invalidates a node's cached chain. *)
 let refresh_chain t n =
   let ancestry = Container.ancestry n.container in
   if not (n.chain_key == ancestry) then begin
@@ -231,9 +223,9 @@ let stale n = not (n.chain_key == Container.ancestry n.container)
 
 (* Two passes: every stale chain gives its count back before any new
    chain takes one.  A node whose parent changed is listed under the old
-   parent until the last of its busy rings lets go, so it must leave that
-   set before it can join the new parent's, whichever ring comes first.
-   With no busy ring there is nothing to move (a ring's chain is
+   parent until the last of its busy queues lets go, so it must leave that
+   set before it can join the new parent's, whichever queue comes first.
+   With no busy queue there is nothing to move (a node's chain is
    refreshed when it turns busy), and otherwise any busy container names
    the run whose generation to read. *)
 let sync t =
@@ -256,79 +248,10 @@ let sync t =
     done
   end
 
-let queue_for t container =
-  let n = node t container in
-  if Array.length n.tasks = 0 then begin
-    n.tasks <- Array.make 8 Task.none;
-    n.stamps <- Array.make 8 0
-  end;
-  n
-
 let of_run t (task : Task.t) =
   match t.run with Some run -> task.Task.run == run | None -> false
 
 let mem t (task : Task.t) = task.Task.rq_owner = t.id && of_run t task
-
-(* Liveness of a ring entry: three field compares on the task itself. *)
-let entry_live t slot (task : Task.t) stamp =
-  task.Task.rq_owner = t.id && task.Task.rq_slot = slot && task.Task.rq_stamp = stamp
-
-let ring_push n task stamp =
-  let cap = Array.length n.tasks in
-  if n.len = cap then begin
-    let ncap = cap * 2 in
-    let nt = Array.make ncap Task.none in
-    let ns = Array.make ncap 0 in
-    for i = 0 to n.len - 1 do
-      let j = (n.head + i) land (cap - 1) in
-      nt.(i) <- n.tasks.(j);
-      ns.(i) <- n.stamps.(j)
-    done;
-    n.tasks <- nt;
-    n.stamps <- ns;
-    n.head <- 0
-  end;
-  let i = (n.head + n.len) land (Array.length n.tasks - 1) in
-  n.tasks.(i) <- task;
-  n.stamps.(i) <- stamp;
-  n.len <- n.len + 1
-
-(* Drop stale entries sitting at the front, releasing their task pointers
-   so the ring never pins a dequeued task. *)
-let skim t n =
-  let continue = ref true in
-  while !continue && n.len > 0 do
-    let i = n.head land (Array.length n.tasks - 1) in
-    let task = n.tasks.(i) in
-    if entry_live t n.slot task n.stamps.(i) then continue := false
-    else begin
-      n.tasks.(i) <- Task.none;
-      n.head <- n.head + 1;
-      n.len <- n.len - 1
-    end
-  done
-
-(* Fresh arrays rather than in-place: compaction runs only when stale
-   entries outnumber live ones, and copying sidesteps the read-after-
-   overwrite hazard of sliding a wrapped ring over itself. *)
-let compact t n =
-  let cap = Array.length n.tasks in
-  let nt = Array.make cap Task.none in
-  let ns = Array.make cap 0 in
-  let j = ref 0 in
-  for i = 0 to n.len - 1 do
-    let src = (n.head + i) land (cap - 1) in
-    let task = n.tasks.(src) in
-    if entry_live t n.slot task n.stamps.(src) then begin
-      nt.(!j) <- task;
-      ns.(!j) <- n.stamps.(src);
-      incr j
-    end
-  done;
-  n.tasks <- nt;
-  n.stamps <- ns;
-  n.head <- 0;
-  n.len <- !j
 
 let enqueue t (task : Task.t) =
   if not (mem t task) then begin
@@ -343,31 +266,35 @@ let enqueue t (task : Task.t) =
         t.run <- Some task.Task.run;
         t.id <- Container.fresh_id task.Task.run Container.Runq_ids);
     sync t;
-    let n = queue_for t (Task.container task) in
-    let stamp = t.next_stamp in
-    t.next_stamp <- stamp + 1;
-    ring_push n task stamp;
+    let n = node t (Task.container task) in
     task.Task.rq_owner <- t.id;
     task.Task.rq_slot <- n.slot;
-    task.Task.rq_stamp <- stamp;
+    task.Task.rq_prev <- n.tail;
     if n.live = 0 then begin
+      n.head <- task;
       refresh_chain t n;
       busy_add t n
-    end;
+    end
+    else n.tail.Task.rq_next <- task;
+    n.tail <- task;
     n.live <- n.live + 1;
     t.total <- t.total + 1;
-    add_chain n.chain 1;
-    if n.len > 8 + (2 * n.live) then compact t n
+    add_chain n.chain 1
   end
 
 let dequeue t (task : Task.t) =
   if mem t task then begin
     let slot = task.Task.rq_slot in
+    let prev = task.Task.rq_prev and next = task.Task.rq_next in
     task.Task.rq_owner <- -1;
     task.Task.rq_slot <- -1;
+    task.Task.rq_prev <- Task.none;
+    task.Task.rq_next <- Task.none;
     sync t;
     match t.nodes.(slot) with
     | Some n ->
+        if Task.is_none prev then n.head <- next else prev.Task.rq_next <- next;
+        if Task.is_none next then n.tail <- prev else next.Task.rq_prev <- prev;
         n.live <- n.live - 1;
         t.total <- t.total - 1;
         add_chain n.chain (-1);
@@ -381,27 +308,19 @@ let requeue t task =
 
 let count t = t.total
 
-let front t container =
-  match find t container with
-  | Some n when n.live > 0 ->
-      skim t n;
-      if n.len > 0 then n.tasks.(n.head land (Array.length n.tasks - 1)) else Task.none
-  | Some _ | None -> Task.none
+let front t container = match find t container with Some n -> n.head | None -> Task.none
 
 let rotate t container =
   match find t container with
   | Some n when n.live > 1 ->
-      skim t n;
-      if n.len > 0 then begin
-        let cap = Array.length n.tasks in
-        let i = n.head land (cap - 1) in
-        let task = n.tasks.(i) in
-        let stamp = n.stamps.(i) in
-        n.tasks.(i) <- Task.none;
-        n.head <- n.head + 1;
-        n.len <- n.len - 1;
-        ring_push n task stamp
-      end
+      let task = n.head in
+      let next = task.Task.rq_next in
+      n.head <- next;
+      next.Task.rq_prev <- Task.none;
+      task.Task.rq_prev <- n.tail;
+      task.Task.rq_next <- Task.none;
+      n.tail.Task.rq_next <- task;
+      n.tail <- task
   | Some _ | None -> ()
 
 let container_has_work t container =
@@ -428,7 +347,25 @@ let iter_nodes t f =
     f t.all.(i)
   done
 
-(* Re-derive every maintained count from the ring contents and compare:
+(* Walk a node's list for at most [live + 1] steps, so a corrupted link
+   cannot loop, checking each member's membership fields and back link;
+   [None] when the list holds exactly [live] tasks and ends at [tail]. *)
+let check_list t n =
+  let rec walk prev task k =
+    if Task.is_none task then
+      if k <> n.live then Some (Printf.sprintf "live=%d but %d tasks are linked" n.live k)
+      else if not (n.tail == prev) then Some "the tail is not the last linked task"
+      else None
+    else if k = n.live then Some (Printf.sprintf "live=%d but more tasks are linked" n.live)
+    else if not (task.Task.rq_owner = t.id && task.Task.rq_slot = n.slot) then
+      Some (Format.asprintf "%a is linked but not queued here" Task.pp task)
+    else if not (task.Task.rq_prev == prev) then
+      Some (Format.asprintf "%a has a wrong back link" Task.pp task)
+    else walk task task.Task.rq_next (k + 1)
+  in
+  walk Task.none n.head 0
+
+(* Re-derive every maintained count from the queued lists and compare:
    the incremental bookkeeping ([live], [total], the subtree counts, the
    busy sets and the task-resident membership fields) must agree with a
    from-scratch recomputation at any event boundary. *)
@@ -437,22 +374,16 @@ let validate t =
   let mismatch = ref None in
   let total = ref 0 in
   iter_nodes t (fun n ->
-      let live = ref 0 in
-      let cap = Array.length n.tasks in
-      for i = 0 to n.len - 1 do
-        let j = (n.head + i) land (cap - 1) in
-        if entry_live t n.slot n.tasks.(j) n.stamps.(j) then incr live
-      done;
-      total := !total + !live;
-      if !mismatch = None && n.live <> !live then
-        mismatch :=
-          Some
-            (Printf.sprintf "queue %s: live=%d but %d ring entries are live"
-               (Container.name n.container) n.live !live));
+      total := !total + n.live;
+      if !mismatch = None then
+        match check_list t n with
+        | Some msg ->
+            mismatch := Some (Printf.sprintf "queue %s: %s" (Container.name n.container) msg)
+        | None -> ());
   if !mismatch = None && t.total <> !total then
-    mismatch := Some (Printf.sprintf "total=%d but queues hold %d live entries" t.total !total);
+    mismatch := Some (Printf.sprintf "total=%d but queues hold %d tasks" t.total !total);
   let names l = String.concat "; " (List.map Container.name l) in
-  (* The busy set: exactly the queues with live tasks, in ascending id. *)
+  (* The busy set: exactly the queues with tasks, in ascending id. *)
   if !mismatch = None then begin
     let expected =
       List.init t.nall (fun i -> t.all.(i).container)

@@ -93,9 +93,11 @@ val iter_busy : t -> (Rescont.Container.t -> unit) -> unit
 val validate : t -> (unit, string) result
 (** Conservation check: re-derives per-container live counts, the set of
     busy queues (membership and ascending-id order), subtree occupancy and
-    every node's busy children (membership and order) from the ring
-    contents and the container tree,
-    and compares them with the incrementally maintained state.  [Ok ()]
+    every node's busy children (membership and order) from the queued
+    lists and the container tree, and compares them with the
+    incrementally maintained state.  Each list is walked for at most
+    [live + 1] steps, checking every member's membership fields and back
+    link and the tail, so a corrupted link cannot loop.  [Ok ()]
     iff they all agree.  Used as the [sched.runq-counts] invariant law. *)
 
 (** {1 Test-only fault injection} *)

@@ -19,7 +19,11 @@ type t = {
   mutable rq_slot : int;
       (** {!Rescont.Container.slot} of the container the task is queued
           under; owned by {!Runq}. *)
-  mutable rq_stamp : int;  (** Enqueue stamp for lazy deletion; owned by {!Runq}. *)
+  mutable rq_prev : t;
+      (** The task queued just ahead of this one under the same
+          container, {!none} at the head or when unqueued; owned by
+          {!Runq}. *)
+  mutable rq_next : t;  (** The task queued just behind; owned by {!Runq}. *)
   mutable mslot : int;
       (** Thread-table slot on the machine running this task, [-1] when
           none; owned by [Procsim.Machine]. *)
@@ -34,8 +38,9 @@ val create : ?kernel:bool -> name:string -> Rescont.Binding.t -> t
 val none : t
 (** The absent task: what {!Policy.t.pick} and {!Runq.front} answer when
     there is nothing to run, so that a pick, which runs once per slice,
-    boxes no option.  Test it with {!is_none}; its binding and run must
-    not be read. *)
+    boxes no option.  It also ends every run-queue list.  Test it with
+    {!is_none}; its binding and run must not be read, and nothing writes
+    its fields. *)
 
 val is_none : t -> bool
 val container : t -> Rescont.Container.t

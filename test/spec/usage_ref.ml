@@ -2,7 +2,7 @@
    record per accounting principal, charges as plain field updates.
 
    This was the production accumulator until the struct-of-arrays
-   {!Ledger} arena replaced it; it survives as the executable
+   arena inside {!Usage} replaced it; it survives as the executable
    specification (the [Multilevel_ref] pattern) — trivially auditable
    against the paper's §4.1/§4.4 semantics, and held in lockstep with
    the arena-backed {!Usage} by a QCheck property over random charge

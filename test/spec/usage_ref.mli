@@ -1,7 +1,7 @@
 (** Record-based executable specification of {!Rescont.Usage}.
 
     The boxed-record accumulator that predates the struct-of-arrays
-    {!Rescont.Ledger} arena, kept as the reference semantics (the
+    arena of {!Rescont.Usage}, kept as the reference semantics (the
     {!Multilevel_ref} pattern): a QCheck lockstep property drives this
     module and {!Rescont.Usage} with identical random charge sequences and
     requires field-for-field agreement, including the

@@ -171,12 +171,12 @@ let test_armed_machine_checks_periodically () =
 (* {1 Strict memory mode} *)
 
 let test_memory_clamp_vs_raise () =
-  let u = Usage.create (Rescont.Ledger.create ()) in
+  let u = Usage.create (Usage.create_arena ()) in
   Usage.charge_memory u 100;
   Usage.charge_memory u (-250);
   Alcotest.(check int) "saturates at zero when lenient" 0 (Usage.memory_bytes u);
-  let strict_arena = Rescont.Ledger.create () in
-  Rescont.Ledger.set_strict strict_arena true;
+  let strict_arena = Usage.create_arena () in
+  Usage.set_strict strict_arena true;
   let u2 = Usage.create strict_arena in
   Usage.charge_memory u2 100;
   Alcotest.(check bool) "over-refund raises when strict" true

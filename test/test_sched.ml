@@ -489,7 +489,7 @@ let prop_multilevel_hierarchy_product =
       && Float.abs (Container.guaranteed_fraction a1 -. (sa /. 2.)) < 1e-9)
 
 let test_runq_lazy_reenqueue () =
-  (* Dequeue-then-re-enqueue must not resurrect the stale queue entry:
+  (* Dequeue-then-re-enqueue must not put the task back where it was:
      the re-enqueued task goes to the back, and front order stays FIFO. *)
   let _, _, leaves = setup_leaves 1 in
   let a = List.hd leaves in
@@ -506,13 +506,106 @@ let test_runq_lazy_reenqueue () =
   Runq.rotate q a;
   Alcotest.(check string) "back to t2" "t2" (front ());
   Alcotest.(check int) "count" 2 (Runq.count q);
-  (* Heavy churn triggers in-place queue compaction without losing order. *)
+  (* Heavy churn at the back leaves the front where it was. *)
   for _ = 1 to 100 do
     Runq.dequeue q t2;
     Runq.enqueue q t2
   done;
   Alcotest.(check string) "t1 survived churn in front" "t1" (front ());
   Alcotest.(check int) "count stable" 2 (Runq.count q)
+
+(* The queue links through the tasks, so a task behind the front leaves
+   and rejoins its queue without allocating.  Three tasks share one
+   container; each cycle dequeues and re-enqueues the middle one (t2,
+   then t3, which the first cycle left in the middle), so t1 stays in
+   front throughout. *)
+let test_runq_middle_dequeue_allocates_nothing () =
+  let _, _, leaves = setup_leaves 1 in
+  let a = List.hd leaves in
+  let q = Runq.create () in
+  let t1 = task_on a "t1" and t2 = task_on a "t2" and t3 = task_on a "t3" in
+  List.iter (Runq.enqueue q) [ t1; t2; t3 ];
+  let cycles n =
+    for _ = 1 to n / 2 do
+      Runq.dequeue q t2;
+      Runq.enqueue q t2;
+      Runq.dequeue q t3;
+      Runq.enqueue q t3
+    done
+  in
+  cycles 100;
+  ignore (Gc.minor_words ());
+  let w0 = Gc.minor_words () in
+  cycles 1_000;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 1000 cycles" 0. words;
+  Alcotest.(check string) "t1 still in front" "t1" (Runq.front q a).Task.name;
+  Alcotest.(check int) "count" 3 (Runq.count q);
+  Alcotest.(check (result unit string)) "validate" (Ok ()) (Runq.validate q)
+
+(* [Runq] against the plainest model of it: one list of tasks per
+   container, head first.  Random enqueues, dequeues, rotates and
+   rebind-plus-requeues of 8 tasks over three leaves of a two-level
+   tree (b under the root, c and d under a); after every step each
+   container's front, own work and subtree work, and the queue's count,
+   must match the model, and [validate] must hold. *)
+let prop_runq_matches_list_model =
+  QCheck2.Test.make ~name:"runq matches a per-container list model" ~count:100
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Engine.Rng.create ~seed in
+      let root = Container.create_root () in
+      let a = Container.create ~parent:root ~name:"a" ~attrs:(fixed 0.5) () in
+      let b = Container.create ~parent:root ~name:"b" () in
+      let c = Container.create ~parent:a ~name:"c" () in
+      let d = Container.create ~parent:a ~name:"d" () in
+      let cs = [| root; a; b; c; d |] in
+      let subtree = [| [ 0; 1; 2; 3; 4 ]; [ 1; 3; 4 ]; [ 2 ]; [ 3 ]; [ 4 ] |] in
+      let leaf () = 2 + Engine.Rng.int rng 3 in
+      let ntasks = 8 in
+      let bound = Array.init ntasks (fun _ -> leaf ()) in
+      let tasks = Array.init ntasks (fun i -> task_on cs.(bound.(i)) (Printf.sprintf "t%d" i)) in
+      let model = Array.make (Array.length cs) [] in
+      let queued i = Array.exists (List.mem i) model in
+      let remove i = Array.iteri (fun k l -> model.(k) <- List.filter (( <> ) i) l) model in
+      let append i = model.(bound.(i)) <- model.(bound.(i)) @ [ i ] in
+      let q = Runq.create () in
+      for step = 1 to 200 do
+        let i = Engine.Rng.int rng ntasks in
+        let k = leaf () in
+        (match Engine.Rng.int rng 4 with
+        | 0 ->
+            Runq.enqueue q tasks.(i);
+            if not (queued i) then append i
+        | 1 ->
+            Runq.dequeue q tasks.(i);
+            remove i
+        | 2 -> (
+            Runq.rotate q cs.(k);
+            match model.(k) with h :: (_ :: _ as rest) -> model.(k) <- rest @ [ h ] | _ -> ())
+        | _ ->
+            Binding.set_resource_binding tasks.(i).Task.binding ~now:Simtime.zero cs.(k);
+            bound.(i) <- k;
+            Runq.requeue q tasks.(i);
+            remove i;
+            append i);
+        let fail what = Alcotest.failf "seed %d step %d: %s" seed step what in
+        let total = Array.fold_left (fun n l -> n + List.length l) 0 model in
+        if Runq.count q <> total then
+          fail (Printf.sprintf "count %d, model %d" (Runq.count q) total);
+        (match Runq.validate q with Ok () -> () | Error msg -> fail msg);
+        Array.iteri
+          (fun k container ->
+            let name = Container.name container in
+            let expected = match model.(k) with [] -> Task.none | h :: _ -> tasks.(h) in
+            if not (Runq.front q container == expected) then fail ("front of " ^ name);
+            if Runq.container_has_work q container <> (model.(k) <> []) then
+              fail ("container_has_work of " ^ name);
+            let busy = List.exists (fun j -> model.(j) <> []) subtree.(k) in
+            if Runq.subtree_has_work q container <> busy then fail ("subtree_has_work of " ^ name))
+          cs
+      done;
+      true)
 
 (* The eligibility pass sums fixed shares as floats in child order, and
    0.3 +. 0.2 +. 0.1 = 0.6 while 0.1 +. 0.2 +. 0.3 = 0.6000000000000001.
@@ -734,6 +827,9 @@ let suite =
       test_runq_busy_order_is_creation_order;
     Alcotest.test_case "runq subtree" `Quick test_runq_subtree;
     Alcotest.test_case "runq lazy re-enqueue" `Quick test_runq_lazy_reenqueue;
+    Alcotest.test_case "runq middle dequeue allocates nothing" `Quick
+      test_runq_middle_dequeue_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_runq_matches_list_model;
     Alcotest.test_case "runq busy-set law" `Quick test_runq_busy_set_law;
     Alcotest.test_case "timeshare equal sharing" `Quick test_timeshare_equal_sharing;
     Alcotest.test_case "timeshare priority weights" `Quick test_timeshare_priority_weighting;

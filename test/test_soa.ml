@@ -12,7 +12,7 @@ let prop_usage_lockstep =
   QCheck2.Test.make ~name:"usage arena lockstep with record spec" ~count:300
     QCheck2.Gen.(list_size (int_range 1 80) (triple (int_bound 6) (int_bound 9) (int_bound 997)))
     (fun ops ->
-      let arena = Rescont.Ledger.create () in
+      let arena = Usage.create_arena () in
       let u = Usage.create arena in
       let r = Usage_ref.create () in
       let agree what a b =
@@ -38,7 +38,7 @@ let prop_usage_lockstep =
                  the exception payload. *)
               let delta = b - 400 in
               let strict = a land 1 = 1 in
-              Rescont.Ledger.set_strict arena strict;
+              Usage.set_strict arena strict;
               let outcome_u =
                 try
                   Usage.charge_memory u delta;

@@ -77,7 +77,7 @@ let test_insert_at_lower_bound_ok () =
   ignore (Wheel.insert w ~prio:9_000 "later");
   Alcotest.(check (option (pair int string)))
     "queued-1" (Some (5_000, "queued-1")) (Wheel.pop_min w);
-  Wheel.insert_pooled w ~prio:5_000 "now-1";
+  ignore (Wheel.insert_oneshot w ~prio:5_000 "now-1");
   let doomed = Wheel.insert_oneshot w ~prio:5_000 "doomed" in
   ignore (Wheel.insert w ~prio:5_000 "now-2");
   Alcotest.(check bool) "cancel at the bound" true (Wheel.cancel w doomed);
@@ -188,15 +188,17 @@ let prop_wheel_matches_heap =
               handles := (hh, wh) :: !handles;
               Heapq.length h = Wheel.length w
           | Insert_pooled delta ->
-              (* Pooled nodes have no handle and recycle through the free
-                 list on pop; interleaved with handled inserts, cancels
-                 and pops they must still extract in exactly the heap's
-                 order, across solo-lane transitions and node reuse. *)
+              (* Fire-and-forget nodes (a fire-once insert whose handle
+                 is dropped, as [Sim.post] makes) recycle through the
+                 free list on pop; interleaved with handled inserts,
+                 cancels and pops they must still extract in exactly the
+                 heap's order, across solo-lane transitions and node
+                 reuse. *)
               let prio = if !bound > max_int - delta then max_int else !bound + delta in
               let id = !seq in
               incr seq;
               ignore (Heapq.insert h ~prio id);
-              Wheel.insert_pooled w ~prio id;
+              ignore (Wheel.insert_oneshot w ~prio id);
               Heapq.length h = Wheel.length w
           | Cancel i -> (
               match !handles with
@@ -477,38 +479,38 @@ let test_rearm () =
      Alcotest.fail "rearm of a cancelled node must raise"
    with Invalid_argument _ -> ())
 
-(* Pooled (fire-and-forget) inserts: recycled nodes must behave exactly
-   like fresh ones — same FIFO among ties, clean interaction with the
+(* Pooled fire-and-forget inserts (fire-once, handle dropped): recycled
+   nodes must behave exactly like fresh ones — same FIFO among ties, clean interaction with the
    solo fast lane (repeated single-occupant pops), and no value leakage
    across reuse. *)
-let test_insert_pooled () =
+let test_pooled_inserts () =
   let w = Wheel.create () in
   (* Solo-lane churn: one pooled occupant at a time, popped repeatedly —
      the same node cycles through the free list each time. *)
   for i = 1 to 5 do
-    Wheel.insert_pooled w ~prio:(i * 10) i;
+    ignore (Wheel.insert_oneshot w ~prio:(i * 10) i);
     Alcotest.(check (option (pair int int))) "solo pooled pop" (Some (i * 10, i)) (Wheel.pop_min w)
   done;
   (* Mixed ties: pooled and handled nodes at one priority keep insertion
      order, and a recycled pooled node re-queued mid-stream slots in
      FIFO like any fresh insert. *)
-  Wheel.insert_pooled w ~prio:100 1;
+  ignore (Wheel.insert_oneshot w ~prio:100 1);
   ignore (Wheel.insert w ~prio:100 2);
-  Wheel.insert_pooled w ~prio:100 3;
+  ignore (Wheel.insert_oneshot w ~prio:100 3);
   Alcotest.(check int) "three queued" 3 (Wheel.length w);
   Alcotest.(check (list int)) "FIFO among mixed ties" [ 1; 2; 3 ] (drain_wheel w);
   (* Cancellation of a handled node must not disturb pooled neighbours. *)
-  Wheel.insert_pooled w ~prio:200 10;
+  ignore (Wheel.insert_oneshot w ~prio:200 10);
   let hc = Wheel.insert w ~prio:200 11 in
-  Wheel.insert_pooled w ~prio:300 12;
+  ignore (Wheel.insert_oneshot w ~prio:300 12);
   Alcotest.(check bool) "cancel handled" true (Wheel.cancel w hc);
   Alcotest.(check (list int)) "pooled survive cancel" [ 10; 12 ] (drain_wheel w);
   (* clear must not strand pooled nodes in an inconsistent state. *)
-  Wheel.insert_pooled w ~prio:400 20;
-  Wheel.insert_pooled w ~prio:500 21;
+  ignore (Wheel.insert_oneshot w ~prio:400 20);
+  ignore (Wheel.insert_oneshot w ~prio:500 21);
   Wheel.clear w;
   Alcotest.(check bool) "cleared" true (Wheel.is_empty w);
-  Wheel.insert_pooled w ~prio:600 22;
+  ignore (Wheel.insert_oneshot w ~prio:600 22);
   Alcotest.(check (option (pair int int))) "usable after clear" (Some (600, 22)) (Wheel.pop_min w)
 
 (* Sim.post is the fire-and-forget lane end to end: posted events must
@@ -559,7 +561,7 @@ let suite =
     Alcotest.test_case "pop_min_until commits horizon" `Quick test_pop_min_until_commits_horizon;
     Alcotest.test_case "extract, take and cancel" `Quick test_extract_take_cancel;
     Alcotest.test_case "clear" `Quick test_clear;
-    Alcotest.test_case "pooled inserts recycle cleanly" `Quick test_insert_pooled;
+    Alcotest.test_case "pooled inserts recycle cleanly" `Quick test_pooled_inserts;
     Alcotest.test_case "scripted Sim equivalence" `Quick test_sim_matches_reference;
     Alcotest.test_case "Sim.post fires like Sim.at" `Quick test_sim_post_equivalence;
     QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
