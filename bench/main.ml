@@ -866,8 +866,14 @@ let run_json ~fast ~smoke ~mega ~label =
   let fig11_wall =
     let t0 = Unix.gettimeofday () in
     ignore
-      (Experiments.Exp_fig11.t_high ~warmup ~measure Experiments.Exp_fig11.Containers_event_api
-         ~low_clients:20);
+      (Experiments.Exp_fig11.t_high
+         {
+           (Experiments.Exp_fig11.scenario Experiments.Exp_fig11.Containers_event_api
+              ~low_clients:20)
+           with
+           warmup;
+           windows = [ measure ];
+         });
     (Unix.gettimeofday () -. t0) /. sim_seconds
   in
   (* End-to-end cost and GC pressure of each stack mode: one 16-client
@@ -880,8 +886,14 @@ let run_json ~fast ~smoke ~mega ~label =
         let words0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         let r =
-          Experiments.Exp_sweep.run ~warmup ~measure
-            { Experiments.Exp_sweep.system; clients = 16; seed = 1 }
+          Experiments.Exp_sweep.run
+            {
+              (Experiments.Exp_sweep.scenario
+                 { Experiments.Exp_sweep.system; clients = 16; seed = 1 })
+              with
+              warmup;
+              windows = [ measure ];
+            }
         in
         let wall = Unix.gettimeofday () -. t0 in
         let words = Gc.minor_words () -. words0 in
@@ -908,11 +920,14 @@ let run_json ~fast ~smoke ~mega ~label =
   let smp_endtoend =
     let t0 = Unix.gettimeofday () in
     ignore
-      (Experiments.Exp_sweep.run ~cpus:4 ~warmup ~measure
+      (Experiments.Exp_sweep.run
          {
-           Experiments.Exp_sweep.system = Experiments.Harness.Rc_sys;
-           clients = 16;
-           seed = 1;
+           (Experiments.Exp_sweep.scenario
+              { Experiments.Exp_sweep.system = Experiments.Harness.Rc_sys; clients = 16; seed = 1 })
+           with
+           cpus = 4;
+           warmup;
+           windows = [ measure ];
          });
     (Unix.gettimeofday () -. t0) /. sim_seconds
   in
@@ -963,17 +978,19 @@ let run_json ~fast ~smoke ~mega ~label =
      workers, so it also carries whatever parked workers cost a busy
      domain. *)
   let sweep_metrics =
-    let points =
-      Experiments.Exp_sweep.grid ~client_counts:[ 4 ] ~seeds:[ 1; 2; 3 ] ()
-    in
     let s_warmup = if smoke then Simtime.ms 100 else Simtime.ms 500 in
     let s_measure =
       if smoke then Simtime.ms 100 else if fast then Simtime.ms 500 else Simtime.sec 1
     in
+    let scenarios =
+      Array.map
+        (fun p ->
+          { (Experiments.Exp_sweep.scenario p) with warmup = s_warmup; windows = [ s_measure ] })
+        (Experiments.Exp_sweep.grid ~client_counts:[ 4 ] ~seeds:[ 1; 2; 3 ])
+    in
     let time_with jobs =
       let t0 = Unix.gettimeofday () in
-      ignore
-        (Experiments.Exp_sweep.run_grid ~warmup:s_warmup ~measure:s_measure ~jobs points);
+      ignore (Experiments.Harness.Sweep.map ~jobs Experiments.Exp_sweep.run scenarios);
       Unix.gettimeofday () -. t0
     in
     [
@@ -1028,8 +1045,12 @@ let run_json ~fast ~smoke ~mega ~label =
     let z_docs = if smoke then 2_000 else 20_000 in
     let t0 = Unix.gettimeofday () in
     ignore
-      (Experiments.Exp_zipf.run_point ~docs:z_docs ~warmup:z_warmup ~measure:z_measure
-         ~spike_measure:z_measure ~s:0.9 Experiments.Harness.Rc_sys);
+      (Experiments.Exp_zipf.run
+         {
+           (Experiments.Exp_zipf.scenario ~docs:z_docs ~s:0.9 Experiments.Harness.Rc_sys) with
+           warmup = z_warmup;
+           windows = [ z_measure; z_measure ];
+         });
     (Unix.gettimeofday () -. t0)
     /. (Simtime.span_to_sec_f z_warmup +. (2. *. Simtime.span_to_sec_f z_measure))
   in
@@ -1224,18 +1245,18 @@ let print_table t = Format.printf "%a@." Engine.Series.pp_table t
 let run_experiments ~fast =
   let measure_short = if fast then Simtime.sec 2 else Simtime.sec 5 in
   Format.printf "--- §5.3 baseline ---@.";
-  print_table (Experiments.Exp_baseline.table ~measure:measure_short ());
+  print_table (Experiments.Exp_baseline.table ~measure:measure_short);
   Format.printf "--- Table 1 (simulated-kernel charges use the paper's values) ---@.";
   print_table (Experiments.Exp_table1.table ());
   Format.printf "--- Figure 11 ---@.";
   let low_counts = if fast then [ 0; 10; 20; 35 ] else [ 0; 5; 10; 15; 20; 25; 30; 35 ] in
-  print_figure (Experiments.Exp_fig11.figure ~low_counts ~measure:measure_short ());
+  print_figure (Experiments.Exp_fig11.figure ~low_counts ~measure:measure_short ~jobs:1);
   Format.printf "--- Figures 12 and 13 ---@.";
   let cgi_counts = if fast then [ 0; 2; 4 ] else [ 0; 1; 2; 3; 4; 5 ] in
   let f12, f13 =
     Experiments.Exp_fig12_13.figures ~cgi_counts
       ~measure:(if fast then Simtime.sec 10 else Simtime.sec 15)
-      ()
+      ~jobs:1
   in
   print_figure f12;
   print_figure f13;
@@ -1244,14 +1265,14 @@ let run_experiments ~fast =
     if fast then [ 0.; 10_000.; 40_000.; 70_000. ]
     else [ 0.; 5_000.; 10_000.; 20_000.; 30_000.; 40_000.; 50_000.; 60_000.; 70_000. ]
   in
-  print_figure (Experiments.Exp_fig14.figure ~rates ~measure:measure_short ());
+  print_figure (Experiments.Exp_fig14.figure ~rates ~measure:measure_short ~jobs:1);
   Format.printf "--- §5.8 virtual servers ---@.";
   print_table (Experiments.Exp_virtual.table ());
   Format.printf "--- §5.4 container overhead ---@.";
   print_table (Experiments.Exp_overhead.table ());
   Format.printf "--- disk-bandwidth extension (§4.4) ---@.";
   print_table (Experiments.Exp_disk.architecture_table ());
-  print_table (Experiments.Exp_disk.pool_table ());
+  print_table (Experiments.Exp_disk.pool_table ~workers_list:[ 1; 2; 4; 8; 16; 32 ]);
   print_table (Experiments.Exp_disk.isolation_table ());
   Format.printf "--- ablations ---@.";
   print_table

@@ -74,9 +74,13 @@ let () =
   in
   let t0 = Unix.gettimeofday () in
   let r =
-    Experiments.Exp_sweep.run ~warmup:(Simtime.ms 500)
-      ~measure:(Simtime.span_scale simsec (Simtime.sec 1))
-      { Experiments.Exp_sweep.system; clients = 16; seed = 1 }
+    Experiments.Exp_sweep.run
+      {
+        (Experiments.Exp_sweep.scenario { Experiments.Exp_sweep.system; clients = 16; seed = 1 })
+        with
+        warmup = Simtime.ms 500;
+        windows = [ Simtime.span_scale simsec (Simtime.sec 1) ];
+      }
   in
   let wall = Unix.gettimeofday () -. t0 in
   Printf.printf "%s: %d requests, %.3f s wall, %.4f s/simsec\n" mode

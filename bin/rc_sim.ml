@@ -50,19 +50,19 @@ let metrics_out_flag =
 
 let run_baseline _jobs fast csv =
   let measure = if fast then Simtime.sec 2 else Simtime.sec 5 in
-  print_table ~csv (Experiments.Exp_baseline.table ~measure ())
+  print_table ~csv (Experiments.Exp_baseline.table ~measure)
 
 let run_table1 _jobs _fast csv = print_table ~csv (Experiments.Exp_table1.table ())
 
 let run_fig11 jobs fast csv =
   let low_counts = if fast then [ 0; 10; 20; 35 ] else [ 0; 5; 10; 15; 20; 25; 30; 35 ] in
   let measure = if fast then Simtime.sec 3 else Simtime.sec 5 in
-  print_figure ~csv (Experiments.Exp_fig11.figure ~low_counts ~measure ~jobs ())
+  print_figure ~csv (Experiments.Exp_fig11.figure ~low_counts ~measure ~jobs)
 
 let fig12_13 jobs fast =
   let cgi_counts = if fast then [ 0; 2; 4 ] else [ 0; 1; 2; 3; 4; 5 ] in
   let measure = if fast then Simtime.sec 10 else Simtime.sec 15 in
-  Experiments.Exp_fig12_13.figures ~cgi_counts ~measure ~jobs ()
+  Experiments.Exp_fig12_13.figures ~cgi_counts ~measure ~jobs
 
 let run_fig12 jobs fast csv = print_figure ~csv (fst (fig12_13 jobs fast))
 let run_fig13 jobs fast csv = print_figure ~csv (snd (fig12_13 jobs fast))
@@ -73,7 +73,7 @@ let run_fig14 jobs fast csv =
     else [ 0.; 5_000.; 10_000.; 20_000.; 30_000.; 40_000.; 50_000.; 60_000.; 70_000. ]
   in
   let measure = if fast then Simtime.sec 3 else Simtime.sec 5 in
-  print_figure ~csv (Experiments.Exp_fig14.figure ~rates ~measure ~jobs ())
+  print_figure ~csv (Experiments.Exp_fig14.figure ~rates ~measure ~jobs)
 
 let run_virtual _jobs _fast csv = print_table ~csv (Experiments.Exp_virtual.table ())
 let run_overhead _jobs _fast csv = print_table ~csv (Experiments.Exp_overhead.table ())
@@ -82,8 +82,7 @@ let run_disk _jobs fast csv =
   print_table ~csv (Experiments.Exp_disk.architecture_table ());
   print_table ~csv
     (Experiments.Exp_disk.pool_table
-       ?workers_list:(if fast then Some [ 1; 4; 16 ] else None)
-       ());
+       ~workers_list:(if fast then [ 1; 4; 16 ] else [ 1; 2; 4; 8; 16; 32 ]));
   print_table ~csv (Experiments.Exp_disk.isolation_table ())
 
 let run_latency jobs fast csv =
@@ -95,53 +94,50 @@ let run_latency jobs fast csv =
 (* A small traced scenario: two client classes on the RC kernel, tracing
    enabled; prints the tail of the kernel trace. *)
 let run_trace _jobs _fast _csv =
-  let module Container = Rescont.Container in
-  let module Machine = Procsim.Machine in
-  let module Harness = Experiments.Harness in
-  if not (Harness.observing ()) then Harness.observe ~capacity:64 ();
-  let rig = Harness.make_rig Harness.Rc_sys in
-  let machine = rig.Harness.machine in
-  let stack = rig.Harness.stack in
-  let hi =
-    Container.create ~parent:rig.Harness.root ~name:"premium"
-      ~attrs:(Rescont.Attrs.timeshare ~priority:90 ())
-      ()
+  let module Scenario = Experiments.Scenario in
+  let o =
+    Scenario.run
+      {
+        Scenario.base with
+        trace = Some 64;
+        containers =
+          [
+            { name = "premium"; parent = None; attrs = Rescont.Attrs.timeshare ~priority:90 () };
+          ];
+        servers =
+          [
+            {
+              Scenario.server with
+              listens =
+                [
+                  {
+                    Scenario.listen with
+                    bind = Named "premium";
+                    filter = Netsim.Filter.host (Netsim.Ipaddr.v 10 9 9 9);
+                  };
+                  Scenario.listen;
+                ];
+              policy = Inherit_listen;
+            };
+          ];
+        groups =
+          [
+            { Scenario.group with count = 2 };
+            { Scenario.group with name = "vip"; src_base = Netsim.Ipaddr.v 10 9 9 9 };
+          ];
+        warmup = Simtime.ms 10;
+        windows = [];
+      }
   in
-  let listens =
-    [
-      Netsim.Socket.make_listen ~port:80 ~filter:(Netsim.Filter.host (Netsim.Ipaddr.v 10 9 9 9))
-        ~container:hi ();
-      Netsim.Socket.make_unbound_listen ~port:80 (Rescont.Container.run rig.Harness.root);
-    ]
-  in
-  let server =
-    Httpsim.Event_server.create ~stack ~process:rig.Harness.server_proc ~cache:rig.Harness.cache
-      ~policy:Httpsim.Event_server.Inherit_listen ~listens ()
-  in
-  ignore (Httpsim.Event_server.start server);
-  let clients =
-    Workload.Sclient.create ~stack ~port:80 ~path:"/doc/1k" ~count:2 ()
-  in
-  let vip =
-    Workload.Sclient.create ~stack ~name:"vip" ~src_base:(Netsim.Ipaddr.v 10 9 9 9) ~port:80
-      ~path:"/doc/1k" ~count:1 ()
-  in
-  Workload.Sclient.start clients;
-  Workload.Sclient.start vip;
-  Machine.run_until machine (Engine.Simtime.add Engine.Simtime.zero (Engine.Simtime.ms 10));
   Format.printf "Kernel trace of the first 10 simulated milliseconds (most recent events):@.";
-  List.iter
-    (fun e -> Format.printf "  %a@." Engine.Tracelog.pp_entry e)
-    (Engine.Tracelog.entries (Machine.trace machine))
+  List.iter (fun e -> Format.printf "  %a@." Engine.Tracelog.pp_entry e) o.Scenario.trace
 
 let run_smp _jobs fast csv =
   let warmup = if fast then Simtime.ms 500 else Simtime.sec 1 in
   let measure = if fast then Simtime.sec 1 else Simtime.sec 4 in
-  print_table ~csv (Experiments.Exp_smp.livelock_table ~warmup ~measure ());
+  print_table ~csv (Experiments.Exp_smp.livelock_table ~warmup ~measure);
   print_table ~csv
-    (Experiments.Exp_smp.hot_table
-       ~measure:(if fast then Simtime.sec 1 else Simtime.sec 2)
-       ())
+    (Experiments.Exp_smp.hot_table ~measure:(if fast then Simtime.sec 1 else Simtime.sec 2))
 
 let run_ablation _jobs fast csv =
   let measure = if fast then Simtime.sec 3 else Simtime.sec 10 in
@@ -169,13 +165,17 @@ let run_all jobs fast csv =
    report is byte-identical for every --jobs value. *)
 let run_sweep jobs fast json_out =
   let jobs = resolve_jobs jobs in
+  let module Sweep = Experiments.Exp_sweep in
   let points =
-    if fast then Experiments.Exp_sweep.grid ~client_counts:[ 4 ] ~seeds:[ 1 ] ()
-    else Experiments.Exp_sweep.grid ()
+    if fast then Sweep.grid ~client_counts:[ 4 ] ~seeds:[ 1 ]
+    else Sweep.grid ~client_counts:[ 4; 16 ] ~seeds:[ 1; 2 ]
   in
   let warmup = if fast then Simtime.ms 500 else Simtime.sec 1 in
   let measure = if fast then Simtime.sec 1 else Simtime.sec 2 in
-  let results = Experiments.Exp_sweep.run_grid ~warmup ~measure ~jobs points in
+  let results =
+    Experiments.Harness.Sweep.map ~jobs Sweep.run
+      (Array.map (fun p -> { (Sweep.scenario p) with warmup; windows = [ measure ] }) points)
+  in
   let doc = Experiments.Exp_sweep.report_string results in
   match json_out with
   | Some path ->
@@ -193,6 +193,10 @@ let run_cluster fast csv check machines shards json_out =
   let machines =
     match machines with Some m -> m | None -> if fast then 2 else 4
   in
+  if machines < 1 then begin
+    Format.eprintf "cluster: --machines must be >= 1@.";
+    Stdlib.exit 2
+  end;
   if shards < 1 then begin
     Format.eprintf "cluster: --shards must be >= 1@.";
     Stdlib.exit 2
@@ -292,12 +296,24 @@ let run_zipf fast csv docs s json_out =
     Format.eprintf "zipf: --docs must be >= 1@.";
     Stdlib.exit 2
   end;
+  (match s with
+  | Some s when not (Float.is_finite s) ->
+      Format.eprintf "zipf: -s must be finite@.";
+      Stdlib.exit 2
+  | _ -> ());
   let exponents =
     match s with Some v -> [ v ] | None -> if fast then [ 0.9 ] else Z.default_exponents
   in
   let warmup = if fast then Simtime.ms 500 else Simtime.sec 1 in
   let measure = if fast then Simtime.sec 1 else Simtime.sec 2 in
-  let points = Z.run ~docs ~exponents ~warmup ~measure ~spike_measure:measure () in
+  let points =
+    List.concat_map
+      (fun system ->
+        List.map
+          (fun s -> Z.run { (Z.scenario ~docs ~s system) with warmup; windows = [ measure; measure ] })
+          exponents)
+      Z.systems
+  in
   print_table ~csv (Z.table points);
   match json_out with
   | Some path ->
@@ -345,6 +361,10 @@ let run_fuzz jobs seeds seed mode cpus machines shards zipf inject trace_out =
   end;
   if shards < 1 then begin
     Format.eprintf "fuzz: --shards must be >= 1@.";
+    Stdlib.exit 2
+  end;
+  if seed = None && seeds < 1 then begin
+    Format.eprintf "fuzz: --seeds must be >= 1@.";
     Stdlib.exit 2
   end;
   let modes =

@@ -8,8 +8,11 @@
 # shards=1), check that fuzz and ablation output does not depend on
 # what else ran in the process, compare the placement gate's --jobs 1
 # fuzz lines (five families, concatenated) byte for byte with
-# results/fuzz_jobs1.txt, and compare the paper's figures and tables
-# (rc_sim all --fast, less Table 1's host-time block) byte for byte with
+# results/fuzz_jobs1.txt, compare rc_sim zipf --fast, smp --fast, the
+# sweep --fast --jobs 1 report and rc_sim trace byte for byte with
+# results/zipf_fast.txt, smp_fast.txt, sweep_fast.json and trace.txt,
+# and compare the paper's figures and tables (rc_sim all --fast, less
+# Table 1's host-time block) byte for byte with
 # results/rc_sim_all_fast.txt.  A deliberate model change regenerates
 # each committed file with the command that writes it here and lists
 # what moved.  Referenced from README.md "Install and build".
@@ -49,10 +52,15 @@ dune build @bench-check
 echo "== first-to-latest baseline trend (informational, never fails)"
 dune exec bench/compare.exe -- BENCH_PR1.json BENCH_PR15.json --threshold 1000 || true
 
-echo "== sweep smoke (2 jobs must match the serial report byte-for-byte)"
+echo "== sweep gate (the serial report must print results/sweep_fast.json, and 2 jobs the same bytes)"
 dune exec bin/rc_sim.exe -- sweep --fast --jobs 1 --json-out "${TMPDIR:-/tmp}/rc-sweep-j1.json"
 dune exec bin/rc_sim.exe -- sweep --fast --jobs 2 --json-out "${TMPDIR:-/tmp}/rc-sweep-j2.json"
+cmp "${TMPDIR:-/tmp}/rc-sweep-j1.json" results/sweep_fast.json
 cmp "${TMPDIR:-/tmp}/rc-sweep-j1.json" "${TMPDIR:-/tmp}/rc-sweep-j2.json"
+
+echo "== trace gate (rc_sim trace must print results/trace.txt)"
+dune exec bin/rc_sim.exe -- trace > "${TMPDIR:-/tmp}/rc-trace.txt"
+cmp "${TMPDIR:-/tmp}/rc-trace.txt" results/trace.txt
 
 echo "== sharded determinism (cluster oracle at shards=4 must match shards=1 byte-for-byte)"
 dune exec bin/rc_sim.exe -- cluster --fast --machines 4 --shards 1 \
@@ -79,8 +87,9 @@ sort "${TMPDIR:-/tmp}/rc-fuzz-zipf-j1.txt" > "${TMPDIR:-/tmp}/rc-fuzz-zipf-j1.so
 sort "${TMPDIR:-/tmp}/rc-fuzz-zipf-j2.txt" > "${TMPDIR:-/tmp}/rc-fuzz-zipf-j2.sorted"
 cmp "${TMPDIR:-/tmp}/rc-fuzz-zipf-j1.sorted" "${TMPDIR:-/tmp}/rc-fuzz-zipf-j2.sorted"
 
-echo "== zipf experiment smoke (2e4-doc corpus, flash crowd, invariants armed)"
-dune exec bin/rc_sim.exe -- zipf --fast > /dev/null
+echo "== zipf experiment gate (2e4-doc corpus, flash crowd, invariants armed; must print results/zipf_fast.txt)"
+dune exec bin/rc_sim.exe -- zipf --fast > "${TMPDIR:-/tmp}/rc-zipf-fast.txt"
+cmp "${TMPDIR:-/tmp}/rc-zipf-fast.txt" results/zipf_fast.txt
 
 echo "== cluster fuzz smoke (2 and 4 machines behind the balancer, rollup law armed)"
 # The 4-machine run also shards each scenario: its window batches are
@@ -96,10 +105,14 @@ cmp "${TMPDIR:-/tmp}/rc-fuzz-cluster-s1.txt" "${TMPDIR:-/tmp}/rc-fuzz-cluster-s4
 echo "== cluster oracle gate (M/G/1-PS closed form within 5% at >= 1e5 concurrent conns, sharded)"
 dune exec bin/rc_sim.exe -- cluster --check --shards 8 > /dev/null
 
-echo "== SMP experiments smoke (steering livelock confinement + sharded fixed shares)"
-dune exec bin/rc_sim.exe -- smp --fast > /dev/null
+echo "== SMP experiments gate (steering livelock confinement + sharded fixed shares; must print results/smp_fast.txt)"
+dune exec bin/rc_sim.exe -- smp --fast > "${TMPDIR:-/tmp}/rc-smp-fast.txt"
+cmp "${TMPDIR:-/tmp}/rc-smp-fast.txt" results/smp_fast.txt
 
-echo "== fuzz self-test (planted mis-charge must be caught)"
+echo "== fuzz self-test (planted mis-charge must be caught; zero seeds is a usage error)"
+status=0
+dune exec bin/rc_sim.exe -- fuzz --seeds 0 > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ]
 dune exec bin/rc_sim.exe -- fuzz --seed 1 --mode rc --inject mischarge \
   --trace-out "${TMPDIR:-/tmp}/rc-fuzz-selftest.trace.jsonl"
 

@@ -96,6 +96,7 @@ let categorical_alias pairs =
 
 let zipf_weights ~n ~s =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
+  if not (Float.is_finite s) then invalid_arg "Dist.zipf: s must be finite";
   Array.init n (fun i -> 1. /. (float_of_int (i + 1) ** s))
 
 let zipf ~n ~s =

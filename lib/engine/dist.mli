@@ -17,7 +17,8 @@ val zipf : n:int -> s:float -> t
 (** Zipf over ranks [1..n] with exponent [s] (returned as a float rank);
     used for document popularity.  Sampled by Walker's alias method: O(n)
     one-time build, O(1) per sample — a 10^6-document popularity draw
-    costs the same as a 4-document one. *)
+    costs the same as a 4-document one.
+    @raise Invalid_argument if [n <= 0] or [s] is not finite. *)
 
 val zipf_cdf : n:int -> s:float -> t
 (** The same distribution sampled by inverting the precomputed CDF

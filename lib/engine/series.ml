@@ -2,6 +2,7 @@ type curve = { name : string; mutable pts : (float * float) list (* reverse orde
 
 let curve name = { name; pts = [] }
 let add_point c ~x ~y = c.pts <- (x, y) :: c.pts
+let curve_of_points name pts = { name; pts = List.rev pts }
 let curve_name c = c.name
 let points c = List.rev c.pts
 

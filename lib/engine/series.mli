@@ -11,6 +11,10 @@ val curve : string -> curve
 (** A named, initially empty curve. *)
 
 val add_point : curve -> x:float -> y:float -> unit
+
+val curve_of_points : string -> (float * float) list -> curve
+(** A named curve holding the given points, in order. *)
+
 val points : curve -> (float * float) list
 (** Points in insertion order. *)
 

@@ -51,14 +51,16 @@ let entry_to_json e =
     :: ("cat", Jsonx.String (Trace_event.category e.event))
     :: fields)
 
-let to_jsonl t =
+let entries_to_jsonl entries =
   let buf = Buffer.create 4096 in
   List.iter
     (fun e ->
       Jsonx.to_buffer buf (entry_to_json e);
       Buffer.add_char buf '\n')
-    (entries t);
+    entries;
   Buffer.contents buf
+
+let to_jsonl t = entries_to_jsonl (entries t)
 
 let pp_entry ppf e =
   Format.fprintf ppf "[%a] %s: %s" Simtime.pp e.time

@@ -35,4 +35,7 @@ val to_jsonl : t -> string
     {!Trace_event.to_json} object with ["t_ns"] (timestamp in nanoseconds)
     and ["cat"] (the category) prepended. *)
 
+val entries_to_jsonl : entry list -> string
+(** {!to_jsonl} of entries already taken from a log. *)
+
 val pp_entry : Format.formatter -> entry -> unit

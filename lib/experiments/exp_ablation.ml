@@ -4,7 +4,6 @@ module Container = Rescont.Container
 module Attrs = Rescont.Attrs
 module Usage = Rescont.Usage
 module Machine = Procsim.Machine
-module Socket = Netsim.Socket
 
 (* {1 Scheduler family} *)
 
@@ -131,40 +130,7 @@ let binding_prune_table () =
 (* Request latency as the scheduling quantum varies, with a CPU-bound
    batch job sharing the machine: the server's short bursts wait behind the
    batch job's slices, so response time tracks the quantum directly. *)
-let quantum_point ~quantum ?(warmup = Simtime.sec 1) ?(measure = Simtime.sec 3) () =
-  let rig = Harness.make_rig ~quantum Harness.Rc_sys in
-  let batch =
-    Container.create ~parent:rig.Harness.root ~name:"batch"
-      ~attrs:(Attrs.timeshare ~priority:10 ())
-      ()
-  in
-  ignore
-    (Machine.spawn rig.Harness.machine ~name:"batch" ~container:batch (fun () ->
-         let rec burn () =
-           Machine.cpu (Simtime.sec 1);
-           burn ()
-         in
-         burn ()));
-  let listen =
-    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
-  in
-  let server =
-    Httpsim.Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
-      ~cache:rig.Harness.cache ~listens:[ listen ] ()
-  in
-  ignore (Httpsim.Event_server.start server);
-  let load =
-    Workload.Sclient.create ~stack:rig.Harness.stack ~port:Harness.default_port
-      ~path:Harness.doc_path ~jitter:(Simtime.ms 1) ~count:4 ()
-  in
-  Workload.Sclient.start load;
-  Harness.run_for rig warmup;
-  Workload.Sclient.reset_stats load;
-  Harness.run_for rig measure;
-  ( float_of_int (Workload.Sclient.completed load) /. Simtime.span_to_sec_f measure,
-    Engine.Stats.Summary.mean (Workload.Sclient.response_times load) )
-
-let quantum_table ?warmup ?measure () =
+let quantum_table () =
   let t =
     Engine.Series.table
       ~title:"Ablation: scheduling quantum (RC kernel, 4 clients vs a CPU-bound batch job)"
@@ -172,12 +138,26 @@ let quantum_table ?warmup ?measure () =
   in
   List.iter
     (fun quantum ->
-      let tput, lat = quantum_point ~quantum ?warmup ?measure () in
+      let w =
+        Scenario.window
+          (Scenario.run
+             {
+               Scenario.base with
+               quantum;
+               containers =
+                 [ { name = "batch"; parent = None; attrs = Attrs.timeshare ~priority:10 () } ];
+               spinners =
+                 [ { thread = "batch"; container = "batch"; cpu = None; burst = Simtime.sec 1 } ];
+               groups = [ { Scenario.group with jitter = Simtime.ms 1; count = 4 } ];
+               warmup = Simtime.sec 1;
+               windows = [ Simtime.sec 3 ];
+             })
+      in
       Engine.Series.add_row t
         [
           Format.asprintf "%a" Simtime.pp_span quantum;
-          Printf.sprintf "%.0f" tput;
-          Printf.sprintf "%.2f" lat;
+          Printf.sprintf "%.0f" (Scenario.throughput w "clients");
+          Printf.sprintf "%.2f" (Scenario.stats w "clients").mean_ms;
         ])
     [ Simtime.us 100; Simtime.ms 1; Simtime.ms 10 ];
   t
@@ -187,27 +167,7 @@ let quantum_table ?warmup ?measure () =
 (* The multi-threaded server model (paper §2, Fig. 3) on 1..4 processors:
    the thread pool exploits extra processors; the paper's experiments are
    all uniprocessor, so this is an extension. *)
-let smp_throughput ~cpus ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 4) () =
-  let rig = Harness.make_rig ~cpus Harness.Rc_sys in
-  let listen =
-    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
-  in
-  let server =
-    Httpsim.Threaded_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
-      ~cache:rig.Harness.cache ~workers:(8 * cpus) ~listens:[ listen ] ()
-  in
-  Httpsim.Threaded_server.start server;
-  let load =
-    Workload.Sclient.create ~stack:rig.Harness.stack ~port:Harness.default_port
-      ~path:Harness.doc_path ~count:(48 * cpus) ()
-  in
-  Workload.Sclient.start load;
-  Harness.run_for rig warmup;
-  Workload.Sclient.reset_stats load;
-  Harness.run_for rig measure;
-  float_of_int (Workload.Sclient.completed load) /. Simtime.span_to_sec_f measure
-
-let smp_scaling_table ?warmup ?measure () =
+let smp_scaling_table () =
   let t =
     Engine.Series.table
       ~title:"Extension: multi-threaded server scaling with processors (RC kernel)"
@@ -216,7 +176,18 @@ let smp_scaling_table ?warmup ?measure () =
   let base = ref 0. in
   List.iter
     (fun cpus ->
-      let tput = smp_throughput ~cpus ?warmup ?measure () in
+      let w =
+        Scenario.window
+          (Scenario.run
+             {
+               Scenario.base with
+               cpus;
+               servers = [ { Scenario.server with model = Threaded (8 * cpus) } ];
+               groups = [ { Scenario.group with count = 48 * cpus } ];
+               windows = [ Simtime.sec 4 ];
+             })
+      in
+      let tput = Scenario.throughput w "clients" in
       if cpus = 1 then base := tput;
       Engine.Series.add_row t
         [
@@ -229,52 +200,8 @@ let smp_scaling_table ?warmup ?measure () =
 
 (* {1 Softirq charging} *)
 
-let server_share_with ~softirq_charge ?(warmup = Simtime.sec 5) ?(measure = Simtime.sec 10)
-    ?(concurrent_cgi = 4) () =
-  let sim = Sim.create () in
-  let root = Container.create_root () in
-  let machine = Machine.create ~sim ~policy:(fun () -> Sched.Timeshare.make ()) ~root () in
-  let server_proc = Procsim.Process.create machine ~name:"httpd" () in
-  let stack =
-    Netsim.Stack.create ~machine ~mode:Netsim.Stack.Softirq ~softirq_charge
-      ~owner:(Procsim.Process.default_container server_proc) ()
-  in
-  let cache = Httpsim.File_cache.create () in
-  Httpsim.File_cache.add_document cache ~path:Harness.doc_path ~bytes:1024;
-  Httpsim.File_cache.add_document cache ~path:Harness.cgi_path ~bytes:0;
-  Httpsim.File_cache.warm cache;
-  let cgi = Httpsim.Cgi.create ~stack ~server_process:server_proc () in
-  let listen = Socket.make_unbound_listen ~port:Harness.default_port (Container.run root) in
-  let server =
-    Httpsim.Event_server.create ~stack ~process:server_proc ~cache
-      ~dynamic_handler:(Httpsim.Cgi.handler cgi) ~listens:[ listen ] ()
-  in
-  ignore (Httpsim.Event_server.start server);
-  let static =
-    Workload.Sclient.create ~stack ~port:Harness.default_port ~path:Harness.doc_path ~count:24
-      ()
-  in
-  let cgi_clients =
-    Workload.Sclient.create ~stack ~src_base:(Netsim.Ipaddr.v 10 2 0 1)
-      ~port:Harness.default_port ~path:Harness.cgi_path ~syn_timeout:(Simtime.sec 60)
-      ~count:concurrent_cgi ()
-  in
-  Workload.Sclient.start static;
-  Workload.Sclient.start cgi_clients;
-  Machine.run_until machine (Simtime.add (Sim.now sim) warmup);
-  Workload.Sclient.reset_stats static;
-  let server_container = Procsim.Process.default_container server_proc in
-  let cpu0 = Container.subtree_cpu server_container in
-  Machine.run_until machine (Simtime.add (Sim.now sim) measure);
-  let share =
-    Simtime.ratio (Simtime.span_sub (Container.subtree_cpu server_container) cpu0) measure
-  in
-  let tput =
-    float_of_int (Workload.Sclient.completed static) /. Simtime.span_to_sec_f measure
-  in
-  (share, tput)
-
-let softirq_charging_table ?warmup ?measure ?(concurrent_cgi = 4) () =
+let softirq_charging_table () =
+  let concurrent_cgi = 4 in
   let t =
     Engine.Series.table
       ~title:
@@ -286,24 +213,40 @@ let softirq_charging_table ?warmup ?measure ?(concurrent_cgi = 4) () =
       ~columns:
         [ "softirq time charged to"; "server CPU share (as charged)"; "static req/s" ]
   in
-  let share_system, tput_system =
-    server_share_with ~softirq_charge:Netsim.Stack.Charge_system ?warmup ?measure
-      ~concurrent_cgi ()
-  in
-  let share_current, tput_current =
-    server_share_with ~softirq_charge:Netsim.Stack.Charge_current ?warmup ?measure
-      ~concurrent_cgi ()
-  in
-  Engine.Series.add_row t
+  List.iter
+    (fun (label, softirq_charge) ->
+      let w =
+        Scenario.window
+          (Scenario.run
+             {
+               Scenario.base with
+               system = Harness.Unmodified;
+               softirq_charge;
+               servers = [ { Scenario.server with cgi = Cgi } ];
+               groups =
+                 [
+                   { Scenario.group with count = 24 };
+                   {
+                     Scenario.group with
+                     name = "cgi-clients";
+                     src_base = Netsim.Ipaddr.v 10 2 0 1;
+                     docs = Path Harness.cgi_path;
+                     syn_timeout = Simtime.sec 60;
+                     count = concurrent_cgi;
+                   };
+                 ];
+               warmup = Simtime.sec 5;
+               windows = [ Simtime.sec 10 ];
+             })
+      in
+      Engine.Series.add_row t
+        [
+          label;
+          Printf.sprintf "%.1f%%" (100. *. Simtime.ratio (List.hd w.server_cpu) w.span);
+          Printf.sprintf "%.0f" (Scenario.throughput w "clients");
+        ])
     [
-      "no process at all (system)";
-      Printf.sprintf "%.1f%%" (100. *. share_system);
-      Printf.sprintf "%.0f" tput_system;
-    ];
-  Engine.Series.add_row t
-    [
-      "the unlucky current process";
-      Printf.sprintf "%.1f%%" (100. *. share_current);
-      Printf.sprintf "%.0f" tput_current;
+      ("no process at all (system)", Netsim.Stack.Charge_system);
+      ("the unlucky current process", Netsim.Stack.Charge_current);
     ];
   t

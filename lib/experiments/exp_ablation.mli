@@ -19,18 +19,12 @@ val scheduler_family_table :
 val binding_prune_table : unit -> Engine.Series.table
 (** One thread multiplexed over 32 containers, with and without pruning. *)
 
-val quantum_table :
-  ?warmup:Engine.Simtime.span -> ?measure:Engine.Simtime.span -> unit -> Engine.Series.table
+val quantum_table : unit -> Engine.Series.table
 (** Baseline behaviour under 0.1 / 1 / 10 ms scheduling quanta. *)
 
-val smp_scaling_table :
-  ?warmup:Engine.Simtime.span -> ?measure:Engine.Simtime.span -> unit -> Engine.Series.table
+val smp_scaling_table : unit -> Engine.Series.table
 (** Extension beyond the paper: the Fig. 3 multi-threaded server on 1, 2
     and 4 simulated processors. *)
 
-val softirq_charging_table :
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?concurrent_cgi:int ->
-  unit ->
-  Engine.Series.table
+val softirq_charging_table : unit -> Engine.Series.table
+(** Four CGI clients against the static load on the unmodified kernel. *)

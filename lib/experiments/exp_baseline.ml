@@ -1,8 +1,4 @@
 module Simtime = Engine.Simtime
-module Sim = Engine.Sim
-module Machine = Procsim.Machine
-module Socket = Netsim.Socket
-module Event_server = Httpsim.Event_server
 
 type result = {
   persistent : bool;
@@ -10,41 +6,33 @@ type result = {
   cpu_per_request_us : float;
 }
 
-let run ?(clients = 32) ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 5) ~persistent () =
-  let rig = Harness.make_rig Harness.Unmodified in
-  let listen =
-    Socket.make_unbound_listen ~port:Harness.default_port (Rescont.Container.run rig.Harness.root)
-  in
-  let server =
-    Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
-      ~cache:rig.Harness.cache ~api:Event_server.Select ~listens:[ listen ] ()
-  in
-  ignore (Event_server.start server);
-  let load =
-    Workload.Sclient.create ~stack:rig.Harness.stack ~port:Harness.default_port
-      ~path:Harness.doc_path ~persistent ~count:clients ()
-  in
-  Workload.Sclient.start load;
-  Harness.run_for rig warmup;
-  Workload.Sclient.reset_stats load;
-  let busy0 = Machine.busy_time rig.Harness.machine in
-  Harness.run_for rig measure;
-  let requests = Workload.Sclient.completed load in
-  let busy = Simtime.span_sub (Machine.busy_time rig.Harness.machine) busy0 in
-  let throughput = float_of_int requests /. Simtime.span_to_sec_f measure in
-  let cpu_per_request_us =
-    if requests = 0 then 0. else Simtime.span_to_us_f busy /. float_of_int requests
-  in
-  { persistent; throughput; cpu_per_request_us }
+let scenario ~persistent =
+  {
+    Scenario.base with
+    system = Harness.Unmodified;
+    groups = [ { Scenario.group with persistent; count = 32 } ];
+  }
 
-let table ~measure () =
+let run (s : Scenario.t) =
+  let w = Scenario.window (Scenario.run s) in
+  let requests = (Scenario.stats w "clients").completed in
+  let busy = List.fold_left Simtime.span_add Simtime.span_zero w.busy in
+  {
+    persistent = (List.hd s.groups).persistent;
+    throughput = Scenario.throughput w "clients";
+    cpu_per_request_us =
+      (if requests = 0 then 0. else Simtime.span_to_us_f busy /. float_of_int requests);
+  }
+
+let table ~measure =
   let t =
     Engine.Series.table ~title:"Baseline throughput (paper §5.3, unmodified kernel, 1KB cached)"
       ~columns:
         [ "connection mode"; "throughput (req/s)"; "paper (req/s)"; "CPU/request (us)";
           "paper (us)" ]
   in
-  let row r =
+  let row persistent =
+    let r = run { (scenario ~persistent) with windows = [ measure ] } in
     Engine.Series.add_row t
       [
         (if r.persistent then "persistent (HTTP/1.1)" else "connection per request");
@@ -54,6 +42,6 @@ let table ~measure () =
         (if r.persistent then "105" else "338");
       ]
   in
-  row (run ~measure ~persistent:false ());
-  row (run ~measure ~persistent:true ());
+  row false;
+  row true;
   t

@@ -11,10 +11,13 @@ type result = {
   cpu_per_request_us : float;  (** measured busy CPU divided by requests *)
 }
 
-val run : ?clients:int -> ?warmup:Engine.Simtime.span -> ?measure:Engine.Simtime.span ->
-  persistent:bool -> unit -> result
+val scenario : persistent:bool -> Scenario.t
+(** 32 closed-loop clients against the [select()] server, 2 s of warm-up
+    and one 5 s window. *)
 
-val table : measure:Engine.Simtime.span -> unit -> Engine.Series.table
+val run : Scenario.t -> result
+
+val table : measure:Engine.Simtime.span -> Engine.Series.table
 (** Both rows, connection per request first, each measured over
-    [measure] after the default warm-up, with the paper's numbers
-    alongside: the table [rc_sim baseline] prints. *)
+    [measure], with the paper's numbers alongside: the table
+    [rc_sim baseline] prints. *)

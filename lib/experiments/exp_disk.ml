@@ -1,69 +1,46 @@
 module Simtime = Engine.Simtime
-module Container = Rescont.Container
 module Attrs = Rescont.Attrs
-module Usage = Rescont.Usage
-module Socket = Netsim.Socket
-module Disk = Disksim.Disk
-module Sclient = Workload.Sclient
 
 (* A Zipf-popular document set that does not fit the cache: 200 documents
    of 64 KB against a 4 MB cache (~60 resident), so the popular head hits
    and the tail misses to disk. *)
-let doc_count = 200
-let doc_bytes = 65_536
+let corpus =
+  {
+    Scenario.docs = 200;
+    unit_bytes = 65_536;
+    classes = 1;
+    capacity_bytes = 4 * 1024 * 1024;
+    warm = false;
+    disk = true;
+  }
 
-let make_cache () =
-  let cache = Httpsim.File_cache.create ~capacity_bytes:(4 * 1024 * 1024) () in
-  for i = 1 to doc_count do
-    Httpsim.File_cache.add_document cache
-      ~path:(Printf.sprintf "/doc/d%d" i)
-      ~bytes:doc_bytes
-  done;
-  cache
+let clients ~count =
+  { Scenario.group with docs = Zipf_cdf 1.; syn_timeout = Simtime.sec 30; count }
 
-let zipf_mix () =
-  List.init doc_count (fun i ->
-      let rank = float_of_int (i + 1) in
-      (1. /. rank, Printf.sprintf "/doc/d%d" (i + 1)))
+let disk_base =
+  { Scenario.base with corpus = Some corpus; warmup = Simtime.sec 3; windows = [ Simtime.sec 10 ] }
+
+let with_model model = [ { Scenario.server with model } ]
 
 type arch_point = { architecture : string; throughput : float; mean_latency_ms : float }
 
-let architecture_run ?(warmup = Simtime.sec 3) ?(measure = Simtime.sec 10) arch =
-  let rig = Harness.make_rig Harness.Rc_sys in
-  let cache = make_cache () in
-  let disk = Disk.create ~machine:rig.Harness.machine () in
-  let listen =
-    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
-  in
-  let architecture =
-    match arch with
-    | `Event_driven ->
-        let server =
-          Httpsim.Event_server.create ~stack:rig.Harness.stack
-            ~process:rig.Harness.server_proc ~cache ~disk ~listens:[ listen ] ()
-        in
-        ignore (Httpsim.Event_server.start server);
-        "event-driven (1 thread)"
-    | `Multi_threaded ->
-        let server =
-          Httpsim.Threaded_server.create ~stack:rig.Harness.stack
-            ~process:rig.Harness.server_proc ~cache ~disk ~workers:16 ~listens:[ listen ] ()
-        in
-        Httpsim.Threaded_server.start server;
-        "multi-threaded (16 threads)"
-  in
-  let clients =
-    Sclient.create ~stack:rig.Harness.stack ~port:Harness.default_port ~path_mix:(zipf_mix ())
-      ~syn_timeout:(Simtime.sec 30) ~count:16 ()
-  in
-  Sclient.start clients;
-  Harness.run_for rig warmup;
-  Sclient.reset_stats clients;
-  Harness.run_for rig measure;
+let architecture_scenario arch =
   {
-    architecture;
-    throughput = float_of_int (Sclient.completed clients) /. Simtime.span_to_sec_f measure;
-    mean_latency_ms = Engine.Stats.Summary.mean (Sclient.response_times clients);
+    disk_base with
+    servers =
+      with_model (match arch with `Event_driven -> Event Select | `Multi_threaded -> Threaded 16);
+    groups = [ clients ~count:16 ];
+  }
+
+let architecture_run (s : Scenario.t) =
+  let w = Scenario.window (Scenario.run s) in
+  {
+    architecture =
+      (match (List.hd s.servers).model with
+      | Threaded n -> Printf.sprintf "multi-threaded (%d threads)" n
+      | Event _ | Forked _ -> "event-driven (1 thread)");
+    throughput = Scenario.throughput w "clients";
+    mean_latency_ms = (Scenario.stats w "clients").mean_ms;
   }
 
 let architecture_table () =
@@ -74,7 +51,7 @@ let architecture_table () =
   in
   List.iter
     (fun arch ->
-      let p = architecture_run arch in
+      let p = architecture_run (architecture_scenario arch) in
       Engine.Series.add_row t
         [
           p.architecture;
@@ -86,42 +63,25 @@ let architecture_table () =
 
 (* Worker-pool sizing: with blocking disk reads, throughput rises with
    the pool until enough requests overlap the spindle, then flattens. *)
-let pool_sweep ?(workers_list = [ 1; 2; 4; 8; 16; 32 ]) ?(warmup = Simtime.sec 3)
-    ?(measure = Simtime.sec 8) () =
-  let point workers =
-    let rig = Harness.make_rig Harness.Rc_sys in
-    let cache = make_cache () in
-    let disk = Disk.create ~machine:rig.Harness.machine () in
-    let listen =
-    Socket.make_unbound_listen ~port:Harness.default_port (Container.run rig.Harness.root)
-  in
-    let server =
-      Httpsim.Threaded_server.create ~stack:rig.Harness.stack
-        ~process:rig.Harness.server_proc ~cache ~disk ~workers ~listens:[ listen ] ()
-    in
-    Httpsim.Threaded_server.start server;
-    let clients =
-      Sclient.create ~stack:rig.Harness.stack ~port:Harness.default_port
-        ~path_mix:(zipf_mix ()) ~syn_timeout:(Simtime.sec 30) ~count:32 ()
-    in
-    Sclient.start clients;
-    Harness.run_for rig warmup;
-    Sclient.reset_stats clients;
-    Harness.run_for rig measure;
-    float_of_int (Sclient.completed clients) /. Simtime.span_to_sec_f measure
-  in
-  List.map (fun w -> (w, point w)) workers_list
-
-let pool_table ?workers_list ?warmup ?measure () =
+let pool_table ~workers_list =
   let t =
     Engine.Series.table
       ~title:"Disk extension: worker-pool sizing (blocking reads, 32 clients)"
       ~columns:[ "worker threads"; "throughput (req/s)" ]
   in
   List.iter
-    (fun (w, tput) ->
-      Engine.Series.add_row t [ string_of_int w; Printf.sprintf "%.0f" tput ])
-    (pool_sweep ?workers_list ?warmup ?measure ());
+    (fun workers ->
+      let s =
+        {
+          disk_base with
+          servers = with_model (Threaded workers);
+          groups = [ clients ~count:32 ];
+          windows = [ Simtime.sec 8 ];
+        }
+      in
+      let tput = Scenario.throughput (Scenario.window (Scenario.run s)) "clients" in
+      Engine.Series.add_row t [ string_of_int workers; Printf.sprintf "%.0f" tput ])
+    workers_list;
   t
 
 type isolation_point = {
@@ -130,65 +90,53 @@ type isolation_point = {
   premium_disk_share : float;
 }
 
-let isolation_run ?(warmup = Simtime.sec 3) ?(measure = Simtime.sec 10) () =
-  let rig = Harness.make_rig Harness.Rc_sys in
-  let cache = make_cache () in
-  let disk = Disk.create ~machine:rig.Harness.machine () in
-  let premium =
-    Container.create ~parent:rig.Harness.root ~name:"disk-premium"
-      ~attrs:(Attrs.timeshare ~priority:50 ())
-      ()
-  and standard =
-    Container.create ~parent:rig.Harness.root ~name:"disk-standard"
-      ~attrs:(Attrs.timeshare ~priority:10 ())
-      ()
-  in
+(* The threaded server overlaps disk reads, so the disk queue (not the
+   CPU) is where the classes compete. *)
+let isolation_scenario =
   let premium_src = Netsim.Ipaddr.v 10 9 9 9 in
-  let listens =
-    [
-      Socket.make_listen ~port:Harness.default_port
-        ~filter:(Netsim.Filter.prefix ~template:premium_src ~bits:24)
-        ~container:premium ();
-      Socket.make_listen ~port:Harness.default_port ~container:standard ();
-    ]
+  let load name src_base seed count =
+    { (clients ~count) with name; src_base; jitter = Simtime.ms 1; seed }
   in
-  (* The threaded server overlaps disk reads, so the disk queue (not the
-     CPU) is where the classes compete. *)
-  let server =
-    Httpsim.Threaded_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
-      ~cache ~disk ~workers:16 ~policy:Httpsim.Event_server.Inherit_listen ~listens ()
-  in
-  Httpsim.Threaded_server.start server;
-  let vip =
-    Sclient.create ~stack:rig.Harness.stack ~name:"vip" ~src_base:premium_src
-      ~port:Harness.default_port ~path_mix:(zipf_mix ()) ~syn_timeout:(Simtime.sec 30)
-      ~jitter:(Simtime.ms 1) ~seed:3 ~count:4 ()
-  in
-  let crowd =
-    Sclient.create ~stack:rig.Harness.stack ~name:"crowd" ~src_base:(Netsim.Ipaddr.v 10 1 0 1)
-      ~port:Harness.default_port ~path_mix:(zipf_mix ()) ~syn_timeout:(Simtime.sec 30)
-      ~jitter:(Simtime.ms 1) ~seed:5 ~count:12 ()
-  in
-  Sclient.start vip;
-  Sclient.start crowd;
-  Harness.run_for rig warmup;
-  Sclient.reset_stats vip;
-  Sclient.reset_stats crowd;
-  let premium_disk0 = Usage.disk_time (Container.usage premium) in
-  let total_disk0 = Disk.busy_time disk in
-  Harness.run_for rig measure;
-  let premium_disk =
-    Simtime.span_sub (Usage.disk_time (Container.usage premium)) premium_disk0
-  in
-  let total_disk = Simtime.span_sub (Disk.busy_time disk) total_disk0 in
   {
-    premium_latency_ms = Engine.Stats.Summary.mean (Sclient.response_times vip);
-    standard_latency_ms = Engine.Stats.Summary.mean (Sclient.response_times crowd);
-    premium_disk_share = Simtime.ratio premium_disk (Simtime.span_max total_disk (Simtime.ns 1));
+    disk_base with
+    containers =
+      [
+        { name = "disk-premium"; parent = None; attrs = Attrs.timeshare ~priority:50 () };
+        { name = "disk-standard"; parent = None; attrs = Attrs.timeshare ~priority:10 () };
+      ];
+    servers =
+      [
+        {
+          Scenario.server with
+          listens =
+            [
+              {
+                Scenario.listen with
+                bind = Named "disk-premium";
+                filter = Netsim.Filter.prefix ~template:premium_src ~bits:24;
+              };
+              { Scenario.listen with bind = Named "disk-standard" };
+            ];
+          model = Threaded 16;
+          policy = Inherit_listen;
+        };
+      ];
+    groups =
+      [ load "vip" premium_src 3 4; load "crowd" (Netsim.Ipaddr.v 10 1 0 1) 5 12 ];
+  }
+
+let isolation_run s =
+  let w = Scenario.window (Scenario.run s) in
+  {
+    premium_latency_ms = (Scenario.stats w "vip").mean_ms;
+    standard_latency_ms = (Scenario.stats w "crowd").mean_ms;
+    premium_disk_share =
+      Simtime.ratio (Scenario.usage_of w "disk-premium").disk
+        (Simtime.span_max w.disk_busy (Simtime.ns 1));
   }
 
 let isolation_table () =
-  let p = isolation_run () in
+  let p = isolation_run isolation_scenario in
   let t =
     Engine.Series.table
       ~title:"Disk extension: container-priority disk scheduling (miss-heavy load)"

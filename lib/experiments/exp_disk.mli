@@ -18,20 +18,13 @@
 
 type arch_point = { architecture : string; throughput : float; mean_latency_ms : float }
 
-val architecture_run :
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  [ `Event_driven | `Multi_threaded ] ->
-  arch_point
+val architecture_scenario : [ `Event_driven | `Multi_threaded ] -> Scenario.t
+(** 16 clients on the Zipf corpus, 3 s of warm-up and one 10 s window. *)
 
+val architecture_run : Scenario.t -> arch_point
 val architecture_table : unit -> Engine.Series.table
 
-val pool_table :
-  ?workers_list:int list ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  unit ->
-  Engine.Series.table
+val pool_table : workers_list:int list -> Engine.Series.table
 (** Worker-pool sizing: throughput of the threaded server over a
     miss-heavy workload as the pool grows — more threads overlap more
     blocking disk reads, until the spindle saturates. *)
@@ -42,7 +35,9 @@ type isolation_point = {
   premium_disk_share : float;  (** premium fraction of disk-busy time *)
 }
 
-val isolation_run :
-  ?warmup:Engine.Simtime.span -> ?measure:Engine.Simtime.span -> unit -> isolation_point
+val isolation_scenario : Scenario.t
+(** 4 premium and 12 standard clients, 3 s of warm-up and one 10 s
+    window. *)
 
+val isolation_run : Scenario.t -> isolation_point
 val isolation_table : unit -> Engine.Series.table

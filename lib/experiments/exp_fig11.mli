@@ -21,21 +21,16 @@ type variant = Without_containers | Containers_select | Containers_event_api
 
 val variant_name : variant -> string
 
-val t_high :
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  variant ->
-  low_clients:int ->
-  float
+val scenario : variant -> low_clients:int -> Scenario.t
+(** One high-priority client and [low_clients] low-priority ones, 2 s of
+    warm-up and one 4 s window. *)
+
+val t_high : Scenario.t -> float
 (** Mean high-priority response time in milliseconds. *)
 
 val figure :
-  ?low_counts:int list ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?jobs:int ->
-  unit ->
-  Engine.Series.figure
-(** Default sweep: 0, 5, 10, 15, 20, 25, 30, 35 low-priority clients.
-    [jobs] fans the (variant × count) grid across that many domains; the
-    result is identical for any [jobs] (see {!Harness.Sweep}). *)
+  low_counts:int list -> measure:Engine.Simtime.span -> jobs:int -> Engine.Series.figure
+(** One curve per variant over [low_counts], each point measured over
+    [measure].  [jobs] fans the (variant × count) grid across that many
+    domains; the result is identical for any [jobs] (see
+    {!Harness.Sweep}). *)

@@ -23,21 +23,18 @@ val variant_name : variant -> string
 
 type point = { static_throughput : float; cgi_cpu_share : float }
 
-val run :
-  ?static_clients:int ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  variant ->
-  concurrent_cgi:int ->
-  point
+val scenario : variant -> concurrent_cgi:int -> Scenario.t
+(** 24 static clients (group ["static"]) and [concurrent_cgi] CGI
+    clients, 5 s of warm-up and one 15 s window. *)
+
+val run : Scenario.t -> point
 
 val figures :
-  ?cgi_counts:int list ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?jobs:int ->
-  unit ->
+  cgi_counts:int list ->
+  measure:Engine.Simtime.span ->
+  jobs:int ->
   Engine.Series.figure * Engine.Series.figure
-(** (Figure 12, Figure 13) over the default sweep 0..5 concurrent CGI
-    requests, with the four systems as curves.  [jobs] fans the grid
-    across domains (see {!Harness.Sweep}). *)
+(** (Figure 12, Figure 13) over [cgi_counts] concurrent CGI requests,
+    each point measured over [measure], with the four
+    systems as curves.  [jobs] fans the grid across domains (see
+    {!Harness.Sweep}). *)

@@ -22,21 +22,15 @@ type variant = Unmod_flood | Lrp_flood | Rc_filtered
 
 val variant_name : variant -> string
 
-val throughput :
-  ?good_clients:int ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  variant ->
-  syn_rate:float ->
-  float
-(** Well-behaved-client throughput (requests/s) under the given flood. *)
+val scenario : variant -> syn_rate:float -> Scenario.t
+(** 24 well-behaved clients (group ["good"]) under a flood of [syn_rate]
+    SYNs/s (none at 0), 2 s of warm-up and one 5 s window. *)
+
+val throughput : Scenario.t -> float
+(** Well-behaved-client throughput (requests/s). *)
 
 val figure :
-  ?rates:float list ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?jobs:int ->
-  unit ->
-  Engine.Series.figure
-(** Default sweep: 0 to 70 000 SYNs/s in 10 000 steps.  [jobs] fans the
-    grid across domains (see {!Harness.Sweep}). *)
+  rates:float list -> measure:Engine.Simtime.span -> jobs:int -> Engine.Series.figure
+(** One curve per system over the flood [rates], each point measured
+    over [measure].  [jobs] fans the grid across domains
+    (see {!Harness.Sweep}). *)

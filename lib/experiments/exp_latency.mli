@@ -6,30 +6,13 @@
     hockey-stick curve that shows where the §5.3 saturation points sit.
     Run under any of the three kernel configurations. *)
 
-type point = {
-  clients : int;
-  throughput : float;
-  mean_ms : float;
-  p50_ms : float;
-  p99_ms : float;
-}
-
-val run :
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?persistent:bool ->
-  Harness.system ->
-  clients:int ->
-  point
-
 val figure :
-  ?client_counts:int list ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?persistent:bool ->
-  ?jobs:int ->
+  client_counts:int list ->
+  measure:Engine.Simtime.span ->
+  jobs:int ->
   Harness.system ->
   Engine.Series.figure
-(** Curves: throughput, mean, p50, p99 over the client sweep (default
-    1, 2, 4, 8, 16, 32, 64).  [jobs] fans the sweep across domains (see
+(** Curves: throughput, mean, p50, p99 over [client_counts] clients with
+    1 ms of think-time jitter (seed 42), each point measured over
+    [measure] after 2 s of warm-up.  [jobs] fans the sweep across domains (see
     {!Harness.Sweep}). *)

@@ -1,48 +1,27 @@
-module Simtime = Engine.Simtime
-module Container = Rescont.Container
-module Socket = Netsim.Socket
-module Event_server = Httpsim.Event_server
-module Sclient = Workload.Sclient
-
 type result = {
   without_containers : float;
   with_containers : float;
   relative_change : float;
 }
 
-let throughput ?(clients = 48) ?(warmup = Simtime.sec 2) ?(measure = Simtime.sec 5)
-    ~per_connection () =
-  let rig = Harness.make_rig Harness.Rc_sys in
-  let policy =
-    if per_connection then
-      Event_server.Per_connection { parent = rig.Harness.root; priority_of = (fun _ -> 10) }
-    else Event_server.No_containers
-  in
-  (* The listen socket carries the server's container so that accepting new
-     connections keeps its normal precedence relative to serving existing
-     ones (paper §4.8). *)
-  let listen =
-    Socket.make_listen ~port:Harness.default_port
-      ~container:(Procsim.Process.default_container rig.Harness.server_proc) ()
-  in
-  let server =
-    Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
-      ~cache:rig.Harness.cache ~api:Event_server.Select ~policy ~listens:[ listen ] ()
-  in
-  ignore (Event_server.start server);
-  let load =
-    Sclient.create ~stack:rig.Harness.stack ~port:Harness.default_port ~path:Harness.doc_path
-      ~count:clients ()
-  in
-  Workload.Sclient.start load;
-  Harness.run_for rig warmup;
-  Sclient.reset_stats load;
-  Harness.run_for rig measure;
-  float_of_int (Sclient.completed load) /. Simtime.span_to_sec_f measure
+(* The listen socket carries the server's container so that accepting new
+   connections keeps its normal precedence relative to serving existing
+   ones (paper §4.8). *)
+let scenario =
+  {
+    Scenario.base with
+    servers = [ { Scenario.server with listens = [ { Scenario.listen with bind = Own } ] } ];
+    groups = [ { Scenario.group with count = 48 } ];
+  }
 
-let run ?clients ?warmup ?measure () =
-  let without_containers = throughput ?clients ?warmup ?measure ~per_connection:false () in
-  let with_containers = throughput ?clients ?warmup ?measure ~per_connection:true () in
+let throughput s = Scenario.throughput (Scenario.window (Scenario.run s)) "clients"
+
+let run (s : Scenario.t) =
+  let per_connection (sv : Scenario.server) =
+    { sv with policy = Per_connection { lo = 10; hi = 10; seed = 0 } }
+  in
+  let without_containers = throughput s in
+  let with_containers = throughput { s with servers = List.map per_connection s.servers } in
   {
     without_containers;
     with_containers;
@@ -50,7 +29,7 @@ let run ?clients ?warmup ?measure () =
   }
 
 let table () =
-  let r = run () in
+  let r = run scenario in
   let t =
     Engine.Series.table
       ~title:"§5.4: overhead of a per-request resource container (RC kernel)"

@@ -11,11 +11,12 @@ type result = {
   relative_change : float;  (** (with - without) / without *)
 }
 
-val run :
-  ?clients:int ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  unit ->
-  result
+val scenario : Scenario.t
+(** The RC server without per-connection containers under 48 clients,
+    2 s of warm-up and one 5 s window. *)
+
+val run : Scenario.t -> result
+(** The scenario as given, and again with a container (priority 10) per
+    connection. *)
 
 val table : unit -> Engine.Series.table

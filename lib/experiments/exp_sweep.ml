@@ -1,8 +1,5 @@
 module Simtime = Engine.Simtime
 module Jsonx = Engine.Jsonx
-module Socket = Netsim.Socket
-module Event_server = Httpsim.Event_server
-module Sclient = Workload.Sclient
 
 type point = { system : Harness.system; clients : int; seed : int }
 
@@ -14,7 +11,7 @@ type result = {
   completed : int;
 }
 
-let grid ?(client_counts = [ 4; 16 ]) ?(seeds = [ 1; 2 ]) () =
+let grid ~client_counts ~seeds =
   Array.of_list
     (List.concat_map
        (fun system ->
@@ -27,36 +24,26 @@ let grid ?(client_counts = [ 4; 16 ]) ?(seeds = [ 1; 2 ]) () =
    think-time jitter) comes from the point's own seed, so the result is a
    pure function of the point — the property the jobs-determinism test
    leans on. *)
-let run ?(cpus = 1) ?(warmup = Simtime.sec 1) ?(measure = Simtime.sec 2)
-    { system; clients; seed } =
-  let rig = Harness.make_rig ~cpus system in
-  let listen =
-    Socket.make_unbound_listen ~port:Harness.default_port (Rescont.Container.run rig.Harness.root)
-  in
-  let server =
-    Event_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
-      ~cache:rig.Harness.cache ~listens:[ listen ] ()
-  in
-  ignore (Event_server.start server);
-  let load =
-    Sclient.create ~stack:rig.Harness.stack ~port:Harness.default_port ~path:Harness.doc_path
-      ~jitter:(Simtime.ms 1) ~seed ~count:clients ()
-  in
-  Sclient.start load;
-  Harness.run_for rig warmup;
-  Sclient.reset_stats load;
-  Harness.run_for rig measure;
-  let completed = Sclient.completed load in
+let scenario { system; clients; seed } =
   {
-    point = { system; clients; seed };
-    throughput = float_of_int completed /. Simtime.span_to_sec_f measure;
-    mean_ms = Engine.Stats.Summary.mean (Sclient.response_times load);
-    p99_ms = Sclient.response_percentile load 0.99;
-    completed;
+    Scenario.base with
+    system;
+    groups = [ { Scenario.group with jitter = Simtime.ms 1; seed; count = clients } ];
+    warmup = Simtime.sec 1;
+    windows = [ Simtime.sec 2 ];
   }
 
-let run_grid ?cpus ?warmup ?measure ?(jobs = 1) points =
-  Harness.Sweep.map ~jobs (run ?cpus ?warmup ?measure) points
+let run (s : Scenario.t) =
+  let w = Scenario.window (Scenario.run s) in
+  let g = List.hd s.groups in
+  let stats = Scenario.stats w g.name in
+  {
+    point = { system = s.system; clients = g.count; seed = g.seed };
+    throughput = Scenario.throughput w g.name;
+    mean_ms = stats.mean_ms;
+    p99_ms = stats.p99_ms;
+    completed = stats.completed;
+  }
 
 let result_to_json r =
   Jsonx.Obj

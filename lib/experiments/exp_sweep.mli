@@ -18,30 +18,15 @@ type result = {
   completed : int;
 }
 
-val grid : ?client_counts:int list -> ?seeds:int list -> unit -> point array
+val grid : client_counts:int list -> seeds:int list -> point array
 (** Deterministically ordered cross product of all three systems
-    (outermost), client counts, then seeds.  Defaults: {4, 16} clients ×
-    seeds {1, 2}. *)
+    (outermost), client counts, then seeds. *)
 
-val run :
-  ?cpus:int ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  point ->
-  result
-(** Run one point (default 1 s warmup, 2 s measurement).  [cpus]
-    (default 1) runs the point's rig on an SMP machine with one run-queue
-    shard per processor. *)
+val scenario : point -> Scenario.t
+(** The point's closed loop (1 ms of think-time jitter from the point's
+    seed), 1 s of warm-up and one 2 s window. *)
 
-val run_grid :
-  ?cpus:int ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?jobs:int ->
-  point array ->
-  result array
-(** Run every point, fanned across [jobs] domains, results in grid
-    order. *)
+val run : Scenario.t -> result
 
 val report_string : result array -> string
 (** Compact one-line JSON document plus trailing newline. *)

@@ -16,9 +16,12 @@ type guest_result = {
   cgi_share_within_guest : float;  (** CGI CPU over total guest CPU. *)
 }
 
-val run :
-  ?warmup:Engine.Simtime.span -> ?measure:Engine.Simtime.span -> unit -> guest_result list
+val scenario : Scenario.t
 (** Three guests with shares 0.5, 0.3 and 0.2, each driven by 16 static
-    clients (all saturating, so measured share should equal allocation). *)
+    and 2 CGI clients (all saturating, so measured share should equal
+    allocation), 5 s of warm-up and one 15 s window. *)
+
+val run : Scenario.t -> guest_result list
+(** One result per top-level fixed-share container. *)
 
 val table : unit -> Engine.Series.table

@@ -1,14 +1,7 @@
 module Simtime = Engine.Simtime
-module Container = Rescont.Container
 module Attrs = Rescont.Attrs
-module Socket = Netsim.Socket
 module Filter = Netsim.Filter
 module Ipaddr = Netsim.Ipaddr
-module Machine = Procsim.Machine
-module Disk = Disksim.Disk
-module File_cache = Httpsim.File_cache
-module Docset = Httpsim.Docset
-module Sclient = Workload.Sclient
 
 (* ROADMAP item 4, first scenario: Zipf-distributed popularity over
    10^5-10^6 documents with cache/disk eviction interplay and a flash
@@ -27,27 +20,13 @@ module Sclient = Workload.Sclient
 let premium_base = Ipaddr.v 10 9 9 1
 
 (* Document sizes cycle 1-8 KB so byte accounting (and the
-   cache.bytes-consistency law) sees heterogeneous entries. *)
-let doc_bytes i = 1024 * (1 + (i land 7))
-
-(* One global docset per process: paths are interned once and shared by
-   every rig in the sweep (ids are global; residency is per-cache). *)
-let docset = Hashtbl.create 8
-
-let doc_ids docs =
-  match Hashtbl.find_opt docset docs with
-  | Some ids -> ids
-  | None ->
-      let ids = Array.init docs (fun i -> Docset.intern (Printf.sprintf "/zipf/%d" i)) in
-      Hashtbl.replace docset docs ids;
-      ids
-
-let corpus_bytes docs =
-  let total = ref 0 in
-  for i = 0 to docs - 1 do
-    total := !total + doc_bytes i
-  done;
-  !total
+   cache.bytes-consistency law) sees heterogeneous entries; the cache
+   holds 1/8 of the corpus bytes. *)
+let corpus ~docs =
+  let c =
+    { Scenario.docs; unit_bytes = 1024; classes = 8; capacity_bytes = 0; warm = false; disk = true }
+  in
+  { c with capacity_bytes = max 4096 (Scenario.corpus_bytes c / 8) }
 
 type class_stats = { throughput : float; mean_ms : float }
 type phase_stats = { premium : class_stats; crowd : class_stats; hit_rate : float }
@@ -62,113 +41,94 @@ type point = {
   checks : int; (* invariant sweeps that ran during the point *)
 }
 
-let run_point ?(docs = 100_000) ?(warmup = Simtime.sec 1) ?(measure = Simtime.sec 2)
-    ?(spike_measure = Simtime.sec 2) ~s system =
-  let rig = Harness.make_rig system in
-  let ids = doc_ids docs in
-  let capacity_bytes = max 4096 (corpus_bytes docs / 8) in
-  let cache = File_cache.create ~capacity_bytes () in
-  Array.iteri (fun i id -> File_cache.add_doc cache ~doc:id ~bytes:(doc_bytes i)) ids;
-  File_cache.register_metrics cache (Machine.metrics rig.Harness.machine);
-  File_cache.register_invariants cache (Machine.invariants rig.Harness.machine);
-  Machine.arm_invariants ~interval:(Simtime.ms 50) rig.Harness.machine;
-  let disk = Disk.create ~machine:rig.Harness.machine () in
-  (* The premium tenant holds a fixed-share {e guarantee} (40% of the
-     CPU), not just a higher priority: the crowd runs freely in the
-     timeshare residual until the flash crowd arrives, at which point the
-     guarantee is what the RC system defends. *)
-  let premium_c =
-    Container.create ~parent:rig.Harness.root ~name:"zipf-premium"
-      ~attrs:(Attrs.fixed_share ~share:0.4 ())
-      ()
-  and crowd_c =
-    Container.create ~parent:rig.Harness.root ~name:"zipf-crowd"
-      ~attrs:(Attrs.timeshare ~priority:10 ())
-      ()
-  in
-  let listens =
-    [
-      Socket.make_listen ~port:Harness.default_port
-        ~filter:(Filter.prefix ~template:premium_base ~bits:24)
-        ~container:premium_c ();
-      Socket.make_listen ~port:Harness.default_port ~container:crowd_c ();
-    ]
-  in
-  let policy =
-    match system with
-    | Harness.Unmodified | Harness.Lrp_sys -> Httpsim.Event_server.No_containers
-    | Harness.Rc_sys -> Httpsim.Event_server.Inherit_listen
-  in
-  let server =
-    Httpsim.Threaded_server.create ~stack:rig.Harness.stack ~process:rig.Harness.server_proc
-      ~cache ~disk ~workers:16 ~policy ~listens ()
-  in
-  Httpsim.Threaded_server.start server;
-  let popularity = Engine.Dist.zipf ~n:docs ~s in
-  (* Zipf with s = 0 is exactly the uniform categorical — the flash
-     crowd's cache-worst-case request stream. *)
-  let uniform = Engine.Dist.zipf ~n:docs ~s:0. in
-  let premium =
-    Sclient.create ~stack:rig.Harness.stack ~name:"premium" ~src_base:premium_base
-      ~port:Harness.default_port ~doc_mix:(popularity, ids) ~syn_timeout:(Simtime.sec 30)
-      ~jitter:(Simtime.ms 1) ~seed:3 ~count:6 ()
-  in
-  let crowd =
-    Sclient.create ~stack:rig.Harness.stack ~name:"crowd" ~src_base:(Ipaddr.v 10 1 0 1)
-      ~port:Harness.default_port ~doc_mix:(popularity, ids) ~syn_timeout:(Simtime.sec 30)
-      ~jitter:(Simtime.ms 1) ~seed:5 ~count:12 ()
-  in
-  let flash =
-    Sclient.create ~stack:rig.Harness.stack ~name:"flash" ~src_base:(Ipaddr.v 10 2 0 1)
-      ~port:Harness.default_port ~doc_mix:(uniform, ids) ~syn_timeout:(Simtime.sec 30)
-      ~jitter:(Simtime.ms 1) ~seed:7 ~count:40 ()
-  in
-  Sclient.start premium;
-  Sclient.start crowd;
-  (* Cold start: the warmup traffic itself populates the cache with the
-     popular head, the state the paper's warm-cache experiments assume. *)
-  Harness.run_for rig warmup;
-  let phase window =
-    Sclient.reset_stats premium;
-    Sclient.reset_stats crowd;
-    let hits0 = File_cache.hits cache and misses0 = File_cache.misses cache in
-    Harness.run_for rig window;
-    let stats c =
-      {
-        throughput = float_of_int (Sclient.completed c) /. Simtime.span_to_sec_f window;
-        mean_ms = Engine.Stats.Summary.mean (Sclient.response_times c);
-      }
-    in
-    let lookups = File_cache.hits cache + File_cache.misses cache - hits0 - misses0 in
+(* The premium tenant holds a fixed-share {e guarantee} (40% of the CPU),
+   not just a higher priority: the crowd runs freely in the timeshare
+   residual until the flash crowd arrives, at which point the guarantee
+   is what the RC system defends.  The flash crowd starts after the first
+   window; Zipf with s = 0 is exactly the uniform categorical — its
+   cache-worst-case request stream.  Cold start: the warmup traffic itself
+   populates the cache with the popular head, the state the paper's
+   warm-cache experiments assume. *)
+let scenario ~docs ~s system =
+  let load name src_base seed count s =
     {
-      premium = stats premium;
-      crowd = stats crowd;
-      hit_rate =
-        (if lookups = 0 then 0.
-         else float_of_int (File_cache.hits cache - hits0) /. float_of_int lookups);
+      Scenario.group with
+      name;
+      src_base;
+      docs = Zipf s;
+      syn_timeout = Simtime.sec 30;
+      jitter = Simtime.ms 1;
+      seed;
+      count;
     }
   in
-  let baseline = phase measure in
-  Sclient.start flash;
-  let spike = phase spike_measure in
   {
+    Scenario.base with
     system;
-    docs;
-    s;
-    cache_frac = float_of_int capacity_bytes /. float_of_int (corpus_bytes docs);
-    baseline;
-    spike;
-    checks = Engine.Invariant.checks_run (Machine.invariants rig.Harness.machine);
+    check_interval = Some (Simtime.ms 50);
+    corpus = Some (corpus ~docs);
+    containers =
+      [
+        { name = "zipf-premium"; parent = None; attrs = Attrs.fixed_share ~share:0.4 () };
+        { name = "zipf-crowd"; parent = None; attrs = Attrs.timeshare ~priority:10 () };
+      ];
+    servers =
+      [
+        {
+          Scenario.server with
+          listens =
+            [
+              {
+                Scenario.listen with
+                bind = Named "zipf-premium";
+                filter = Filter.prefix ~template:premium_base ~bits:24;
+              };
+              { Scenario.listen with bind = Named "zipf-crowd" };
+            ];
+          model = Threaded 16;
+          policy = (if system = Harness.Rc_sys then Inherit_listen else Shared);
+        };
+      ];
+    groups =
+      [
+        load "premium" premium_base 3 6 s;
+        load "crowd" (Ipaddr.v 10 1 0 1) 5 12 s;
+        { (load "flash" (Ipaddr.v 10 2 0 1) 7 40 0.) with after = 1 };
+      ];
+    warmup = Simtime.sec 1;
+    windows = [ Simtime.sec 2; Simtime.sec 2 ];
   }
+
+let run (sc : Scenario.t) =
+  let o = Scenario.run sc in
+  let phase (w : Scenario.window) =
+    let stats name =
+      { throughput = Scenario.throughput w name; mean_ms = (Scenario.stats w name).mean_ms }
+    in
+    let lookups = w.hits + w.misses in
+    {
+      premium = stats "premium";
+      crowd = stats "crowd";
+      hit_rate = (if lookups = 0 then 0. else float_of_int w.hits /. float_of_int lookups);
+    }
+  in
+  let corpus = Option.get sc.corpus in
+  match Scenario.measured o with
+  | [ baseline; spike ] ->
+      {
+        system = sc.system;
+        docs = corpus.docs;
+        s = (match (List.hd sc.groups).docs with Zipf s -> s | Path _ | Zipf_cdf _ -> 0.);
+        cache_frac =
+          float_of_int corpus.capacity_bytes /. float_of_int (Scenario.corpus_bytes corpus);
+        baseline = phase baseline;
+        spike = phase spike;
+        checks = o.checks;
+      }
+  | _ -> invalid_arg "Exp_zipf.run: a steady and a flash-crowd window"
 
 let default_exponents = [ 0.6; 0.9; 1.1 ]
 let systems = [ Harness.Rc_sys; Harness.Unmodified ]
-
-let run ?docs ?(exponents = default_exponents) ?warmup ?measure ?spike_measure () =
-  List.concat_map
-    (fun system ->
-      List.map (fun s -> run_point ?docs ?warmup ?measure ?spike_measure ~s system) exponents)
-    systems
 
 let table points =
   let t =
@@ -206,7 +166,7 @@ let table points =
     points;
   t
 
-let json ?docs points =
+let json ~docs points =
   let open Engine.Jsonx in
   let phase ps =
     Obj
@@ -222,7 +182,7 @@ let json ?docs points =
     [
       ("schema_version", Int 1);
       ("experiment", String "zipf");
-      ("docs", Int (match (docs, points) with Some d, _ -> d | None, p :: _ -> p.docs | None, [] -> 0));
+      ("docs", Int docs);
       ( "qos",
         List
           (List.map

@@ -24,30 +24,20 @@ type point = {
   checks : int;
 }
 
-val run_point :
-  ?docs:int ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?spike_measure:Engine.Simtime.span ->
-  s:float ->
-  Harness.system ->
-  point
-(** One system at one exponent.  Defaults: 10^5 documents, 1 s cold-start
-    warmup, 2 s per phase. *)
+val scenario : docs:int -> s:float -> Harness.system -> Scenario.t
+(** One system at one exponent over [docs] documents: 1 s cold-start
+    warmup, then a 2 s steady window and a 2 s window with the flash
+    crowd, invariants swept every 50 ms. *)
+
+val run : Scenario.t -> point
 
 val default_exponents : float list
 (** [0.6; 0.9; 1.1] — below, near, and above the classic web value. *)
 
-val run :
-  ?docs:int ->
-  ?exponents:float list ->
-  ?warmup:Engine.Simtime.span ->
-  ?measure:Engine.Simtime.span ->
-  ?spike_measure:Engine.Simtime.span ->
-  unit ->
-  point list
-(** The full grid: RC and Unmodified at each exponent. *)
+val systems : Harness.system list
+(** RC, then Unmodified: the full grid runs each at every exponent. *)
 
 val table : point list -> Engine.Series.table
-val json : ?docs:int -> point list -> Engine.Jsonx.t
+
+val json : docs:int -> point list -> Engine.Jsonx.t
 (** The QoS table as a JSON artifact (per system × exponent × phase). *)

@@ -34,10 +34,9 @@ let observe_capacity = Atomic.make None
 let last = Atomic.make None
 
 let observe ?(capacity = 65536) () = Atomic.set observe_capacity (Some capacity)
-let observing () = Atomic.get observe_capacity <> None
 let last_rig () = Atomic.get last
 
-let make_rig ?(cpus = 1) ?(quantum = Simtime.ms 1) system =
+let build ?(cpus = 1) ?(quantum = Simtime.ms 1) ?queue_cap ?softirq_charge ?trace system =
   let sim = Sim.create () in
   let root = Container.create_root () in
   let invariants = Engine.Invariant.create () in
@@ -47,9 +46,10 @@ let make_rig ?(cpus = 1) ?(quantum = Simtime.ms 1) system =
     | Rc_sys -> Sched.Multilevel.make ~invariants ~root ()
   in
   let trace =
-    match Atomic.get observe_capacity with
-    | Some capacity -> Some (Engine.Tracelog.create ~enabled:true ~capacity ())
-    | None -> None
+    match (Atomic.get observe_capacity, trace) with
+    | Some capacity, _ | None, Some capacity ->
+        Some (Engine.Tracelog.create ~enabled:true ~capacity ())
+    | None, None -> None
   in
   let machine =
     Machine.create ~cpus ~quantum ?trace ~sim ~policy:make_policy ~root ~invariants ()
@@ -59,7 +59,8 @@ let make_rig ?(cpus = 1) ?(quantum = Simtime.ms 1) system =
     match system with Unmodified -> Stack.Softirq | Lrp_sys -> Stack.Lrp | Rc_sys -> Stack.Rc
   in
   let stack =
-    Stack.create ~machine ~mode ~owner:(Process.default_container server_proc) ()
+    Stack.create ?queue_cap ?softirq_charge ~machine ~mode
+      ~owner:(Process.default_container server_proc) ()
   in
   let cache = Httpsim.File_cache.create () in
   Httpsim.File_cache.register_metrics cache (Machine.metrics machine);
@@ -73,6 +74,8 @@ let make_rig ?(cpus = 1) ?(quantum = Simtime.ms 1) system =
   Atomic.set last (Some rig);
   rig
 
+let make_rig ?cpus ?quantum system = build ?cpus ?quantum system
+
 let write_file path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
@@ -85,8 +88,6 @@ let export ?trace_out ?metrics_out rig =
   | Some path ->
       write_file path (Engine.Jsonx.to_string (Engine.Metrics.to_json (Machine.metrics rig.machine)) ^ "\n")
   | None -> ()
-
-let run_for rig span = Machine.run_until rig.machine (Simtime.add (Sim.now rig.sim) span)
 
 (* Parallel sweep executor.  Points are independent simulations: each
    rig is its own run ([Container.create_root]), with its own ids and
@@ -104,4 +105,9 @@ module Sweep = struct
       (Array.length points)
       (fun i -> results.(i) <- Some (f points.(i)));
     Array.map Option.get results
+
+  let grid ~jobs f vs xs =
+    let points = Array.of_list (List.concat_map (fun v -> List.map (fun x -> (v, x)) xs) vs) in
+    let results = map ~jobs (fun (v, x) -> f v x) points in
+    List.mapi (fun i v -> (v, List.mapi (fun k x -> (x, results.((i * List.length xs) + k))) xs)) vs
 end

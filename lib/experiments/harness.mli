@@ -31,8 +31,19 @@ val make_rig : ?cpus:int -> ?quantum:Engine.Simtime.span -> system -> rig
     run-queue shard of the system's policy.  The cache is pre-loaded with
     "/doc/1k" (1 024 bytes, warm) and a few other documents. *)
 
-val run_for : rig -> Engine.Simtime.span -> unit
-(** Advance the simulation by a span. *)
+val build :
+  ?cpus:int ->
+  ?quantum:Engine.Simtime.span ->
+  ?queue_cap:int ->
+  ?softirq_charge:Netsim.Stack.softirq_charge ->
+  ?trace:int ->
+  system ->
+  rig
+(** {!make_rig} with the stack's per-container [queue_cap] and
+    [softirq_charge] (see {!Netsim.Stack.create}) and a trace log
+    retaining [trace] entries, enabled from the start.  An armed
+    {!observe} overrides [trace]'s capacity.  {!Scenario.run} builds
+    every rig here. *)
 
 val default_port : int
 val doc_path : string
@@ -46,8 +57,6 @@ val cgi_path : string
 val observe : ?capacity:int -> unit -> unit
 (** Arm observability: every rig built afterwards gets an enabled trace log
     retaining up to [capacity] entries (default 65536). *)
-
-val observing : unit -> bool
 
 val last_rig : unit -> rig option
 (** The most recently built rig, if any. *)
@@ -80,4 +89,8 @@ module Sweep : sig
       than cores makes every minor GC's stop-the-world rendezvous slower
       than the parallelism is worth, so on a 1-core host every sweep is
       serial. *)
+
+  val grid : jobs:int -> ('v -> 'x -> 'r) -> 'v list -> 'x list -> ('v * ('x * 'r) list) list
+  (** [f v x] at every point of the grid, as one {!map} batch; the
+      results grouped by [v], both lists in input order. *)
 end

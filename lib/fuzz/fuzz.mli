@@ -1,12 +1,12 @@
 (** Seeded scenario fuzzer for the conservation-law invariants.
 
-    Each run builds a randomised-but-reproducible server rig — a random
-    container hierarchy with filtered listen sockets, one of the three
-    server architectures (event-driven, thread pool, pre-forked), one of
-    the three container policies, closed-loop client groups and an
-    optional SYN flood — arms every registered conservation law
-    ({!Procsim.Machine.arm_invariants}), drives it for a random duration,
-    and reports the first violation.
+    Each run generates a randomised-but-reproducible server scenario
+    ({!generate}) — a random container hierarchy with filtered listen
+    sockets, one of the three server architectures (event-driven, thread
+    pool, pre-forked), one of the three container policies, closed-loop
+    client groups and an optional SYN flood — and runs it with every
+    registered conservation law armed ({!Experiments.Scenario.run}) for a
+    random duration, reporting the first violation.
 
     A scenario is a pure function of [(seed, mode)]: a failing seed
     replays bit-for-bit with the printed command on any machine, and the
@@ -17,8 +17,6 @@
     policy, tenants, arrival profile, optional SYN flood on a random
     machine), with every machine's registry — including the cluster-wide
     "cluster.usage-rollup" law — armed. *)
-
-type server_model = Event | Threaded | Forked
 
 val mode_name : Netsim.Stack.mode -> string
 val mode_of_string : string -> Netsim.Stack.mode option
@@ -41,6 +39,12 @@ type outcome = {
   violation : string option;  (** [None] = every law held *)
   trace_file : string option;  (** JSONL trace written on violation *)
 }
+
+val generate : zipf:bool -> seed:int -> Netsim.Stack.mode -> Experiments.Scenario.t
+(** The single-rig scenario of [(seed, mode)], every choice drawn up
+    front, on one processor and with no planted bug.  [zipf] selects the
+    large-Zipf corpus family.  The result is plain data: generating twice
+    gives equal records. *)
 
 val replay_command :
   ?inject:bool ->

@@ -22,7 +22,25 @@ let test_determinism () =
   Alcotest.(check int) "same completions" a.Fuzz.completed b.Fuzz.completed;
   Alcotest.(check int) "same packets" a.Fuzz.packets b.Fuzz.packets;
   Alcotest.(check int) "same establishments" a.Fuzz.established b.Fuzz.established;
-  Alcotest.(check int) "same sweeps" a.Fuzz.checks b.Fuzz.checks
+  Alcotest.(check int) "same sweeps" a.Fuzz.checks b.Fuzz.checks;
+  (* A generated scenario is plain data: [=] raises on a closure, so equal
+     records also show that none hides inside. *)
+  List.iter
+    (fun zipf ->
+      List.iter
+        (fun mode ->
+          for seed = 1 to 30 do
+            Alcotest.(check bool)
+              (Printf.sprintf "seed %d %s%s generates one record" seed (Fuzz.mode_name mode)
+                 (if zipf then " zipf" else ""))
+              true
+              (Fuzz.generate ~zipf ~seed mode = Fuzz.generate ~zipf ~seed mode)
+          done)
+        Fuzz.all_modes)
+    [ false; true ];
+  let sc = Fuzz.generate ~zipf:false ~seed:7 Netsim.Stack.Rc in
+  Alcotest.(check bool) "one record runs to one outcome" true
+    (Experiments.Scenario.run sc = Experiments.Scenario.run sc)
 
 let test_injected_mischarge_caught () =
   let trace = Filename.temp_file "fuzz-inject" ".jsonl" in

@@ -4,10 +4,24 @@
 
 module Simtime = Engine.Simtime
 
+(* A scenario's warm-up and its one measured window, shortened. *)
+let timed ~warmup ~measure s = { s with Experiments.Scenario.warmup; windows = [ measure ] }
+
+(* The named client group resized. *)
+let clients name count (s : Experiments.Scenario.t) =
+  {
+    s with
+    groups =
+      List.map
+        (fun (g : Experiments.Scenario.group) -> if g.name = name then { g with count } else g)
+        s.groups;
+  }
+
 let test_baseline_calibration () =
   let r =
-    Experiments.Exp_baseline.run ~clients:24 ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2)
-      ~persistent:false ()
+    Experiments.Exp_baseline.run
+      (timed ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2)
+         (clients "clients" 24 (Experiments.Exp_baseline.scenario ~persistent:false)))
   in
   (* Paper: 2954 req/s, 338us per request.  Within 5%. *)
   Alcotest.(check bool) "throughput near 2954" true
@@ -18,16 +32,18 @@ let test_baseline_calibration () =
 
 let test_baseline_persistent () =
   let r =
-    Experiments.Exp_baseline.run ~clients:24 ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2)
-      ~persistent:true ()
+    Experiments.Exp_baseline.run
+      (timed ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2)
+         (clients "clients" 24 (Experiments.Exp_baseline.scenario ~persistent:true)))
   in
   (* Paper: 9487 req/s.  Within 8%. *)
   Alcotest.(check bool) "throughput near 9487" true
     (r.Experiments.Exp_baseline.throughput > 8700. && r.Experiments.Exp_baseline.throughput < 10000.)
 
 let t_high variant n =
-  Experiments.Exp_fig11.t_high ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2) variant
-    ~low_clients:n
+  Experiments.Exp_fig11.t_high
+    (timed ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2)
+       (Experiments.Exp_fig11.scenario variant ~low_clients:n))
 
 let test_fig11_shape () =
   (* Unmodified: T_high explodes with load.  Containers: nearly flat. *)
@@ -41,8 +57,9 @@ let test_fig11_shape () =
   Alcotest.(check bool) "ordering holds" true (rc_ev_20 <= rc_sel_20 +. 0.3)
 
 let fig12_point variant n =
-  Experiments.Exp_fig12_13.run ~static_clients:16 ~warmup:(Simtime.sec 3)
-    ~measure:(Simtime.sec 6) variant ~concurrent_cgi:n
+  Experiments.Exp_fig12_13.run
+    (timed ~warmup:(Simtime.sec 3) ~measure:(Simtime.sec 6)
+       (clients "static" 16 (Experiments.Exp_fig12_13.scenario variant ~concurrent_cgi:n)))
 
 let test_fig12_13_shape () =
   let unmod = fig12_point Experiments.Exp_fig12_13.Unmod 4 in
@@ -64,8 +81,9 @@ let test_fig12_13_shape () =
   Alcotest.(check bool) "unmod below lrp" true (share unmod < share lrp)
 
 let flood variant rate =
-  Experiments.Exp_fig14.throughput ~good_clients:16 ~warmup:(Simtime.sec 1)
-    ~measure:(Simtime.sec 2) variant ~syn_rate:rate
+  Experiments.Exp_fig14.throughput
+    (timed ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2)
+       (clients "good" 16 (Experiments.Exp_fig14.scenario variant ~syn_rate:rate)))
 
 let test_fig14_shape () =
   let unmod_0 = flood Experiments.Exp_fig14.Unmod_flood 0. in
@@ -79,7 +97,8 @@ let test_fig14_shape () =
 
 let test_virtual_isolation () =
   let results =
-    Experiments.Exp_virtual.run ~warmup:(Simtime.sec 2) ~measure:(Simtime.sec 6) ()
+    Experiments.Exp_virtual.run
+      (timed ~warmup:(Simtime.sec 2) ~measure:(Simtime.sec 6) Experiments.Exp_virtual.scenario)
   in
   List.iter
     (fun r ->
@@ -90,7 +109,9 @@ let test_virtual_isolation () =
 
 let test_overhead_negligible () =
   let r =
-    Experiments.Exp_overhead.run ~clients:32 ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2) ()
+    Experiments.Exp_overhead.run
+      (timed ~warmup:(Simtime.sec 1) ~measure:(Simtime.sec 2)
+         (clients "clients" 32 Experiments.Exp_overhead.scenario))
   in
   (* Paper §5.4: "throughput remained effectively unchanged". *)
   Alcotest.(check bool) "under 4% overhead" true
@@ -131,19 +152,20 @@ let test_scheduler_ablation_hermetic () =
   done
 
 let test_disk_extension_shapes () =
-  let event =
-    Experiments.Exp_disk.architecture_run ~warmup:(Simtime.sec 2) ~measure:(Simtime.sec 5)
-      `Event_driven
+  let arch a =
+    Experiments.Exp_disk.architecture_run
+      (timed ~warmup:(Simtime.sec 2) ~measure:(Simtime.sec 5)
+         (Experiments.Exp_disk.architecture_scenario a))
   in
-  let threaded =
-    Experiments.Exp_disk.architecture_run ~warmup:(Simtime.sec 2) ~measure:(Simtime.sec 5)
-      `Multi_threaded
-  in
+  let event = arch `Event_driven in
+  let threaded = arch `Multi_threaded in
   (* Overlapping disk I/O must beat blocking on it. *)
   Alcotest.(check bool) "threads overlap disk I/O" true
     (threaded.Experiments.Exp_disk.throughput > 1.2 *. event.Experiments.Exp_disk.throughput);
   let iso =
-    Experiments.Exp_disk.isolation_run ~warmup:(Simtime.sec 2) ~measure:(Simtime.sec 5) ()
+    Experiments.Exp_disk.isolation_run
+      (timed ~warmup:(Simtime.sec 2) ~measure:(Simtime.sec 5)
+         Experiments.Exp_disk.isolation_scenario)
   in
   Alcotest.(check bool) "premium class sees far lower latency" true
     (iso.Experiments.Exp_disk.premium_latency_ms
@@ -153,8 +175,9 @@ let test_determinism () =
   (* The whole simulation must be reproducible: two identical runs give
      identical results. *)
   let once () =
-    Experiments.Exp_baseline.run ~clients:8 ~warmup:(Simtime.ms 500)
-      ~measure:(Simtime.sec 1) ~persistent:false ()
+    Experiments.Exp_baseline.run
+      (timed ~warmup:(Simtime.ms 500) ~measure:(Simtime.sec 1)
+         (clients "clients" 8 (Experiments.Exp_baseline.scenario ~persistent:false)))
   in
   let a = once () and b = once () in
   Alcotest.(check (float 1e-9))

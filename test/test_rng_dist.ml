@@ -212,6 +212,19 @@ let test_zipf_zero_exponent_uniform () =
   let pmf = Option.get (Dist.pmf d) in
   Array.iter (fun p -> Alcotest.(check (float 1e-12)) "uniform pmf" 0.02 p) pmf
 
+let test_zipf_rejects_non_finite_exponent () =
+  (* A NaN exponent makes every weight NaN: the sampler would draw from
+     garbage instead of failing. *)
+  List.iter
+    (fun s ->
+      Alcotest.check_raises (Printf.sprintf "zipf s=%g" s)
+        (Invalid_argument "Dist.zipf: s must be finite")
+        (fun () -> ignore (Dist.zipf ~n:10 ~s));
+      Alcotest.check_raises (Printf.sprintf "zipf_cdf s=%g" s)
+        (Invalid_argument "Dist.zipf: s must be finite")
+        (fun () -> ignore (Dist.zipf_cdf ~n:10 ~s)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_determinism;
@@ -235,4 +248,6 @@ let suite =
     Alcotest.test_case "zipf alias chi-squared at 1e5 ranks" `Slow test_zipf_alias_chi_squared;
     Alcotest.test_case "alias vs cdf spec agree" `Quick test_alias_vs_cdf_agree;
     Alcotest.test_case "zipf s=0 is uniform" `Quick test_zipf_zero_exponent_uniform;
+    Alcotest.test_case "zipf rejects a non-finite exponent" `Quick
+      test_zipf_rejects_non_finite_exponent;
   ]

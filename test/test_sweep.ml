@@ -62,9 +62,12 @@ let test_pool_exception () =
    serially and run across four domains must render to the same bytes.
    This is what makes --jobs safe to default on for result generation. *)
 let test_jobs_determinism () =
-  let points = Exp_sweep.grid ~client_counts:[ 2 ] ~seeds:[ 1 ] () in
+  let points = Exp_sweep.grid ~client_counts:[ 2 ] ~seeds:[ 1 ] in
   let warmup = Simtime.ms 100 and measure = Simtime.ms 400 in
-  let run jobs = Exp_sweep.report_string (Exp_sweep.run_grid ~warmup ~measure ~jobs points) in
+  let scenarios =
+    Array.map (fun p -> { (Exp_sweep.scenario p) with warmup; windows = [ measure ] }) points
+  in
+  let run jobs = Exp_sweep.report_string (Sweep.map ~jobs Exp_sweep.run scenarios) in
   let serial = run 1 in
   let parallel = run 4 in
   Alcotest.(check string) "jobs=4 report == jobs=1 report" serial parallel;
