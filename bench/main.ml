@@ -1,14 +1,12 @@
 (* Benchmark harness for the Resource Containers reproduction.
 
-   Part 1 — Table 1: Bechamel micro-benchmarks of the container primitives
+   Table 1: Bechamel micro-benchmarks of the container primitives
    (the paper invoked each new system call 10 000 times and averaged; here
-   each primitive gets a proper OLS fit over monotonic-clock samples).
+   each primitive gets a proper OLS fit over monotonic-clock samples),
+   then the scheduler, event-queue, packet-path and cache micro-benchmarks.
+   The figures and experiments of §5 are reproduced by [rc_sim all] alone.
 
-   Part 2 — every figure and experiment of §5, regenerated through the
-   experiment harnesses and printed as aligned tables.
-
-   Run with: dune exec bench/main.exe            (full sweeps, ~minutes)
-             dune exec bench/main.exe -- --fast  (reduced sweeps)
+   Run with: dune exec bench/main.exe            (micro-benchmarks, ~minutes)
              dune exec bench/main.exe -- --json [--fast] [--label NAME]
                (machine-readable fast-path metrics on stdout; redirect to a
                 BENCH_*.json and diff with bench/compare.exe — see the
@@ -1237,53 +1235,6 @@ let run_json ~fast ~smoke ~mega ~label =
   in
   emit_json ~label metrics
 
-(* {1 Part 2: the evaluation section} *)
-
-let print_figure fig = Format.printf "%a@." Engine.Series.pp_figure fig
-let print_table t = Format.printf "%a@." Engine.Series.pp_table t
-
-let run_experiments ~fast =
-  let measure_short = if fast then Simtime.sec 2 else Simtime.sec 5 in
-  Format.printf "--- §5.3 baseline ---@.";
-  print_table (Experiments.Exp_baseline.table ~measure:measure_short);
-  Format.printf "--- Table 1 (simulated-kernel charges use the paper's values) ---@.";
-  print_table (Experiments.Exp_table1.table ());
-  Format.printf "--- Figure 11 ---@.";
-  let low_counts = if fast then [ 0; 10; 20; 35 ] else [ 0; 5; 10; 15; 20; 25; 30; 35 ] in
-  print_figure (Experiments.Exp_fig11.figure ~low_counts ~measure:measure_short ~jobs:1);
-  Format.printf "--- Figures 12 and 13 ---@.";
-  let cgi_counts = if fast then [ 0; 2; 4 ] else [ 0; 1; 2; 3; 4; 5 ] in
-  let f12, f13 =
-    Experiments.Exp_fig12_13.figures ~cgi_counts
-      ~measure:(if fast then Simtime.sec 10 else Simtime.sec 15)
-      ~jobs:1
-  in
-  print_figure f12;
-  print_figure f13;
-  Format.printf "--- Figure 14 ---@.";
-  let rates =
-    if fast then [ 0.; 10_000.; 40_000.; 70_000. ]
-    else [ 0.; 5_000.; 10_000.; 20_000.; 30_000.; 40_000.; 50_000.; 60_000.; 70_000. ]
-  in
-  print_figure (Experiments.Exp_fig14.figure ~rates ~measure:measure_short ~jobs:1);
-  Format.printf "--- §5.8 virtual servers ---@.";
-  print_table (Experiments.Exp_virtual.table ());
-  Format.printf "--- §5.4 container overhead ---@.";
-  print_table (Experiments.Exp_overhead.table ());
-  Format.printf "--- disk-bandwidth extension (§4.4) ---@.";
-  print_table (Experiments.Exp_disk.architecture_table ());
-  print_table (Experiments.Exp_disk.pool_table ~workers_list:[ 1; 2; 4; 8; 16; 32 ]);
-  print_table (Experiments.Exp_disk.isolation_table ());
-  Format.printf "--- ablations ---@.";
-  print_table
-    (Experiments.Exp_ablation.scheduler_family_table
-       ~measure:(if fast then Simtime.sec 3 else Simtime.sec 10)
-       ());
-  print_table (Experiments.Exp_ablation.binding_prune_table ());
-  print_table (Experiments.Exp_ablation.quantum_table ());
-  print_table (Experiments.Exp_ablation.smp_scaling_table ());
-  print_table (Experiments.Exp_ablation.softirq_charging_table ())
-
 let () =
   let fast = Array.exists (String.equal "--fast") Sys.argv in
   let smoke = Array.exists (String.equal "--smoke") Sys.argv in
@@ -1306,16 +1257,14 @@ let () =
      run_json ~fast ~smoke ~mega ~label
    end
    else begin
-     Format.printf "=== Part 1: primitive costs (real wall clock, Bechamel OLS) ===@.";
+     Format.printf "=== Primitive costs (real wall clock, Bechamel OLS) ===@.";
      run_table1_microbench ();
      run_sched_microbench ();
      run_churn_microbench ();
      run_smp_microbench ();
      run_sim_microbench ();
      run_netsim_microbench ();
-     run_cache_microbench ();
-     Format.printf "@.=== Part 2: reproduction of the paper's evaluation (simulated) ===@.";
-     run_experiments ~fast
+     run_cache_microbench ()
    end);
   match Experiments.Harness.last_rig () with
   | Some rig -> Experiments.Harness.export ?trace_out ?metrics_out rig

@@ -58,9 +58,11 @@ dune exec bin/rc_sim.exe -- sweep --fast --jobs 2 --json-out "${TMPDIR:-/tmp}/rc
 cmp "${TMPDIR:-/tmp}/rc-sweep-j1.json" results/sweep_fast.json
 cmp "${TMPDIR:-/tmp}/rc-sweep-j1.json" "${TMPDIR:-/tmp}/rc-sweep-j2.json"
 
-echo "== trace gate (rc_sim trace must print results/trace.txt)"
+echo "== trace gate (rc_sim trace must print results/trace.txt, also while exporting its trace)"
 dune exec bin/rc_sim.exe -- trace > "${TMPDIR:-/tmp}/rc-trace.txt"
 cmp "${TMPDIR:-/tmp}/rc-trace.txt" results/trace.txt
+dune exec bin/rc_sim.exe -- trace --trace-out "${TMPDIR:-/tmp}/rc-trace.jsonl" > "${TMPDIR:-/tmp}/rc-trace-export.txt"
+cmp "${TMPDIR:-/tmp}/rc-trace-export.txt" results/trace.txt
 
 echo "== sharded determinism (cluster oracle at shards=4 must match shards=1 byte-for-byte)"
 dune exec bin/rc_sim.exe -- cluster --fast --machines 4 --shards 1 \

@@ -95,7 +95,7 @@ let () =
       ~bytes:doc_bytes
   done;
 
-  let proxy_wq = Machine.Waitq.create ~name:"proxy" proxy_machine in
+  let proxy_wq = Machine.Waitq.create proxy_machine in
   Stack.add_on_event proxy_stack (fun () -> Machine.Waitq.signal proxy_wq);
   let conns : Socket.conn list ref = ref [] in
   let fetches : (string, pending) Hashtbl.t = Hashtbl.create 32 in

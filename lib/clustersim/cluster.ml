@@ -540,7 +540,7 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
           server_container;
           node_rng = Rng.split rng;
           ready = Queue.create ();
-          wq = Machine.Waitq.create ~name:(Printf.sprintf "node%d.ready" i) machine;
+          wq = Machine.Waitq.create machine;
           listens = [||];
           handlers = Socket.null_handlers;
           served = 0;

@@ -73,7 +73,7 @@ let submit t ~container ~bytes completion =
   start_next t
 
 let read t ~container ~bytes =
-  let wq = Machine.Waitq.create ~name:"disk-read" t.machine in
+  let wq = Machine.Waitq.create t.machine in
   submit t ~container ~bytes (fun () -> Machine.Waitq.signal wq);
   Machine.Waitq.wait wq
 

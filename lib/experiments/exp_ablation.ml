@@ -74,7 +74,7 @@ let binding_sizes ~prune ~containers () =
   let root = Container.create_root () in
   let prune_interval = if prune then Simtime.ms 100 else Simtime.sec 3600 in
   let machine =
-    Machine.create ~prune_interval ~prune_age:(Simtime.ms 500) ~sim
+    Machine.create ~prune_interval ~sim
       ~policy:(fun () -> Sched.Multilevel.make ~root ())
       ~root ()
   in

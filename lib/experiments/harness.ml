@@ -46,7 +46,7 @@ let build ?(cpus = 1) ?(quantum = Simtime.ms 1) ?queue_cap ?softirq_charge ?trac
     | Rc_sys -> Sched.Multilevel.make ~invariants ~root ()
   in
   let trace =
-    match (Atomic.get observe_capacity, trace) with
+    match (trace, Atomic.get observe_capacity) with
     | Some capacity, _ | None, Some capacity ->
         Some (Engine.Tracelog.create ~enabled:true ~capacity ())
     | None, None -> None

@@ -41,9 +41,9 @@ val build :
   rig
 (** {!make_rig} with the stack's per-container [queue_cap] and
     [softirq_charge] (see {!Netsim.Stack.create}) and a trace log
-    retaining [trace] entries, enabled from the start.  An armed
-    {!observe} overrides [trace]'s capacity.  {!Scenario.run} builds
-    every rig here. *)
+    retaining [trace] entries, enabled from the start.  Without [trace],
+    an armed {!observe} sets the capacity.  {!Scenario.run} builds every
+    rig here. *)
 
 val default_port : int
 val doc_path : string

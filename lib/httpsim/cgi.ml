@@ -65,7 +65,7 @@ let pool_worker t wq () =
 let ensure_pool t size =
   if not t.pool_started then begin
     t.pool_started <- true;
-    let wq = Machine.Waitq.create ~name:"fastcgi" (machine t) in
+    let wq = Machine.Waitq.create (machine t) in
     t.pool_wq <- Some wq;
     for i = 1 to size do
       let proc, _thread =

@@ -17,6 +17,13 @@ type policy =
       priority_of : Netsim.Socket.conn -> int;
     }
 
+let conn_container ~prefix ~parent ~priority_of conn =
+  Machine.cpu ~kernel:true Ops.Cost.create;
+  let attrs = Attrs.timeshare ~priority:(priority_of conn) () in
+  let c = Container.create ~parent ~name:(prefix ^ string_of_int conn.Socket.conn_id) ~attrs () in
+  Socket.bind_container conn c;
+  c
+
 type tracked = {
   conn : Socket.conn;
   mutable desc : Rescont.Desc_table.desc option; (* per-connection container handle *)
@@ -90,7 +97,7 @@ let create ~stack ~process ~cache ?disk ?(api = Select) ?(policy = No_containers
       nevents = 0;
       pick = parked dummy_listen dummy_tracked;
       probe = parked dummy_listen dummy_tracked;
-      wq = Machine.Waitq.create ~name:"http-server" machine;
+      wq = Machine.Waitq.create machine;
       static_served = Engine.Metrics.counter registry ~labels "http.static_served";
       accepts = Engine.Metrics.counter registry ~labels "http.accepts";
       poll_rounds = Engine.Metrics.counter registry ~labels "http.poll_rounds";
@@ -198,11 +205,8 @@ let accept_one t listen conn =
   | Per_connection { parent; priority_of } ->
       Machine.cpu ~kernel:true Ops.Cost.create;
       let attrs = Attrs.timeshare ~priority:(priority_of conn) () in
-      let desc =
-        Ops.rc_create (Process.descriptors t.process) ~parent
-          ~name:(Printf.sprintf "conn-%d" conn.Socket.conn_id)
-          ~attrs ()
-      in
+      let name = "conn-" ^ string_of_int conn.Socket.conn_id in
+      let desc = Ops.rc_create (Process.descriptors t.process) ~parent ~name ~attrs () in
       tracked.desc <- Some desc;
       Socket.bind_container conn (Rescont.Desc_table.lookup (Process.descriptors t.process) desc));
   track t tracked

@@ -31,6 +31,16 @@ type policy =
       priority_of : Netsim.Socket.conn -> int;
     }
 
+val conn_container :
+  prefix:string ->
+  parent:Rescont.Container.t ->
+  priority_of:(Netsim.Socket.conn -> int) ->
+  Netsim.Socket.conn ->
+  Rescont.Container.t
+(** [Per_connection]'s container in the thread and process servers: a
+    timeshare child of [parent] named [prefix] and the connection id,
+    created at the Table 1 cost and bound to the connection. *)
+
 type t
 
 val create :

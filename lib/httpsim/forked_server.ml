@@ -46,7 +46,7 @@ let create ~stack ~master ~cache ?disk ?(workers = 8)
       worker_count = workers;
       policy;
       listens;
-      master_wq = Machine.Waitq.create ~name:"forked-master" machine;
+      master_wq = Machine.Waitq.create machine;
       workers = [];
       backlog = [];
       served = Engine.Metrics.counter registry ~labels "http.static_served";
@@ -153,15 +153,7 @@ let accept_job t listen conn =
         | None -> ());
         None
     | Event_server.Per_connection { parent; priority_of } ->
-        Machine.cpu ~kernel:true Ops.Cost.create;
-        let c =
-          Container.create ~parent
-            ~name:(Printf.sprintf "fconn-%d" conn.Socket.conn_id)
-            ~attrs:(Attrs.timeshare ~priority:(priority_of conn) ())
-            ()
-        in
-        Socket.bind_container conn c;
-        Some c
+        Some (Event_server.conn_container ~prefix:"fconn-" ~parent ~priority_of conn)
   in
   { conn; container }
 
@@ -205,7 +197,7 @@ let start t =
     let make_worker () =
       (* The worker record exists before the fork so the body can capture
          it; the process field is patched in right after. *)
-      let wq = Machine.Waitq.create ~name:(Printf.sprintf "fworker-%d" i) machine in
+      let wq = Machine.Waitq.create machine in
       let worker = { w_process = t.master; w_wq = wq; w_job = None; w_busy = false } in
       let process, _thread =
         Process.fork t.master ~name:(Printf.sprintf "httpd-w%d" i) (worker_body t worker)

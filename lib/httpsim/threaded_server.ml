@@ -38,7 +38,7 @@ let create ~stack ~process ~cache ?disk ?(workers = 16)
       policy;
       dynamic_handler;
       listens;
-      wq = Machine.Waitq.create ~name:"threaded-http" machine;
+      wq = Machine.Waitq.create machine;
       served = Engine.Metrics.counter registry ~labels "http.static_served";
       accepts = Engine.Metrics.counter registry ~labels "http.accepts";
       active = 0;
@@ -98,14 +98,7 @@ let serve_conn t listen conn =
         | None -> ());
         None
     | Event_server.Per_connection { parent; priority_of } ->
-        Machine.cpu ~kernel:true Ops.Cost.create;
-        let c =
-          Container.create ~parent
-            ~name:(Printf.sprintf "tconn-%d" conn.Socket.conn_id)
-            ~attrs:(Attrs.timeshare ~priority:(priority_of conn) ())
-            ()
-        in
-        Socket.bind_container conn c;
+        let c = Event_server.conn_container ~prefix:"tconn-" ~parent ~priority_of conn in
         Machine.cpu ~kernel:true Ops.Cost.rebind_thread;
         Machine.rebind machine (Machine.self ()) c;
         Some c

@@ -651,7 +651,7 @@ let spawn_service ?cpu t ~name ~home ~covers =
           svc_covers = covers;
           svc_rank = net_rank ~covers ~allow_idle:true;
           svc_rank_regular = net_rank ~covers ~allow_idle:false;
-          svc_wq = Machine.Waitq.create ~name t.machine;
+          svc_wq = Machine.Waitq.create t.machine;
           svc_home = home;
           svc_cpu = (match cpu with Some c -> c | None -> -1);
           svc_busy = false;
@@ -671,7 +671,7 @@ let add_service ?cpu t ~name ~home ~covers =
 
 let create ?(mtu = 1460) ?(costs = default_costs) ?(queue_cap = 64)
     ?(syn_timeout = Simtime.sec 75) ?(softirq_charge = Charge_system) ~machine ~mode ~owner () =
-  let system = Machine.system_container machine in
+  let system = Machine.root machine in
   let t =
     {
       machine;

@@ -36,12 +36,10 @@ let rec no_thread =
 (* One dispatch record per processor, allocated at machine creation and
    reused for every slice (a record, a [Some] box and an end-of-slice
    closure per dispatch otherwise add up to the single largest allocation
-   stream in a run).  [d_thread] is only meaningful while the slot is
-   occupied ([currents.(cpu)] is [Some]); between slices it retains the
-   previous occupant ([no_thread] before the first), which pins nothing
-   beyond the thread table. *)
+   stream in a run).  The processor is free while [d_thread] is
+   [no_thread]. *)
 type dispatch = {
-  mutable d_thread : thread;
+  mutable d_thread : thread; (* the slice's thread, [no_thread] between slices *)
   d_cpu : int; (* which processor the slice runs on *)
   mutable d_work : int; (* ns of work in this slice *)
   mutable d_end_time : Simtime.t; (* wall-clock end, grows when time is stolen *)
@@ -57,7 +55,6 @@ type dispatch = {
 type handlers = {
   h_cpu : ((unit, unit) Effect.Deep.continuation -> unit) option;
   h_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  h_yield : ((unit, unit) Effect.Deep.continuation -> unit) option;
   h_wait : ((unit, unit) Effect.Deep.continuation -> unit) option;
   h_self : ((thread, unit) Effect.Deep.continuation -> unit) option;
 }
@@ -67,11 +64,10 @@ type t = {
   shards : Sched.Policy.t array; (* one run-queue shard per processor, all distinct *)
   root : Container.t;
   quantum : int;
-  currents : dispatch option array; (* one slot per processor *)
-  mutable dispatch_pool : dispatch array; (* the per-cpu reusable records *)
-  mutable dispatch_some : dispatch option array; (* preallocated [Some pool.(cpu)] *)
+  mutable slots : dispatch array; (* one reusable record per processor *)
   mutable exec : thread; (* thread whose OCaml code is running, else [no_thread] *)
   mutable kick_pending : bool;
+  mutable kick_deferred : bool; (* thread code asked for a kick this pass *)
   mutable timed_kick : Simtime.t; (* earliest outstanding timed dispatch wake-up;
                                      in the past = none outstanding *)
   mutable kick_fn : unit -> unit; (* preallocated: clears kick_pending, dispatches *)
@@ -83,6 +79,7 @@ type t = {
   mutable busy : int; (* total ns consumed, all processors *)
   busy_cpu : int array; (* ns consumed per processor; sums to [busy] *)
   mutable threads : thread list;
+  mutable thread_exited : bool; (* a thread finished since the last prune tick *)
   mutable tslots : thread array; (* indexed by [Task.mslot]; grows, never shrinks *)
   mutable tslot_used : int;
   mutable on_idle : unit -> unit;
@@ -105,7 +102,6 @@ type t = {
    [wq_next]: a thread waits on one queue at a time, so waiting costs no
    queue cell. *)
 and waitq = {
-  wq_name : string;
   wq_machine : t;
   mutable wq_head : thread; (* oldest waiter, [no_thread] when none *)
   mutable wq_tail : thread;
@@ -115,14 +111,12 @@ and waitq = {
 type _ Effect.t +=
   | E_cpu : { cost : int; kernel : bool } -> unit Effect.t
   | E_sleep : int -> unit Effect.t
-  | E_yield : unit Effect.t
   | E_self : thread Effect.t
   | E_wait : waitq -> unit Effect.t
 
 let sim m = m.sim
 let now m = Sim.now m.sim
 let root m = m.root
-let system_container m = m.root
 let busy_time m = Simtime.span_of_ns m.busy
 
 let busy_time_on m cpu =
@@ -163,7 +157,8 @@ let charge_to m container ~kernel ~cpu span_ns =
            })
   end
 
-let cpus m = Array.length m.currents
+let cpus m = Array.length m.busy_cpu
+let occupied d = d.d_thread != no_thread
 
 (* The machine is idle only when no processor from [i] on has a slice in
    flight AND none is held by steered interrupt work: a Ready kthread
@@ -174,9 +169,9 @@ let cpus m = Array.length m.currents
    on every call. *)
 let rec slots_free_from m i =
   i >= cpus m
-  || (match m.currents.(i) with
-     | Some _ -> false
-     | None -> Simtime.(now m >= m.irq_busy_until.(i)) && slots_free_from m (i + 1))
+  || (not (occupied m.slots.(i)))
+     && Simtime.(now m >= m.irq_busy_until.(i))
+     && slots_free_from m (i + 1)
 
 let wq_push wq thread =
   if wq.wq_len = 0 then wq.wq_head <- thread else wq.wq_tail.wq_next <- thread;
@@ -214,6 +209,7 @@ and start_body m thread body =
       retc =
         (fun () ->
           thread.state <- Done;
+          m.thread_exited <- true;
           (home_pol m thread).Sched.Policy.dequeue thread.task;
           Binding.drop thread.task.Task.binding);
       exnc = (fun e -> raise e);
@@ -232,7 +228,6 @@ and start_body m thread body =
           | E_sleep span_ns ->
               m.eff_sleep_ns <- span_ns;
               m.handlers.h_sleep
-          | E_yield -> m.handlers.h_yield
           | E_wait wq ->
               wq_push wq thread;
               m.handlers.h_wait
@@ -248,11 +243,27 @@ and make_runnable m thread =
     kick m
   end
 
+(* A kick posts a zero-delay dispatch pass only if the pass could act:
+   some slot is free or holds a slice ending now.  Otherwise the pass is
+   a no-op, since only [finish_slice] frees a slot and it runs its own
+   pass.  Thread code, which runs only inside [finish_slice] and
+   [dispatch_from], just sets [kick_deferred]; [dispatch_next] kicks when
+   its pass returns.  The post keeps its queue position, as nothing else
+   is posted at this instant in between: thread code posts only later
+   events (positive sleeps, link latencies, disk service times, the
+   cluster's client hold), and [on_idle] only signals. *)
 and kick m =
-  if not m.kick_pending then begin
+  if m.exec != no_thread then m.kick_deferred <- true
+  else if (not m.kick_pending) && pass_can_act_from m 0 then begin
     m.kick_pending <- true;
     Sim.post m.sim Simtime.span_zero m.kick_fn
   end
+
+and pass_can_act_from m i =
+  i < cpus m
+  && ((not (occupied m.slots.(i)))
+     || Simtime.(m.slots.(i).d_end_time <= now m)
+     || pass_can_act_from m (i + 1))
 
 (* Timed dispatch wake-ups (irq drain, throttle release).  On an SMP
    machine every dispatch pass may want one per processor, and a pass runs
@@ -320,7 +331,12 @@ and steal_from m ~cpu k =
     end
     else steal_from m ~cpu (k + 1)
 
-and dispatch_next m = dispatch_from m 0
+and dispatch_next m =
+  dispatch_from m 0;
+  if m.kick_deferred then begin
+    m.kick_deferred <- false;
+    kick m
+  end
 
 and dispatch_from m cpu =
   if cpu >= cpus m then begin
@@ -330,40 +346,37 @@ and dispatch_from m cpu =
        with committed work). *)
     if slots_free_from m 0 then m.on_idle ()
   end
-  else
-    match m.currents.(cpu) with
-    | Some _ -> dispatch_from m (cpu + 1)
-    | None ->
-        if Simtime.(now m < m.irq_busy_until.(cpu)) then begin
-          (* Steered interrupt work holds this processor; try again when
-             it drains.  Other processors may still dispatch. *)
-          kick_at m m.irq_busy_until.(cpu);
-          dispatch_from m (cpu + 1)
-        end
-        else begin
-          let pol = m.shards.(cpu) in
-          let thread =
-            let local = pick_thread m pol in
-            if local == no_thread then steal_from m ~cpu 1 else local
-          in
-          if thread == no_thread then begin
-            (match pol.Sched.Policy.next_release ~now:(now m) with
-            | Some t when Simtime.(t > now m) -> kick_at m t
-            | Some _ | None -> ());
-            dispatch_from m (cpu + 1)
-          end
-          else if thread.pending <= 0 then begin
-            (* Nothing to burn: run the thread's code to its next effect,
-               then look again. *)
-            (home_pol m thread).Sched.Policy.dequeue thread.task;
-            resume_thread m thread;
-            dispatch_from m cpu
-          end
-          else begin
-            start_slice m thread ~cpu;
-            dispatch_from m (cpu + 1)
-          end
-        end
+  else if occupied m.slots.(cpu) then dispatch_from m (cpu + 1)
+  else if Simtime.(now m < m.irq_busy_until.(cpu)) then begin
+    (* Steered interrupt work holds this processor; try again when it
+       drains.  Other processors may still dispatch. *)
+    kick_at m m.irq_busy_until.(cpu);
+    dispatch_from m (cpu + 1)
+  end
+  else begin
+    let pol = m.shards.(cpu) in
+    let thread =
+      let local = pick_thread m pol in
+      if local == no_thread then steal_from m ~cpu 1 else local
+    in
+    if thread == no_thread then begin
+      (match pol.Sched.Policy.next_release ~now:(now m) with
+      | Some t when Simtime.(t > now m) -> kick_at m t
+      | Some _ | None -> ());
+      dispatch_from m (cpu + 1)
+    end
+    else if thread.pending <= 0 then begin
+      (* Nothing to burn: run the thread's code to its next effect, then
+         look again. *)
+      (home_pol m thread).Sched.Policy.dequeue thread.task;
+      resume_thread m thread;
+      dispatch_from m cpu
+    end
+    else begin
+      start_slice m thread ~cpu;
+      dispatch_from m (cpu + 1)
+    end
+  end
 
 and start_slice m thread ~cpu =
   let work = min m.quantum thread.pending in
@@ -384,16 +397,15 @@ and start_slice m thread ~cpu =
   (* A running task leaves the policy's queues so another processor cannot
      pick it concurrently; it re-enters at slice end. *)
   (home_pol m thread).Sched.Policy.dequeue thread.task;
-  let d = m.dispatch_pool.(cpu) in
+  let d = m.slots.(cpu) in
   d.d_thread <- thread;
   d.d_work <- work;
   d.d_end_time <- Simtime.add (now m) (Simtime.span_of_ns work);
-  d.d_end_event <- Sim.at m.sim d.d_end_time d.d_fin;
-  m.currents.(cpu) <- m.dispatch_some.(cpu)
+  d.d_end_event <- Sim.at m.sim d.d_end_time d.d_fin
 
 and finish_slice m d =
-  m.currents.(d.d_cpu) <- None;
   let thread = d.d_thread in
+  d.d_thread <- no_thread;
   let container = Binding.resource_binding thread.task.Task.binding in
   charge_to m container ~kernel:thread.kernel_mode ~cpu:d.d_cpu d.d_work;
   Binding.touch thread.task.Task.binding ~now:(now m);
@@ -457,12 +469,19 @@ let runnable_tasks m =
 
 let rebalance_interval = Simtime.ms 5
 
+(* Drop the scheduler-binding entries unused for 500 ms (§4.3). *)
+let rec prune_bindings now = function
+  | [] -> ()
+  | thread :: rest ->
+      ignore (Binding.prune thread.task.Task.binding ~now ~max_age:(Simtime.ms 500));
+      prune_bindings now rest
+
 (* How long a runnable non-idle thread may wait while an idle-class
    thread holds its processor before [sched.no-idle-starvation] fails. *)
 let starvation_bound_ns = Simtime.span_to_ns (Simtime.ms 100)
 
-let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 100)
-    ?(prune_age = Simtime.ms 500) ?trace ?invariants ~sim ~policy ~root () =
+let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 100) ?trace
+    ?invariants ~sim ~policy ~root () =
   if cpus <= 0 then invalid_arg "Machine.create: cpus must be positive";
   (* Run-queue membership is intrusive (a task records the one queue
      holding it), so two processors must never share a policy. *)
@@ -485,11 +504,10 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
       shards;
       root;
       quantum = Simtime.span_to_ns quantum;
-      currents = Array.make cpus None;
-      dispatch_pool = [||]; (* filled below, once [m] exists *)
-      dispatch_some = [||];
+      slots = [||]; (* filled below, once [m] exists *)
       exec = no_thread;
       kick_pending = false;
+      kick_deferred = false;
       timed_kick = Simtime.zero;
       kick_fn = ignore;
       dispatch_fn = ignore;
@@ -500,6 +518,7 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
       busy = 0;
       busy_cpu = Array.make cpus 0;
       threads = [];
+      thread_exited = false;
       tslots = [||];
       tslot_used = 0;
       on_idle = (fun () -> ());
@@ -513,13 +532,20 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
       c_rebinds = Engine.Metrics.counter metrics "machine.rebinds";
       c_irq_steals = Engine.Metrics.counter metrics "machine.irq_steals";
       c_migrations = Engine.Metrics.counter metrics "machine.migrations";
-      handlers = { h_cpu = None; h_sleep = None; h_yield = None; h_wait = None; h_self = None };
+      handlers = { h_cpu = None; h_sleep = None; h_wait = None; h_self = None };
       eff_sleep_ns = 0;
     }
   in
   let exec_thread () =
     let thread = m.exec in
     if thread == no_thread then invalid_arg "Machine: effect performed outside a machine thread";
+    thread
+  in
+  let block k =
+    let thread = exec_thread () in
+    thread.cont <- k;
+    thread.state <- Blocked;
+    (home_pol m thread).Sched.Policy.dequeue thread.task;
     thread
   in
   m.handlers <-
@@ -536,28 +562,10 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
       h_sleep =
         Some
           (fun k ->
-            let thread = exec_thread () in
-            thread.cont <- k;
-            thread.state <- Blocked;
-            (home_pol m thread).Sched.Policy.dequeue thread.task;
+            let thread = block k in
             if thread.wake == no_wake then thread.wake <- (fun () -> make_runnable m thread);
             Sim.post m.sim (Simtime.span_of_ns m.eff_sleep_ns) thread.wake);
-      h_yield =
-        Some
-          (fun k ->
-            let thread = exec_thread () in
-            thread.cont <- k;
-            thread.state <- Ready;
-            thread.ready_since <- now m;
-            (home_pol m thread).Sched.Policy.enqueue thread.task;
-            kick m);
-      h_wait =
-        Some
-          (fun k ->
-            let thread = exec_thread () in
-            thread.cont <- k;
-            thread.state <- Blocked;
-            (home_pol m thread).Sched.Policy.dequeue thread.task);
+      h_wait = Some (fun k -> ignore (block k));
       h_self = Some (fun k -> Effect.Deep.continue k (exec_thread ()));
     };
   m.kick_fn <-
@@ -565,7 +573,7 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
       m.kick_pending <- false;
       dispatch_next m);
   m.dispatch_fn <- (fun () -> dispatch_next m);
-  m.dispatch_pool <-
+  m.slots <-
     Array.init cpus (fun cpu ->
         let d =
           { d_thread = no_thread; d_cpu = cpu; d_work = 0; d_end_time = Simtime.zero;
@@ -573,7 +581,6 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
         in
         d.d_fin <- (fun () -> finish_slice m d);
         d);
-  m.dispatch_some <- Array.map (fun d -> Some d) m.dispatch_pool;
   Engine.Metrics.gauge metrics "machine.busy_ns" (fun () -> float_of_int m.busy);
   Engine.Metrics.gauge metrics "machine.runnable_tasks" (fun () ->
       float_of_int (runnable_tasks m));
@@ -589,15 +596,15 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
       float_of_int (Rescont.Usage.cpu_ns (Container.subtree_usage root)));
   Engine.Metrics.gauge metrics "rc.root.memory_bytes" (fun () ->
       float_of_int (Rescont.Usage.mem_bytes (Container.subtree_usage root)));
-  (* Periodic pruning of scheduler-binding sets (paper §4.3). *)
+  (* Periodic pruning of scheduler-binding sets (paper §4.3).  A tick
+     allocates nothing unless a thread has exited since the last one. *)
   ignore
     (Sim.every sim prune_interval (fun () ->
-         m.threads <- List.filter (fun thread -> thread.state <> Done) m.threads;
-         List.iter
-           (fun thread ->
-             ignore
-               (Binding.prune thread.task.Task.binding ~now:(now m) ~max_age:prune_age))
-           m.threads));
+         if m.thread_exited then begin
+           m.thread_exited <- false;
+           m.threads <- List.filter (fun thread -> thread.state <> Done) m.threads
+         end;
+         prune_bindings (now m) m.threads));
   (* Conservation laws (paper §4.4: every consumed unit lands on exactly
      one container).  Registered always; they only run when the registry is
      checked, so the fast paths pay nothing. *)
@@ -624,10 +631,10 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
             | Error _ -> ()
             | Ok () ->
                 let horizon =
+                  let d = m.slots.(i) in
                   let h =
-                    match m.currents.(i) with
-                    | Some d -> Simtime.max d.d_end_time m.irq_busy_until.(i)
-                    | None -> m.irq_busy_until.(i)
+                    if occupied d then Simtime.max d.d_end_time m.irq_busy_until.(i)
+                    else m.irq_busy_until.(i)
                   in
                   Simtime.to_ns (Simtime.max (now m) h)
                 in
@@ -681,25 +688,23 @@ let create ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(prune_interval = Simtime.ms 1
           m.threads
       in
       let bad = ref (Ok ()) in
-      for cpu = 0 to Array.length m.currents - 1 do
+      for cpu = 0 to cpus - 1 do
         match !bad with
         | Error _ -> ()
         | Ok () -> (
-            match m.currents.(cpu) with
-            | Some d when Attrs.is_idle_class (Container.attrs (container_of d.d_thread))
-              -> (
-                match starved_on cpu with
-                | None -> ()
-                | Some th ->
-                    bad :=
-                      Error
-                        (Printf.sprintf
-                           "thread %s (container %s) runnable for %d ns while idle-class runs on cpu%d"
-                           th.task.Task.name
-                           (Container.name (container_of th))
-                           (now_ns - Simtime.to_ns th.ready_since)
-                           cpu))
-            | Some _ | None -> ())
+            let d = m.slots.(cpu) in
+            if occupied d && Attrs.is_idle_class (Container.attrs (container_of d.d_thread)) then
+              match starved_on cpu with
+              | None -> ()
+              | Some th ->
+                  bad :=
+                    Error
+                      (Printf.sprintf
+                         "thread %s (container %s) runnable for %d ns while idle-class runs on cpu%d"
+                         th.task.Task.name
+                         (Container.name (container_of th))
+                         (now_ns - Simtime.to_ns th.ready_since)
+                         cpu))
       done;
       !bad);
   m
@@ -711,7 +716,7 @@ let place m =
   for i = 0 to cpus m - 1 do
     let score =
       m.shards.(i).Sched.Policy.runnable_count ()
-      + (match m.currents.(i) with Some _ -> 1 | None -> 0)
+      + if occupied m.slots.(i) then 1 else 0
     in
     if score < !best_score then begin
       best := i;
@@ -785,11 +790,9 @@ let kill m thread =
       thread.entry <- None;
       thread.pending <- 0;
       thread.state <- Done;
+      m.thread_exited <- true;
       (home_pol m thread).Sched.Policy.dequeue thread.task;
       Binding.drop thread.task.Task.binding
-
-let reset_scheduler_binding m thread =
-  Binding.reset_scheduler_binding thread.task.Task.binding ~now:(now m)
 
 let cpu ?(kernel = false) span =
   let cost = Simtime.span_to_ns span in
@@ -799,14 +802,14 @@ let sleep span =
   let span_ns = Simtime.span_to_ns span in
   if span_ns > 0 then Effect.perform (E_sleep span_ns)
 
-let yield () = Effect.perform E_yield
+(* A request for no work: requeued, and resumed when next picked. *)
+let yield () = Effect.perform (E_cpu { cost = 0; kernel = false })
 let self () = Effect.perform E_self
 
 module Waitq = struct
   type nonrec t = waitq
 
-  let create ?(name = "waitq") m =
-    { wq_name = name; wq_machine = m; wq_head = no_thread; wq_tail = no_thread; wq_len = 0 }
+  let create m = { wq_machine = m; wq_head = no_thread; wq_tail = no_thread; wq_len = 0 }
 
   let wait wq = Effect.perform (E_wait wq)
   let signal wq = if wq.wq_len > 0 then make_runnable wq.wq_machine (wq_pop wq)
@@ -830,10 +833,9 @@ let steal_time ?(cpu = 0) m ~cost ~charge =
     let victim =
       match charge with
       | `Container c -> c
-      | `Current_or_system -> (
-          match m.currents.(cpu) with
-          | Some d -> Binding.resource_binding d.d_thread.task.Task.binding
-          | None -> m.root)
+      | `Current_or_system ->
+          let d = m.slots.(cpu) in
+          if occupied d then Binding.resource_binding d.d_thread.task.Task.binding else m.root
     in
     charge_to m victim ~kernel:true ~cpu cost_ns;
     Engine.Metrics.incr m.c_irq_steals;
@@ -841,14 +843,13 @@ let steal_time ?(cpu = 0) m ~cost ~charge =
       tell m
         (Engine.Trace_event.Irq_steal
            { cpu; cost_ns; cid = Container.id victim; container = Container.name victim });
-    match m.currents.(cpu) with
-    | Some d ->
-        ignore (Sim.cancel m.sim d.d_end_event);
-        d.d_end_time <- Simtime.add d.d_end_time cost;
-        d.d_end_event <- Sim.at m.sim d.d_end_time d.d_fin
-    | None ->
-        m.irq_busy_until.(cpu) <-
-          Simtime.add (Simtime.max m.irq_busy_until.(cpu) (now m)) cost
+    let d = m.slots.(cpu) in
+    if occupied d then begin
+      ignore (Sim.cancel m.sim d.d_end_event);
+      d.d_end_time <- Simtime.add d.d_end_time cost;
+      d.d_end_event <- Sim.at m.sim d.d_end_time d.d_fin
+    end
+    else m.irq_busy_until.(cpu) <- Simtime.add (Simtime.max m.irq_busy_until.(cpu) (now m)) cost
   end
 
 let invariants m = m.invariants

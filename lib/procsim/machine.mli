@@ -19,7 +19,6 @@ val create :
   ?cpus:int ->
   ?quantum:Engine.Simtime.span ->
   ?prune_interval:Engine.Simtime.span ->
-  ?prune_age:Engine.Simtime.span ->
   ?trace:Engine.Tracelog.t ->
   ?invariants:Engine.Invariant.t ->
   sim:Engine.Sim.t ->
@@ -30,9 +29,9 @@ val create :
 (** [cpus] is the number of processors (default 1; every experiment in the
     paper runs on a uniprocessor).  Interrupt-level work is taken on
     processor 0 unless steered (see {!steal_time}).  [quantum] is the
-    time-slice length (default 1 ms).  [prune_interval] / [prune_age]
-    control the periodic pruning of scheduler-binding sets (paper §4.3;
-    defaults 100 ms / 500 ms).
+    time-slice length (default 1 ms).  Every [prune_interval] (default
+    100 ms) the scheduler-binding sets drop the containers unused for
+    500 ms (paper §4.3).
 
     [policy] is called once per processor, in processor order, and each
     result is that processor's run-queue shard.  Tasks are stamped with a
@@ -49,9 +48,7 @@ val create :
 val sim : t -> Engine.Sim.t
 val now : t -> Engine.Simtime.t
 val root : t -> Rescont.Container.t
-
-val system_container : t -> Rescont.Container.t
-(** Where consumption "charged to no process at all" lands (the root). *)
+(** Also where consumption "charged to no process at all" lands. *)
 
 val busy_time : t -> Engine.Simtime.span
 (** Total CPU time consumed so far (slices + stolen interrupt time),
@@ -94,8 +91,6 @@ val kill : t -> thread -> unit
     a processor completes the in-flight slice (that work is already
     committed) and is reaped at the slice boundary.  Idempotent. *)
 
-val reset_scheduler_binding : t -> thread -> unit
-
 (** {1 Effects — callable only from inside a thread body} *)
 
 val cpu : ?kernel:bool -> Engine.Simtime.span -> unit
@@ -118,7 +113,7 @@ module Waitq : sig
   type machine := t
   type t
 
-  val create : ?name:string -> machine -> t
+  val create : machine -> t
 
   val wait : t -> unit
   (** Block the calling thread until signalled (effect). *)

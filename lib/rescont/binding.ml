@@ -1,6 +1,15 @@
 module Simtime = Engine.Simtime
 
-type entry = { container : Container.t; mutable last_used : Simtime.t }
+(* The scheduler-binding set is linked through its entries, newest member
+   first: the timeshare policy sums floats over the set in this order, so
+   the order is observable, and [prune] unlinks members in place.  [index]
+   maps a member's container id to its entry; [current] is the resource
+   binding's entry, which a live set always holds, so rebinding and
+   [touch] never scan the set.  [nil] ends every set and is compared with
+   [==] only; its container is a placeholder nothing reads. *)
+type entry = { container : Container.t; mutable last_used : Simtime.t; mutable next : entry }
+
+let rec nil = { container = Obj.magic 0; last_used = Simtime.zero; next = nil }
 
 (* Container ids are distinct positive ints, so they hash to themselves:
    a lookup costs no call into the polymorphic hash.  Nothing iterates the
@@ -12,32 +21,25 @@ module Index = Hashtbl.Make (struct
   let hash id = id
 end)
 
-(* The scheduler-binding set is the list [sched_set], newest entry first.
-   Its order is observable — the timeshare policy sums floats over the set
-   in this order — so the list stays the representation.  [index] maps
-   each member's container id to its entry, and [current] is the resource
-   binding's own entry, which a live binding's set always holds: rebinding
-   and [touch] never scan the list. *)
 type t = {
   mutable resource : Container.t;
   mutable current : entry;
-  mutable sched_set : entry list;
+  mutable newest : entry; (* the set's head, [nil] when empty *)
   index : entry Index.t;
   mutable live : bool;
 }
 
 let add_entry t ~now container =
-  let e = { container; last_used = now } in
+  let e = { container; last_used = now; next = t.newest } in
   Index.replace t.index (Container.id container) e;
-  t.sched_set <- e :: t.sched_set;
+  t.newest <- e;
   t.current <- e
 
 let create ~now container =
   Container.incr_bindings container;
-  let e = { container; last_used = now } in
-  let index = Index.create 8 in
-  Index.replace index (Container.id container) e;
-  { resource = container; current = e; sched_set = [ e ]; index; live = true }
+  let t = { resource = container; current = nil; newest = nil; index = Index.create 8; live = true } in
+  add_entry t ~now container;
+  t
 
 let resource_binding t = t.resource
 
@@ -54,54 +56,55 @@ let set_resource_binding t ~now container =
       t.current <- e
   | exception Not_found -> add_entry t ~now container
 
+let rec members e = if e == nil then [] else e :: members e.next
+
 let scheduler_binding t =
-  let sorted =
-    List.sort (fun a b -> Simtime.compare b.last_used a.last_used) t.sched_set
-  in
-  List.map (fun e -> e.container) sorted
+  List.sort (fun a b -> Simtime.compare b.last_used a.last_used) (members t.newest)
+  |> List.map (fun e -> e.container)
 
 (* The set in its own order (no sort, no list, no allocation), for
    aggregations over the set on the per-dispatch path: [f] is an argument
    rather than captured by a local closure, which would be allocated on
    every call. *)
-let rec iter_containers f = function
-  | [] -> ()
-  | e :: rest ->
-      f e.container;
-      iter_containers f rest
+let rec iter_containers f e =
+  if e != nil then begin
+    f e.container;
+    iter_containers f e.next
+  end
 
-let iter_scheduler_containers t f = iter_containers f t.sched_set
+let iter_scheduler_containers t f = iter_containers f t.newest
 
 (* A thread killed mid-slice still reaches here from the slice-end charge;
    its dropped binding must stay empty. *)
 let touch t ~now = if t.live then t.current.last_used <- now
 
-let prune t ~now ~max_age =
-  let keep e =
-    Container.id e.container = Container.id t.resource
-    || Simtime.span_compare (Simtime.diff now e.last_used) max_age <= 0
-  in
-  let before = Index.length t.index in
-  t.sched_set <-
-    List.filter
-      (fun e ->
-        keep e
-        ||
-        (Index.remove t.index (Container.id e.container);
-         false))
-      t.sched_set;
-  before - Index.length t.index
+let expired t ~now ~max_age e =
+  Container.id e.container <> Container.id t.resource
+  && Simtime.span_compare (Simtime.diff now e.last_used) max_age > 0
+
+(* Unlink the expired members from [e] on, in place; [prev] is the last
+   member kept, [nil] while none is. *)
+let rec prune_after t ~now ~max_age prev e removed =
+  if e == nil then removed
+  else if expired t ~now ~max_age e then begin
+    Index.remove t.index (Container.id e.container);
+    if prev == nil then t.newest <- e.next else prev.next <- e.next;
+    prune_after t ~now ~max_age prev e.next (removed + 1)
+  end
+  else prune_after t ~now ~max_age e e.next removed
+
+let prune t ~now ~max_age = prune_after t ~now ~max_age nil t.newest 0
 
 let reset_scheduler_binding t ~now =
   Index.reset t.index;
-  t.sched_set <- [];
+  t.newest <- nil;
   add_entry t ~now t.resource
 
 let drop t =
   if t.live then begin
     t.live <- false;
     Container.decr_bindings t.resource;
-    t.sched_set <- [];
+    t.newest <- nil;
     Index.reset t.index
   end
 

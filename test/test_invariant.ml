@@ -130,7 +130,7 @@ let test_cpu_conservation_holds () =
 let test_mischarge_caught () =
   let sim, root, machine = make_machine () in
   ignore
-    (Machine.spawn machine ~name:"work" ~container:(Machine.system_container machine) (fun () ->
+    (Machine.spawn machine ~name:"work" ~container:(Machine.root machine) (fun () ->
          Machine.cpu (Simtime.ms 5)));
   (* Interrupt work billed to a container outside the root's subtree:
      busy time advances, the root rollup does not. *)

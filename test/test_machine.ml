@@ -94,7 +94,7 @@ let test_sleep () =
 let test_waitq_signal () =
   let _, root, machine = make_machine () in
   let c = leaf root "c" in
-  let wq = Machine.Waitq.create ~name:"test" machine in
+  let wq = Machine.Waitq.create machine in
   let log = ref [] in
   ignore
     (Machine.spawn machine ~name:"waiter" ~container:c (fun () ->
@@ -686,11 +686,9 @@ let slice_budget_run policy =
     | `Multilevel -> Sched.Multilevel.make ~root ()
     | `Timeshare -> Sched.Timeshare.make ()
   in
-  (* Binding pruning rebuilds a list every [prune_interval]; keep it out
-     of the window. *)
-  let machine =
-    Machine.create ~prune_interval:(Simtime.sec 100) ~sim ~policy:(fun () -> pol) ~root ()
-  in
+  (* The window holds ten binding-prune ticks, which must allocate
+     nothing either. *)
+  let machine = Machine.create ~sim ~policy:(fun () -> pol) ~root () in
   let group =
     Container.create ~parent:root ~name:"group" ~attrs:(Attrs.fixed_share ~share:0.5 ()) ()
   in
@@ -753,6 +751,95 @@ let test_slice_allocation_budget policy () =
     0.
     ((words -. bare) /. float_of_int slices)
 
+(* {1 The kick rule}
+
+   A kick posts a dispatch pass only when that pass could act: some
+   processor is free, or holds a slice that ends at this instant. *)
+
+(* Events fired from now until [horizon], less a no-op sentinel posted
+   there. *)
+let fired_until sim horizon =
+  let reached = ref false in
+  Sim.post_at sim horizon (fun () -> reached := true);
+  let n = ref 0 in
+  while (not !reached) && Sim.step sim do
+    incr n
+  done;
+  !n - 1
+
+let dispatches machine =
+  match Engine.Metrics.value (Machine.metrics machine) "sched.dispatches" with
+  | Some (Engine.Metrics.Counter n) -> n
+  | _ -> Alcotest.fail "no sched.dispatches counter"
+
+(* Each slice end resumes the thread, whose next [Machine.cpu] asks for a
+   kick while its own slice end is about to refill the processor: the
+   slice end is the only event. *)
+let test_kick_lone_looper () =
+  let sim, root, machine = make_machine () in
+  ignore
+    (Machine.spawn machine ~name:"loop" ~container:(leaf root "loop") (fun () ->
+         while true do
+           Machine.cpu (Simtime.us 300)
+         done));
+  Machine.run_until machine (Simtime.of_ns 10_000_000);
+  let slices0 = dispatches machine in
+  (* No binding-prune tick (every 100 ms) falls between 10 and 90 ms. *)
+  let fired = fired_until sim (Simtime.of_ns 90_000_000) in
+  let slices = dispatches machine - slices0 in
+  Alcotest.(check bool) "hundreds of slices" true (slices > 200);
+  Alcotest.(check int) "one event per slice" slices fired
+
+(* A waiter is signalled at [at] from an event, outside thread code.
+   Returns the events the signal posted and when the waiter ran, and
+   when its 1 ms of work after waking ended. *)
+let signal_from_event ?(cpus = 1) ~burn ~at () =
+  let sim = Sim.create () in
+  let root = Container.create_root () in
+  let machine =
+    Machine.create ~cpus ~sim ~policy:(fun () -> Sched.Multilevel.make ~root ()) ~root ()
+  in
+  let wq = Machine.Waitq.create machine in
+  if burn then
+    ignore
+      (Machine.spawn machine ~cpu:0 ~name:"burner" ~container:(leaf root "burner") (fun () ->
+           Machine.cpu (Simtime.ms 10)));
+  let woke = ref Simtime.zero and worked = ref Simtime.zero in
+  ignore
+    (Machine.spawn machine ~name:"waiter" ~container:(leaf root "waiter") (fun () ->
+         Machine.Waitq.wait wq;
+         woke := Sim.now sim;
+         Machine.cpu (Simtime.ms 1);
+         worked := Sim.now sim));
+  let posted = ref (-1) in
+  ignore
+    (Sim.at sim at (fun () ->
+         let before = Sim.pending sim in
+         Machine.Waitq.signal wq;
+         posted := Sim.pending sim - before));
+  Machine.run_until machine (Simtime.of_ns 100_000_000);
+  (!posted, Simtime.to_ns !woke, Simtime.to_ns !worked)
+
+let test_kick_signal_mid_slice () =
+  (* The burner's slice runs from 2 to 3 ms. *)
+  let posted, woke, _ = signal_from_event ~burn:true ~at:(Simtime.of_ns 2_500_000) () in
+  Alcotest.(check int) "no event posted" 0 posted;
+  Alcotest.(check bool) "the waiter ran once the slice ended" true (woke >= 3_000_000)
+
+let test_kick_signal_idle () =
+  let posted, woke, worked = signal_from_event ~burn:false ~at:(Simtime.of_ns 2_500_000) () in
+  Alcotest.(check int) "one event posted" 1 posted;
+  Alcotest.(check int) "the waiter ran at the signal" 2_500_000 woke;
+  Alcotest.(check int) "and its work ended 1 ms later" 3_500_000 worked
+
+let test_kick_signal_smp_free_cpu () =
+  let posted, woke, worked =
+    signal_from_event ~cpus:2 ~burn:true ~at:(Simtime.of_ns 2_500_000) ()
+  in
+  Alcotest.(check int) "one event posted" 1 posted;
+  Alcotest.(check int) "dispatched at the signal" 2_500_000 woke;
+  Alcotest.(check int) "beside the burner" 3_500_000 worked
+
 (* Timeshare breaks badness ties in run-queue order, which follows
    container ids: the scenario's counts must not move when another
    machine ran before it in the process. *)
@@ -777,6 +864,11 @@ let suite =
       (test_slice_allocation_budget `Multilevel);
     Alcotest.test_case "slice allocation budget, timeshare" `Quick
       (test_slice_allocation_budget `Timeshare);
+    Alcotest.test_case "kick: one event per slice" `Quick test_kick_lone_looper;
+    Alcotest.test_case "kick: signal mid-slice posts nothing" `Quick test_kick_signal_mid_slice;
+    Alcotest.test_case "kick: signal on an idle cpu posts one" `Quick test_kick_signal_idle;
+    Alcotest.test_case "kick: signal with a free cpu dispatches now" `Quick
+      test_kick_signal_smp_free_cpu;
     Alcotest.test_case "thread runs and charges" `Quick test_thread_runs_and_charges;
     Alcotest.test_case "kernel/user split" `Quick test_kernel_user_split;
     Alcotest.test_case "wall clock advances" `Quick test_wallclock_advances_with_cpu;

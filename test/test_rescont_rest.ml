@@ -145,6 +145,52 @@ let test_binding_touch_refreshes () =
   in
   Alcotest.(check int) "b pruned, a touched" 1 removed
 
+(* The set is linked through its entries, so [prune] unlinks expired
+   members in place: over 1 000 members it allocates nothing, whether none
+   or half of them expire, and the survivors keep their visit order
+   (newest member first). *)
+let test_binding_prune_in_place () =
+  let root = Container.create_root () in
+  let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
+  let pool =
+    Array.init 1_000 (fun i -> Container.create ~parent ~name:(Printf.sprintf "m%d" i) ())
+  in
+  let binding = Binding.create ~now:Simtime.zero pool.(0) in
+  Array.iteri (fun i c -> Binding.set_resource_binding binding ~now:(Simtime.of_ns (10 * i)) c) pool;
+  (* Refresh the odd members, so that the even ones are the old half. *)
+  Array.iteri
+    (fun i c -> if i land 1 = 1 then Binding.set_resource_binding binding ~now:(Simtime.of_ns 100_000) c)
+    pool;
+  let now = Simtime.of_ns 100_000 in
+  let prune_words max_age =
+    ignore (Gc.minor_words ());
+    let w0 = Gc.minor_words () in
+    let removed = Binding.prune binding ~now ~max_age in
+    let words = Gc.minor_words () -. w0 in
+    (removed, words)
+  in
+  let visits () =
+    let acc = ref [] in
+    Binding.iter_scheduler_containers binding (fun c -> acc := Container.id c :: !acc);
+    List.rev !acc
+  in
+  let newest_first keep =
+    List.filter_map
+      (fun i -> if keep i then Some (Container.id pool.(i)) else None)
+      (List.init 1_000 (fun k -> 999 - k))
+  in
+  let removed, words = prune_words (Simtime.sec 1) in
+  Alcotest.(check int) "none expired" 0 removed;
+  Alcotest.(check (float 0.)) "no words when none expire" 0. words;
+  Alcotest.(check (list int)) "all visited, newest first" (newest_first (fun _ -> true)) (visits ());
+  let removed, words = prune_words (Simtime.span_of_ns 50_000) in
+  Alcotest.(check int) "the even half expired" 500 removed;
+  Alcotest.(check (float 0.)) "no words when half expire" 0. words;
+  Alcotest.(check int) "size" 500 (Binding.size binding);
+  Alcotest.(check (list int)) "survivors in the same order"
+    (newest_first (fun i -> i land 1 = 1))
+    (visits ())
+
 (* The list-only scheduler-binding set that the indexed one replaced, kept
    as its lockstep model: every lookup is a scan, and the list order
    (newest member first) is the contract the index must preserve.  It
@@ -574,6 +620,7 @@ let suite =
     Alcotest.test_case "binding reset" `Quick test_binding_reset;
     Alcotest.test_case "binding drop" `Quick test_binding_drop;
     Alcotest.test_case "binding touch" `Quick test_binding_touch_refreshes;
+    Alcotest.test_case "binding prune in place" `Quick test_binding_prune_in_place;
     QCheck_alcotest.to_alcotest prop_binding_matches_list_model;
     Alcotest.test_case "desc table basics" `Quick test_desc_table_basic;
     Alcotest.test_case "desc table refcounts" `Quick test_desc_table_refcounts;
