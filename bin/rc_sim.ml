@@ -204,11 +204,11 @@ let run_cluster fast csv check machines shards json_out =
   let rhos = if fast then [ 0.3; 0.6 ] else [ 0.3; 0.5; 0.7 ] in
   let warmup = if fast then Simtime.ms 500 else Simtime.sec 2 in
   let measure = if fast then Simtime.sec 2 else Simtime.sec 6 in
-  let curve = C.oracle_curve ~machines ~shards ~rhos ~warmup ~measure () in
+  let curve = C.oracle_curve ~shards ~machines ~rhos ~warmup ~measure in
   print_table ~csv (C.oracle_table curve);
   let gate =
     if check then begin
-      let g = C.gate_point ~shards () in
+      let g = C.gate_point ~shards in
       Format.printf
         "gate: %d machines, %d peak concurrent conns, measured %.3f ms vs predicted \
          %.3f ms (err %.1f%%)@."
@@ -227,10 +227,10 @@ let run_cluster fast csv check machines shards json_out =
       Format.printf "cluster: oracle points written to %s@." path
   | None -> ());
   let clone_measure = if fast then Simtime.sec 2 else Simtime.sec 4 in
-  print_table ~csv (C.clone_table (C.clone_pair ~measure:clone_measure ()));
+  print_table ~csv (C.clone_table ~measure:clone_measure);
   print_table ~csv
-    (C.qos_table ~measure:(if fast then Simtime.sec 2 else Simtime.sec 4) ());
-  print_table ~csv (C.tenant_table ~measure:(if fast then Simtime.sec 1 else Simtime.sec 3) ());
+    (C.qos_table ~measure:(if fast then Simtime.sec 2 else Simtime.sec 4));
+  print_table ~csv (C.tenant_table ~measure:(if fast then Simtime.sec 1 else Simtime.sec 3));
   match gate with
   | Some g ->
       if g.C.op_err_pct > 5.0 then begin

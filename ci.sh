@@ -7,13 +7,14 @@
 # sharded-execution determinism contract (shards=N byte-identical to
 # shards=1), check that fuzz and ablation output does not depend on
 # what else ran in the process, compare the placement gate's --jobs 1
-# fuzz lines (five families, concatenated) byte for byte with
+# fuzz lines (six families, concatenated) byte for byte with
 # results/fuzz_jobs1.txt, compare rc_sim zipf --fast, smp --fast, the
-# sweep --fast --jobs 1 report and rc_sim trace byte for byte with
-# results/zipf_fast.txt, smp_fast.txt, sweep_fast.json and trace.txt,
-# and compare the paper's figures and tables (rc_sim all --fast, less
-# Table 1's host-time block) byte for byte with
-# results/rc_sim_all_fast.txt.  A deliberate model change regenerates
+# sweep --fast --jobs 1 report, rc_sim trace, the cluster oracle's
+# --fast --machines 4 JSON and rc_sim cluster --check byte for byte
+# with results/zipf_fast.txt, smp_fast.txt, sweep_fast.json, trace.txt,
+# cluster_fast.json and cluster_check.txt, and compare the paper's
+# figures and tables (rc_sim all --fast, less Table 1's host-time block)
+# byte for byte with results/rc_sim_all_fast.txt.  A deliberate model change regenerates
 # each committed file with the command that writes it here and lists
 # what moved.  Referenced from README.md "Install and build".
 set -eu
@@ -64,11 +65,12 @@ cmp "${TMPDIR:-/tmp}/rc-trace.txt" results/trace.txt
 dune exec bin/rc_sim.exe -- trace --trace-out "${TMPDIR:-/tmp}/rc-trace.jsonl" > "${TMPDIR:-/tmp}/rc-trace-export.txt"
 cmp "${TMPDIR:-/tmp}/rc-trace-export.txt" results/trace.txt
 
-echo "== sharded determinism (cluster oracle at shards=4 must match shards=1 byte-for-byte)"
+echo "== sharded determinism (cluster oracle at shards=1 must print results/cluster_fast.json, and shards=4 the same bytes)"
 dune exec bin/rc_sim.exe -- cluster --fast --machines 4 --shards 1 \
   --json-out "${TMPDIR:-/tmp}/rc-cluster-s1.json" > /dev/null
 dune exec bin/rc_sim.exe -- cluster --fast --machines 4 --shards 4 \
   --json-out "${TMPDIR:-/tmp}/rc-cluster-s4.json" > /dev/null
+cmp "${TMPDIR:-/tmp}/rc-cluster-s1.json" results/cluster_fast.json
 cmp "${TMPDIR:-/tmp}/rc-cluster-s1.json" "${TMPDIR:-/tmp}/rc-cluster-s4.json"
 
 echo "== fuzz smoke (fixed seeds, invariants armed, 2 jobs)"
@@ -104,8 +106,9 @@ dune exec bin/rc_sim.exe -- fuzz --seeds 3 --machines 4 --shards 1 > "${TMPDIR:-
 dune exec bin/rc_sim.exe -- fuzz --seeds 3 --machines 4 --shards 4 > "${TMPDIR:-/tmp}/rc-fuzz-cluster-s4.txt"
 cmp "${TMPDIR:-/tmp}/rc-fuzz-cluster-s1.txt" "${TMPDIR:-/tmp}/rc-fuzz-cluster-s4.txt"
 
-echo "== cluster oracle gate (M/G/1-PS closed form within 5% at >= 1e5 concurrent conns, sharded)"
-dune exec bin/rc_sim.exe -- cluster --check --shards 8 > /dev/null
+echo "== cluster oracle gate (M/G/1-PS closed form within 5% at >= 1e5 concurrent conns, sharded; must print results/cluster_check.txt)"
+dune exec bin/rc_sim.exe -- cluster --check --shards 8 > "${TMPDIR:-/tmp}/rc-cluster-check.txt"
+cmp "${TMPDIR:-/tmp}/rc-cluster-check.txt" results/cluster_check.txt
 
 echo "== SMP experiments gate (steering livelock confinement + sharded fixed shares; must print results/smp_fast.txt)"
 dune exec bin/rc_sim.exe -- smp --fast > "${TMPDIR:-/tmp}/rc-smp-fast.txt"
@@ -149,8 +152,9 @@ placement 30 --cpus 2
 placement 30 --cpus 4
 placement 30 --zipf
 placement 5 --machines 4
+placement 5 --machines 2
 
-echo "== fuzz gate (the five families' --jobs 1 lines must print results/fuzz_jobs1.txt)"
+echo "== fuzz gate (the six families' --jobs 1 lines must print results/fuzz_jobs1.txt)"
 cmp "$tmp/rc-fuzz-j1.txt" results/fuzz_jobs1.txt
 
 echo "== ablation placement (rc_sim ablation --fast must print its section of rc_sim all --fast)"

@@ -70,6 +70,12 @@ type profile =
 
 type tenant_spec = { ts_name : string; ts_weight : int; ts_attrs : Attrs.t }
 
+let policy_name = function
+  | Round_robin -> "round-robin"
+  | Least_conns -> "least-conns"
+  | Flow_hash -> "flow-hash"
+  | Replicate d -> Printf.sprintf "replicate-%d" d
+
 let tenant_spec ?(weight = 1) ?(attrs = Attrs.timeshare ()) name =
   if weight <= 0 then invalid_arg "Cluster.tenant_spec: weight must be positive";
   { ts_name = name; ts_weight = weight; ts_attrs = attrs }
@@ -155,6 +161,11 @@ type t = {
 let request_bytes = 256
 let response_bytes = 4096
 
+(* Small enough that each machine's worker pool approximates processor
+   sharing. *)
+let quantum = Simtime.us 50
+let syn_backlog = 1024
+
 (* How often the barrier aggregates the tenant rollup and checks the
    cluster laws. *)
 let rollup_period = Simtime.ms 10
@@ -203,8 +214,6 @@ let ring_lookup t h =
   end
 
 let machines t = Array.length t.nodes
-let shards t = Shard.shards t.exec
-let domains t = Shard.domains t.exec
 let node_machine t i = t.nodes.(i).machine
 let node_stack t i = t.nodes.(i).stack
 let node_served t i = t.nodes.(i).served
@@ -213,8 +222,6 @@ let tenant_name t k = t.tenants.(k).spec.ts_name
 let tenant_group t k = t.tenants.(k).group
 let tenant_container t ~tenant ~node = t.tenants.(tenant).containers.(node)
 let tenant_prefix t k = t.tenants.(k).prefix
-let rollup t = t.rollup
-let sim t = t.shard_sims.(0)
 let now t = Sim.now t.shard_sims.(0)
 let issued t = t.issued
 let completed t = t.completed
@@ -492,7 +499,7 @@ let barrier_exchange t wend_ns =
 
 let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
     ?(policy = Round_robin) ?(profile = Poisson 1000.) ?service ?(hold = Simtime.span_zero)
-    ?(workers = 32) ?(quantum = Simtime.us 50) ?(ring_bits = 20) ?(syn_backlog = 1024) ?window
+    ?(workers = 32) ?(ring_bits = 20) ?window
     ?(tenants = [ tenant_spec "tenant0" ]) ?(seed = 1) () =
   if machines <= 0 then invalid_arg "Cluster.create: machines must be positive";
   if shards <= 0 then invalid_arg "Cluster.create: shards must be positive";

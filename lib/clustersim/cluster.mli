@@ -52,6 +52,9 @@ type profile =
       (** [base] arrivals/s, stepping to [peak] between [at] and [until]
           (offsets from {!start}) *)
 
+val policy_name : policy -> string
+(** ["round-robin"], ["least-conns"], ["flow-hash"], ["replicate-<d>"]. *)
+
 type tenant_spec
 
 val tenant_spec : ?weight:int -> ?attrs:Rescont.Attrs.t -> string -> tenant_spec
@@ -72,9 +75,7 @@ val create :
   ?service:Engine.Dist.t ->
   ?hold:Engine.Simtime.span ->
   ?workers:int ->
-  ?quantum:Engine.Simtime.span ->
   ?ring_bits:int ->
-  ?syn_backlog:int ->
   ?window:Engine.Simtime.span ->
   ?tenants:tenant_spec list ->
   ?seed:int ->
@@ -82,9 +83,10 @@ val create :
   t
 (** Defaults: 4 machines × 1 CPU, 1 shard, [Rc] mode, round-robin,
     Poisson 1000/s, exponential 400 µs service (sampled in nanoseconds of
-    CPU burn), zero hold, 32 workers per machine, 50 µs quantum (workers
-    approximate processor sharing), 2^20-entry in-flight rings, one
-    unit-weight tenant.  Requests are 256 B and responses 4 KB, every
+    CPU burn), zero hold, 32 workers per machine, 2^20-entry in-flight
+    rings, one unit-weight tenant.  Every machine runs 50 µs quanta (the
+    workers approximate processor sharing) and every tenant listen a
+    1024-entry SYN queue.  Requests are 256 B and responses 4 KB, every
     stack has a 150 µs one-way wire latency, and the tenant rollup runs
     every 10 ms.  Each of a machine's [cpus] processors gets its own
     run-queue shard.
@@ -129,17 +131,8 @@ val rollup_law : t -> (unit, string) result
 
 (** {1 Introspection} *)
 
-val sim : t -> Engine.Sim.t
-(** Shard 0's event core (the balancer's).  At [shards = 1] this is the
-    only one; cross-machine schedules (fuzz fault injection) must target
-    [Machine.sim] of the victim machine instead. *)
-
 val now : t -> Engine.Simtime.t
 val machines : t -> int
-
-val shards : t -> int
-val domains : t -> int
-(** Actual counts after clamping (see {!create}). *)
 
 val node_machine : t -> int -> Procsim.Machine.t
 val node_stack : t -> int -> Netsim.Stack.t
@@ -157,7 +150,6 @@ val tenant_name : t -> int -> string
 val tenant_group : t -> int -> Rescont.Rollup.group
 val tenant_container : t -> tenant:int -> node:int -> Rescont.Container.t
 val tenant_prefix : t -> int -> Netsim.Ipaddr.t
-val rollup : t -> Rescont.Rollup.t
 
 (** {1 Request accounting} *)
 

@@ -1,11 +1,13 @@
-(* One single-server run as a value, and the one driver that builds and
-   runs it.
+(* A run as a value, and the one driver of each kind that builds and runs
+   it: [t] and [run] for a single server, [cluster] and [run_cluster] for
+   machines behind the balancer.
 
    A scenario is plain data: no closures and no live handles, so two
-   scenarios compare with [=], print, and can be stored.  [run] is the
-   only place in the experiments and the fuzzer that builds a rig
-   ([Harness.build]), its containers, threads, servers, clients and SYN
-   flood, and runs the warm-up and the measured windows.
+   scenarios compare with [=], print, and can be stored.  [run] and
+   [run_cluster] are the only places in the experiments and the fuzzer
+   that build a rig ([Harness.build]) or a cluster, their containers,
+   threads, servers, clients and SYN floods, and run the warm-up and the
+   measured windows.
 
    Construction order.  Ids come from per-run counters, one per id space,
    and the service order and the run-queue busy set break ties by id, so
@@ -14,8 +16,11 @@
    server in list order (its own process and network thread, its CGI, its
    listens from the last to the first, then the server, started); the
    planted mis-charge; the client groups, started in list order; the
-   flood.  The type definitions below are the interface, so the module
-   has no .mli. *)
+   flood.  [run_cluster] builds the cluster, the flood, the armed laws and
+   the mis-charge, then starts the cluster and the flood; each phase
+   (warm-up, every window, drain) is its own [Cluster.run_for], because
+   barrier windows restart at every call.  The type definitions below are
+   the interface, so the module has no .mli. *)
 
 module Simtime = Engine.Simtime
 module Sim = Engine.Sim
@@ -31,6 +36,7 @@ module Event_server = Httpsim.Event_server
 module Cgi = Httpsim.Cgi
 module Disk = Disksim.Disk
 module Sclient = Workload.Sclient
+module Cluster = Clustersim.Cluster
 
 (** A container under the root ([parent = None]) or under an earlier one. *)
 type container = { name : string; parent : string option; attrs : Rescont.Attrs.t }
@@ -225,6 +231,28 @@ type outcome = {
   trace : Engine.Tracelog.entry list;  (** retained entries when traced *)
 }
 
+(* A §3.1-style accounting bug on demand: interrupt work charged to a
+   container outside the root's subtree, so [cpu.conservation] must trip
+   at the next sweep, halfway through the warm-up and the windows.  Posted
+   on the machine's own event core: a cluster node's may be another shard
+   than the balancer's. *)
+let plant_mischarge machine warmup windows =
+  let run = Container.run (Machine.root machine) in
+  let sink = Container.create_detached ~name:"mischarge-sink" run in
+  let after = Simtime.span_scale 0.5 (List.fold_left Simtime.span_add warmup windows) in
+  ignore
+    (Sim.after (Machine.sim machine) after (fun () ->
+         Machine.steal_time machine ~cost:(Simtime.us 50) ~charge:(`Container sink)))
+
+(* The first broken law or exception of [go ()], if any. *)
+let caught go =
+  match go () with
+  | () -> None
+  | exception Engine.Invariant.Violation v ->
+      Some (Format.asprintf "%a" Engine.Invariant.pp_violation v)
+  | exception (Rescont.Usage.Negative_memory _ as e) -> Some (Printexc.to_string e)
+  | exception e -> Some ("unexpected exception: " ^ Printexc.to_string e)
+
 let run (t : t) =
   let rig =
     Harness.build ~cpus:t.cpus ~quantum:t.quantum ~queue_cap:t.queue_cap
@@ -332,15 +360,7 @@ let run (t : t) =
     Process.default_container proc
   in
   let server_containers = List.map start_server t.servers in
-  let duration = List.fold_left Simtime.span_add t.warmup t.windows in
-  (if t.mischarge then
-     (* A §3.1-style accounting bug on demand: interrupt work charged to a
-        container outside the root's subtree, so [cpu.conservation] must
-        trip at the next sweep. *)
-     let sink = Container.create_detached ~name:"mischarge-sink" (Container.run rig.Harness.root) in
-     ignore
-       (Sim.after rig.Harness.sim (Simtime.span_scale 0.5 duration) (fun () ->
-            Machine.steal_time machine ~cost:(Simtime.us 50) ~charge:(`Container sink))));
+  if t.mischarge then plant_mischarge machine t.warmup t.windows;
   let clients =
     List.map
       (fun (g : group) ->
@@ -429,23 +449,17 @@ let run (t : t) =
       :: !windows
   in
   let violation =
-    match
-      starting 0;
-      Option.iter Workload.Synflood.start flood;
-      run_for t.warmup;
-      List.iteri measure t.windows;
-      Option.iter
-        (fun span ->
-          List.iter Sclient.stop clients;
-          Option.iter Workload.Synflood.stop flood;
-          run_for span)
-        t.drain
-    with
-    | () -> None
-    | exception Engine.Invariant.Violation v ->
-        Some (Format.asprintf "%a" Engine.Invariant.pp_violation v)
-    | exception (Rescont.Usage.Negative_memory _ as e) -> Some (Printexc.to_string e)
-    | exception e -> Some ("unexpected exception: " ^ Printexc.to_string e)
+    caught (fun () ->
+        starting 0;
+        Option.iter Workload.Synflood.start flood;
+        run_for t.warmup;
+        List.iteri measure t.windows;
+        Option.iter
+          (fun span ->
+            List.iter Sclient.stop clients;
+            Option.iter Workload.Synflood.stop flood;
+            run_for span)
+          t.drain)
   in
   tally ();
   let s = Stack.stats stack in
@@ -472,3 +486,167 @@ let stats w name = List.assoc name w.groups
 let throughput w name = float_of_int (stats w name).completed /. Simtime.span_to_sec_f w.span
 
 let usage_of w name = List.assoc name w.usage
+
+(* --- Cluster scenarios ----------------------------------------------- *)
+
+(** A SYN flood on node [node], evenly spaced, from 256 sources at
+    192.168.66.1, or, with [tenant = Some k], inside tenant [k]'s prefix,
+    so that it fills that tenant's SYN queue. *)
+type cluster_flood = { node : int; rate : float; tenant : int option }
+
+type cluster = {
+  machines : int;
+  cpus : int;  (** per machine *)
+  mode : Stack.mode;
+  policy : Cluster.policy;
+  profile : Cluster.profile;
+  hold : Simtime.span;  (** how long a client keeps its connection after the response *)
+  workers : int;  (** per machine *)
+  ring_bits : int;
+  window : Simtime.span option;  (** the dispatch window; [None]: a SYN's wire time *)
+  tenants : Cluster.tenant_spec list;
+  seed : int;
+  check_interval : Simtime.span option;  (** arms every law *)
+  mischarge : int option;  (** plant the mis-charge on this node halfway through the run *)
+  flood : cluster_flood option;
+  warmup : Simtime.span;
+  windows : Simtime.span list;
+  drain : Simtime.span option;
+      (** after the windows, stop the arrivals and the flood and run this long *)
+}
+
+(** Four 1-CPU RC machines behind round-robin, Poisson 1000/s, no hold,
+    32 workers, 2^20-entry rings, one tenant, seed 1, nothing armed or
+    planted, a 1 s warm-up and one 4 s window: {!Clustersim.Cluster}'s
+    defaults.  Every run keeps the cluster's 400 µs exponential service. *)
+let cluster =
+  {
+    machines = 4;
+    cpus = 1;
+    mode = Stack.Rc;
+    policy = Cluster.Round_robin;
+    profile = Cluster.Poisson 1000.;
+    hold = Simtime.span_zero;
+    workers = 32;
+    ring_bits = 20;
+    window = None;
+    tenants = [ Cluster.tenant_spec "tenant0" ];
+    seed = 1;
+    check_interval = None;
+    mischarge = None;
+    flood = None;
+    warmup = Simtime.sec 1;
+    windows = [ Simtime.sec 4 ];
+    drain = None;
+  }
+
+type cluster_window = {
+  issued : int;
+  completed : int;  (** logical requests answered, clone responses counted once *)
+  refused : int;
+  dup_responses : int;
+  evicted : int;
+  peak_concurrent : int;
+  client_sojourn : Engine.Stats.Summary.t;  (** connect to first response, seconds *)
+  server_sojourn : Engine.Stats.Summary.t;  (** request at the NIC to response on the wire *)
+  busy : Simtime.span list;  (** each node's *)
+  served : int list;
+  syn_drops : int list;
+}
+
+type tenant_usage = { cpu_ns : int; rx_bytes : int; tx_bytes : int }
+
+type cluster_outcome = {
+  windows : cluster_window list;
+  completed : int;  (** over the whole run *)
+  packets : int;
+  established : int;
+  checks : int;  (** every node's invariant sweeps *)
+  syn_drops : int list;  (** each node's, over the whole run *)
+  tenants : (string * tenant_usage) list;  (** each tenant's rollup at the end *)
+  violation : string option;  (** the first broken law or exception, the rollup law's at the end *)
+}
+
+(** Runs [t] over [shards] event cores ({!Clustersim.Cluster.create});
+    the outcome is the same at every shard count, which is why it is not
+    a field. *)
+let run_cluster ?shards (t : cluster) =
+  let c =
+    Cluster.create ~machines:t.machines ?shards ~cpus:t.cpus ~mode:t.mode ~policy:t.policy
+      ~profile:t.profile ~hold:t.hold ~workers:t.workers ~ring_bits:t.ring_bits ?window:t.window
+      ~tenants:t.tenants ~seed:t.seed ()
+  in
+  let nodes = List.init t.machines Fun.id in
+  let flood =
+    Option.map
+      (fun (f : cluster_flood) ->
+        Workload.Synflood.create ~stack:(Cluster.node_stack c f.node)
+          ?src_base:(Option.map (fun k -> Ipaddr.offset (Cluster.tenant_prefix c k) 1) f.tenant)
+          ~rate_per_sec:f.rate ())
+      t.flood
+  in
+  Option.iter (fun interval -> Cluster.arm_invariants ~interval c) t.check_interval;
+  Option.iter (fun i -> plant_mischarge (Cluster.node_machine c i) t.warmup t.windows) t.mischarge;
+  let busy () = List.map (fun i -> Machine.busy_time (Cluster.node_machine c i)) nodes in
+  let stats i = Stack.stats (Cluster.node_stack c i) in
+  let syn_drops () = List.map (fun i -> (stats i).Stack.syn_queue_drops) nodes in
+  let completed = ref 0 and windows = ref [] in
+  let measure span =
+    completed := !completed + Cluster.completed c;
+    Cluster.reset_stats c;
+    let busy0 = busy () and drops0 = syn_drops () in
+    Cluster.run_for c span;
+    windows :=
+      {
+        issued = Cluster.issued c;
+        completed = Cluster.completed c;
+        refused = Cluster.refused c;
+        dup_responses = Cluster.dup_responses c;
+        evicted = Cluster.evicted c;
+        peak_concurrent = Cluster.peak_concurrent c;
+        (* A copy: a drain keeps adding to the live summary. *)
+        client_sojourn = Engine.Stats.Summary.(merge (create ()) (Cluster.client_sojourn c));
+        server_sojourn = Cluster.server_sojourn c;
+        busy = List.map2 Simtime.span_sub (busy ()) busy0;
+        served = List.map (Cluster.node_served c) nodes;
+        syn_drops = List.map2 ( - ) (syn_drops ()) drops0;
+      }
+      :: !windows
+  in
+  let violation =
+    caught (fun () ->
+        Cluster.start c;
+        Option.iter Workload.Synflood.start flood;
+        Cluster.run_for c t.warmup;
+        List.iter measure t.windows;
+        Option.iter
+          (fun span ->
+            Cluster.stop_arrivals c;
+            Option.iter Workload.Synflood.stop flood;
+            Cluster.run_for c span)
+          t.drain)
+  in
+  let sum f = List.fold_left (fun n i -> n + f i) 0 nodes in
+  {
+    windows = List.rev !windows;
+    completed = !completed + Cluster.completed c;
+    packets = sum (fun i -> (stats i).Stack.packets_processed);
+    established = sum (fun i -> (stats i).Stack.conns_established);
+    checks =
+      sum (fun i -> Engine.Invariant.checks_run (Machine.invariants (Cluster.node_machine c i)));
+    syn_drops = syn_drops ();
+    tenants =
+      List.init (Cluster.tenant_count c) (fun k ->
+          let open Rescont.Rollup in
+          let g = Cluster.tenant_group c k in
+          ( Cluster.tenant_name c k,
+            { cpu_ns = cpu_ns g; rx_bytes = rx_bytes g; tx_bytes = tx_bytes g } ));
+    violation =
+      (match (violation, Cluster.rollup_law c) with
+      | None, Error e -> Some ("cluster.usage-rollup violated: " ^ e)
+      | v, _ -> v);
+  }
+
+(** The windows; [Failure] on a violation. *)
+let cluster_measured (o : cluster_outcome) =
+  match o.violation with Some v -> failwith v | None -> o.windows

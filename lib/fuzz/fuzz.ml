@@ -4,12 +4,10 @@
    failure found on any machine replays anywhere from its printed seed. *)
 
 module Simtime = Engine.Simtime
-module Sim = Engine.Sim
 module Rng = Engine.Rng
-module Container = Rescont.Container
 module Attrs = Rescont.Attrs
-module Machine = Procsim.Machine
 module Stack = Netsim.Stack
+module Cluster = Clustersim.Cluster
 module Filter = Netsim.Filter
 module Ipaddr = Netsim.Ipaddr
 module Scenario = Experiments.Scenario
@@ -43,13 +41,11 @@ type outcome = {
   trace_file : string option;  (** JSONL trace written on violation *)
 }
 
-let replay_command ?(inject = false) ?(cpus = 1) ?(machines = 1) ?(shards = 1)
-    ?(zipf = false) ~mode ~seed () =
-  Printf.sprintf "dune exec bin/rc_sim.exe -- fuzz --seed %d --mode %s%s%s%s%s%s" seed
+let replay_command ?(inject = false) ?(cpus = 1) ?(machines = 1) ?(zipf = false) ~mode ~seed () =
+  Printf.sprintf "dune exec bin/rc_sim.exe -- fuzz --seed %d --mode %s%s%s%s%s" seed
     (mode_name mode)
     (if cpus > 1 then Printf.sprintf " --cpus %d" cpus else "")
     (if machines > 1 then Printf.sprintf " --machines %d" machines else "")
-    (if shards > 1 then Printf.sprintf " --shards %d" shards else "")
     (if zipf then " --zipf" else "")
     (if inject then " --inject mischarge" else "")
 
@@ -77,131 +73,78 @@ let describe (sc : Scenario.t) =
 
 let doc_paths = [| "/doc/1k"; "/doc/8k"; "/doc/64k" |]
 
-(* The cluster scenario family: N machines behind the balancer, random
-   policy/tenants/profile, an optional SYN flood on a random machine, and
-   every machine's registry armed — including the cluster-wide
-   "cluster.usage-rollup" law that ties the per-machine tenant ledgers to
-   the rollup totals.  Same contract as the single-rig path: the scenario
-   is a pure function of (seed, mode); [cpus] and [machines] only change
-   where the work lands, and [shards] must not change anything at all —
-   the outcome record deliberately has no shards field, so running the
-   same seed at different shard counts and comparing outcomes IS the
-   sharded-determinism check. *)
-let run_cluster_seed ~inject ~cpus ~machines ~shards ~mode ~seed () =
-  let module Cluster = Clustersim.Cluster in
+(* The cluster family: N machines behind the balancer, random policy,
+   tenants and arrival profile, an optional SYN flood on a random
+   machine, and every machine's registry armed, the cluster-wide
+   "cluster.usage-rollup" law included.  Every choice is drawn here, up
+   front, in the order the hand-wired run drew it: that run drew a
+   tenant's priority before its weight and the cluster's seed before its
+   worker count, because the compiler evaluates a call's arguments right
+   to left.  The mis-charge node is the last draw, made with or without
+   [inject], so a seed draws the same scenario either way.  The outcome
+   record has no shards field: running one seed at several shard counts
+   and comparing outcomes is the sharded-determinism check. *)
+let generate_cluster ~inject ~machines ~seed mode =
   let rng = Rng.create ~seed in
   let pick arr = arr.(Rng.int rng (Array.length arr)) in
-  let policy_desc, policy =
-    pick
-      [|
-        ("round-robin", Cluster.Round_robin);
-        ("least-conns", Cluster.Least_conns);
-        ("flow-hash", Cluster.Flow_hash);
-        ("replicate-2", Cluster.Replicate 2);
-      |]
-  in
-  let tenant_count = 1 + Rng.int rng 2 in
+  let policy = pick [| Cluster.Round_robin; Least_conns; Flow_hash; Replicate 2 |] in
   let tenants =
-    List.init tenant_count (fun i ->
-        Cluster.tenant_spec
-          ~weight:(1 + Rng.int rng 3)
-          ~attrs:(Attrs.timeshare ~priority:(10 + Rng.int rng 40) ())
-          (Printf.sprintf "t%d" i))
+    List.init
+      (1 + Rng.int rng 2)
+      (fun i ->
+        let priority = 10 + Rng.int rng 40 in
+        let weight = 1 + Rng.int rng 3 in
+        Cluster.tenant_spec ~weight ~attrs:(Attrs.timeshare ~priority ()) (Printf.sprintf "t%d" i))
   in
   let rate = float_of_int (500 + Rng.int rng 3_000) in
   let profile =
     if Rng.bool rng then
-      Cluster.Spike
-        { base = rate; peak = 3. *. rate; at = Simtime.ms 30; until = Simtime.ms 70 }
+      Cluster.Spike { base = rate; peak = 3. *. rate; at = Simtime.ms 30; until = Simtime.ms 70 }
     else Cluster.Poisson rate
   in
-  let flood_node = Rng.int rng machines in
-  let flood_rate =
-    if Rng.bool rng then Some (float_of_int (2_000 + Rng.int rng 20_000)) else None
+  let node = Rng.int rng machines in
+  let flood =
+    if Rng.bool rng then
+      Some { Scenario.node; rate = float_of_int (2_000 + Rng.int rng 20_000); tenant = None }
+    else None
   in
-  let c =
-    Cluster.create ~machines ~shards ~cpus ~mode ~policy ~profile ~tenants
-      ~workers:(4 + Rng.int rng 12)
-      ~seed:(Rng.int rng 1_000_000)
-      ()
-  in
-  let attacker =
-    Option.map
-      (fun rate_per_sec ->
-        Workload.Synflood.create ~stack:(Cluster.node_stack c flood_node) ~rate_per_sec ())
-      flood_rate
-  in
+  let seed = Rng.int rng 1_000_000 in
+  let workers = 4 + Rng.int rng 12 in
   let duration = Simtime.ms (80 + Rng.int rng 170) in
   let check_interval = Simtime.ms (2 + Rng.int rng 6) in
-  Cluster.arm_invariants ~interval:check_interval c;
-  (if inject then
-     (* Same planted bug as the single rig, on a random machine: its
-        cpu.conservation law must catch it at the next sweep. *)
-     let victim = Cluster.node_machine c (Rng.int rng machines) in
-     let detached =
-       Container.create_detached ~name:"mischarge-sink" (Container.run (Machine.root victim))
-     in
-     (* Scheduled on the victim's own event core: under sharding the
-        balancer's sim is another shard, and a cross-shard schedule
-        would both race and make the outcome depend on the shard
-        count. *)
-     ignore
-       (Sim.after (Machine.sim victim)
-          (Simtime.span_scale 0.5 duration)
-          (fun () ->
-            Machine.steal_time victim ~cost:(Simtime.us 50) ~charge:(`Container detached))));
-  let violation =
-    try
-      Cluster.start c;
-      Option.iter Workload.Synflood.start attacker;
-      Cluster.run_for c duration;
-      Cluster.stop_arrivals c;
-      Option.iter Workload.Synflood.stop attacker;
-      Cluster.run_for c (Simtime.ms 100);
-      None
-    with
-    | Engine.Invariant.Violation v ->
-        Some (Format.asprintf "%a" Engine.Invariant.pp_violation v)
-    | Rescont.Usage.Negative_memory _ as e -> Some (Printexc.to_string e)
-    | e -> Some ("unexpected exception: " ^ Printexc.to_string e)
-  in
-  let packets = ref 0 and established = ref 0 and checks = ref 0 in
-  for i = 0 to machines - 1 do
-    let s = Stack.stats (Cluster.node_stack c i) in
-    packets := !packets + s.Stack.packets_processed;
-    established := !established + s.Stack.conns_established;
-    checks :=
-      !checks + Engine.Invariant.checks_run (Machine.invariants (Cluster.node_machine c i))
-  done;
+  let victim = Rng.int rng machines in
   {
-    seed;
-    mode;
-    cpus;
+    Scenario.cluster with
     machines;
-    scenario =
-      Format.asprintf "cluster/%s machines=%d tenants=%d rate=%.0f/s%s%s dur=%a check=%a%s"
-        policy_desc machines tenant_count rate
-        (match profile with Cluster.Spike _ -> " spike" | _ -> "")
-        (match flood_rate with
-        | Some r -> Printf.sprintf " flood=%.0f/s@%d" r flood_node
-        | None -> "")
-        Simtime.pp_span duration Simtime.pp_span check_interval
-        (if cpus > 1 then Printf.sprintf " cpus=%d" cpus else "");
-    zipf = false;
-    checks = !checks;
-    completed = Cluster.completed c;
-    packets = !packets;
-    established = !established;
-    injected = inject;
-    violation;
-    trace_file = None;
+    mode;
+    policy;
+    profile;
+    workers;
+    tenants;
+    seed;
+    check_interval = Some check_interval;
+    mischarge = (if inject then Some victim else None);
+    flood;
+    warmup = duration;
+    windows = [];
+    drain = Some (Simtime.ms 100);
   }
+
+let describe_cluster (sc : Scenario.cluster) =
+  let rate = match sc.profile with Poisson r -> r | Spike s -> s.base in
+  Format.asprintf "cluster/%s machines=%d tenants=%d rate=%.0f/s%s%s dur=%a check=%a%s"
+    (Cluster.policy_name sc.policy)
+    sc.machines (List.length sc.tenants) rate
+    (match sc.profile with Spike _ -> " spike" | Poisson _ -> "")
+    (match sc.flood with Some f -> Printf.sprintf " flood=%.0f/s@%d" f.rate f.node | None -> "")
+    Simtime.pp_span sc.warmup Simtime.pp_span (Option.get sc.check_interval)
+    (if sc.cpus > 1 then Printf.sprintf " cpus=%d" sc.cpus else "")
 
 (* The single-rig family: every choice is drawn here, up front, in the
    order the fuzzer has always drawn it, so a seed keeps its scenario.
    The two streams the run itself consumes, the per-connection priorities
    and the Poisson flood's arrivals, start from seeds drawn here too. *)
-let generate ~zipf ~seed mode =
+let generate ~zipf ~inject ~seed mode =
   let rng = Rng.create ~seed in
   let pick arr = arr.(Rng.int rng (Array.length arr)) in
   let queue_cap = 8 + Rng.int rng 120 in
@@ -308,6 +251,7 @@ let generate ~zipf ~seed mode =
     queue_cap;
     trace = Some 4096;
     check_interval = Some check_interval;
+    mischarge = inject;
     corpus = Option.map fst corpus;
     containers =
       List.rev_map (fun (name, attrs, _) -> { Scenario.name; parent = None; attrs }) classes;
@@ -335,41 +279,19 @@ let generate ~zipf ~seed mode =
     drain = Some (Simtime.ms 100);
   }
 
-let run_single_seed ~inject ~cpus ~zipf ?trace_path ~mode ~seed () =
-  let sc = { (generate ~zipf ~seed mode) with cpus; mischarge = inject } in
-  let o = Scenario.run sc in
-  let trace_file =
-    match o.violation with
-    | None -> None
-    | Some _ ->
-        let path =
-          match trace_path with
-          | Some p -> p
-          | None ->
-              Printf.sprintf "fuzz-%s-seed%d%s.trace.jsonl" (mode_name mode) seed
-                (if cpus > 1 then Printf.sprintf "-cpus%d" cpus else "")
-        in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Engine.Tracelog.entries_to_jsonl o.trace));
-        Some path
+let write_trace ~trace_path ~mode ~seed ~cpus trace =
+  let path =
+    match trace_path with
+    | Some p -> p
+    | None ->
+        Printf.sprintf "fuzz-%s-seed%d%s.trace.jsonl" (mode_name mode) seed
+          (if cpus > 1 then Printf.sprintf "-cpus%d" cpus else "")
   in
-  {
-    seed;
-    mode;
-    cpus;
-    machines = 1;
-    scenario = describe sc;
-    zipf;
-    checks = o.checks;
-    completed = o.completed;
-    packets = o.packets;
-    established = o.established;
-    injected = inject;
-    violation = o.violation;
-    trace_file;
-  }
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (Engine.Tracelog.entries_to_jsonl trace));
+  path
 
 let run_seed ?(inject = false) ?(cpus = 1) ?(machines = 1) ?(shards = 1)
     ?(zipf = false) ?trace_path ~mode ~seed () =
@@ -378,8 +300,34 @@ let run_seed ?(inject = false) ?(cpus = 1) ?(machines = 1) ?(shards = 1)
   if shards < 1 then invalid_arg "Fuzz.run_seed: shards must be >= 1";
   if zipf && machines > 1 then
     invalid_arg "Fuzz.run_seed: the zipf corpus family is a single-rig scenario";
-  if machines > 1 then run_cluster_seed ~inject ~cpus ~machines ~shards ~mode ~seed ()
-  else run_single_seed ~inject ~cpus ~zipf ?trace_path ~mode ~seed ()
+  let scenario, checks, completed, packets, established, violation, trace_file =
+    if machines > 1 then
+      let sc = { (generate_cluster ~inject ~machines ~seed mode) with cpus } in
+      let o = Scenario.run_cluster ~shards sc in
+      (describe_cluster sc, o.checks, o.completed, o.packets, o.established, o.violation, None)
+    else
+      let sc = { (generate ~zipf ~inject ~seed mode) with cpus } in
+      let o = Scenario.run sc in
+      let trace_file =
+        Option.map (fun _ -> write_trace ~trace_path ~mode ~seed ~cpus o.trace) o.violation
+      in
+      (describe sc, o.checks, o.completed, o.packets, o.established, o.violation, trace_file)
+  in
+  {
+    seed;
+    mode;
+    cpus;
+    machines;
+    scenario;
+    zipf;
+    checks;
+    completed;
+    packets;
+    established;
+    injected = inject;
+    violation;
+    trace_file;
+  }
 
 let pp_outcome ppf o =
   match o.violation with

@@ -12,10 +12,11 @@
     replays bit-for-bit with the printed command on any machine, and the
     run's kernel trace is dumped as JSON lines next to it.
 
-    With [machines > 1] the generated scenario is a cluster instead: N
-    machines behind the {!Clustersim.Cluster} load balancer (random
-    policy, tenants, arrival profile, optional SYN flood on a random
-    machine), with every machine's registry — including the cluster-wide
+    With [machines > 1] the generated scenario is a cluster instead
+    ({!generate_cluster}, run by {!Experiments.Scenario.run_cluster}): N
+    machines behind the load balancer (random policy, tenants, arrival
+    profile, optional SYN flood on a random machine), with every
+    machine's registry — including the cluster-wide
     "cluster.usage-rollup" law — armed. *)
 
 val mode_name : Netsim.Stack.mode -> string
@@ -40,23 +41,33 @@ type outcome = {
   trace_file : string option;  (** JSONL trace written on violation *)
 }
 
-val generate : zipf:bool -> seed:int -> Netsim.Stack.mode -> Experiments.Scenario.t
+val generate :
+  zipf:bool -> inject:bool -> seed:int -> Netsim.Stack.mode -> Experiments.Scenario.t
 (** The single-rig scenario of [(seed, mode)], every choice drawn up
-    front, on one processor and with no planted bug.  [zipf] selects the
-    large-Zipf corpus family.  The result is plain data: generating twice
-    gives equal records. *)
+    front, on one processor: the run that {!run_seed} performs at one CPU.
+    [zipf] selects the large-Zipf corpus family; [inject] plants the
+    mis-charge.  The result is plain data: generating twice gives equal
+    records. *)
+
+val generate_cluster :
+  inject:bool -> machines:int -> seed:int -> Netsim.Stack.mode -> Experiments.Scenario.cluster
+(** The cluster scenario of [(seed, mode)] over [machines] machines, every
+    choice drawn up front, one processor per machine: the run that
+    {!run_seed} performs at one CPU.  The node a planted mis-charge hits
+    is the last draw, made with or without [inject], so [inject] changes
+    only the [mischarge] field.  Plain data, like {!generate}'s. *)
 
 val replay_command :
   ?inject:bool ->
   ?cpus:int ->
   ?machines:int ->
-  ?shards:int ->
   ?zipf:bool ->
   mode:Netsim.Stack.mode ->
   seed:int ->
   unit ->
   string
-(** The one-command replay line printed with a violation. *)
+(** The one-command replay line printed with a violation.  It names no
+    shard count: an outcome is the same at every one. *)
 
 val run_seed :
   ?inject:bool ->

@@ -26,7 +26,7 @@ type t = {
   listens : Socket.listen list;
   master_wq : Machine.Waitq.t;
   mutable workers : worker list;
-  mutable backlog : job list; (* accepted, waiting for a worker *)
+  backlog : job Queue.t; (* accepted, waiting for a worker *)
   served : Engine.Metrics.counter;
   accepts : Engine.Metrics.counter;
   mutable started : bool;
@@ -48,14 +48,14 @@ let create ~stack ~master ~cache ?disk ?(workers = 8)
       listens;
       master_wq = Machine.Waitq.create machine;
       workers = [];
-      backlog = [];
+      backlog = Queue.create ();
       served = Engine.Metrics.counter registry ~labels "http.static_served";
       accepts = Engine.Metrics.counter registry ~labels "http.accepts";
       started = false;
     }
   in
   Engine.Metrics.gauge registry ~labels "http.backlog" (fun () ->
-      float_of_int (List.length t.backlog));
+      float_of_int (Queue.length t.backlog));
   List.iter (Stack.add_listen stack) listens;
   Stack.add_on_event stack (fun () -> Machine.Waitq.signal t.master_wq);
   t
@@ -63,7 +63,7 @@ let create ~stack ~master ~cache ?disk ?(workers = 8)
 let served t = Engine.Metrics.counter_value t.served
 let accepts t = Engine.Metrics.counter_value t.accepts
 let idle_workers t = List.length (List.filter (fun w -> not w.w_busy) t.workers)
-let backlog t = List.length t.backlog
+let backlog t = Queue.length t.backlog
 
 let respond t conn meta =
   let close_now = Serve.static ~stack:t.stack ~cache:t.cache ?disk:t.disk conn meta in
@@ -159,12 +159,12 @@ let accept_job t listen conn =
 
 let master_body t () =
   let rec dispatch_backlog () =
-    match (t.backlog, List.find_opt (fun w -> not w.w_busy) t.workers) with
-    | job :: rest, Some worker ->
-        t.backlog <- rest;
-        assign t worker job;
-        dispatch_backlog ()
-    | _, _ -> ()
+    if not (Queue.is_empty t.backlog) then
+      match List.find_opt (fun w -> not w.w_busy) t.workers with
+      | Some worker ->
+          assign t worker (Queue.pop t.backlog);
+          dispatch_backlog ()
+      | None -> ()
   in
   let rec loop () =
     (* Accept everything pending, then hand out work. *)
@@ -173,7 +173,7 @@ let master_body t () =
         let rec accept_all () =
           match Stack.accept t.stack listen with
           | Some conn ->
-              t.backlog <- t.backlog @ [ accept_job t listen conn ];
+              Queue.push (accept_job t listen conn) t.backlog;
               accept_all ()
           | None -> ()
         in

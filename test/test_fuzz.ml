@@ -34,13 +34,49 @@ let test_determinism () =
               (Printf.sprintf "seed %d %s%s generates one record" seed (Fuzz.mode_name mode)
                  (if zipf then " zipf" else ""))
               true
-              (Fuzz.generate ~zipf ~seed mode = Fuzz.generate ~zipf ~seed mode)
+              (Fuzz.generate ~zipf ~inject:false ~seed mode
+              = Fuzz.generate ~zipf ~inject:false ~seed mode)
           done)
         Fuzz.all_modes)
     [ false; true ];
-  let sc = Fuzz.generate ~zipf:false ~seed:7 Netsim.Stack.Rc in
+  let sc = Fuzz.generate ~zipf:false ~inject:false ~seed:7 Netsim.Stack.Rc in
   Alcotest.(check bool) "one record runs to one outcome" true
-    (Experiments.Scenario.run sc = Experiments.Scenario.run sc)
+    (Experiments.Scenario.run sc = Experiments.Scenario.run sc);
+  List.iter
+    (fun machines ->
+      List.iter
+        (fun mode ->
+          for seed = 1 to 30 do
+            let clean = Fuzz.generate_cluster ~inject:false ~machines ~seed mode in
+            Alcotest.(check bool)
+              (Printf.sprintf "seed %d %s machines=%d generates one cluster record" seed
+                 (Fuzz.mode_name mode) machines)
+              true
+              (clean = Fuzz.generate_cluster ~inject:false ~machines ~seed mode);
+            (* The victim is the last draw, so injecting moves nothing else. *)
+            let injected = Fuzz.generate_cluster ~inject:true ~machines ~seed mode in
+            Alcotest.(check bool)
+              (Printf.sprintf "seed %d %s machines=%d injected differs only in its victim" seed
+                 (Fuzz.mode_name mode) machines)
+              true
+              (clean.mischarge = None
+              && injected.mischarge <> None
+              && { injected with mischarge = None } = clean)
+          done)
+        Fuzz.all_modes)
+    [ 2; 4 ];
+  (* A measured window too, so its summaries and per-node readings are
+     compared as well as the run totals. *)
+  let sc =
+    {
+      (Fuzz.generate_cluster ~inject:false ~machines:4 ~seed:9 Netsim.Stack.Rc) with
+      windows = [ Engine.Simtime.ms 60 ];
+    }
+  in
+  let one = Experiments.Scenario.run_cluster ~shards:1 sc in
+  Alcotest.(check (option string)) "cluster record clean" None one.violation;
+  Alcotest.(check bool) "one cluster record runs to one outcome at shards 1 and 2" true
+    (one = Experiments.Scenario.run_cluster ~shards:2 sc)
 
 let test_injected_mischarge_caught () =
   let trace = Filename.temp_file "fuzz-inject" ".jsonl" in

@@ -5,7 +5,7 @@
 module Simtime = Engine.Simtime
 
 (* A scenario's warm-up and its one measured window, shortened. *)
-let timed ~warmup ~measure s = { s with Experiments.Scenario.warmup; windows = [ measure ] }
+let timed ~warmup ~measure (s : Experiments.Scenario.t) = { s with warmup; windows = [ measure ] }
 
 (* The named client group resized. *)
 let clients name count (s : Experiments.Scenario.t) =
